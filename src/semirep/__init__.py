@@ -26,12 +26,12 @@ from .induction import (InducedRep, ind_mor_dim, induce, induced_character,
 from .mackey import (ClassifiedIrr, FusionTable, GRParameter, RepParameter,
                      classify, conjugate_parameter, covariant_projective,
                      csr_corep, fusion, incidence, param_mor_dim, reduce_grp)
-from .oracle import module_hom_dim, oracle_fusion_dim, oracle_irr_dims
+from .oracle import module_hom_dim, oracle_irr_dims
 from .projective import (ProjectiveRep, cocycle_of, contragredient,
                          irreducible_projreps, proj_mor_dim, projective_rep,
                          rescale, transitional_map)
 from .semidirect import (SemidirectInstance, act_corep, build, check_covariant,
                          conj_iso, extend, join_covariant, restrict_corep,
-                         restrict_principal, split_covariant)
+                         split_covariant)
 
 __version__ = "0.1.0"

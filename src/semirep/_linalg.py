@@ -130,12 +130,12 @@ def cluster_eigvals(vals: np.ndarray, tol: float = EIG_CLUSTER_TOL) -> list[np.n
     return [np.array(g) for g in groups]
 
 
-def split_invariant_subspaces(commutant: list[np.ndarray], dim: int,
+def split_invariant_subspaces(commutant: list[np.ndarray],
                               rng: np.random.Generator) -> list[np.ndarray]:
     """Isometries onto the spectral subspaces of a random commutant element.
 
     Each returned Q is dim x m with orthonormal columns. A single round of
-    splitting; callers recurse until the commutant is trivial.
+    splitting; `decompose` recurses until the commutant is trivial.
     """
     herm = hermitian_basis(commutant)
     r = random_selfadjoint(herm, rng)
@@ -143,14 +143,35 @@ def split_invariant_subspaces(commutant: list[np.ndarray], dim: int,
     return [vecs[:, g] for g in cluster_eigvals(vals)]
 
 
-def unitary_part(t: np.ndarray, tol: float = TOL_VERIFY) -> np.ndarray:
-    """Rescale an operator known to be a scalar multiple of a unitary."""
-    n = t.shape[0]
-    scale = np.linalg.norm(t) / np.sqrt(n)
-    if scale < tol:
-        raise ValueError("operator is numerically zero, cannot unitarize")
-    u = t / scale
-    return u
+def decompose(x, commutant, compress, equivalent, rng: np.random.Generator):
+    """Pairwise-inequivalent irreducible pieces of x, with multiplicities.
+
+    The block-diagonalisation of a matrix *-algebra (Murota, Kanno, Kojima and
+    Kojima, Japan J. Indust. Appl. Math. 27, 2010): `commutant(x)` is a basis
+    of the commutant, `compress(x, q)` the piece on the range of an isometry
+    q. Pieces are split by a random self-adjoint commutant element until the
+    commutant is trivial, then grouped by `equivalent(a, b)`. Returns a list
+    of (piece, multiplicity).
+    """
+    factors = []
+    stack = [x]
+    while stack:
+        cur = stack.pop()
+        comm = commutant(cur)
+        if len(comm) == 1:
+            factors.append(cur)
+            continue
+        for q in split_invariant_subspaces(comm, rng):
+            stack.append(compress(cur, q))
+    grouped = []
+    for f in factors:
+        for i, (g0, mult) in enumerate(grouped):
+            if equivalent(g0, f):
+                grouped[i] = (g0, mult + 1)
+                break
+        else:
+            grouped.append((f, 1))
+    return grouped
 
 
 def first_entry_phase(mat: np.ndarray, threshold: float = 1e-8):
@@ -160,13 +181,6 @@ def first_entry_phase(mat: np.ndarray, threshold: float = 1e-8):
         if abs(entry) > threshold:
             return entry / abs(entry)
     return None
-
-
-def kron_many(mats: list[np.ndarray]) -> np.ndarray:
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = np.kron(acc, m)
-    return acc
 
 
 def max_abs(arr) -> float:

@@ -269,11 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("human", "structured"), default="human")
     ap.add_argument("--seed", type=int, default=None,
                     help="seed for the spectral splittings (default: file seed or 7)")
-    ap.add_argument("--tol-build", type=float, default=_linalg.TOL_BUILD)
     ap.add_argument("--tol-verify", type=float, default=_linalg.TOL_VERIFY)
-    ap.add_argument("--tol-accept", type=float, default=_linalg.TOL_ACCEPT)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; execution is serial")
     ap.add_argument("--subgroup", default=None,
                     help="comma-separated Lambda element indices (induce)")
     ap.add_argument("--param", default=None,

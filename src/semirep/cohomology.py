@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import max_abs
+from ._linalg import TOL_ACCEPT, TOL_BUILD, TOL_VERIFY, max_abs
 from .errors import NotRootsOfUnity, ValidationError
 from .groups import FiniteGroup, Subgroup
 
@@ -25,9 +25,9 @@ class Cochain1:
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.group.order,):
             raise ValidationError("1-cochain needs one value per group element")
-        if max_abs(np.abs(vals) - 1.0) > 1e-12:
+        if max_abs(np.abs(vals) - 1.0) > TOL_BUILD:
             raise ValidationError("1-cochain values must be unit modulus")
-        if abs(vals[self.group.identity] - 1.0) > 1e-12:
+        if abs(vals[self.group.identity] - 1.0) > TOL_BUILD:
             raise ValidationError("1-cochain must send the identity to 1")
 
     def __call__(self, r: int) -> complex:
@@ -45,10 +45,10 @@ class Cochain2:
         n = self.group.order
         if vals.shape != (n, n):
             raise ValidationError("2-cochain needs an n x n table")
-        if max_abs(np.abs(vals) - 1.0) > 1e-12:
+        if max_abs(np.abs(vals) - 1.0) > TOL_BUILD:
             raise ValidationError("2-cochain values must be unit modulus")
         e = self.group.identity
-        if max_abs(vals[e, :] - 1.0) > 1e-12 or max_abs(vals[:, e] - 1.0) > 1e-12:
+        if max_abs(vals[e, :] - 1.0) > TOL_BUILD or max_abs(vals[:, e] - 1.0) > TOL_BUILD:
             raise ValidationError("2-cochain must be normalized: w(e,.) = w(.,e) = 1")
 
     def __call__(self, r: int, s: int) -> complex:
@@ -59,7 +59,7 @@ def trivial_cochain2(group: FiniteGroup) -> Cochain2:
     return Cochain2(group, np.ones((group.order, group.order), dtype=complex))
 
 
-def is_cocycle(omega: Cochain2, tol: float = 1e-9):
+def is_cocycle(omega: Cochain2, tol: float = TOL_VERIFY):
     """Check w(r,st)w(s,t) = w(r,s)w(rs,t) for all triples.
 
     Returns (ok, worst_residual, worst_triple).
@@ -206,7 +206,7 @@ def _solve_integer_system(a: np.ndarray, rhs: np.ndarray):
 def try_solve_coboundary(omega: Cochain2, m: int) -> Cochain1 | None:
     """Best-effort coboundary solve within m-th roots of unity.
 
-    All omega values must be within 1e-6 of m-th roots of unity. Returns a
+    All omega values must be within TOL_ACCEPT of m-th roots of unity. Returns a
     Cochain1 b with delta(b) = omega and b valued in m-th roots, or None if no
     such b exists. Absence does not decide the cohomology class in general.
     """
@@ -215,7 +215,7 @@ def try_solve_coboundary(omega: Cochain2, m: int) -> Cochain1 | None:
     theta = np.angle(omega.values) * m / (2 * np.pi)
     theta_int = np.round(theta).astype(int) % m
     snapped = np.exp(2j * np.pi * theta_int / m)
-    if max_abs(snapped - omega.values) > 1e-6:
+    if max_abs(snapped - omega.values) > TOL_ACCEPT:
         raise NotRootsOfUnity(f"cocycle values are not {m}-th roots of unity")
 
     # Unknowns: beta_r (r != e) in Z, gamma per equation absorbing mod m.
@@ -242,7 +242,7 @@ def try_solve_coboundary(omega: Cochain2, m: int) -> Cochain1 | None:
     vals = np.exp(2j * np.pi * beta / m)
     b = Cochain1(g, vals)
     # paranoia: the construction is exact, but verify anyway
-    if max_abs(coboundary(b).values - snapped) > 1e-9:
+    if max_abs(coboundary(b).values - snapped) > TOL_VERIFY:
         return None
     return b
 

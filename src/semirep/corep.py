@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (DEFAULT_SEED, DENSE_NULLSPACE_LIMIT, TOL_VERIFY, as_int,
-                      max_abs, module_hom_basis, split_invariant_subspaces)
-from .errors import (NoPositiveIntertwiner, OracleDisagreement,
-                     OrbitResolutionFailure, PeterWeylMismatch, ValidationError)
+                      decompose, max_abs, module_hom_basis)
+from .errors import (OracleDisagreement, OrbitResolutionFailure,
+                     PeterWeylMismatch, ValidationError)
 from .groups import FiniteGroup, GroupAction
-from .hopf import AlgebraElement, HopfData, QAutomorphism, is_kac
+from .hopf import AlgebraElement, HopfData, QAutomorphism
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +93,6 @@ def direct_sum(u: Corep, w: Corep) -> Corep:
     return Corep(h, entries)
 
 
-def character(u: Corep) -> AlgebraElement:
-    return u.character()
-
-
 # -- morphism spaces -----------------------------------------------------------
 
 def _char_mor_dim(u: Corep, w: Corep) -> int:
@@ -170,62 +166,19 @@ def contragredient(u: Corep) -> Corep:
     return Corep(h, entries)
 
 
-def double_contragredient(u: Corep) -> Corep:
-    """u^{cc}: entrywise S^2; equals u exactly in the Kac case."""
-    h = u.parent
-    s2 = h.antipode @ h.antipode
-    return Corep(h, np.einsum("pc,ijc->ijp", s2, u.entries))
+def conjugate(u: Corep, tol: float = TOL_VERIFY) -> Corep:
+    """The unitary conjugate u-bar = u^c.
 
-
-@dataclass(frozen=True, eq=False)
-class ModularOperator:
-    rho: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", np.asarray(self.rho, dtype=complex))
-
-
-def conjugate(u: Corep, tol: float = TOL_VERIFY) -> tuple[Corep, ModularOperator]:
-    """The unitary conjugate u-bar and its modular operator.
-
-    rho is the positive invertible element of Mor(u, u^{cc}) normalized by
-    tr(rho) = tr(rho^{-1}); u-bar = (j(rho)^{1/2} (x) 1) u^c (j(rho)^{-1/2} (x) 1)
-    with j realized as the transpose. For Kac-type algebras rho = id and
-    u-bar = u^c.
+    Finite quantum groups are of Kac type (S^2 = id), so the modular operator
+    is the identity and the contragredient is already unitary; verify_corep
+    certifies that.
     """
-    h = u.parent
-    ucc = double_contragredient(u)
-    if is_kac(h) and max_abs(ucc.entries - u.entries) < tol:
-        rho = np.eye(u.dim, dtype=complex)
-    else:
-        basis = intertwiner_basis(u, ucc)
-        rho = None
-        for t in basis:
-            # for irreducible u the space is C*rho with rho positive definite
-            cand = t * np.exp(-1j * np.angle(np.trace(t)))
-            cand = (cand + cand.conj().T) / 2
-            eigs = np.linalg.eigvalsh(cand)
-            if eigs.min() > tol:
-                scale = np.sqrt(np.sum(1.0 / np.linalg.eigvalsh(cand)) / np.sum(
-                    np.linalg.eigvalsh(cand)))
-                rho = cand * scale
-                break
-        if rho is None:
-            raise NoPositiveIntertwiner("no positive invertible element in Mor(u, u^cc)")
-        if abs(np.trace(rho) - np.trace(np.linalg.inv(rho))) > 1e-6:
-            raise NoPositiveIntertwiner("modular normalization tr(rho) = tr(rho^-1) failed")
-    jrho = rho.T
-    vals, vecs = np.linalg.eigh((jrho + jrho.conj().T) / 2)
-    half = vecs @ np.diag(np.sqrt(vals)) @ vecs.conj().T
-    half_inv = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.conj().T
     uc = contragredient(u)
-    entries = np.einsum("ia,abc,bj->ijc", half, uc.entries, half_inv)
-    ubar = Corep(h, entries)
-    report = verify_corep(ubar, tol)
+    report = verify_corep(uc, tol)
     if not report["pass"]:
-        raise NoPositiveIntertwiner(
+        raise ValidationError(
             f"conjugate corep fails verification (max residual {report['max']:.2e})")
-    return ubar, ModularOperator(rho)
+    return uc
 
 
 # -- decomposition and enumeration ---------------------------------------------
@@ -237,26 +190,9 @@ def _compress(u: Corep, q: np.ndarray) -> Corep:
 
 def irr_decompose(u: Corep, seed: int = DEFAULT_SEED) -> list[tuple[Corep, int]]:
     """Pairwise-inequivalent irreducible factors with multiplicities."""
-    rng = np.random.default_rng(seed)
-    factors: list[Corep] = []
-    stack = [u]
-    while stack:
-        cur = stack.pop()
-        comm = intertwiner_basis(cur, cur)
-        if len(comm) == 1:
-            factors.append(cur)
-            continue
-        for q in split_invariant_subspaces(comm, cur.dim, rng):
-            stack.append(_compress(cur, q))
-    grouped: list[tuple[Corep, int]] = []
-    for f in factors:
-        for i, (g0, mult) in enumerate(grouped):
-            if g0.dim == f.dim and mor_dim(g0, f) >= 1:
-                grouped[i] = (g0, mult + 1)
-                break
-        else:
-            grouped.append((f, 1))
-    return grouped
+    return decompose(u, lambda x: intertwiner_basis(x, x), _compress,
+                     lambda a, b: a.dim == b.dim and mor_dim(a, b) >= 1,
+                     np.random.default_rng(seed))
 
 
 def regular_corep(h: HopfData) -> Corep:

@@ -17,9 +17,11 @@ import itertools
 
 import numpy as np
 
+from .errors import ParseError, ValidationError
 from .groups import (FiniteGroup, cyclic_group, dihedral_group, direct_product,
                      symmetric_group)
-from .hopf import action_from_group_hom, function_algebra, group_algebra
+from .hopf import (HopfData, action_from_group_hom, function_algebra,
+                   group_algebra, verify_axioms)
 from .semidirect import SemidirectInstance, build
 
 
@@ -114,22 +116,26 @@ def instance_spec(name: str) -> dict:
     raise KeyError(f"unknown instance {name!r}")
 
 
-def build_instance(spec: dict, check: bool = True) -> SemidirectInstance:
+def _table(spec: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(spec[key]["table"], dtype=int)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{key!r} needs a multiplication table") from exc
+
+
+def build_instance(spec: dict) -> SemidirectInstance:
     """Assemble a SemidirectInstance from the file-schema dictionary."""
-    lam = FiniteGroup(np.asarray(spec["lambda"]["table"], dtype=int))
+    lam = FiniteGroup(_table(spec, "lambda"))
     kind = spec["kind"]
     if kind == "function_algebra":
-        base_group = FiniteGroup(np.asarray(spec["base"]["table"], dtype=int))
+        base_group = FiniteGroup(_table(spec, "base"))
         base = function_algebra(base_group)
         autos = action_from_group_hom(base, lam, spec["action"], "function")
     elif kind == "group_algebra":
-        base_group = FiniteGroup(np.asarray(spec["base"]["table"], dtype=int))
+        base_group = FiniteGroup(_table(spec, "base"))
         base = group_algebra(base_group)
         autos = action_from_group_hom(base, lam, spec["action"], "group")
     elif kind == "raw_hopf":
-        from .hopf import HopfData, verify_axioms
-        from .errors import ValidationError
-
         def tensorize(obj):
             arr = np.asarray(obj, dtype=float)
             if arr.shape[-1] == 2:
@@ -147,9 +153,8 @@ def build_instance(spec: dict, check: bool = True) -> SemidirectInstance:
         autos = action_from_group_hom(
             base, lam, [tensorize(m) for m in spec["action"]], "matrix")
     else:
-        raise KeyError(f"unknown instance kind {kind!r}")
-    return build(base, lam, autos) if check else SemidirectInstance(
-        base, lam, autos, subgroup=None)
+        raise ParseError(f"unknown instance kind {kind!r}")
+    return build(base, lam, autos)
 
 
 def instance(name: str) -> SemidirectInstance:

@@ -65,10 +65,6 @@ class ProjectionNotInvariant(ValidationError):
     pass
 
 
-class NoPositiveIntertwiner(ValidationError):
-    pass
-
-
 class NotStabilized(ValidationError):
     pass
 

@@ -51,38 +51,14 @@ class HopfData:
     def product(self, x, y):
         return np.einsum("i,j,ijk->k", x, y, self.mult)
 
-    def product_many(self, *vecs):
-        acc = vecs[0]
-        for v in vecs[1:]:
-            acc = self.product(acc, v)
-        return acc
-
     def star_vec(self, x):
         return self.star @ np.conj(x)
-
-    def antipode_vec(self, x):
-        return self.antipode @ x
 
     def counit_vec(self, x) -> complex:
         return complex(self.counit @ x)
 
     def haar_vec(self, x) -> complex:
         return complex(self.haar @ x)
-
-    def comult_vec(self, x):
-        """Delta(x) as a d x d coefficient matrix (legs = tensor factors)."""
-        return np.einsum("i,ijk->jk", x, self.comult)
-
-    def element(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(self, np.asarray(coeffs, dtype=complex))
-
-    def basis_element(self, i: int) -> "AlgebraElement":
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[i] = 1.0
-        return AlgebraElement(self, vec)
-
-    def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit.copy())
 
     # -- derived structure -----------------------------------------------------
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import TOL_VERIFY, as_int, max_abs
+from ._linalg import TOL_BUILD, TOL_VERIFY, as_int, max_abs
 from .corep import Corep, mor_dim, verify_corep
 from .errors import (CovarianceFailure, FormulaMismatch, OracleDisagreement,
                      ProjectionNotInvariant, ValidationError)
@@ -112,7 +112,7 @@ def induced_character(inst: SemidirectInstance, u: Corep,
     """Character of Ind(U), by the averaged sum over all of Lambda.
 
     Both the |Lambda0|^{-1}-weighted full sum and the coset-representative sum
-    are evaluated and must agree to 1e-12.
+    are evaluated and must agree to TOL_BUILD.
     """
     top = inst.top
     sub_inst = instance_of_corep(inst, u)
@@ -132,7 +132,7 @@ def induced_character(inst: SemidirectInstance, u: Corep,
         target = instance_of_corep(top, moved)
         coset += extend(top, target, moved.char_vec())
 
-    if max_abs(full - coset) > 1e-12:
+    if max_abs(full - coset) > TOL_BUILD:
         raise FormulaMismatch(
             f"full-sum and coset-sum induced characters differ by "
             f"{max_abs(full - coset):.2e}")

@@ -290,8 +290,7 @@ def classify(inst: SemidirectInstance, seed: int = 7,
 
 def conjugate_parameter(inst: SemidirectInstance, p: RepParameter) -> RepParameter:
     """(u-bar, V^c, v^c), the parameter of the conjugate representation."""
-    ubar, _rho = conjugate(p.u)
-    q = RepParameter(ubar, contragredient(p.V), contragredient(p.v), p.lambda0)
+    q = RepParameter(conjugate(p.u), contragredient(p.V), contragredient(p.v), p.lambda0)
     q.validate(inst)
     return q
 
@@ -332,7 +331,7 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
         vp = cols.conj().T @ g.V.mats[local] @ cols
         block = vp.reshape(n, d0, n, d0)
         v1 = np.einsum("ki,akbi->ab", np.conj(v0.mats[local]), block) / d0
-        if max_abs(block - np.einsum("ab,ij->aibj", v1, v0.mats[local])) > 1e-6:
+        if max_abs(block - np.einsum("ab,ij->aibj", v1, v0.mats[local])) > TOL_ACCEPT:
             raise NonUnitaryExtraction(
                 f"compressed V does not factor through V0 at local element {local}")
         if max_abs(v1 @ v1.conj().T - np.eye(n)) > tol:
@@ -340,7 +339,7 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
         v1_mats[local] = v1
     omega1 = cocycle_product(g.V.cocycle, cocycle_inverse(v0.cocycle))
     v1_rep = ProjectiveRep(g.lambda0.group, v1_mats, omega1)
-    if v1_rep.verify() > 1e-6:
+    if v1_rep.verify() > TOL_ACCEPT:
         raise NonUnitaryExtraction("extracted factor fails projectivity")
     result = RepParameter(u0, v0, proj_tensor(g.v, v1_rep), g.lambda0)
     result.validate(inst)
@@ -351,7 +350,7 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
     iso = np.kron(np.eye(nv), cols)
     compressed = np.einsum("ia,ijc,jb->abc", np.conj(iso), big.entries, iso)
     blk_chi = np.einsum("iic->c", compressed)
-    if max_abs(red_chi - blk_chi) > 1e-6:
+    if max_abs(red_chi - blk_chi) > TOL_ACCEPT:
         raise OracleDisagreement("reduced CSR does not match the isotypic block")
     return result
 
@@ -376,7 +375,7 @@ def incidence(inst: SemidirectInstance, params, reps, verify: bool = True) -> in
         moved = act_corep(top, r, csr_corep(top, p))
         restricted = restrict_corep(instance_of_corep(top, moved), moved, meet)
         chis.append(restricted.char_vec())
-    val = h0.haar_vec(h0.product_many(h0.star_vec(chis[0]), chis[1], chis[2]))
+    val = h0.haar_vec(h0.product(h0.product(h0.star_vec(chis[0]), chis[1]), chis[2]))
     m_char = as_int(val)
 
     if verify:
@@ -397,7 +396,6 @@ def incidence(inst: SemidirectInstance, params, reps, verify: bool = True) -> in
 class FusionTable:
     irreps: list[ClassifiedIrr]
     coefficients: np.ndarray = field(repr=False)  # int cube N[w1][w2][w3]
-    methods_agree: int = 3
 
     def entry(self, i: int, j: int, k: int) -> int:
         return int(self.coefficients[i, j, k])
@@ -418,7 +416,7 @@ def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
                               (z1, z2, z3), verify=verify_incidence)
                 total += m * meet.order / lam.order
     try:
-        return as_int(total, tol=1e-6)
+        return as_int(total, tol=TOL_ACCEPT)
     except Exception as exc:
         raise NonIntegerCoefficient(str(exc)) from exc
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import DEFAULT_SEED, module_hom_basis, split_invariant_subspaces
-from .corep import Corep, regular_corep, tensor
+from ._linalg import DEFAULT_SEED, decompose, module_hom_basis
+from .corep import Corep, regular_corep
 from .errors import PeterWeylMismatch
 from .hopf import HopfData
 
@@ -32,27 +32,11 @@ def module_decompose(u: Corep, seed: int = DEFAULT_SEED):
     Returns a list of (slices, multiplicity). Equivalence is decided by
     module-hom dimension, never by characters.
     """
-    rng = np.random.default_rng(seed)
-    factors: list[list[np.ndarray]] = []
-    stack = [u.coeff_slices()]
-    while stack:
-        cur = stack.pop()
-        comm = module_hom_basis(cur, cur)
-        if len(comm) == 1:
-            factors.append(cur)
-            continue
-        dim = cur[0].shape[0]
-        for q in split_invariant_subspaces(comm, dim, rng):
-            stack.append(_compress_slices(cur, q))
-    grouped: list[tuple[list[np.ndarray], int]] = []
-    for f in factors:
-        for i, (g0, mult) in enumerate(grouped):
-            if g0[0].shape == f[0].shape and len(module_hom_basis(g0, f)) >= 1:
-                grouped[i] = (g0, mult + 1)
-                break
-        else:
-            grouped.append((f, 1))
-    return grouped
+    return decompose(u.coeff_slices(), lambda s: module_hom_basis(s, s),
+                     _compress_slices,
+                     lambda a, b: (a[0].shape == b[0].shape
+                                   and len(module_hom_basis(a, b)) >= 1),
+                     np.random.default_rng(seed))
 
 
 def module_irreducible_dims(u: Corep, seed: int = DEFAULT_SEED) -> list[int]:
@@ -68,7 +52,3 @@ def oracle_irr_dims(h: HopfData, seed: int = DEFAULT_SEED) -> list[int]:
             f" != {h.dim}")
     return dims
 
-
-def oracle_fusion_dim(w1: Corep, w2: Corep, w3: Corep) -> int:
-    """Multiplicity of w1 in w2 (x) w3, counted by module homs alone."""
-    return module_hom_dim(w1, tensor(w2, w3))

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (DEFAULT_SEED, as_int, max_abs, module_hom_basis,
-                      split_invariant_subspaces)
+from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, TOL_VERIFY, as_int, decompose,
+                      max_abs, module_hom_basis)
 from .cohomology import (Cochain1, Cochain2, coboundary, cocycle_inverse,
                          cocycle_product, is_cocycle, restrict_cocycle,
                          trivial_cochain2)
@@ -43,7 +43,7 @@ class ProjectiveRep:
     def character(self) -> np.ndarray:
         return np.einsum("rii->r", self.mats)
 
-    def verify(self, tol: float = 1e-9) -> float:
+    def verify(self, tol: float = TOL_VERIFY) -> float:
         """Max residual over: V(e)=1, unitarity, V(r)V(s) = w(r,s)V(rs)."""
         g = self.group
         eye = np.eye(self.dim)
@@ -56,7 +56,7 @@ class ProjectiveRep:
         return worst
 
 
-def cocycle_of(group: FiniteGroup, mats, tol: float = 1e-6) -> Cochain2:
+def cocycle_of(group: FiniteGroup, mats, tol: float = TOL_ACCEPT) -> Cochain2:
     """Extract the unique cocycle with V(r)V(s) = w(r,s) V(rs)."""
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[1]
@@ -95,7 +95,7 @@ def trivial_rep(group: FiniteGroup, dim: int = 1) -> ProjectiveRep:
 def ordinary_rep(group: FiniteGroup, mats) -> ProjectiveRep:
     """An honest (cocycle-free) representation; projectivity residual must vanish."""
     rep = projective_rep(group, mats)
-    if max_abs(rep.cocycle.values - 1.0) > 1e-6:
+    if max_abs(rep.cocycle.values - 1.0) > TOL_ACCEPT:
         raise NotProjective("matrices form a projective, not ordinary, representation")
     return ProjectiveRep(group, rep.mats, trivial_cochain2(group))
 
@@ -114,7 +114,7 @@ def proj_char_pairing(v1: ProjectiveRep, v2: ProjectiveRep) -> complex:
     return complex(np.vdot(chi1, chi2) / v1.group.order)
 
 
-def proj_mor_dim(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = 1e-6) -> int:
+def proj_mor_dim(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = TOL_ACCEPT) -> int:
     """dim Mor(v1, v2) by the character inner product (same cocycle required)."""
     if v1.group != v2.group:
         raise ValidationError("morphism spaces need a common group")
@@ -146,7 +146,7 @@ def contragredient(v: ProjectiveRep) -> ProjectiveRep:
     return ProjectiveRep(v.group, np.conj(v.mats), cocycle_inverse(v.cocycle))
 
 
-def direct_sum(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = 1e-6) -> ProjectiveRep:
+def direct_sum(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = TOL_ACCEPT) -> ProjectiveRep:
     if max_abs(v1.cocycle.values - v2.cocycle.values) > tol:
         raise CocycleMismatch("direct sum requires equal cocycles")
     n1, n2 = v1.dim, v2.dim
@@ -156,7 +156,7 @@ def direct_sum(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = 1e-6) -> Proje
     return ProjectiveRep(v1.group, mats, v1.cocycle)
 
 
-def transitional_map(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = 1e-6) -> Cochain1:
+def transitional_map(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = TOL_ACCEPT) -> Cochain1:
     """The unique b with V2 = b V1, if V2(r)V1(r)^{-1} is scalar for every r."""
     if v1.group != v2.group or v1.dim != v2.dim:
         raise ValidationError("transitional map needs equal groups and dimensions")
@@ -192,25 +192,9 @@ def decompose_projective(v: ProjectiveRep, rng=None) -> list[tuple[ProjectiveRep
     """Split into pairwise-inequivalent irreducibles with multiplicities."""
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    factors: list[ProjectiveRep] = []
-    stack = [v]
-    while stack:
-        cur = stack.pop()
-        comm = module_hom_basis(list(cur.mats), list(cur.mats))
-        if len(comm) == 1:
-            factors.append(cur)
-            continue
-        for q in split_invariant_subspaces(comm, cur.dim, rng):
-            stack.append(_subrep(cur, q))
-    grouped: list[tuple[ProjectiveRep, int]] = []
-    for f in factors:
-        for i, (g0, mult) in enumerate(grouped):
-            if g0.dim == f.dim and proj_mor_dim(g0, f) >= 1:
-                grouped[i] = (g0, mult + 1)
-                break
-        else:
-            grouped.append((f, 1))
-    return grouped
+    return decompose(v, lambda x: module_hom_basis(list(x.mats), list(x.mats)),
+                     _subrep, lambda a, b: a.dim == b.dim and proj_mor_dim(a, b) >= 1,
+                     rng)
 
 
 def _char_sort_key(v: ProjectiveRep):

@@ -22,10 +22,6 @@ def _product_hopf(base: HopfData, lam: FiniteGroup, alpha_mats: list[np.ndarray]
     d = base.dim
     n = lam.order
     dd = d * n
-
-    def ix(r, i):
-        return r * d + i
-
     mult = np.zeros((dd, dd, dd), dtype=complex)
     comult = np.zeros((dd, dd, dd), dtype=complex)
     antipode = np.zeros((dd, dd), dtype=complex)
@@ -86,9 +82,6 @@ class SemidirectInstance:
     def dim(self) -> int:
         return self.product.dim
 
-    def basis_index(self, r_local: int, i: int) -> int:
-        return r_local * self.base.dim + i
-
     def block(self, vec: np.ndarray, r_local: int) -> np.ndarray:
         d = self.base.dim
         return vec[..., r_local * d:(r_local + 1) * d]
@@ -119,10 +112,6 @@ def build(base: HopfData, lam: FiniteGroup, alpha: list[QAutomorphism],
           tol: float = TOL_VERIFY) -> SemidirectInstance:
     """Assemble G x| Lambda and verify all Hopf axioms."""
     return SemidirectInstance(base, lam, alpha, full_subgroup(lam), check=True, tol=tol)
-
-
-def restrict_principal(inst: SemidirectInstance, sub: Subgroup) -> SemidirectInstance:
-    return inst.principal(sub)
 
 
 def restrict_corep(inst: SemidirectInstance, u: Corep, sub: Subgroup) -> Corep:

@@ -44,6 +44,15 @@ def test_missing_field_exits_1(tmp_path):
     bad.write_text(json.dumps({"kind": "function_algebra"}))
     code, _, err = run_cli("check", str(bad))
     assert code == 1
+    spec = json.loads((INSTANCES / "instance_a.json").read_text())
+    unknown_kind = dict(spec, kind="no_such_kind")
+    no_table = dict(spec, base={"order": 3})
+    for i, doc in enumerate((unknown_kind, no_table)):
+        bad = tmp_path / f"malformed_{i}.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_cli("check", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_irr_instance_a_rows():

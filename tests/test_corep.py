@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from semirep.corep import (Corep, act, character, conjugate, direct_sum,
+from semirep.corep import (Corep, act, conjugate, direct_sum,
                            intertwiner_basis, irr_action, irr_decompose,
                            irr_enumerate, mor_dim, regular_corep, tensor,
                            trivial_corep, verify_corep)
@@ -118,40 +118,13 @@ def test_conjugate_kac():
     h = function_algebra(symmetric_group(3))
     irreps = irr_enumerate(h)
     for u in irreps:
-        ubar, rho = conjugate(u)
-        assert np.allclose(rho.rho, np.eye(u.dim))
+        ubar = conjugate(u)
         assert verify_corep(ubar)["pass"]
         # character of conjugate = star of character, coefficientwise
         assert np.max(np.abs(ubar.char_vec() - h.star_vec(u.char_vec()))) < 1e-9
     two = [u for u in irreps if u.dim == 2][0]
-    ubar, _ = conjugate(two)
+    ubar = conjugate(two)
     assert mor_dim(ubar, two) == 1  # S3's 2-dim is self-conjugate
-
-
-def test_conjugate_general_path_reduces_to_identity(monkeypatch):
-    # force the generic positive-intertwiner solve; on a Kac instance it must
-    # still find rho = id (up to normalization) and a unitary conjugate
-    import semirep.corep as corep_mod
-    h = function_algebra(symmetric_group(3))
-    two = [u for u in irr_enumerate(h) if u.dim == 2][0]
-    monkeypatch.setattr(corep_mod, "is_kac", lambda *_a, **_k: False)
-    ubar, rho = corep_mod.conjugate(two)
-    assert np.max(np.abs(rho.rho - np.eye(2))) < 1e-9
-    assert abs(np.trace(rho.rho) - np.trace(np.linalg.inv(rho.rho))) < 1e-9
-    assert verify_corep(ubar)["pass"]
-    assert mor_dim(ubar, two) == 1
-
-
-def test_modular_operator_is_identity_on_product(inst_a_product=None):
-    from semirep.corpus import instance
-    inst = instance("A")
-    for u in irr_enumerate(inst.product):
-        ubar, rho = conjugate(u)
-        assert np.max(np.abs(rho.rho - np.eye(u.dim))) < 1e-12
-        # rho intertwines u and its double contragredient
-        from semirep.corep import double_contragredient
-        ucc = double_contragredient(u)
-        assert np.max(np.abs(ucc.entries - u.entries)) < 1e-12
 
 
 def test_frobenius_reciprocity_smoke():
@@ -159,7 +132,7 @@ def test_frobenius_reciprocity_smoke():
     irreps = irr_enumerate(h)
     for u in irreps:
         for w in irreps:
-            wbar, _ = conjugate(w)
+            wbar = conjugate(w)
             lhs = mor_dim(u, tensor(w, wbar))
             rhs = mor_dim(tensor(u, w), w)
             assert lhs == rhs

@@ -8,7 +8,7 @@ from semirep.induction import (induce, induced_character, ind_mor_dim,
                                mackey_irreducible)
 from semirep.oracle import module_hom_dim
 from semirep.semidirect import (act_corep, embed_base_corep, instance_of_corep,
-                                restrict_corep, restrict_principal)
+                                restrict_corep)
 
 
 def base_char_coreps(inst):

@@ -11,8 +11,7 @@ from semirep.oracle import oracle_irr_dims
 from semirep.projective import ProjectiveRep, ordinary_rep, trivial_rep
 from semirep.semidirect import (act_corep, build, check_covariant, conj_iso,
                                 embed_base_corep, extend, instance_of_corep,
-                                join_covariant, restrict_corep,
-                                restrict_principal, split_covariant)
+                                join_covariant, restrict_corep, split_covariant)
 
 
 def test_build_axioms_all_instances(inst_a, inst_b, inst_c, inst_d):
@@ -59,9 +58,9 @@ def test_kac_propagation(inst_a, inst_c):
 
 
 def test_restrict_principal(inst_a):
-    full = restrict_principal(inst_a, full_subgroup(inst_a.lam_full))
+    full = inst_a.principal(full_subgroup(inst_a.lam_full))
     assert full is inst_a
-    triv = restrict_principal(inst_a, trivial_subgroup(inst_a.lam_full))
+    triv = inst_a.principal(trivial_subgroup(inst_a.lam_full))
     assert triv.dim == inst_a.base.dim
     assert verify_axioms(triv.product)["pass"]
 
@@ -188,7 +187,7 @@ def test_act_corep_characters(inst_a):
 
 def test_extend(inst_a):
     sub = trivial_subgroup(inst_a.lam_full)
-    sub_inst = restrict_principal(inst_a, sub)
+    sub_inst = inst_a.principal(sub)
     vec = sub_inst.product.unit
     out = extend(inst_a, sub_inst, vec)
     # 1_A (x) indicator({e})
@@ -206,7 +205,7 @@ def test_extend(inst_a):
 
 
 def test_extend_full_subgroup_is_identity(inst_a):
-    sub_inst = restrict_principal(inst_a, full_subgroup(inst_a.lam_full))
+    sub_inst = inst_a.principal(full_subgroup(inst_a.lam_full))
     rng = np.random.default_rng(1)
     x = rng.standard_normal(inst_a.dim)
     assert np.max(np.abs(extend(inst_a, sub_inst, x) - x)) < 1e-15
