@@ -42,6 +42,22 @@ def nullspace(mat: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return vh[rank:].conj()
 
 
+def sylvester_system(mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:
+    """The stacked system whose nullspace is {T : m2_a T = T m1_a for all a}.
+
+    mats1 is (s, n1, n1) and mats2 is (s, n2, n2). Row block a is
+    m2_a (x) I - I (x) m1_a^T, the map vec(T) -> vec(m2_a T - T m1_a) on the
+    row-major vec of n2 x n1 matrices, built for all slices in one broadcast:
+    the entries are the products np.kron would form, so the system is the
+    same to the bit.
+    """
+    s, n1, n2 = len(mats1), mats1.shape[1], mats2.shape[1]
+    system = mats2[:, :, None, :, None] * np.eye(n1)[None, None, :, None, :]
+    system -= np.eye(n2)[None, :, None, :, None] * \
+        mats1.transpose(0, 2, 1)[:, None, :, None, :]
+    return system.reshape(s * n2 * n1, n2 * n1)
+
+
 def module_hom_basis(mats1, mats2, rtol: float = 1e-9) -> list[np.ndarray]:
     """Basis of {T : T m1_a = m2_a T for all a}, i.e. homs of matrix families.
 
@@ -51,32 +67,24 @@ def module_hom_basis(mats1, mats2, rtol: float = 1e-9) -> list[np.ndarray]:
     superset of the hom space), refined by imposing every equation exactly
     within that candidate span.
     """
-    mats1 = [np.asarray(m, dtype=complex) for m in mats1]
-    mats2 = [np.asarray(m, dtype=complex) for m in mats2]
-    n1 = mats1[0].shape[0]
-    n2 = mats2[0].shape[0]
-    eye1 = np.eye(n1)
-    eye2 = np.eye(n2)
-
-    def sylvester_block(m1, m2):
-        # vec(m2 T - T m1) = (m2 (x) I - I (x) m1^T) vec(T), row-major vec.
-        return np.kron(m2, eye1) - np.kron(eye2, m1.T)
+    mats1 = np.asarray(mats1, dtype=complex)
+    mats2 = np.asarray(mats2, dtype=complex)
+    n1 = mats1.shape[1]
+    n2 = mats2.shape[1]
 
     if len(mats1) * n1 * n2 <= 8 * DENSE_NULLSPACE_LIMIT:
-        system = np.vstack([sylvester_block(m1, m2)
-                            for m1, m2 in zip(mats1, mats2)])
-        basis = nullspace(system, rtol=rtol)
+        basis = nullspace(sylvester_system(mats1, mats2), rtol=rtol)
         return [vec.reshape(n2, n1) for vec in basis]
 
     # Stage 1: candidates from random combinations (deterministic seed).
     rng = np.random.default_rng(DEFAULT_SEED)
-    blocks = []
+    combos1, combos2 = [], []
     for _ in range(3):
         c = rng.standard_normal(len(mats1)) + 1j * rng.standard_normal(len(mats1))
-        m1c = sum(ci * m for ci, m in zip(c, mats1))
-        m2c = sum(ci * m for ci, m in zip(c, mats2))
-        blocks.append(sylvester_block(m1c, m2c))
-    cands = nullspace(np.vstack(blocks), rtol=rtol)
+        combos1.append(sum(ci * m for ci, m in zip(c, mats1)))
+        combos2.append(sum(ci * m for ci, m in zip(c, mats2)))
+    cands = nullspace(sylvester_system(np.stack(combos1), np.stack(combos2)),
+                      rtol=rtol)
     if cands.shape[0] == 0:
         return []
     cand_mats = [vec.reshape(n2, n1) for vec in cands]

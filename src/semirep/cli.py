@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import _linalg
-from .corep import irr_enumerate, mor_dim, tensor
+from .corep import irr_enumerate, mor_dim
 from .corpus import build_instance
 from .errors import OracleDisagreement, ParseError, SemirepError, ValidationError
 from .groups import Subgroup
@@ -38,7 +38,7 @@ from .hopf import verify_axioms
 from .induction import induce, mackey_irreducible
 from .mackey import (RepParameter, classify, conjugation_pairing,
                      covariant_projective, csr_corep, fusion, stabilizer_of_class)
-from .oracle import module_hom_dim, oracle_irr_dims
+from .oracle import module_fusion_cube, oracle_irr_dims
 from .projective import irreducible_projreps
 from .cohomology import cocycle_inverse
 from .semidirect import SemidirectInstance
@@ -149,7 +149,7 @@ def cmd_fuse(inst, spec, args):
            "labels": [w.label for w in cl],
            "dims": [w.dim for w in cl],
            "cube": table.coefficients,
-           "agreement": "3/3 methods agree"}
+           "agreement": table.agreement()}
     lines = [f"instance: {doc['name']}", "fusion cube N[w1][w2][w3]:"]
     for i2, w2 in enumerate(cl):
         for i3, w3 in enumerate(cl):
@@ -159,7 +159,7 @@ def cmd_fuse(inst, spec, args):
                 if n:
                     terms.append(f"{n if n > 1 else ''}{w1.label}")
             lines.append(f"  {w2.label} x {w3.label} = {' + '.join(terms)}")
-    lines.append("oracle agreement: 3/3 methods agree")
+    lines.append(f"oracle agreement: {doc['agreement']}")
     emit(doc, args.format, lines)
     return 0
 
@@ -232,12 +232,7 @@ def cmd_oracle(inst, spec, args):
     dims = oracle_irr_dims(inst.product, args.seed)
     # standalone fusion of the classified list against the module oracle
     cl = classify(inst, seed=args.seed)
-    cube = np.zeros((len(cl),) * 3, dtype=int)
-    for i2, w2 in enumerate(cl):
-        for i3, w3 in enumerate(cl):
-            t = tensor(w2.induced, w3.induced)
-            for i1, w1 in enumerate(cl):
-                cube[i1, i2, i3] = module_hom_dim(w1.induced, t)
+    cube = module_fusion_cube([w.induced for w in cl])
     doc = {"name": spec.get("name", "?"),
            "irr_dims": sorted(dims),
            "fusion_cube": cube}

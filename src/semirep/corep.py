@@ -41,9 +41,10 @@ class Corep:
     def char_vec(self) -> np.ndarray:
         return np.einsum("iic->c", self.entries)
 
-    def coeff_slices(self) -> list[np.ndarray]:
-        """The matrices (id (x) f_a)(u), i.e. the dual-algebra module action."""
-        return [self.entries[:, :, a] for a in range(self.parent.dim)]
+    def coeff_slices(self) -> np.ndarray:
+        """The matrices (id (x) f_a)(u), i.e. the dual-algebra module action,
+        stacked along the first axis (a view of the entries)."""
+        return self.entries.transpose(2, 0, 1)
 
 
 def trivial_corep(h: HopfData, dim: int = 1) -> Corep:

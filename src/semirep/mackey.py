@@ -11,6 +11,7 @@ independent oracles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (CompletenessFailure, GramFailure, NonIntegerCoefficient,
 from .groups import (Subgroup, conjugate_intersection, conjugate_subgroup,
                      left_cosets, orbits, stabilizer)
 from .induction import induce
-from .oracle import module_hom_dim
+from .oracle import module_fusion_cube
 from .projective import (ProjectiveRep, cocycle_of, contragredient,
                          irreducible_projreps, ordinary_rep, proj_mor_dim,
                          rescale, tensor as proj_tensor, transitional_map)
@@ -312,9 +313,11 @@ def conjugation_pairing(inst: SemidirectInstance, w: ClassifiedIrr,
 # -- GRP reduction -----------------------------------------------------------------
 
 def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
-               v0: ProjectiveRep, tol: float = TOL_VERIFY):
+               v0: ProjectiveRep, tol: float = TOL_VERIFY, big: Corep | None = None):
     """Reduce a GRP along (u0, V0); returns a RepParameter, or None when the
-    isotypic component of [u0] in g.u is empty (callers score incidence 0)."""
+    isotypic component of [u0] in g.u is empty (callers score incidence 0).
+
+    `big` is the CSR corep of g when the caller has built it already."""
     basis = intertwiner_basis(u0, g.u)
     n = len(basis)
     if n == 0:
@@ -345,7 +348,8 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
     result.validate(inst)
     # character check: the reduced CSR matches the isotypic block of the GRP's CSR
     red_chi = csr_corep(inst, result).char_vec()
-    big = csr_corep(inst, g)
+    if big is None:
+        big = csr_corep(inst, g)
     nv = g.v.dim
     iso = np.kron(np.eye(nv), cols)
     compressed = np.einsum("ia,ijc,jb->abc", np.conj(iso), big.entries, iso)
@@ -357,34 +361,85 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
 
 # -- incidence numbers and fusion ---------------------------------------------------
 
-def incidence(inst: SemidirectInstance, params, reps, verify: bool = True) -> int:
+class _FusionTables:
+    """The artifacts of one fusion run that do not depend on the entry.
+
+    Each is built on first use and then shared. Keys hold the parameter
+    objects themselves (parameters hash by identity), so a key keeps its
+    parameter alive and no id can be recycled within a run.
+    """
+
+    def __init__(self, inst: SemidirectInstance, classified=()):
+        self.top = inst.top
+        self.csrs = {w.parameter: w.csr for w in classified}
+        self.meets: dict = {}
+        self.chars: dict = {}
+        self.moved: dict = {}
+        self.grps: dict = {}
+
+    def meet(self, subs: list[Subgroup], reps: tuple[int, ...]) -> Subgroup:
+        """cap r_i Lambda_i r_i^{-1}."""
+        key = (tuple(s.elements for s in subs), reps)
+        if key not in self.meets:
+            self.meets[key] = conjugate_intersection(subs, list(reps))
+        return self.meets[key]
+
+    def csr(self, p: GRParameter) -> Corep:
+        if p not in self.csrs:
+            self.csrs[p] = csr_corep(self.top, p)
+        return self.csrs[p]
+
+    def character(self, p: RepParameter, r: int, meet: Subgroup) -> np.ndarray:
+        """Character of r . CSR(p), restricted to G x| meet."""
+        key = (p, r, meet.elements)
+        if key not in self.chars:
+            moved = act_corep(self.top, r, self.csr(p))
+            self.chars[key] = restrict_corep(instance_of_corep(self.top, moved),
+                                             moved, meet).char_vec()
+        return self.chars[key]
+
+    def moved_param(self, p: RepParameter, r: int, meet: Subgroup) -> GRParameter:
+        """r . p, restricted to meet."""
+        key = (p, r, meet.elements)
+        if key not in self.moved:
+            self.moved[key] = restrict_param(translate_param(self.top, r, p), meet)
+        return self.moved[key]
+
+    def grp(self, p2: RepParameter, r2: int, p3: RepParameter, r3: int,
+            meet: Subgroup) -> tuple[GRParameter, Corep]:
+        """The GRP (u2 (x) u3, V2 (x) V3, v2 (x) v3) of moved p2, p3, and its CSR."""
+        key = (p2, r2, p3, r3, meet.elements)
+        if key not in self.grps:
+            q2 = self.moved_param(p2, r2, meet)
+            q3 = self.moved_param(p3, r3, meet)
+            g = GRParameter(corep_tensor(q2.u, q3.u), proj_tensor(q2.V, q3.V),
+                            proj_tensor(q2.v, q3.v), meet)
+            self.grps[key] = (g, csr_corep(self.top, g))
+        return self.grps[key]
+
+
+def incidence(inst: SemidirectInstance, params, reps, verify: bool = True, *,
+              tables: _FusionTables | None = None) -> int:
     """The incidence number of three parameters at coset representatives.
 
     Computed by the character route over G x| (cap r_i Lambda_i r_i^{-1}) and,
     when verify is set, re-derived through the GRP-reduction route; both must
-    agree exactly.
+    agree exactly. `fusion` passes its run's tables; a call on its own starts
+    from empty tables.
     """
     top = inst.top
-    p1, p2, p3 = params
-    r1, r2, r3 = reps
-    meet = conjugate_intersection([p.lambda0 for p in params], list(reps))
+    if tables is None:
+        tables = _FusionTables(top)
+    meet = tables.meet([p.lambda0 for p in params], tuple(reps))
     h0 = top.principal(meet).product
-
-    chis = []
-    for p, r in zip(params, reps):
-        moved = act_corep(top, r, csr_corep(top, p))
-        restricted = restrict_corep(instance_of_corep(top, moved), moved, meet)
-        chis.append(restricted.char_vec())
+    chis = [tables.character(p, r, meet) for p, r in zip(params, reps)]
     val = h0.haar_vec(h0.product(h0.product(h0.star_vec(chis[0]), chis[1]), chis[2]))
     m_char = as_int(val)
 
     if verify:
-        moved = [restrict_param(translate_param(top, r, p), meet)
-                 for p, r in zip(params, reps)]
-        q1, q2, q3 = moved
-        grp = GRParameter(corep_tensor(q2.u, q3.u), proj_tensor(q2.V, q3.V),
-                          proj_tensor(q2.v, q3.v), meet)
-        red = reduce_grp(top, grp, q1.u, q1.V)
+        q1 = tables.moved_param(params[0], reps[0], meet)
+        grp, big = tables.grp(params[1], reps[1], params[2], reps[2], meet)
+        red = reduce_grp(top, grp, q1.u, q1.V, big=big)
         m_proj = 0 if red is None else proj_mor_dim(q1.v, red.v)
         if m_proj != m_char:
             raise OracleDisagreement(
@@ -392,29 +447,49 @@ def incidence(inst: SemidirectInstance, params, reps, verify: bool = True) -> in
     return m_char
 
 
+FUSION_ROUTES = ("formula", "characters", "modules")
+
+
 @dataclass(frozen=True, eq=False)
 class FusionTable:
     irreps: list[ClassifiedIrr]
     coefficients: np.ndarray = field(repr=False)  # int cube N[w1][w2][w3]
+    evaluated: dict  # route -> number of entries it computed
 
     def entry(self, i: int, j: int, k: int) -> int:
         return int(self.coefficients[i, j, k])
 
+    def agreement(self) -> str:
+        """The agreement line, derived from the recorded route counts.
+
+        Raises unless every route evaluated every entry of the cube.
+        """
+        want = len(self.irreps) ** 3
+        short = {r: self.evaluated.get(r, 0) for r in FUSION_ROUTES
+                 if self.evaluated.get(r, 0) != want}
+        if short:
+            raise OracleDisagreement(
+                f"fusion routes did not each evaluate all {want} entries: {short}")
+        return f"{len(FUSION_ROUTES)}/{len(FUSION_ROUTES)} methods agree"
+
 
 def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
-                 w3: ClassifiedIrr, verify_incidence: bool = True) -> int:
-    """N_{w2,w3}^{w1} by the triple coset sum of incidence numbers."""
+                 w3: ClassifiedIrr, verify_incidence: bool = True,
+                 tables: _FusionTables | None = None) -> int:
+    """N_{w2,w3}^{w1} by the triple coset sum of incidence numbers.
+
+    `fusion` passes its run's tables; a call on its own starts from tables
+    that hold only the three classified CSR coreps.
+    """
     top = inst.top
-    lam = top.lam_full
+    if tables is None:
+        tables = _FusionTables(top, (w1, w2, w3))
+    params = (w1.parameter, w2.parameter, w3.parameter)
+    subs = [p.lambda0 for p in params]
     total = 0.0
-    for z1, _ in left_cosets(w1.parameter.lambda0):
-        for z2, _ in left_cosets(w2.parameter.lambda0):
-            for z3, _ in left_cosets(w3.parameter.lambda0):
-                meet = conjugate_intersection(
-                    [w.parameter.lambda0 for w in (w1, w2, w3)], [z1, z2, z3])
-                m = incidence(top, (w1.parameter, w2.parameter, w3.parameter),
-                              (z1, z2, z3), verify=verify_incidence)
-                total += m * meet.order / lam.order
+    for reps in itertools.product(*([z for z, _ in left_cosets(s)] for s in subs)):
+        m = incidence(top, params, reps, verify=verify_incidence, tables=tables)
+        total += m * tables.meet(subs, reps).order / top.lam_full.order
     try:
         return as_int(total, tol=TOL_ACCEPT)
     except Exception as exc:
@@ -427,24 +502,40 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr],
 
     Every entry is computed by (1) the coset-sum incidence formula, (2) the
     Haar pairing of characters on G x| Lambda, and (3) dual-algebra module
-    homs; any disagreement raises.
+    homs; any disagreement raises. No route is skipped or sampled, and the
+    table records how many entries each route evaluated.
+
+    What does not depend on the entry is built once per call and shared by
+    all entries: the CSR corep of each classified parameter (taken from
+    classify), the meet of each coset triple, per (parameter, coset
+    representative, meet) the moved restricted parameter and the restricted
+    character of the moved CSR, and per (p2, r2, p3, r3, meet) the GRP and
+    its CSR corep. Every incidence number, GRP reduction with its checks,
+    character pairing and module-hom count still runs for each entry.
     """
     top = inst.top
     h = top.product
     k = len(classified)
+    tables = _FusionTables(top, classified)
+    modules = module_fusion_cube([w.induced for w in classified])
     cube = np.zeros((k, k, k), dtype=int)
+    evaluated = dict.fromkeys(FUSION_ROUTES, 0)
     for i2, w2 in enumerate(classified):
         for i3, w3 in enumerate(classified):
-            t = corep_tensor(w2.induced, w3.induced)
             chi_t = h.product(w2.character, w3.character)
             for i1, w1 in enumerate(classified):
-                n_formula = fusion_entry(top, w1, w2, w3, verify_incidence)
-                n_char = as_int(h.haar_vec(h.product(h.star_vec(w1.character),
-                                                     chi_t)))
-                n_module = module_hom_dim(w1.induced, t)
-                if not (n_formula == n_char == n_module):
+                found = {
+                    "formula": fusion_entry(top, w1, w2, w3, verify_incidence, tables),
+                    "characters": as_int(h.haar_vec(h.product(
+                        h.star_vec(w1.character), chi_t))),
+                    "modules": int(modules[i1, i2, i3]),
+                }
+                for route in found:
+                    evaluated[route] += 1
+                if len(set(found.values())) != 1:
                     raise OracleDisagreement(
                         f"fusion N[{w1.label}][{w2.label}][{w3.label}]: formula "
-                        f"{n_formula}, characters {n_char}, modules {n_module}")
-                cube[i1, i2, i3] = n_formula
-    return FusionTable(irreps=list(classified), coefficients=cube)
+                        f"{found['formula']}, characters {found['characters']}, "
+                        f"modules {found['modules']}")
+                cube[i1, i2, i3] = found["formula"]
+    return FusionTable(irreps=list(classified), coefficients=cube, evaluated=evaluated)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import DEFAULT_SEED, decompose, module_hom_basis
-from .corep import Corep, regular_corep
+from .corep import Corep, regular_corep, tensor
 from .errors import PeterWeylMismatch
 from .hopf import HopfData
 
@@ -20,6 +20,18 @@ from .hopf import HopfData
 def module_hom_dim(u: Corep, w: Corep) -> int:
     """dim of module homomorphisms between the slice modules of two coreps."""
     return len(module_hom_basis(u.coeff_slices(), w.coeff_slices()))
+
+
+def module_fusion_cube(coreps: list[Corep]) -> np.ndarray:
+    """N[i1, i2, i3] = module_hom_dim(w_i1, w_i2 (x) w_i3) over all triples."""
+    k = len(coreps)
+    cube = np.zeros((k, k, k), dtype=int)
+    for i2, w2 in enumerate(coreps):
+        for i3, w3 in enumerate(coreps):
+            t = tensor(w2, w3)
+            for i1, w1 in enumerate(coreps):
+                cube[i1, i2, i3] = module_hom_dim(w1, t)
+    return cube
 
 
 def _compress_slices(slices: list[np.ndarray], q: np.ndarray) -> list[np.ndarray]:

@@ -161,7 +161,7 @@ def check_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep,
         f = ul.mats[r_local]
         m = inst.alpha_local(r_local)
         lhs = np.einsum("ik,kjc->ijc", f, ug.entries)
-        rhs = np.einsum("kj,ikc,pc->ijp", f, ug.entries, m, optimize=True)
+        rhs = np.einsum("kj,ikc->ijc", f, ug.entries) @ m.T
         res = np.abs(lhs - rhs)
         local_worst = float(res.max())
         if local_worst > worst:

@@ -1,7 +1,9 @@
 """Randomized sweep: instances beyond the curated corpus.
 
 Random (base, action) pairs from a family of small groups; each instance must
-classify completely and agree with the oracles on sampled fusion triples.
+classify completely, produce its full fusion cube with all three routes
+agreeing, satisfy the dimension identity, and reproduce sampled cube entries
+through standalone fusion_entry calls.
 """
 
 import zlib
@@ -9,14 +11,11 @@ import zlib
 import numpy as np
 import pytest
 
-from semirep._linalg import as_int
-from semirep.corep import irr_enumerate, tensor
 from semirep.groups import (automorphisms, cyclic_group, dihedral_group,
                             direct_product, quaternion_group, symmetric_group)
 from semirep.hopf import (action_from_group_hom, function_algebra,
                           group_algebra, verify_axioms)
-from semirep.mackey import classify, fusion_entry
-from semirep.oracle import module_hom_dim
+from semirep.mackey import classify, fusion, fusion_entry
 from semirep.semidirect import build
 
 BASES = {
@@ -65,14 +64,15 @@ def test_random_instance_pipeline(label, alg, hom, kind):
     assert verify_axioms(inst.product)["pass"]
     cl = classify(inst)
     assert sum(w.dim ** 2 for w in cl) == inst.dim
-    # sampled fusion triples, three-way
-    h = inst.product
+    # the full cube, three-way; then the dimension identity
+    # dim w2 * dim w3 = sum_w1 N[w1][w2][w3] * dim w1
+    table = fusion(inst, cl)
+    assert table.agreement() == "3/3 methods agree"
+    dims = np.array([w.dim for w in cl])
+    assert np.array_equal(np.einsum("abc,a->bc", table.coefficients, dims),
+                          np.outer(dims, dims))
+    # sampled entries again, each from a standalone fusion_entry
     local = np.random.default_rng(zlib.crc32(label.encode()))
     for _ in range(3):
-        i1, i2, i3 = local.integers(0, len(cl), 3)
-        w1, w2, w3 = cl[int(i1)], cl[int(i2)], cl[int(i3)]
-        n_formula = fusion_entry(inst, w1, w2, w3)
-        chi_t = h.product(w2.character, w3.character)
-        n_char = as_int(h.haar_vec(h.product(h.star_vec(w1.character), chi_t)))
-        n_module = module_hom_dim(w1.induced, tensor(w2.induced, w3.induced))
-        assert n_formula == n_char == n_module
+        i1, i2, i3 = (int(i) for i in local.integers(0, len(cl), 3))
+        assert fusion_entry(inst, cl[i1], cl[i2], cl[i3]) == table.entry(i1, i2, i3)
