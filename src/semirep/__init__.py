@@ -18,9 +18,9 @@ from .groups import (FiniteGroup, GroupAction, Subgroup, all_subgroups,
                      direct_product, from_table, full_subgroup,
                      general_isotropy_family, left_cosets, orbit, orbits,
                      stabilizer, symmetric_group, trivial_subgroup)
-from .hopf import (AlgebraElement, HopfData, QAutomorphism,
-                   action_from_group_hom, dual_algebra, function_algebra,
-                   group_algebra, haar_solve, is_kac, verify_axioms)
+from .hopf import (HopfData, QAutomorphism, action_from_group_hom,
+                   dual_algebra, function_algebra, group_algebra, haar_solve,
+                   is_kac, verify_axioms)
 from .induction import (InducedRep, ind_mor_dim, induce, induced_character,
                         mackey_irreducible)
 from .mackey import (ClassifiedIrr, FusionTable, GRParameter, RepParameter,

@@ -17,8 +17,9 @@ EIG_CLUSTER_TOL = 1e-7
 INT_ROUND_TOL = 0.1
 DEFAULT_SEED = 7
 
-# Above this size for dim(H1)*dim(H2), intertwiner spaces are computed with the
-# Haar-averaging projector instead of a stacked SVD (memory).
+# module_hom_basis solves the full stacked Sylvester system while it has at most
+# 8 * DENSE_NULLSPACE_LIMIT rows (slices * n1 * n2); above that it switches to
+# the two-stage solve, whose first SVD has three slices' rows.
 DENSE_NULLSPACE_LIMIT = 1024
 
 
@@ -31,12 +32,26 @@ def as_int(value, tol: float = INT_ROUND_TOL) -> int:
     return n
 
 
+def int_array(data) -> np.ndarray:
+    """Read outside integer data (tables, permutations) without truncating.
+
+    Raises ValueError unless every entry is an integer, so 2.9 is rejected
+    instead of being read as 2.
+    """
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"entries must be integers, not {arr.dtype}")
+    return arr.astype(int)
+
+
 def nullspace(mat: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of the nullspace of `mat`, as rows of the result."""
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
         return np.eye(mat.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    # vh needs completing only for a wide matrix, whose nullspace rows lie past
+    # its singular values; U is never used.
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     cutoff = rtol * max(1.0, s[0] if len(s) else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj()
@@ -58,7 +73,7 @@ def sylvester_system(mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:
     return system.reshape(s * n2 * n1, n2 * n1)
 
 
-def module_hom_basis(mats1, mats2, rtol: float = 1e-9) -> list[np.ndarray]:
+def module_hom_basis(mats1, mats2) -> list[np.ndarray]:
     """Basis of {T : T m1_a = m2_a T for all a}, i.e. homs of matrix families.
 
     mats1 acts on C^{n1}, mats2 on C^{n2}; returned T's are n2 x n1,
@@ -73,7 +88,7 @@ def module_hom_basis(mats1, mats2, rtol: float = 1e-9) -> list[np.ndarray]:
     n2 = mats2.shape[1]
 
     if len(mats1) * n1 * n2 <= 8 * DENSE_NULLSPACE_LIMIT:
-        basis = nullspace(sylvester_system(mats1, mats2), rtol=rtol)
+        basis = nullspace(sylvester_system(mats1, mats2))
         return [vec.reshape(n2, n1) for vec in basis]
 
     # Stage 1: candidates from random combinations (deterministic seed).
@@ -83,8 +98,7 @@ def module_hom_basis(mats1, mats2, rtol: float = 1e-9) -> list[np.ndarray]:
         c = rng.standard_normal(len(mats1)) + 1j * rng.standard_normal(len(mats1))
         combos1.append(sum(ci * m for ci, m in zip(c, mats1)))
         combos2.append(sum(ci * m for ci, m in zip(c, mats2)))
-    cands = nullspace(sylvester_system(np.stack(combos1), np.stack(combos2)),
-                      rtol=rtol)
+    cands = nullspace(sylvester_system(np.stack(combos1), np.stack(combos2)))
     if cands.shape[0] == 0:
         return []
     cand_mats = [vec.reshape(n2, n1) for vec in cands]
@@ -101,7 +115,7 @@ def module_hom_basis(mats1, mats2, rtol: float = 1e-9) -> list[np.ndarray]:
     vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
     scale = max(1.0, float(vals.max()) if m else 1.0)
     out = []
-    for idx in np.where(vals < rtol * scale)[0]:
+    for idx in np.where(vals < 1e-9 * scale)[0]:
         t = sum(vecs[k, idx] * cand_mats[k] for k in range(m))
         out.append(t / np.linalg.norm(t))
     # re-orthonormalize (numerically) via QR on the flattened vectors
@@ -126,12 +140,12 @@ def random_selfadjoint(basis: list[np.ndarray], rng: np.random.Generator) -> np.
     return (acc + acc.conj().T) / 2
 
 
-def cluster_eigvals(vals: np.ndarray, tol: float = EIG_CLUSTER_TOL) -> list[np.ndarray]:
+def cluster_eigvals(vals: np.ndarray) -> list[np.ndarray]:
     """Indices of eigenvalues grouped by proximity (vals assumed real, sorted)."""
     order = np.argsort(vals)
     groups = [[order[0]]]
     for idx in order[1:]:
-        if abs(vals[idx] - vals[groups[-1][-1]]) <= tol:
+        if abs(vals[idx] - vals[groups[-1][-1]]) <= EIG_CLUSTER_TOL:
             groups[-1].append(idx)
         else:
             groups.append([idx])
@@ -182,11 +196,11 @@ def decompose(x, commutant, compress, equivalent, rng: np.random.Generator):
     return grouped
 
 
-def first_entry_phase(mat: np.ndarray, threshold: float = 1e-8):
-    """Phase of the first row-major entry above threshold, or None."""
+def first_entry_phase(mat: np.ndarray):
+    """Phase of the first row-major entry above 1e-8, or None."""
     flat = mat.reshape(-1)
     for entry in flat:
-        if abs(entry) > threshold:
+        if abs(entry) > 1e-8:
             return entry / abs(entry)
     return None
 

@@ -59,7 +59,7 @@ def trivial_cochain2(group: FiniteGroup) -> Cochain2:
     return Cochain2(group, np.ones((group.order, group.order), dtype=complex))
 
 
-def is_cocycle(omega: Cochain2, tol: float = TOL_VERIFY):
+def is_cocycle(omega: Cochain2):
     """Check w(r,st)w(s,t) = w(r,s)w(rs,t) for all triples.
 
     Returns (ok, worst_residual, worst_triple).
@@ -77,7 +77,7 @@ def is_cocycle(omega: Cochain2, tol: float = TOL_VERIFY):
                 res = abs(lhs - rhs)
                 if res > worst:
                     worst, worst_triple = res, (r, s, t)
-    return worst <= tol, worst, worst_triple
+    return worst <= TOL_VERIFY, worst, worst_triple
 
 
 def coboundary(b: Cochain1) -> Cochain2:

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (DEFAULT_SEED, DENSE_NULLSPACE_LIMIT, TOL_VERIFY, as_int,
-                      decompose, max_abs, module_hom_basis)
+from ._linalg import (DEFAULT_SEED, TOL_VERIFY, as_int, decompose, max_abs,
+                      module_hom_basis)
 from .errors import (OracleDisagreement, OrbitResolutionFailure,
                      PeterWeylMismatch, ValidationError)
 from .groups import FiniteGroup, GroupAction
-from .hopf import AlgebraElement, HopfData, QAutomorphism
+from .hopf import HopfData, QAutomorphism
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,9 +35,6 @@ class Corep:
     def dim(self) -> int:
         return int(self.entries.shape[0])
 
-    def character(self) -> AlgebraElement:
-        return AlgebraElement(self.parent, np.einsum("iic->c", self.entries))
-
     def char_vec(self) -> np.ndarray:
         return np.einsum("iic->c", self.entries)
 
@@ -54,7 +51,7 @@ def trivial_corep(h: HopfData, dim: int = 1) -> Corep:
     return Corep(h, entries)
 
 
-def verify_corep(u: Corep, tol: float = TOL_VERIFY) -> dict:
+def verify_corep(u: Corep) -> dict:
     """Residuals for the comodule law, counit normalization and unitarity."""
     h = u.parent
     e = u.entries
@@ -71,7 +68,7 @@ def verify_corep(u: Corep, tol: float = TOL_VERIFY) -> dict:
     res["unitary_rows"] = max_abs(row - target)
     res["unitary_cols"] = max_abs(col - target)
     res["max"] = max(res.values())
-    res["pass"] = res["max"] < tol
+    res["pass"] = res["max"] < TOL_VERIFY
     return res
 
 
@@ -97,54 +94,13 @@ def direct_sum(u: Corep, w: Corep) -> Corep:
 # -- morphism spaces -----------------------------------------------------------
 
 def _char_mor_dim(u: Corep, w: Corep) -> int:
-    h = u.parent
-    chi_u_star = h.star_vec(u.char_vec())
-    val = h.haar_vec(h.product(chi_u_star, w.char_vec()))
-    return as_int(val)
+    return as_int(u.parent.pair(u.char_vec(), w.char_vec()))
 
 
-def _averaged_mor_basis(u: Corep, w: Corep, tol: float) -> list[np.ndarray]:
-    """Basis of Mor(u, w) from the Haar-averaging projector.
-
-    E(T) = (id (x) h)(w (T (x) 1) u^*) projects onto Mor(u, w) for unitary
-    coreps of a Kac-type algebra; used when the stacked nullspace would be
-    too large. Each basis element is re-verified against the intertwiner
-    equations.
-    """
-    h = u.parent
-    star_u = np.einsum("pc,ijc->ijp", h.star, np.conj(u.entries))
-    hb = np.einsum("abk,k->ab", h.mult, h.haar)
-    # Emat[(i,j),(k,l)] = h(w_{ik} u_{jl}^*)
-    m1 = np.einsum("ika,ab->ikb", w.entries, hb)
-    emat = np.einsum("ikb,jlb->ijkl", m1, star_u, optimize=True)
-    nw, nu = w.dim, u.dim
-    emat = emat.reshape(nw * nu, nw * nu)
-    herm = (emat + emat.conj().T) / 2
-    vals, vecs = np.linalg.eigh(herm)
-    basis = []
-    for idx in np.where(vals > 0.5)[0]:
-        t = vecs[:, idx].reshape(nw, nu)
-        basis.append(t)
-    for t in basis:
-        res = _intertwiner_residual(u, w, t)
-        if res > tol:
-            raise OracleDisagreement(
-                f"averaged morphism basis fails intertwiner check ({res:.2e})")
-    return basis
-
-
-def _intertwiner_residual(u: Corep, w: Corep, t: np.ndarray) -> float:
-    lhs = np.einsum("ik,kjc->ijc", t, u.entries)
-    rhs = np.einsum("ikc,kj->ijc", w.entries, t)
-    return max_abs(lhs - rhs)
-
-
-def intertwiner_basis(u: Corep, w: Corep, tol: float = TOL_VERIFY) -> list[np.ndarray]:
+def intertwiner_basis(u: Corep, w: Corep) -> list[np.ndarray]:
     """Orthonormal basis of Mor(u, w) = {T : (T (x) 1) u = w (T (x) 1)}."""
     if u.parent is not w.parent:
         raise ValidationError("intertwiners require a common parent algebra")
-    if u.dim * w.dim > DENSE_NULLSPACE_LIMIT:
-        return _averaged_mor_basis(u, w, tol)
     return module_hom_basis(u.coeff_slices(), w.coeff_slices())
 
 
@@ -167,7 +123,7 @@ def contragredient(u: Corep) -> Corep:
     return Corep(h, entries)
 
 
-def conjugate(u: Corep, tol: float = TOL_VERIFY) -> Corep:
+def conjugate(u: Corep) -> Corep:
     """The unitary conjugate u-bar = u^c.
 
     Finite quantum groups are of Kac type (S^2 = id), so the modular operator
@@ -175,7 +131,7 @@ def conjugate(u: Corep, tol: float = TOL_VERIFY) -> Corep:
     certifies that.
     """
     uc = contragredient(u)
-    report = verify_corep(uc, tol)
+    report = verify_corep(uc)
     if not report["pass"]:
         raise ValidationError(
             f"conjugate corep fails verification (max residual {report['max']:.2e})")

@@ -17,6 +17,7 @@ import itertools
 
 import numpy as np
 
+from ._linalg import int_array
 from .errors import ParseError, ValidationError
 from .groups import (FiniteGroup, cyclic_group, dihedral_group, direct_product,
                      symmetric_group)
@@ -118,9 +119,9 @@ def instance_spec(name: str) -> dict:
 
 def _table(spec: dict, key: str) -> np.ndarray:
     try:
-        return np.asarray(spec[key]["table"], dtype=int)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{key!r} needs a multiplication table") from exc
+        return int_array(spec[key]["table"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{key!r} needs an integer multiplication table") from exc
 
 
 def build_instance(spec: dict) -> SemidirectInstance:
@@ -142,16 +143,20 @@ def build_instance(spec: dict) -> SemidirectInstance:
                 return arr[..., 0] + 1j * arr[..., 1]
             return arr.astype(complex)
 
-        raw = spec["base"]
-        base = HopfData(*(tensorize(raw[k]) for k in
-                          ("mult", "unit", "comult", "counit", "antipode",
-                           "star", "haar")))
+        try:
+            raw = [tensorize(spec["base"][k]) for k in
+                   ("mult", "unit", "comult", "counit", "antipode", "star", "haar")]
+            action = [tensorize(m) for m in spec["action"]]
+        except KeyError as exc:
+            raise ParseError(f"raw_hopf base is missing {exc}") from exc
+        except (IndexError, TypeError, ValueError) as exc:
+            raise ParseError(f"raw_hopf data is malformed: {exc}") from exc
+        base = HopfData(*raw)
         report = verify_axioms(base)
         if not report["pass"]:
             raise ValidationError(
                 f"raw Hopf data fails axioms (max residual {report['max']:.2e})")
-        autos = action_from_group_hom(
-            base, lam, [tensorize(m) for m in spec["action"]], "matrix")
+        autos = action_from_group_hom(base, lam, action, "matrix")
     else:
         raise ParseError(f"unknown instance kind {kind!r}")
     return build(base, lam, autos)

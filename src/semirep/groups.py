@@ -232,6 +232,8 @@ class Subgroup:
     def __post_init__(self):
         elems = tuple(sorted(set(int(x) for x in self.elements)))
         object.__setattr__(self, "elements", elems)
+        if elems and (elems[0] < 0 or elems[-1] >= self.parent.order):
+            raise ValidationError(f"subgroup elements must be in 0..{self.parent.order - 1}")
         eset = set(elems)
         if self.parent.identity not in eset:
             raise ValidationError("subgroup must contain the identity")

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import TOL_VERIFY, max_abs, nullspace
+from ._linalg import TOL_VERIFY, int_array, max_abs, nullspace
 from .errors import (NoUniqueHaar, NotAntihomomorphism, NotAutomorphism,
-                     ValidationError)
+                     ParseError, ValidationError)
 from .groups import FiniteGroup
 
 
@@ -54,11 +54,12 @@ class HopfData:
     def star_vec(self, x):
         return self.star @ np.conj(x)
 
-    def counit_vec(self, x) -> complex:
-        return complex(self.counit @ x)
-
     def haar_vec(self, x) -> complex:
         return complex(self.haar @ x)
+
+    def pair(self, x, y) -> complex:
+        """The Haar pairing h(x^* y), through the cached Gram matrix."""
+        return complex(np.conj(x) @ self.gram() @ y)
 
     # -- derived structure -----------------------------------------------------
 
@@ -70,42 +71,11 @@ class HopfData:
             self._cache["gram"] = g
         return self._cache["gram"]
 
-    def is_commutative(self, tol: float = TOL_VERIFY) -> bool:
-        return max_abs(self.mult - self.mult.transpose(1, 0, 2)) <= tol
+    def is_commutative(self) -> bool:
+        return max_abs(self.mult - self.mult.transpose(1, 0, 2)) <= TOL_VERIFY
 
-    def is_cocommutative(self, tol: float = TOL_VERIFY) -> bool:
-        return max_abs(self.comult - self.comult.transpose(0, 2, 1)) <= tol
-
-
-@dataclass
-class AlgebraElement:
-    """A thin arithmetic wrapper over a coefficient vector."""
-
-    parent: HopfData
-    coeffs: np.ndarray = field(repr=False)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return AlgebraElement(self.parent, self.parent.product(self.coeffs, other.coeffs))
-        return AlgebraElement(self.parent, self.coeffs * other)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.parent, scalar * self.coeffs)
-
-    def __add__(self, other):
-        return AlgebraElement(self.parent, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return AlgebraElement(self.parent, self.coeffs - other.coeffs)
-
-    def star(self):
-        return AlgebraElement(self.parent, self.parent.star_vec(self.coeffs))
-
-    def counit(self) -> complex:
-        return self.parent.counit_vec(self.coeffs)
-
-    def haar(self) -> complex:
-        return self.parent.haar_vec(self.coeffs)
+    def is_cocommutative(self) -> bool:
+        return max_abs(self.comult - self.comult.transpose(0, 2, 1)) <= TOL_VERIFY
 
 
 @dataclass(frozen=True)
@@ -136,8 +106,8 @@ class QAutomorphism:
         return worst
 
 
-def verify_axioms(h: HopfData, tol: float = TOL_VERIFY) -> dict:
-    """Residual per Hopf *-algebra axiom; passes iff all below tol."""
+def verify_axioms(h: HopfData) -> dict:
+    """Residual per Hopf *-algebra axiom; passes iff all below TOL_VERIFY."""
     d = h.dim
     res: dict[str, float] = {}
     eye = np.eye(d)
@@ -192,11 +162,11 @@ def verify_axioms(h: HopfData, tol: float = TOL_VERIFY) -> dict:
     res["haar_positivity"] = max(0.0, float(-eigs.min()))
 
     res["max"] = max(v for k, v in res.items() if k != "max") if res else 0.0
-    res["pass"] = res["max"] < tol
+    res["pass"] = res["max"] < TOL_VERIFY
     return res
 
 
-def haar_solve(h: HopfData, tol: float = TOL_VERIFY) -> np.ndarray:
+def haar_solve(h: HopfData) -> np.ndarray:
     """Solve for the invariant state directly; cross-checks the stored haar."""
     d = h.dim
     # (eta (x) id) Delta(e_i) = eta(e_i) 1 and the (id (x) eta) mirror.
@@ -221,9 +191,9 @@ def haar_solve(h: HopfData, tol: float = TOL_VERIFY) -> np.ndarray:
     return eta / scale
 
 
-def is_kac(h: HopfData, tol: float = TOL_VERIFY) -> bool:
+def is_kac(h: HopfData) -> bool:
     """Kac type iff the antipode is involutive."""
-    return max_abs(h.antipode @ h.antipode - np.eye(h.dim)) < tol
+    return max_abs(h.antipode @ h.antipode - np.eye(h.dim)) < TOL_VERIFY
 
 
 def function_algebra(g: FiniteGroup) -> HopfData:
@@ -268,8 +238,8 @@ def group_algebra(g: FiniteGroup) -> HopfData:
     return HopfData(mult, unit, comult, counit, antipode, star, haar)
 
 
-def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom, kind: str,
-                          tol: float = TOL_VERIFY) -> list[QAutomorphism]:
+def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
+                          kind: str) -> list[QAutomorphism]:
     """Build the antihomomorphism r -> alpha*_r from per-element base maps.
 
     kind 'function': hom[r] is a permutation g -> alpha_r(g) of the base group,
@@ -284,9 +254,15 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom, kind: str,
         # Both constructors use the same pullback formula: alpha*_r moves basis
         # vector g to hom[r^{-1}](g) (hom[r^{-1}] = (hom[r])^{-1} when hom is a
         # homomorphism, which the antihomomorphism check below enforces).
-        perms = [np.asarray(p, dtype=int) for p in hom]
+        try:
+            perms = [int_array(p) for p in hom]
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"action must list integer permutations: {exc}") from exc
         if len(perms) != lam.order:
             raise NotAutomorphism("need one permutation per acting group element")
+        for r, p in enumerate(perms):
+            if p.shape != (d,) or not np.array_equal(np.sort(p), np.arange(d)):
+                raise NotAutomorphism(f"action entry {r} does not permute 0..{d - 1}")
         for r in lam.elements():
             m = np.zeros((d, d), dtype=complex)
             p_inv = perms[lam.inverse(r)]
@@ -297,24 +273,26 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom, kind: str,
         mats = [np.asarray(m, dtype=complex) for m in hom]
         if len(mats) != lam.order:
             raise NotAutomorphism("need one matrix per acting group element")
+        if any(m.shape != (d, d) for m in mats):
+            raise NotAutomorphism(f"action matrices must be {d} x {d}")
     else:
         raise ValidationError(f"unknown action kind {kind!r}")
 
     autos = [QAutomorphism(h, m) for m in mats]
     for r, a in enumerate(autos):
         res = a.residual()
-        if res > tol:
+        if res > TOL_VERIFY:
             raise NotAutomorphism(f"alpha*_{r} fails the automorphism check ({res:.2e})")
     for r in lam.elements():
         for s in lam.elements():
             res = max_abs(mats[lam.mul(r, s)] - mats[s] @ mats[r])
-            if res > tol:
+            if res > TOL_VERIFY:
                 raise NotAntihomomorphism(
                     f"alpha*_(rs) != alpha*_s alpha*_r at ({r}, {s}) ({res:.2e})")
     # Haar invariance under every alpha*_s (uniqueness of the Haar state)
     for r, a in enumerate(autos):
         res = max_abs(h.haar @ a.matrix - h.haar)
-        if res > tol:
+        if res > TOL_VERIFY:
             raise NotAutomorphism(f"haar not invariant under alpha*_{r} ({res:.2e})")
     return autos
 

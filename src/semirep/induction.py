@@ -24,7 +24,7 @@ class InducedRep:
     isometry: np.ndarray = field(repr=False)  # columns embed K into l2(Lambda) (x) H
 
 
-def induce(inst: SemidirectInstance, u: Corep, tol: float = TOL_VERIFY) -> InducedRep:
+def induce(inst: SemidirectInstance, u: Corep) -> InducedRep:
     """Induce a corep of G x| Lambda0 up to G x| Lambda.
 
     Builds the right-regular Lambda part and the twisted direct sum of the
@@ -55,7 +55,7 @@ def induce(inst: SemidirectInstance, u: Corep, tol: float = TOL_VERIFY) -> Induc
         wg_entries[s * n:(s + 1) * n, s * n:(s + 1) * n, :] = block
     wg = Corep(top.base, wg_entries)
 
-    ok, worst, witness = check_covariant(top, wg, wl, tol)
+    ok, worst, witness = check_covariant(top, wg, wl)
     if not ok:
         raise CovarianceFailure(
             f"(W~_G, W~_Lambda) not covariant: residual {worst:.2e} at {witness}")
@@ -69,16 +69,16 @@ def induce(inst: SemidirectInstance, u: Corep, tol: float = TOL_VERIFY) -> Induc
     pi /= sub.order
 
     res = max_abs(pi @ pi - pi)
-    if res > tol:
+    if res > TOL_VERIFY:
         raise ProjectionNotInvariant(f"pi is not a projection (residual {res:.2e})")
     for s in lam.elements():
         res = max_abs(pi @ wl.mats[s] - wl.mats[s] @ pi)
-        if res > tol:
+        if res > TOL_VERIFY:
             raise ProjectionNotInvariant(
                 f"pi does not commute with W~_Lambda({s}) ({res:.2e})")
     res = max_abs(np.einsum("ik,kjc->ijc", pi, wg.entries)
                   - np.einsum("ikc,kj->ijc", wg.entries, pi))
-    if res > tol:
+    if res > TOL_VERIFY:
         raise ProjectionNotInvariant(f"pi does not commute with W~_G ({res:.2e})")
 
     # Explicit orthonormal basis of K = range(pi): one block per left coset.
@@ -92,23 +92,22 @@ def induce(inst: SemidirectInstance, u: Corep, tol: float = TOL_VERIFY) -> Induc
                 vec[t * n:(t + 1) * n] += ul.mats[r0_local][:, a]
             cols.append(vec / np.sqrt(sub.order))
     isometry = np.array(cols).T
-    if max_abs(isometry.conj().T @ isometry - np.eye(isometry.shape[1])) > tol:
+    if max_abs(isometry.conj().T @ isometry - np.eye(isometry.shape[1])) > TOL_VERIFY:
         raise ProjectionNotInvariant("coset basis of K is not orthonormal")
-    if max_abs(pi @ isometry - isometry) > tol:
+    if max_abs(pi @ isometry - isometry) > TOL_VERIFY:
         raise ProjectionNotInvariant("coset basis does not lie in range(pi)")
 
-    big = join_covariant(top, wg, wl, tol)
+    big = join_covariant(top, wg, wl)
     compressed = np.einsum("ia,ijc,jb->abc", np.conj(isometry), big.entries, isometry)
     result = Corep(top.product, compressed)
-    report = verify_corep(result, tol)
+    report = verify_corep(result)
     if not report["pass"]:
         raise CovarianceFailure(
             f"induced corep fails verification (max {report['max']:.2e})")
     return InducedRep(source=u, result=result, isometry=isometry)
 
 
-def induced_character(inst: SemidirectInstance, u: Corep,
-                      tol: float = TOL_VERIFY) -> np.ndarray:
+def induced_character(inst: SemidirectInstance, u: Corep) -> np.ndarray:
     """Character of Ind(U), by the averaged sum over all of Lambda.
 
     Both the |Lambda0|^{-1}-weighted full sum and the coset-representative sum
@@ -139,12 +138,11 @@ def induced_character(inst: SemidirectInstance, u: Corep,
     return full
 
 
-def ind_mor_dim(inst: SemidirectInstance, u: Corep, w: Corep,
-                verify: bool = True) -> int:
+def ind_mor_dim(inst: SemidirectInstance, u: Corep, w: Corep) -> int:
     """dim Mor(Ind(U), Ind(W)) by the double-sum intertwiner formula.
 
-    With verify=True the value is cross-checked against mor_dim on the
-    explicitly constructed induced corepresentations.
+    The value is cross-checked against mor_dim on the explicitly constructed
+    induced corepresentations.
     """
     top = inst.top
     lam = top.lam_full
@@ -159,23 +157,20 @@ def ind_mor_dim(inst: SemidirectInstance, u: Corep, w: Corep,
     for r in lam.elements():
         for s in lam.elements():
             meet = conjugate_intersection([theta, xi], [r, s])
-            meet_inst = top.principal(meet)
             ru = restrict_corep(instance_of_corep(top, translates_u[r]),
                                 translates_u[r], meet)
             sw = restrict_corep(instance_of_corep(top, translates_w[s]),
                                 translates_w[s], meet)
-            h = meet_inst.product
-            pairing = h.haar_vec(h.product(h.star_vec(ru.char_vec()), sw.char_vec()))
+            pairing = top.principal(meet).product.pair(ru.char_vec(), sw.char_vec())
             total += pairing.real * meet.order / lam.order
             if abs(pairing.imag) > 1e-8:
                 raise OracleDisagreement("character pairing has an imaginary part")
     total /= theta.order * xi.order
     value = as_int(total)
-    if verify:
-        direct = mor_dim(induce(inst, u).result, induce(inst, w).result)
-        if direct != value:
-            raise OracleDisagreement(
-                f"intertwiner formula gives {value}, direct mor_dim gives {direct}")
+    direct = mor_dim(induce(inst, u).result, induce(inst, w).result)
+    if direct != value:
+        raise OracleDisagreement(
+            f"intertwiner formula gives {value}, direct mor_dim gives {direct}")
     return value
 
 
@@ -198,8 +193,7 @@ def mackey_irreducible(inst: SemidirectInstance, u: Corep) -> bool:
                                 translates[r], meet)
             sw = restrict_corep(instance_of_corep(top, translates[s]),
                                 translates[s], meet)
-            h = top.principal(meet).product
-            pairing = h.haar_vec(h.product(h.star_vec(ru.char_vec()), sw.char_vec()))
+            pairing = top.principal(meet).product.pair(ru.char_vec(), sw.char_vec())
             if as_int(pairing) != 0:
                 return False
     return True

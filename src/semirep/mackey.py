@@ -45,13 +45,13 @@ class GRParameter:
     v: ProjectiveRep
     lambda0: Subgroup
 
-    def validate(self, inst: SemidirectInstance, tol: float = TOL_VERIFY):
+    def validate(self, inst: SemidirectInstance):
         if self.V.dim != self.u.dim:
             raise ValidationError("V must act on the carrier space of u")
         if self.V.group != self.lambda0.group or self.v.group != self.lambda0.group:
             raise ValidationError("V and v must be representations of lambda0")
         res = covariance_residual(inst, self.u, self.V, self.lambda0)
-        if res > tol:
+        if res > TOL_VERIFY:
             raise NotCovariant(f"V is not covariant with u (residual {res:.2e})")
         opp = max_abs(self.V.cocycle.values * self.v.cocycle.values - 1.0)
         if opp > TOL_ACCEPT:
@@ -62,8 +62,8 @@ class GRParameter:
 class RepParameter(GRParameter):
     """A genuine parameter: u is additionally irreducible."""
 
-    def validate(self, inst: SemidirectInstance, tol: float = TOL_VERIFY):
-        super().validate(inst, tol)
+    def validate(self, inst: SemidirectInstance):
+        super().validate(inst)
         if mor_dim(self.u, self.u) != 1:
             raise ValidationError("parameter requires an irreducible u")
 
@@ -92,8 +92,8 @@ def stabilizer_of_class(inst: SemidirectInstance, u: Corep) -> Subgroup:
     return Subgroup(lam, elems)
 
 
-def covariant_projective(inst: SemidirectInstance, u: Corep, sub: Subgroup,
-                         tol: float = TOL_VERIFY) -> ProjectiveRep:
+def covariant_projective(inst: SemidirectInstance, u: Corep,
+                         sub: Subgroup) -> ProjectiveRep:
     """The covariant projective representation of Lambda0 attached to u.
 
     For each r0 the unitary spanning Mor(r0 . u, u), gauged so that the first
@@ -114,12 +114,12 @@ def covariant_projective(inst: SemidirectInstance, u: Corep, sub: Subgroup,
         if phase is None:
             raise GaugeFailure("no matrix entry above the gauge threshold")
         t = t * np.conj(phase)
-        if max_abs(t @ t.conj().T - np.eye(u.dim)) > tol:
+        if max_abs(t @ t.conj().T - np.eye(u.dim)) > TOL_VERIFY:
             raise NotStabilized(f"intertwiner for r0 = {r0} is not unitary")
         mats[local] = t
     v = ProjectiveRep(sub.group, mats, cocycle_of(sub.group, mats))
     res = covariance_residual(inst, u, v, sub)
-    if res > tol:
+    if res > TOL_VERIFY:
         raise NotCovariant(f"constructed V fails covariance ({res:.2e})")
     return v
 
@@ -171,8 +171,7 @@ def restrict_param(p: GRParameter, sub_to: Subgroup) -> GRParameter:
 
 # -- the CSR corepresentation ----------------------------------------------------
 
-def csr_corep(inst: SemidirectInstance, p: GRParameter,
-              tol: float = TOL_VERIFY) -> Corep:
+def csr_corep(inst: SemidirectInstance, p: GRParameter) -> Corep:
     """The corep of G x| Lambda0 packaged by a (generalized) parameter."""
     sub_inst = inst.principal(p.lambda0)
     nv, nu = p.v.dim, p.u.dim
@@ -183,16 +182,15 @@ def csr_corep(inst: SemidirectInstance, p: GRParameter,
     ul_mats = np.stack([np.kron(p.v.mats[s], p.V.mats[s])
                         for s in range(p.lambda0.order)])
     ul = ordinary_rep(sub_inst.lam, ul_mats)
-    return join_covariant(sub_inst, ug, ul, tol)
+    return join_covariant(sub_inst, ug, ul)
 
 
-def param_mor_dim(inst: SemidirectInstance, p1: RepParameter, p2: RepParameter,
-                  verify: bool = True) -> int:
+def param_mor_dim(inst: SemidirectInstance, p1: RepParameter, p2: RepParameter) -> int:
     """dim Mor(U1, U2) through the transitional-map route.
 
     Zero if [u1] != [u2]; otherwise transport V1 along a unitary intertwiner
-    and count morphisms of the v's after rescaling. Optionally cross-checked
-    against mor_dim of the packaged coreps.
+    and count morphisms of the v's after rescaling. Cross-checked against
+    mor_dim of the packaged coreps.
     """
     if p1.lambda0.elements != p2.lambda0.elements:
         raise ValidationError("parameters live over different subgroups")
@@ -206,11 +204,10 @@ def param_mor_dim(inst: SemidirectInstance, p1: RepParameter, p2: RepParameter,
                               p1.V.cocycle)
         b = transitional_map(moved, p2.V)
         value = proj_mor_dim(p1.v, rescale(b, p2.v))
-    if verify:
-        direct = mor_dim(csr_corep(inst, p1), csr_corep(inst, p2))
-        if direct != value:
-            raise OracleDisagreement(
-                f"param_mor_dim gives {value}, corep mor_dim gives {direct}")
+    direct = mor_dim(csr_corep(inst, p1), csr_corep(inst, p2))
+    if direct != value:
+        raise OracleDisagreement(
+            f"param_mor_dim gives {value}, corep mor_dim gives {direct}")
     return value
 
 
@@ -232,8 +229,7 @@ class ClassifiedIrr:
         return int(self.induced.dim)
 
 
-def classify(inst: SemidirectInstance, seed: int = 7,
-             tol: float = TOL_VERIFY) -> list[ClassifiedIrr]:
+def classify(inst: SemidirectInstance, seed: int = 7) -> list[ClassifiedIrr]:
     """All irreducibles of G x| Lambda via distinguished parameters.
 
     One orbit representative per Lambda-orbit on Irr(G), its full stabilizer,
@@ -256,18 +252,17 @@ def classify(inst: SemidirectInstance, seed: int = 7,
         trivial_class = any(w.dim == 1 for w in vs)
         for v in vs:
             p = RepParameter(u, v_big, v, sub)
-            p.validate(top, tol)
+            p.validate(top)
             csr = csr_corep(top, p)
-            ind = induce(top, csr, tol)
+            ind = induce(top, csr)
             chi = ind.result.char_vec()
-            norm = h.haar_vec(h.product(h.star_vec(chi), chi))
+            norm = h.pair(chi, chi)
             if as_int(norm) != 1:
                 raise GramFailure(
                     f"induced corep from orbit {orb} has character norm {norm}")
             dup = False
             for kept in out:
-                g = h.haar_vec(h.product(h.star_vec(kept.character), chi))
-                if as_int(g) != 0:
+                if as_int(h.pair(kept.character, chi)) != 0:
                     dup = True
                     break
             if dup:
@@ -280,8 +275,7 @@ def classify(inst: SemidirectInstance, seed: int = 7,
     if total != top.dim:
         raise CompletenessFailure(
             f"classification is incomplete: sum dim^2 = {total} != {top.dim}")
-    gram = np.array([[h.haar_vec(h.product(h.star_vec(a.character), b.character))
-                      for b in out] for a in out])
+    gram = np.array([[h.pair(a.character, b.character) for b in out] for a in out])
     if max_abs(gram - np.eye(len(out))) > TOL_ACCEPT:
         raise GramFailure("character Gram matrix of classified irreps is not identity")
     return out
@@ -300,12 +294,10 @@ def conjugation_pairing(inst: SemidirectInstance, w: ClassifiedIrr,
                         candidates: list[ClassifiedIrr]) -> str:
     """Label of the classified irrep equivalent to the conjugate of w."""
     top = inst.top
-    h = top.product
     pbar = conjugate_parameter(top, w.parameter)
     chi = induce(top, csr_corep(top, pbar)).result.char_vec()
     for cand in candidates:
-        g = h.haar_vec(h.product(h.star_vec(cand.character), chi))
-        if as_int(g) == 1:
+        if as_int(top.product.pair(cand.character, chi)) == 1:
             return cand.label
     raise OracleDisagreement(f"conjugate of {w.label} matches no classified irrep")
 
@@ -313,7 +305,7 @@ def conjugation_pairing(inst: SemidirectInstance, w: ClassifiedIrr,
 # -- GRP reduction -----------------------------------------------------------------
 
 def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
-               v0: ProjectiveRep, tol: float = TOL_VERIFY, big: Corep | None = None):
+               v0: ProjectiveRep, big: Corep | None = None):
     """Reduce a GRP along (u0, V0); returns a RepParameter, or None when the
     isotypic component of [u0] in g.u is empty (callers score incidence 0).
 
@@ -326,7 +318,7 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
     cols = np.zeros((g.u.dim, n * d0), dtype=complex)
     for a, t in enumerate(basis):
         cols[:, a * d0:(a + 1) * d0] = t * np.sqrt(d0)
-    if max_abs(cols.conj().T @ cols - np.eye(n * d0)) > tol:
+    if max_abs(cols.conj().T @ cols - np.eye(n * d0)) > TOL_VERIFY:
         raise NonUnitaryExtraction("isotypic isometry is not orthonormal")
     order = g.lambda0.order
     v1_mats = np.zeros((order, n, n), dtype=complex)
@@ -337,7 +329,7 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
         if max_abs(block - np.einsum("ab,ij->aibj", v1, v0.mats[local])) > TOL_ACCEPT:
             raise NonUnitaryExtraction(
                 f"compressed V does not factor through V0 at local element {local}")
-        if max_abs(v1 @ v1.conj().T - np.eye(n)) > tol:
+        if max_abs(v1 @ v1.conj().T - np.eye(n)) > TOL_VERIFY:
             raise NonUnitaryExtraction("extracted factor is not unitary")
         v1_mats[local] = v1
     omega1 = cocycle_product(g.V.cocycle, cocycle_inverse(v0.cocycle))
@@ -418,14 +410,14 @@ class _FusionTables:
         return self.grps[key]
 
 
-def incidence(inst: SemidirectInstance, params, reps, verify: bool = True, *,
+def incidence(inst: SemidirectInstance, params, reps, *,
               tables: _FusionTables | None = None) -> int:
     """The incidence number of three parameters at coset representatives.
 
-    Computed by the character route over G x| (cap r_i Lambda_i r_i^{-1}) and,
-    when verify is set, re-derived through the GRP-reduction route; both must
-    agree exactly. `fusion` passes its run's tables; a call on its own starts
-    from empty tables.
+    Computed by the character route over G x| (cap r_i Lambda_i r_i^{-1}) and
+    re-derived through the GRP-reduction route; both must agree exactly.
+    `fusion` passes its run's tables; a call on its own starts from empty
+    tables.
     """
     top = inst.top
     if tables is None:
@@ -433,17 +425,15 @@ def incidence(inst: SemidirectInstance, params, reps, verify: bool = True, *,
     meet = tables.meet([p.lambda0 for p in params], tuple(reps))
     h0 = top.principal(meet).product
     chis = [tables.character(p, r, meet) for p, r in zip(params, reps)]
-    val = h0.haar_vec(h0.product(h0.product(h0.star_vec(chis[0]), chis[1]), chis[2]))
-    m_char = as_int(val)
+    m_char = as_int(h0.pair(chis[0], h0.product(chis[1], chis[2])))
 
-    if verify:
-        q1 = tables.moved_param(params[0], reps[0], meet)
-        grp, big = tables.grp(params[1], reps[1], params[2], reps[2], meet)
-        red = reduce_grp(top, grp, q1.u, q1.V, big=big)
-        m_proj = 0 if red is None else proj_mor_dim(q1.v, red.v)
-        if m_proj != m_char:
-            raise OracleDisagreement(
-                f"incidence routes disagree: characters {m_char}, reduction {m_proj}")
+    q1 = tables.moved_param(params[0], reps[0], meet)
+    grp, big = tables.grp(params[1], reps[1], params[2], reps[2], meet)
+    red = reduce_grp(top, grp, q1.u, q1.V, big=big)
+    m_proj = 0 if red is None else proj_mor_dim(q1.v, red.v)
+    if m_proj != m_char:
+        raise OracleDisagreement(
+            f"incidence routes disagree: characters {m_char}, reduction {m_proj}")
     return m_char
 
 
@@ -474,8 +464,7 @@ class FusionTable:
 
 
 def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
-                 w3: ClassifiedIrr, verify_incidence: bool = True,
-                 tables: _FusionTables | None = None) -> int:
+                 w3: ClassifiedIrr, tables: _FusionTables | None = None) -> int:
     """N_{w2,w3}^{w1} by the triple coset sum of incidence numbers.
 
     `fusion` passes its run's tables; a call on its own starts from tables
@@ -488,7 +477,7 @@ def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
     subs = [p.lambda0 for p in params]
     total = 0.0
     for reps in itertools.product(*([z for z, _ in left_cosets(s)] for s in subs)):
-        m = incidence(top, params, reps, verify=verify_incidence, tables=tables)
+        m = incidence(top, params, reps, tables=tables)
         total += m * tables.meet(subs, reps).order / top.lam_full.order
     try:
         return as_int(total, tol=TOL_ACCEPT)
@@ -496,8 +485,7 @@ def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
         raise NonIntegerCoefficient(str(exc)) from exc
 
 
-def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr],
-           verify_incidence: bool = True) -> FusionTable:
+def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionTable:
     """The full fusion cube, three-way checked.
 
     Every entry is computed by (1) the coset-sum incidence formula, (2) the
@@ -525,9 +513,8 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr],
             chi_t = h.product(w2.character, w3.character)
             for i1, w1 in enumerate(classified):
                 found = {
-                    "formula": fusion_entry(top, w1, w2, w3, verify_incidence, tables),
-                    "characters": as_int(h.haar_vec(h.product(
-                        h.star_vec(w1.character), chi_t))),
+                    "formula": fusion_entry(top, w1, w2, w3, tables),
+                    "characters": as_int(h.pair(w1.character, chi_t)),
                     "modules": int(modules[i1, i2, i3]),
                 }
                 for route in found:

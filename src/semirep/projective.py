@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, TOL_VERIFY, as_int, decompose,
-                      max_abs, module_hom_basis)
+from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, as_int, decompose, max_abs,
+                      module_hom_basis)
 from .cohomology import (Cochain1, Cochain2, coboundary, cocycle_inverse,
                          cocycle_product, is_cocycle, restrict_cocycle,
                          trivial_cochain2)
@@ -43,7 +43,7 @@ class ProjectiveRep:
     def character(self) -> np.ndarray:
         return np.einsum("rii->r", self.mats)
 
-    def verify(self, tol: float = TOL_VERIFY) -> float:
+    def verify(self) -> float:
         """Max residual over: V(e)=1, unitarity, V(r)V(s) = w(r,s)V(rs)."""
         g = self.group
         eye = np.eye(self.dim)
@@ -56,7 +56,7 @@ class ProjectiveRep:
         return worst
 
 
-def cocycle_of(group: FiniteGroup, mats, tol: float = TOL_ACCEPT) -> Cochain2:
+def cocycle_of(group: FiniteGroup, mats) -> Cochain2:
     """Extract the unique cocycle with V(r)V(s) = w(r,s) V(rs)."""
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[1]
@@ -73,8 +73,8 @@ def cocycle_of(group: FiniteGroup, mats, tol: float = TOL_ACCEPT) -> Cochain2:
             w /= abs(w)
             worst = max(worst, max_abs(prod - w * mats[rs]))
             vals[r, s] = w
-    if worst > tol:
-        raise NotProjective(f"projectivity residual {worst} exceeds {tol}")
+    if worst > TOL_ACCEPT:
+        raise NotProjective(f"projectivity residual {worst} exceeds {TOL_ACCEPT}")
     omega = Cochain2(group, vals)
     ok, res, triple = is_cocycle(omega)
     if not ok:
@@ -114,11 +114,11 @@ def proj_char_pairing(v1: ProjectiveRep, v2: ProjectiveRep) -> complex:
     return complex(np.vdot(chi1, chi2) / v1.group.order)
 
 
-def proj_mor_dim(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = TOL_ACCEPT) -> int:
+def proj_mor_dim(v1: ProjectiveRep, v2: ProjectiveRep) -> int:
     """dim Mor(v1, v2) by the character inner product (same cocycle required)."""
     if v1.group != v2.group:
         raise ValidationError("morphism spaces need a common group")
-    if max_abs(v1.cocycle.values - v2.cocycle.values) > tol:
+    if max_abs(v1.cocycle.values - v2.cocycle.values) > TOL_ACCEPT:
         raise CocycleMismatch("projective representations have different cocycles")
     return as_int(proj_char_pairing(v1, v2))
 
@@ -146,8 +146,8 @@ def contragredient(v: ProjectiveRep) -> ProjectiveRep:
     return ProjectiveRep(v.group, np.conj(v.mats), cocycle_inverse(v.cocycle))
 
 
-def direct_sum(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = TOL_ACCEPT) -> ProjectiveRep:
-    if max_abs(v1.cocycle.values - v2.cocycle.values) > tol:
+def direct_sum(v1: ProjectiveRep, v2: ProjectiveRep) -> ProjectiveRep:
+    if max_abs(v1.cocycle.values - v2.cocycle.values) > TOL_ACCEPT:
         raise CocycleMismatch("direct sum requires equal cocycles")
     n1, n2 = v1.dim, v2.dim
     mats = np.zeros((v1.group.order, n1 + n2, n1 + n2), dtype=complex)
@@ -156,7 +156,7 @@ def direct_sum(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = TOL_ACCEPT) ->
     return ProjectiveRep(v1.group, mats, v1.cocycle)
 
 
-def transitional_map(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = TOL_ACCEPT) -> Cochain1:
+def transitional_map(v1: ProjectiveRep, v2: ProjectiveRep) -> Cochain1:
     """The unique b with V2 = b V1, if V2(r)V1(r)^{-1} is scalar for every r."""
     if v1.group != v2.group or v1.dim != v2.dim:
         raise ValidationError("transitional map needs equal groups and dimensions")
@@ -167,7 +167,7 @@ def transitional_map(v1: ProjectiveRep, v2: ProjectiveRep, tol: float = TOL_ACCE
         if abs(ratio) < 1e-8:
             raise NotScalarRelated(f"V2({r}) is orthogonal to V1({r})")
         ratio /= abs(ratio)
-        if max_abs(v2.mats[r] - ratio * v1.mats[r]) > tol:
+        if max_abs(v2.mats[r] - ratio * v1.mats[r]) > TOL_ACCEPT:
             raise NotScalarRelated(f"V2({r}) is not a scalar multiple of V1({r})")
         vals[r] = ratio
     return Cochain1(g, vals)

@@ -55,12 +55,13 @@ class SemidirectInstance:
 
     For the top-level instance, subgroup covers all of Lambda. Sub-instances
     share the same base algebra and draw their automorphisms from the parent.
+    Only the top-level instance (top is None) verifies the Hopf axioms, and it
+    keeps the report as `axioms`.
     """
 
     def __init__(self, base: HopfData, lam_full: FiniteGroup,
                  alpha: list[QAutomorphism], subgroup: Subgroup,
-                 top: "SemidirectInstance | None" = None, check: bool = True,
-                 tol: float = TOL_VERIFY):
+                 top: "SemidirectInstance | None" = None):
         self.base = base
         self.lam_full = lam_full
         self.alpha = alpha  # indexed by *global* Lambda elements
@@ -68,13 +69,15 @@ class SemidirectInstance:
         self.lam = subgroup.group
         local_mats = [alpha[p].matrix for p in subgroup.elements]
         self.product = _product_hopf(base, self.lam, local_mats)
-        self.top = top if top is not None else self
         self._principal_cache: dict = {self.subgroup.elements: self}
-        if check:
-            report = verify_axioms(self.product, tol)
-            if not report["pass"]:
+        if top is None:
+            self.top = self
+            self.axioms = verify_axioms(self.product)
+            if not self.axioms["pass"]:
                 raise ValidationError(
-                    f"semidirect product fails Hopf axioms (max {report['max']:.2e})")
+                    f"semidirect product fails Hopf axioms (max {self.axioms['max']:.2e})")
+        else:
+            self.top = top
 
     # -- indexing ---------------------------------------------------------------
 
@@ -98,8 +101,7 @@ class SemidirectInstance:
             raise ValidationError("subgroup is not contained in Lambda")
         cached = top._principal_cache.get(sub.elements)
         if cached is None:
-            cached = SemidirectInstance(top.base, top.lam_full, top.alpha, sub,
-                                        top=top, check=False)
+            cached = SemidirectInstance(top.base, top.lam_full, top.alpha, sub, top=top)
             top._principal_cache[sub.elements] = cached
         return cached
 
@@ -108,10 +110,10 @@ class SemidirectInstance:
                 f"Lambda0 {list(self.subgroup.elements)})")
 
 
-def build(base: HopfData, lam: FiniteGroup, alpha: list[QAutomorphism],
-          tol: float = TOL_VERIFY) -> SemidirectInstance:
+def build(base: HopfData, lam: FiniteGroup,
+          alpha: list[QAutomorphism]) -> SemidirectInstance:
     """Assemble G x| Lambda and verify all Hopf axioms."""
-    return SemidirectInstance(base, lam, alpha, full_subgroup(lam), check=True, tol=tol)
+    return SemidirectInstance(base, lam, alpha, full_subgroup(lam))
 
 
 def restrict_corep(inst: SemidirectInstance, u: Corep, sub: Subgroup) -> Corep:
@@ -153,8 +155,7 @@ def split_covariant(inst: SemidirectInstance, u: Corep) -> tuple[Corep, Projecti
     return ug, ul
 
 
-def check_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep,
-                    tol: float = TOL_VERIFY):
+def check_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep):
     """Residual of sum_k f_ik(r) u_kj = sum_k f_kj(r) alpha*_r(u_ik), with witness."""
     worst, witness = 0.0, None
     for r_local in inst.lam.elements():
@@ -167,15 +168,14 @@ def check_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep,
         if local_worst > worst:
             ij = np.unravel_index(np.argmax(res.max(axis=-1)), (ug.dim, ug.dim))
             worst, witness = local_worst, (r_local, int(ij[0]), int(ij[1]))
-    return worst <= tol, worst, witness
+    return worst <= TOL_VERIFY, worst, witness
 
 
-def join_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep,
-                   tol: float = TOL_VERIFY) -> Corep:
+def join_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep) -> Corep:
     """U = (U_G)_12 (U_Lambda)_13 for a covariant pair; U_ij = sum_k u_ik (x) f_kj."""
-    if max_abs(ul.cocycle.values - 1.0) > tol:
+    if max_abs(ul.cocycle.values - 1.0) > TOL_VERIFY:
         raise NotCovariant("the Lambda part must be an ordinary representation")
-    ok, worst, witness = check_covariant(inst, ug, ul, tol)
+    ok, worst, witness = check_covariant(inst, ug, ul)
     if not ok:
         raise NotCovariant(f"covariance residual {worst:.2e} at (r, i, j) = {witness}")
     d = inst.base.dim

@@ -161,7 +161,7 @@ def test_criterion_07_intertwiner_formula():
         n_pairs = 14 if name != "D" else 10
         for _ in range(n_pairs):
             i, j = rng.integers(0, len(pool), 2)
-            formula = ind_mor_dim(inst, csrs[int(i)], csrs[int(j)], verify=False)
+            formula = ind_mor_dim(inst, csrs[int(i)], csrs[int(j)])
             direct = mor_dim(induce(inst, csrs[int(i)]).result,
                              induce(inst, csrs[int(j)]).result)
             assert formula == direct

@@ -55,6 +55,60 @@ def test_missing_field_exits_1(tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+SPEC_A = json.loads((INSTANCES / "instance_a.json").read_text())
+RAW_TRIVIAL = {  # C of the trivial group as raw tensors
+    "kind": "raw_hopf",
+    "base": {"mult": [[[1.0]]], "unit": [1.0], "comult": [[[1.0]]], "counit": [1.0],
+             "antipode": [[1.0]], "star": [[1.0]], "haar": [1.0]},
+    "lambda": {"order": 1, "table": [[0]]},
+    "action": [[[1.0]]],
+}
+MALFORMED_FILES = {  # name -> (document, text the error line must contain)
+    "top_level_number": (5, "JSON object"),
+    "action_not_a_list": (dict(SPEC_A, action=5), "action"),
+    "action_out_of_range": (dict(SPEC_A, action=[[0, 1, 2], [0, 1, 7]]), "permute"),
+    "table_not_integer": (dict(SPEC_A, base={"order": 3, "table": [
+        [0, 1, 2], [1, 2, 0], [2, 0, "x"]]}), "integer multiplication table"),
+    "table_entry_fractional": (dict(SPEC_A, base={"order": 3, "table": [
+        [0, 1, 2], [1, 2, 0], [2, 0, 2.9]]}), "integer multiplication table"),
+    "action_entry_fractional": (dict(SPEC_A, action=[[0, 1, 2], [0, 2.9, 1]]),
+                                "integer permutations"),
+    "seed_not_integer": (dict(SPEC_A, seed="x"), "seed"),
+    "seed_fractional": (dict(SPEC_A, seed=7.5), "seed"),
+    "raw_hopf_without_unit": (dict(RAW_TRIVIAL, base={
+        k: v for k, v in RAW_TRIVIAL["base"].items() if k != "unit"}), "unit"),
+    "raw_hopf_action_not_square": (dict(RAW_TRIVIAL, action=[[[1.0], [0.0]]]),
+                                   "action matrices"),
+}
+
+
+def assert_one_error_line(code, err, needle):
+    assert code == 1, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert needle in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_file_exits_1(name, tmp_path):
+    doc, needle = MALFORMED_FILES[name]
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli("check", str(bad))
+    assert_one_error_line(code, err, needle)
+
+
+@pytest.mark.parametrize("subgroup,param,needle", [
+    ("a", "x:1,v:0", "--subgroup"),
+    ("0,5", "x:1,v:0", "--subgroup"),
+    ("0", "x", "--param"),
+    ("0", "x:a,v:0", "--param"),
+])
+def test_malformed_induce_arguments_exit_1(subgroup, param, needle):
+    code, _, err = run_cli("induce", str(INSTANCES / "instance_a.json"),
+                           "--subgroup", subgroup, "--param", param)
+    assert_one_error_line(code, err, needle)
+
+
 def test_irr_instance_a_rows():
     code, out, _ = run_cli("irr", str(INSTANCES / "instance_a.json"),
                            "--format", "structured")

@@ -163,3 +163,38 @@ def test_dual_algebra_associative_and_blocks():
         dims = module_irreducible_dims(regular_corep(h))
         assert sorted(dims) == expected
         assert sum(d * d for d in dims) == h.dim
+
+
+def _pairing_algebra(case, request):
+    """The product algebra of a shipped instance, a principal sub-instance of
+    E, or the base of a raw_hopf instance."""
+    from semirep.corpus import build_instance, instance
+    from semirep.groups import Subgroup
+    if case == "F":
+        return instance("F").product
+    if len(case) == 1:
+        return request.getfixturevalue(f"inst_{case.lower()}").product
+    if case == "E principal":
+        inst = request.getfixturevalue("inst_e")
+        return inst.principal(Subgroup(inst.lam_full, (0, 1))).product
+    h = group_algebra(symmetric_group(3))
+
+    def pairs(arr):
+        return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    spec = {"kind": "raw_hopf",
+            "base": {k: pairs(getattr(h, k)) for k in
+                     ("mult", "unit", "comult", "counit", "antipode", "star", "haar")},
+            "lambda": {"order": 1, "table": [[0]]},
+            "action": [pairs(np.eye(h.dim, dtype=complex))]}
+    return build_instance(spec).base
+
+
+@pytest.mark.parametrize("case", [*"ABCDEF", "E principal", "raw_hopf base"])
+def test_pair_matches_product_route(case, request):
+    """pair(x, y) through the Gram matrix equals h(x^* y) through the product."""
+    h = _pairing_algebra(case, request)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, h.dim)) + 1j * rng.standard_normal((2, h.dim))
+        reference = h.haar_vec(h.product(h.star_vec(x), y))
+        assert abs(h.pair(x, y) - reference) <= 1e-12

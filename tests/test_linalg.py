@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semirep._linalg import module_hom_basis, sylvester_system
+from semirep._linalg import module_hom_basis, nullspace, sylvester_system
 
 
 def kron_system(mats1, mats2):
@@ -40,3 +40,16 @@ def test_module_hom_basis_solves_the_sylvester_equations():
         assert t.shape == (4, 2)
         for b, m in zip(blocks, mats2):
             assert np.max(np.abs(t @ b - m @ t)) < 1e-9
+
+
+@pytest.mark.parametrize("rows,cols,rank", [(12, 5, 3), (5, 5, 2), (3, 7, 3), (2, 6, 1)])
+def test_nullspace_tall_and_wide(rows, cols, rank):
+    """Tall and wide matrices both return an orthonormal basis of the full
+    nullspace, cols - rank rows."""
+    rng = np.random.default_rng(rows * 10 + cols)
+    mat = (rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))) \
+        @ (rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols)))
+    basis = nullspace(mat)
+    assert basis.shape == (cols - rank, cols)
+    assert np.allclose(basis @ basis.conj().T, np.eye(cols - rank), atol=1e-12)
+    assert np.max(np.abs(mat @ basis.T)) < 1e-10
