@@ -1,10 +1,16 @@
-"""Shared numerical helpers: tolerances, nullspaces, module homs, spectral splitting."""
+"""Shared numerical helpers: tolerances, nullspaces, module homs, spectral splitting.
+
+Module homs come from one dense solve, the nullspace of the stacked Sylvester
+system. The largest module split, the regular one, never builds that system:
+its commutant is known in closed form (corep.regular_corep), and only the
+small pieces it splits into are solved for.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import IntegerRecoveryError
+from .errors import IntegerRecoveryError, OracleDisagreement
 
 # Tolerance ladder: constructions should be exact to TOL_BUILD, verified
 # invariants hold to TOL_VERIFY, and fuzzy acceptance (equivalence tests on
@@ -16,11 +22,6 @@ TOL_ACCEPT = 1e-6
 EIG_CLUSTER_TOL = 1e-7
 INT_ROUND_TOL = 0.1
 DEFAULT_SEED = 7
-
-# module_hom_basis solves the full stacked Sylvester system while it has at most
-# 8 * DENSE_NULLSPACE_LIMIT rows (slices * n1 * n2); above that it switches to
-# the two-stage solve, whose first SVD has three slices' rows.
-DENSE_NULLSPACE_LIMIT = 1024
 
 
 def as_int(value, tol: float = INT_ROUND_TOL) -> int:
@@ -77,52 +78,21 @@ def module_hom_basis(mats1, mats2) -> list[np.ndarray]:
     """Basis of {T : T m1_a = m2_a T for all a}, i.e. homs of matrix families.
 
     mats1 acts on C^{n1}, mats2 on C^{n2}; returned T's are n2 x n1,
-    orthonormal in the Hilbert-Schmidt inner product. Large systems switch to
-    a two-stage solve: the nullspace of a few random slice combinations (a
-    superset of the hom space), refined by imposing every equation exactly
-    within that candidate span.
+    orthonormal in the Hilbert-Schmidt inner product.
     """
     mats1 = np.asarray(mats1, dtype=complex)
     mats2 = np.asarray(mats2, dtype=complex)
-    n1 = mats1.shape[1]
-    n2 = mats2.shape[1]
+    n1, n2 = mats1.shape[1], mats2.shape[1]
+    return [vec.reshape(n2, n1) for vec in nullspace(sylvester_system(mats1, mats2))]
 
-    if len(mats1) * n1 * n2 <= 8 * DENSE_NULLSPACE_LIMIT:
-        basis = nullspace(sylvester_system(mats1, mats2))
-        return [vec.reshape(n2, n1) for vec in basis]
 
-    # Stage 1: candidates from random combinations (deterministic seed).
-    rng = np.random.default_rng(DEFAULT_SEED)
-    combos1, combos2 = [], []
-    for _ in range(3):
-        c = rng.standard_normal(len(mats1)) + 1j * rng.standard_normal(len(mats1))
-        combos1.append(sum(ci * m for ci, m in zip(c, mats1)))
-        combos2.append(sum(ci * m for ci, m in zip(c, mats2)))
-    cands = nullspace(sylvester_system(np.stack(combos1), np.stack(combos2)))
-    if cands.shape[0] == 0:
-        return []
-    cand_mats = [vec.reshape(n2, n1) for vec in cands]
-    # Stage 2: exact refinement against every slice equation.
-    m = len(cand_mats)
-    gram = np.zeros((m, m), dtype=complex)
-    images = np.empty((len(mats1), m, n2, n1), dtype=complex)
-    for a, (m1, m2) in enumerate(zip(mats1, mats2)):
-        for i, t in enumerate(cand_mats):
-            images[a, i] = m2 @ t - t @ m1
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = np.sum(np.conj(images[:, i]) * images[:, j])
-    vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
-    scale = max(1.0, float(vals.max()) if m else 1.0)
-    out = []
-    for idx in np.where(vals < 1e-9 * scale)[0]:
-        t = sum(vecs[k, idx] * cand_mats[k] for k in range(m))
-        out.append(t / np.linalg.norm(t))
-    # re-orthonormalize (numerically) via QR on the flattened vectors
-    if out:
-        q, _ = np.linalg.qr(np.stack([t.reshape(-1) for t in out], axis=1))
-        out = [q[:, k].reshape(n2, n1) for k in range(q.shape[1])]
-    return out
+def check_commutant(mats, comm) -> None:
+    """Raise unless every element of comm commutes with every matrix in mats
+    to TOL_VERIFY."""
+    worst = max(max_abs(c @ mats - mats @ c) for c in comm)
+    if worst > TOL_VERIFY:
+        raise OracleDisagreement(
+            f"commutant basis fails to commute by {worst:.2e}")
 
 
 def hermitian_basis(basis: list[np.ndarray]) -> list[np.ndarray]:
@@ -165,26 +135,27 @@ def split_invariant_subspaces(commutant: list[np.ndarray],
     return [vecs[:, g] for g in cluster_eigvals(vals)]
 
 
-def decompose(x, commutant, compress, equivalent, rng: np.random.Generator):
+def decompose(x, comm, commutant, compress, equivalent, rng: np.random.Generator):
     """Pairwise-inequivalent irreducible pieces of x, with multiplicities.
 
     The block-diagonalisation of a matrix *-algebra (Murota, Kanno, Kojima and
-    Kojima, Japan J. Indust. Appl. Math. 27, 2010): `commutant(x)` is a basis
-    of the commutant, `compress(x, q)` the piece on the range of an isometry
-    q. Pieces are split by a random self-adjoint commutant element until the
-    commutant is trivial, then grouped by `equivalent(a, b)`. Returns a list
-    of (piece, multiplicity).
+    Kojima, Japan J. Indust. Appl. Math. 27, 2010): `comm` is a basis of the
+    commutant of x, `commutant(piece)` one of a piece's commutant and
+    `compress(x, q)` the piece on the range of an isometry q. Pieces are split
+    by a random self-adjoint commutant element until the commutant is
+    trivial, then grouped by `equivalent(a, b)`. Returns a list of
+    (piece, multiplicity).
     """
     factors = []
-    stack = [x]
+    stack = [(x, comm)]
     while stack:
-        cur = stack.pop()
-        comm = commutant(cur)
+        cur, comm = stack.pop()
         if len(comm) == 1:
             factors.append(cur)
             continue
         for q in split_invariant_subspaces(comm, rng):
-            stack.append(compress(cur, q))
+            piece = compress(cur, q)
+            stack.append((piece, commutant(piece)))
     grouped = []
     for f in factors:
         for i, (g0, mult) in enumerate(grouped):

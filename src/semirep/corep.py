@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (DEFAULT_SEED, TOL_VERIFY, as_int, decompose, max_abs,
-                      module_hom_basis)
+from ._linalg import (DEFAULT_SEED, TOL_VERIFY, as_int, check_commutant,
+                      decompose, max_abs, module_hom_basis)
 from .errors import (OracleDisagreement, OrbitResolutionFailure,
                      PeterWeylMismatch, ValidationError)
 from .groups import FiniteGroup, GroupAction
@@ -145,15 +145,25 @@ def _compress(u: Corep, q: np.ndarray) -> Corep:
     return Corep(u.parent, entries)
 
 
-def irr_decompose(u: Corep, seed: int = DEFAULT_SEED) -> list[tuple[Corep, int]]:
-    """Pairwise-inequivalent irreducible factors with multiplicities."""
-    return decompose(u, lambda x: intertwiner_basis(x, x), _compress,
+def irr_decompose(u: Corep, comm, seed: int = DEFAULT_SEED) -> list[tuple[Corep, int]]:
+    """Pairwise-inequivalent irreducible factors with multiplicities; comm is
+    a basis of u's self-intertwiners, e.g. intertwiner_basis(u, u)."""
+    return decompose(u, comm, lambda x: intertwiner_basis(x, x), _compress,
                      lambda a, b: a.dim == b.dim and mor_dim(a, b) >= 1,
                      np.random.default_rng(seed))
 
 
-def regular_corep(h: HopfData) -> Corep:
-    """The right regular corepresentation on an h-orthonormal basis."""
+def regular_corep(h: HopfData) -> tuple[Corep, np.ndarray]:
+    """The right regular corepresentation on an h-orthonormal basis f_i, with
+    a basis of its self-intertwiners in closed form.
+
+    Writing Delta(f_j) = f_j(1) (x) f_j(2), slice q has entries
+    h(f_i^* f_j(1)) times the e_q-coefficient of f_j(2). Swapping the two legs
+    gives the commutant (translations on either side commute by
+    coassociativity): element b has entries h(f_i^* f_j(2)) times the
+    e_b-coefficient of f_j(1). The basis is checked to commute with every
+    slice, so the first split of the regular module needs no linear solve.
+    """
     gram = h.gram()
     vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
     if vals.min() < 1e-10:
@@ -165,9 +175,10 @@ def regular_corep(h: HopfData) -> Corep:
     hmat = np.einsum("li,lpk,k->ip", bs, h.mult, h.haar)
     # Delta(f_j) coefficients: dj[j, p, q]
     dj = np.einsum("ij,ipq->jpq", b, h.comult)
-    entries = np.einsum("ip,jpq->ijq", hmat, dj)
-    u = Corep(h, entries)
-    return u
+    u = Corep(h, np.einsum("ip,jpq->ijq", hmat, dj))
+    comm = np.einsum("iq,jbq->bij", hmat, dj)
+    check_commutant(u.coeff_slices(), comm)
+    return u, comm
 
 
 def _char_sort_key(u: Corep):
@@ -184,8 +195,7 @@ def irr_enumerate(h: HopfData, seed: int = DEFAULT_SEED) -> list[Corep]:
     key = ("irr_enumerate", seed)
     if key in h._cache:
         return h._cache[key]
-    reg = regular_corep(h)
-    grouped = irr_decompose(reg, seed)
+    grouped = irr_decompose(*regular_corep(h), seed)
     irreps = sorted((f for f, _ in grouped), key=_char_sort_key)
     total = sum(f.dim ** 2 for f in irreps)
     if total != h.dim:

@@ -30,6 +30,7 @@ class FiniteGroup:
             self._validate()
         self.identity = self._find_identity()
         self.inv = self._find_inverses()
+        self._subgroups: dict = {}  # Subgroup.group tables, keyed by elements
 
     def _validate(self):
         n = self.order
@@ -260,7 +261,7 @@ class Subgroup:
     @property
     def group(self) -> FiniteGroup:
         """The subgroup as a FiniteGroup on local indices 0..|H|-1."""
-        cached = _subgroup_cache.get((id(self.parent), self.elements))
+        cached = self.parent._subgroups.get(self.elements)
         if cached is not None:
             return cached
         pos = {p: i for i, p in enumerate(self.elements)}
@@ -270,7 +271,7 @@ class Subgroup:
             for j, b in enumerate(self.elements):
                 table[i, j] = pos[self.parent.mul(a, b)]
         grp = FiniteGroup(table, validate=False)
-        _subgroup_cache[(id(self.parent), self.elements)] = grp
+        self.parent._subgroups[self.elements] = grp
         return grp
 
     def is_subset_of(self, other: "Subgroup") -> bool:
@@ -300,9 +301,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup({list(self.elements)})"
-
-
-_subgroup_cache: dict = {}
 
 
 def full_subgroup(g: FiniteGroup) -> Subgroup:

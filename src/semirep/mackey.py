@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import TOL_ACCEPT, TOL_VERIFY, as_int, first_entry_phase, max_abs
-from .cohomology import Cochain2, cocycle_inverse, cocycle_product
+from .cohomology import Cochain2, cocycle_inverse, cocycle_product, pullback_adj
 from .corep import (Corep, act, conjugate, intertwiner_basis, irr_action,
                     irr_enumerate, mor_dim, tensor as corep_tensor)
 from .errors import (CompletenessFailure, GramFailure, NonIntegerCoefficient,
@@ -142,16 +142,10 @@ def translate_projective(v: ProjectiveRep, sub_from: Subgroup,
     """(r . v)(r a r^{-1}) = v(a), a projective rep of r Lambda0 r^{-1}."""
     lam = sub_from.parent
     sub_to = conjugate_subgroup(sub_from, r)
-    n = sub_from.order
-    mats = np.zeros_like(v.mats)
-    vals = np.zeros((n, n), dtype=complex)
     srcs = [sub_from.to_local(lam.conjugate(lam.inverse(r), p))
             for p in sub_to.elements]
-    for i, si in enumerate(srcs):
-        mats[i] = v.mats[si]
-        for j, sj in enumerate(srcs):
-            vals[i, j] = v.cocycle.values[si, sj]
-    return ProjectiveRep(sub_to.group, mats, Cochain2(sub_to.group, vals)), sub_to
+    return ProjectiveRep(sub_to.group, v.mats[srcs],
+                         pullback_adj(v.cocycle, sub_from, sub_to, r)), sub_to
 
 
 def translate_param(inst: SemidirectInstance, r: int, p: GRParameter) -> GRParameter:

@@ -38,29 +38,25 @@ def _compress_slices(slices: list[np.ndarray], q: np.ndarray) -> list[np.ndarray
     return [q.conj().T @ s @ q for s in slices]
 
 
-def module_decompose(u: Corep, seed: int = DEFAULT_SEED):
-    """Irreducible submodules of u's slice module, with multiplicities.
+def module_decompose(u: Corep, comm, seed: int = DEFAULT_SEED):
+    """Irreducible submodules of u's slice module, with multiplicities; comm
+    is a basis of the module's commutant.
 
     Returns a list of (slices, multiplicity). Equivalence is decided by
     module-hom dimension, never by characters.
     """
-    return decompose(u.coeff_slices(), lambda s: module_hom_basis(s, s),
+    return decompose(u.coeff_slices(), comm, lambda s: module_hom_basis(s, s),
                      _compress_slices,
                      lambda a, b: (a[0].shape == b[0].shape
                                    and len(module_hom_basis(a, b)) >= 1),
                      np.random.default_rng(seed))
 
 
-def module_irreducible_dims(u: Corep, seed: int = DEFAULT_SEED) -> list[int]:
-    return sorted(f[0].shape[0] for f, _ in module_decompose(u, seed))
-
-
 def oracle_irr_dims(h: HopfData, seed: int = DEFAULT_SEED) -> list[int]:
     """Dimensions of Irr(H) from the regular module, certified by Peter-Weyl."""
-    dims = module_irreducible_dims(regular_corep(h), seed)
+    dims = sorted(f[0].shape[0] for f, _ in module_decompose(*regular_corep(h), seed))
     if sum(d * d for d in dims) != h.dim:
         raise PeterWeylMismatch(
             f"dual-algebra blocks give sum dim^2 = {sum(d * d for d in dims)}"
             f" != {h.dim}")
     return dims
-

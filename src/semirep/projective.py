@@ -192,9 +192,11 @@ def decompose_projective(v: ProjectiveRep, rng=None) -> list[tuple[ProjectiveRep
     """Split into pairwise-inequivalent irreducibles with multiplicities."""
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    return decompose(v, lambda x: module_hom_basis(list(x.mats), list(x.mats)),
-                     _subrep, lambda a, b: a.dim == b.dim and proj_mor_dim(a, b) >= 1,
-                     rng)
+
+    def commutant(x):
+        return module_hom_basis(x.mats, x.mats)
+    return decompose(v, commutant(v), commutant, _subrep,
+                     lambda a, b: a.dim == b.dim and proj_mor_dim(a, b) >= 1, rng)
 
 
 def _char_sort_key(v: ProjectiveRep):

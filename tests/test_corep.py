@@ -15,7 +15,7 @@ def test_regular_corep_valid():
     for h in (function_algebra(cyclic_group(3)),
               function_algebra(symmetric_group(3)),
               group_algebra(symmetric_group(3))):
-        reg = regular_corep(h)
+        reg, _ = regular_corep(h)
         rep = verify_corep(reg)
         assert rep["pass"], rep
 
@@ -23,7 +23,7 @@ def test_regular_corep_valid():
 def test_trivial_corep_is_tensor_unit():
     h = function_algebra(cyclic_group(3))
     one = trivial_corep(h)
-    reg = regular_corep(h)
+    reg, _ = regular_corep(h)
     t = tensor(one, reg)
     assert t.dim == reg.dim
     assert np.max(np.abs(t.entries - reg.entries)) < 1e-12
@@ -71,7 +71,7 @@ def test_peter_weyl_and_orthogonality():
 
 def test_mor_dim_trivial_in_regular():
     h = function_algebra(symmetric_group(3))
-    assert mor_dim(trivial_corep(h), regular_corep(h)) == 1
+    assert mor_dim(trivial_corep(h), regular_corep(h)[0]) == 1
 
 
 def test_s3_classical_fusion_smoke():
@@ -86,8 +86,7 @@ def test_s3_classical_fusion_smoke():
 
 def test_irr_decompose_regular_s3():
     h = function_algebra(symmetric_group(3))
-    reg = regular_corep(h)
-    parts = irr_decompose(reg)
+    parts = irr_decompose(*regular_corep(h))
     got = sorted((u.dim, m) for u, m in parts)
     assert got == [(1, 1), (1, 1), (2, 2)]
     for u, _ in parts:
@@ -98,7 +97,7 @@ def test_irr_decompose_regular_s3():
 def test_irr_decompose_irreducible_passthrough():
     h = function_algebra(cyclic_group(3))
     u = irr_enumerate(h)[1]
-    assert [(f.dim, m) for f, m in irr_decompose(u)] == [(1, 1)]
+    assert [(f.dim, m) for f, m in irr_decompose(u, intertwiner_basis(u, u))] == [(1, 1)]
 
 
 def test_intertwiner_basis_vs_mor_dim():

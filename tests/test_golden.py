@@ -1,8 +1,9 @@
 """Structured CLI output pinned across commits.
 
 tests/golden holds the structured output of check, irr, conj and oracle on
-A-D, of fuse on A-C and of induce (--subgroup 0 --param x:1,v:0) on A-C, all
-with --seed 7. A refactor that keeps the arithmetic must reproduce these files
+A-D, of oracle on E and F (whose regular modules are the largest split), of
+fuse on A-C and of induce (--subgroup 0 --param x:1,v:0) on A-C, all with
+--seed 7. A refactor that keeps the arithmetic must reproduce these files
 byte for byte.
 """
 
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXTRA_ARGS = {"induce": ["--subgroup", "0", "--param", "x:1,v:0"]}
 CASES = [(cmd, x) for cmd in ("check", "irr", "conj", "oracle") for x in "abcd"] + \
+    [("oracle", "e"), ("oracle", "f")] + \
     [(cmd, x) for cmd in ("fuse", "induce") for x in "abc"]
 
 

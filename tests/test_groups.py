@@ -225,3 +225,16 @@ def test_subgroup_generators():
             break
         frontier |= new
     assert len(frontier) == 6
+
+
+def test_subgroup_table_belongs_to_its_parent():
+    """A group built where a collected one lived never sees its subgroup tables."""
+    everything = (0, 1, 2, 3)
+    klein = direct_product(cyclic_group(2), cyclic_group(2)).mult
+    for _ in range(20):
+        z4 = cyclic_group(4)
+        assert np.array_equal(Subgroup(z4, everything).group.mult, z4.mult)
+        del z4
+        z2z2 = direct_product(cyclic_group(2), cyclic_group(2))
+        assert np.array_equal(Subgroup(z2z2, everything).group.mult, klein)
+        del z2z2

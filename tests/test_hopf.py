@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from semirep.errors import NotAntihomomorphism, NotAutomorphism, NoUniqueHaar
+from semirep._linalg import check_commutant, module_hom_basis
+from semirep.corep import regular_corep
+from semirep.errors import (NotAntihomomorphism, NotAutomorphism, NoUniqueHaar,
+                            OracleDisagreement)
 from semirep.groups import cyclic_group, symmetric_group
 from semirep.hopf import (HopfData, action_from_group_hom, dual_algebra,
                           function_algebra, group_algebra, haar_solve, is_kac,
@@ -147,9 +150,6 @@ def test_action_rejects_non_homomorphism():
 
 
 def test_dual_algebra_associative_and_blocks():
-    from semirep._linalg import module_hom_basis
-    from semirep.corep import regular_corep
-
     for h, expected in ((function_algebra(symmetric_group(3)), [1, 1, 2]),
                         (group_algebra(symmetric_group(3)), [1, 1, 1, 1, 1, 1])):
         mult_hat, star_hat = dual_algebra(h)
@@ -159,10 +159,8 @@ def test_dual_algebra_associative_and_blocks():
         # star is involutive on the dual
         assert np.max(np.abs(star_hat @ np.conj(star_hat) - np.eye(h.dim))) < 1e-12
         # block dims via the module decomposition of the regular corep slices
-        from semirep.oracle import module_irreducible_dims
-        dims = module_irreducible_dims(regular_corep(h))
-        assert sorted(dims) == expected
-        assert sum(d * d for d in dims) == h.dim
+        from semirep.oracle import oracle_irr_dims
+        assert oracle_irr_dims(h) == expected
 
 
 def _pairing_algebra(case, request):
@@ -198,3 +196,26 @@ def test_pair_matches_product_route(case, request):
         x, y = rng.standard_normal((2, h.dim)) + 1j * rng.standard_normal((2, h.dim))
         reference = h.haar_vec(h.product(h.star_vec(x), y))
         assert abs(h.pair(x, y) - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["A", "C[S3]", "raw_hopf base"])
+def test_regular_commutant_spans_module_homs(case, request):
+    """The closed-form commutant of the regular corep spans the Sylvester
+    nullspace of its slices."""
+    h = group_algebra(symmetric_group(3)) if case == "C[S3]" \
+        else _pairing_algebra(case, request)
+    reg, comm = regular_corep(h)
+    slices = reg.coeff_slices()
+    homs = np.stack([t.reshape(-1) for t in module_hom_basis(slices, slices)])
+    flat = comm.reshape(len(comm), -1)
+    rank = np.linalg.matrix_rank
+    assert rank(flat) == rank(homs) == rank(np.vstack([flat, homs])) == h.dim
+
+
+def test_corrupted_regular_commutant_raises(inst_a):
+    reg, comm = regular_corep(inst_a.product)
+    slices = reg.coeff_slices()
+    check_commutant(slices, comm)
+    for bad in (comm.transpose(1, 0, 2), slices):
+        with pytest.raises(OracleDisagreement):
+            check_commutant(slices, bad)
