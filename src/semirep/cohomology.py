@@ -100,10 +100,13 @@ def cocycle_product(o1: Cochain2, o2: Cochain2) -> Cochain2:
     return Cochain2(o1.group, o1.values * o2.values)
 
 
-def restrict_cocycle(omega: Cochain2, sub: Subgroup) -> Cochain2:
-    """Restriction to a subgroup, reindexed to the subgroup's local group."""
+def restrict_cocycle(omega: Cochain2, sub: Subgroup,
+                     group: FiniteGroup | None = None) -> Cochain2:
+    """Restriction to a subgroup, reindexed to the subgroup's local group
+    (or to `group`, a group with the same table)."""
     idx = np.asarray(sub.elements)
-    return Cochain2(sub.group, omega.values[np.ix_(idx, idx)])
+    return Cochain2(sub.group if group is None else group,
+                    omega.values[np.ix_(idx, idx)])
 
 
 def pullback_adj(omega: Cochain2, sub_src: Subgroup, sub_dst: Subgroup, r: int) -> Cochain2:

@@ -1,5 +1,10 @@
 """Finite-dimensional Hopf *-algebras as dense structure-constant tensors.
 
+verify_axioms checks the axioms that involve two structure tensors
+(associativity, coassociativity, Delta multiplicative, star
+antimultiplicative, Delta a *-map) by sparse contraction of the nonzero
+entries of mult, comult and star, so no d^4 array is ever built.
+
 Conventions for a HopfData of dimension d with basis e_0..e_{d-1}:
   - mult[i, j, k]:    e_i e_j = sum_k mult[i, j, k] e_k
   - unit[i]:          1 = sum_i unit[i] e_i
@@ -45,6 +50,15 @@ class HopfData:
                                       f"expected {shape}")
         self.dim = d
         self._cache: dict = {}
+
+    def coo(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Nonzero entries of a structure tensor: (raveled indices, values)."""
+        key = ("coo", name)
+        if key not in self._cache:
+            flat = getattr(self, name).reshape(-1)
+            idx = np.flatnonzero(flat)
+            self._cache[key] = (idx, flat[idx])
+        return self._cache[key]
 
     # -- element-level helpers (coefficient vectors) --------------------------
 
@@ -106,31 +120,137 @@ class QAutomorphism:
         return worst
 
 
+# Term pairs in one slice of _join; a slice's temporaries take about 100 bytes
+# a pair, and every shipped instance joins in one slice.
+JOIN_TERMS = 1 << 18
+
+
+def _ravel(keys, letters: str, chosen, d: int):
+    """Raveled base-d key over the `chosen` letters of keys raveled over `letters`."""
+    out = np.zeros(len(keys), dtype=np.int64)
+    for c in chosen:
+        out *= d
+        out += keys // d ** (len(letters) - 1 - letters.index(c)) % d
+    return out
+
+
+def _sum_duplicates(keys, vals):
+    """Sorted unique keys with the values of equal keys summed."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(vals, starts)
+
+
+def _join(subscripts: str, a, b, d: int):
+    """Two-operand einsum of sparse operands (raveled keys, values), in parts.
+
+    Every letter shared by the operands is summed. b is sorted by its shared
+    key and each entry of a is searchsorted against it, so it meets exactly
+    its run of matching b entries. The entries of a are ordered by their
+    output letters and taken in consecutive slices of at most JOIN_TERMS term
+    pairs, never splitting entries with equal output letters (such a group
+    with more pairs is a slice of its own). Yields one part per slice: sorted
+    unique output keys raveled base d with their summed values; the parts'
+    key sets are disjoint.
+    """
+    ins, out = subscripts.split("->")
+    sa, sb = ins.split(",")
+    (ka, va), (kb, vb) = a, b
+    shared = [c for c in sa if c in sb]
+    skb = _ravel(kb, sb, shared, d)
+    order = np.argsort(skb, kind="stable")
+    skb = skb[order]
+    group = _ravel(ka, sa, [c for c in out if c in sa], d)
+    rank = np.argsort(group, kind="stable")
+    ka, va, group = ka[rank], va[rank], group[rank]
+    ska = _ravel(ka, sa, shared, d)
+    lo = np.searchsorted(skb, ska, "left")
+    counts = np.searchsorted(skb, ska, "right") - lo
+    ends = np.cumsum(counts)
+    if not len(ka):
+        return
+    stops = np.append(np.flatnonzero(np.diff(group)) + 1, len(ka))
+    done = ends[stops - 1]  # pairs formed up to each stop
+    start = nxt = 0
+    while start < len(ka):
+        before = ends[start] - counts[start]
+        nxt = max(int(np.searchsorted(done, before + JOIN_TERMS, "right")) - 1, nxt)
+        stop = stops[nxt]
+        nxt += 1
+        runs = counts[start:stop]
+        rows = np.repeat(np.arange(start, stop), runs)
+        first = lo[start:stop] - (ends[start:stop] - runs - before)
+        brows = order[np.arange(len(rows)) + np.repeat(first, runs)]
+        vals = va[rows]
+        vals *= vb[brows]
+        ga, gb = ka[rows], kb[brows]
+        del rows, brows
+        key = np.zeros(len(ga), dtype=np.int64)
+        for c in out:
+            key *= d
+            key += _ravel(ga, sa, c, d) if c in sa else _ravel(gb, sb, c, d)
+        del ga, gb
+        yield _sum_duplicates(key, vals)
+        start = stop
+
+
+def _contract(subscripts: str, a, b, d: int):
+    """_join's parts as one sparse operand (unique, not sorted, keys)."""
+    parts = list(_join(subscripts, a, b, d))
+    if len(parts) == 1:
+        return parts[0]
+    return (np.concatenate([k for k, _ in parts] + [np.zeros(0, dtype=np.int64)]),
+            np.concatenate([v for _, v in parts] + [np.zeros(0, dtype=complex)]))
+
+
+def _residual(lhs, rhs) -> float:
+    """max |lhs - rhs| over the union of the supports of two _join results.
+
+    lhs is held in its parts; rhs is consumed one part at a time, and each of
+    its keys is looked up only in the lhs parts whose key range covers it.
+    Every key lies in at most one part of each side, so each difference is
+    one subtraction, as in the dense difference.
+    """
+    lhs = [part for part in lhs if len(part[0])]
+    seen = [np.zeros(len(kl), dtype=bool) for kl, _ in lhs]
+    worst = 0.0
+    for kr, vr in rhs:
+        diff = vr.copy()
+        for (kl, vl), hit_l in zip(lhs, seen):
+            span = slice(np.searchsorted(kr, kl[0]), np.searchsorted(kr, kl[-1], "right"))
+            pos = np.searchsorted(kl, kr[span])
+            hit = kl[pos] == kr[span]
+            diff[span][hit] -= vl[pos[hit]]
+            hit_l[pos[hit]] = True
+        worst = max(worst, max_abs(diff))
+    return max([worst] + [max_abs(vl[~hit_l]) for (_, vl), hit_l in zip(lhs, seen)])
+
+
 def verify_axioms(h: HopfData) -> dict:
     """Residual per Hopf *-algebra axiom; passes iff all below TOL_VERIFY."""
     d = h.dim
     res: dict[str, float] = {}
     eye = np.eye(d)
+    m, c, s = h.coo("mult"), h.coo("comult"), h.coo("star")
 
-    assoc = np.einsum("ijm,mkl->ijkl", h.mult, h.mult) \
-        - np.einsum("jkm,iml->ijkl", h.mult, h.mult)
-    res["associativity"] = max_abs(assoc)
+    res["associativity"] = _residual(_join("ijm,mkl->ijkl", m, m, d),
+                                     _join("jkm,iml->ijkl", m, m, d))
     res["unit"] = max(
         max_abs(np.einsum("i,ijk->jk", h.unit, h.mult) - eye),
         max_abs(np.einsum("j,ijk->ik", h.unit, h.mult) - eye))
 
-    coassoc = np.einsum("iml,mjk->ijkl", h.comult, h.comult) \
-        - np.einsum("ijm,mkl->ijkl", h.comult, h.comult)
-    res["coassociativity"] = max_abs(coassoc)
+    res["coassociativity"] = _residual(_join("iml,mjk->ijkl", c, c, d),
+                                       _join("ijm,mkl->ijkl", c, c, d))
     res["counit"] = max(
         max_abs(np.einsum("ijk,j->ik", h.comult, h.counit) - eye),
         max_abs(np.einsum("ijk,k->ij", h.comult, h.counit) - eye))
 
-    # Delta is a unital algebra morphism
-    lhs = np.einsum("ijk,kpq->ijpq", h.mult, h.comult)
-    rhs = np.einsum("iab,jcd,acp,bdq->ijpq", h.comult, h.comult, h.mult, h.mult,
-                    optimize=True)
-    res["comult_multiplicative"] = max_abs(lhs - rhs)
+    # Delta is a unital algebra morphism: Delta(e_i e_j) = Delta(e_i) Delta(e_j),
+    # the right side as sum_{b,c} [sum_a D(i,a,b) m(a,c,p)] [sum_d D(j,c,d) m(b,d,q)]
+    rhs = _join("ibcp,jcbq->ijpq", _contract("iab,acp->ibcp", c, m, d),
+                _contract("jcd,bdq->jcbq", c, m, d), d)
+    res["comult_multiplicative"] = _residual(_join("ijk,kpq->ijpq", m, c, d), rhs)
     res["comult_unital"] = max_abs(np.einsum("i,ijk->jk", h.unit, h.comult)
                                    - np.outer(h.unit, h.unit))
     res["counit_multiplicative"] = max_abs(
@@ -138,12 +258,13 @@ def verify_axioms(h: HopfData) -> dict:
 
     # star: antilinear involutive antiautomorphism, Delta a *-morphism
     res["star_involutive"] = max_abs(h.star @ np.conj(h.star) - eye)
-    lhs = np.einsum("ijk,pk->ijp", np.conj(h.mult), h.star)  # coeffs of (e_i e_j)^*
-    rhs = np.einsum("bj,ai,bap->ijp", h.star, h.star, h.mult)  # coeffs of e_j^* e_i^*
-    res["star_antimultiplicative"] = max_abs(lhs - rhs)
-    lhs = np.einsum("ki,kpq->ipq", h.star, h.comult)  # Delta(e_i^*)
-    rhs = np.einsum("ijk,pj,qk->ipq", np.conj(h.comult), h.star, h.star)
-    res["comult_star"] = max_abs(lhs - rhs)
+    conj_m, conj_c = (m[0], np.conj(m[1])), (c[0], np.conj(c[1]))
+    res["star_antimultiplicative"] = _residual(
+        _join("ijk,pk->ijp", conj_m, s, d),  # coeffs of (e_i e_j)^*
+        _join("jap,ai->ijp", _contract("bj,bap->jap", s, m, d), s, d))  # e_j^* e_i^*
+    res["comult_star"] = _residual(
+        _join("ki,kpq->ipq", s, c, d),  # Delta(e_i^*)
+        _join("ikp,qk->ipq", _contract("ijk,pj->ikp", conj_c, s, d), s, d))
 
     # antipode axiom m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
     left = np.einsum("ijk,lj,lkp->ip", h.comult, h.antipode, h.mult, optimize=True)

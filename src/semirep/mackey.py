@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import TOL_ACCEPT, TOL_VERIFY, as_int, first_entry_phase, max_abs
-from .cohomology import Cochain2, cocycle_inverse, cocycle_product, pullback_adj
+from .cohomology import cocycle_inverse, cocycle_product, pullback_adj
 from .corep import (Corep, act, conjugate, intertwiner_basis, irr_action,
                     irr_enumerate, mor_dim, tensor as corep_tensor)
 from .errors import (CompletenessFailure, GramFailure, NonIntegerCoefficient,
@@ -29,7 +29,8 @@ from .induction import induce
 from .oracle import module_fusion_cube
 from .projective import (ProjectiveRep, cocycle_of, contragredient,
                          irreducible_projreps, ordinary_rep, proj_mor_dim,
-                         rescale, tensor as proj_tensor, transitional_map)
+                         rescale, restrict, tensor as proj_tensor,
+                         transitional_map)
 from .semidirect import (SemidirectInstance, act_corep, instance_of_corep,
                          join_covariant, restrict_corep)
 
@@ -126,17 +127,6 @@ def covariant_projective(inst: SemidirectInstance, u: Corep,
 
 # -- moving parameters around ----------------------------------------------------
 
-def restrict_projective(v: ProjectiveRep, sub_from: Subgroup,
-                        sub_to: Subgroup) -> ProjectiveRep:
-    """Restrict a projective rep between (global) subgroups, sub_to <= sub_from."""
-    if not sub_to.is_subset_of(sub_from):
-        raise ValidationError("restriction target is not a subgroup of the source")
-    locs = [sub_from.to_local(p) for p in sub_to.elements]
-    mats = v.mats[np.asarray(locs)]
-    vals = v.cocycle.values[np.ix_(locs, locs)]
-    return ProjectiveRep(sub_to.group, mats, Cochain2(sub_to.group, vals))
-
-
 def translate_projective(v: ProjectiveRep, sub_from: Subgroup,
                          r: int) -> tuple[ProjectiveRep, Subgroup]:
     """(r . v)(r a r^{-1}) = v(a), a projective rep of r Lambda0 r^{-1}."""
@@ -158,9 +148,13 @@ def translate_param(inst: SemidirectInstance, r: int, p: GRParameter) -> GRParam
 
 
 def restrict_param(p: GRParameter, sub_to: Subgroup) -> GRParameter:
+    """(u, V, v) restricted to a (global) subgroup sub_to of its Lambda0."""
+    if not sub_to.is_subset_of(p.lambda0):
+        raise ValidationError("restriction target is not a subgroup of the source")
+    local = Subgroup(p.lambda0.group, [p.lambda0.to_local(x) for x in sub_to.elements])
     cls = RepParameter if isinstance(p, RepParameter) else GRParameter
-    return cls(p.u, restrict_projective(p.V, p.lambda0, sub_to),
-               restrict_projective(p.v, p.lambda0, sub_to), sub_to)
+    return cls(p.u, restrict(p.V, local, sub_to.group),
+               restrict(p.v, local, sub_to.group), sub_to)
 
 
 # -- the CSR corepresentation ----------------------------------------------------

@@ -135,10 +135,13 @@ def tensor(v1: ProjectiveRep, v2: ProjectiveRep) -> ProjectiveRep:
     return ProjectiveRep(v1.group, mats, cocycle_product(v1.cocycle, v2.cocycle))
 
 
-def restrict(v: ProjectiveRep, sub: Subgroup) -> ProjectiveRep:
-    """Restriction to a subgroup of v.group, reindexed to sub.group."""
+def restrict(v: ProjectiveRep, sub: Subgroup,
+             group: FiniteGroup | None = None) -> ProjectiveRep:
+    """Restriction to a subgroup of v.group, reindexed to sub.group (or to
+    `group`, a group with the same table)."""
+    group = sub.group if group is None else group
     idx = np.asarray(sub.elements)
-    return ProjectiveRep(sub.group, v.mats[idx], restrict_cocycle(v.cocycle, sub))
+    return ProjectiveRep(group, v.mats[idx], restrict_cocycle(v.cocycle, sub, group))
 
 
 def contragredient(v: ProjectiveRep) -> ProjectiveRep:

@@ -180,3 +180,12 @@ def test_conj_command():
     assert sorted(pairing) == sorted(pairing.values())
     for k, v in pairing.items():
         assert pairing[v] == k
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency, and start-up pays for no scipy."""
+    probe = ("import sys, semirep.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,11 +1,15 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from semirep._linalg import check_commutant, module_hom_basis
+from semirep import hopf
+from semirep._linalg import TOL_VERIFY, check_commutant, max_abs, module_hom_basis
 from semirep.corep import regular_corep
 from semirep.errors import (NotAntihomomorphism, NotAutomorphism, NoUniqueHaar,
                             OracleDisagreement)
-from semirep.groups import cyclic_group, symmetric_group
+from semirep.groups import all_subgroups, cyclic_group, symmetric_group
 from semirep.hopf import (HopfData, action_from_group_hom, dual_algebra,
                           function_algebra, group_algebra, haar_solve, is_kac,
                           trivial_action, verify_axioms)
@@ -219,3 +223,230 @@ def test_corrupted_regular_commutant_raises(inst_a):
     for bad in (comm.transpose(1, 0, 2), slices):
         with pytest.raises(OracleDisagreement):
             check_commutant(slices, bad)
+
+
+# -- sparse axiom residuals against the dense reference ---------------------------
+
+def _dense_verify_axioms(h: HopfData) -> dict:
+    """The dense einsum form of verify_axioms, kept only as a reference."""
+    d = h.dim
+    res: dict[str, float] = {}
+    eye = np.eye(d)
+
+    assoc = np.einsum("ijm,mkl->ijkl", h.mult, h.mult) \
+        - np.einsum("jkm,iml->ijkl", h.mult, h.mult)
+    res["associativity"] = max_abs(assoc)
+    res["unit"] = max(
+        max_abs(np.einsum("i,ijk->jk", h.unit, h.mult) - eye),
+        max_abs(np.einsum("j,ijk->ik", h.unit, h.mult) - eye))
+
+    coassoc = np.einsum("iml,mjk->ijkl", h.comult, h.comult) \
+        - np.einsum("ijm,mkl->ijkl", h.comult, h.comult)
+    res["coassociativity"] = max_abs(coassoc)
+    res["counit"] = max(
+        max_abs(np.einsum("ijk,j->ik", h.comult, h.counit) - eye),
+        max_abs(np.einsum("ijk,k->ij", h.comult, h.counit) - eye))
+
+    lhs = np.einsum("ijk,kpq->ijpq", h.mult, h.comult)
+    rhs = np.einsum("iab,jcd,acp,bdq->ijpq", h.comult, h.comult, h.mult, h.mult,
+                    optimize=True)
+    res["comult_multiplicative"] = max_abs(lhs - rhs)
+    res["comult_unital"] = max_abs(np.einsum("i,ijk->jk", h.unit, h.comult)
+                                   - np.outer(h.unit, h.unit))
+    res["counit_multiplicative"] = max_abs(
+        np.einsum("ijk,k->ij", h.mult, h.counit) - np.outer(h.counit, h.counit))
+
+    res["star_involutive"] = max_abs(h.star @ np.conj(h.star) - eye)
+    lhs = np.einsum("ijk,pk->ijp", np.conj(h.mult), h.star)
+    rhs = np.einsum("bj,ai,bap->ijp", h.star, h.star, h.mult)
+    res["star_antimultiplicative"] = max_abs(lhs - rhs)
+    lhs = np.einsum("ki,kpq->ipq", h.star, h.comult)
+    rhs = np.einsum("ijk,pj,qk->ipq", np.conj(h.comult), h.star, h.star)
+    res["comult_star"] = max_abs(lhs - rhs)
+
+    left = np.einsum("ijk,lj,lkp->ip", h.comult, h.antipode, h.mult, optimize=True)
+    right = np.einsum("ijk,lk,jlp->ip", h.comult, h.antipode, h.mult, optimize=True)
+    target = np.outer(h.counit, h.unit)
+    res["antipode"] = max(max_abs(left - target), max_abs(right - target))
+
+    res["haar_unital"] = abs(complex(h.haar @ h.unit) - 1.0)
+    res["haar_invariance"] = max(
+        max_abs(np.einsum("ijk,j->ik", h.comult, h.haar) - np.outer(h.haar, h.unit)),
+        max_abs(np.einsum("ijk,k->ij", h.comult, h.haar) - np.outer(h.haar, h.unit)))
+    gram = h.gram()
+    res["haar_hermitian"] = max_abs(gram - gram.conj().T)
+    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    res["haar_positivity"] = max(0.0, float(-eigs.min()))
+
+    res["max"] = max(v for k, v in res.items() if k != "max") if res else 0.0
+    res["pass"] = res["max"] < TOL_VERIFY
+    return res
+
+
+PERMS3 = sorted(itertools.permutations(range(3)))
+
+
+def _s4_conjugation_spec(lam, embed):
+    """C(S4) x| lam, r acting by conjugation with the S4 permutation embed(r)."""
+    s4 = symmetric_group(4)
+    perms = sorted(itertools.permutations(range(4)))
+    act = []
+    for r in lam.elements():
+        s = perms.index(embed(r))
+        act.append([s4.mul(s4.mul(s, g), s4.inverse(s)) for g in s4.elements()])
+    return {"name": f"C(S4) x| group of order {lam.order} by conjugation",
+            "kind": "function_algebra",
+            "base": {"order": 24, "table": s4.mult.tolist()},
+            "lambda": {"order": lam.order, "table": lam.mult.tolist()},
+            "action": act}
+
+
+@pytest.fixture(scope="module")
+def s4_rung():
+    """C(S4) x| Z2, Z2 acting by conjugation with the transposition (0 1); dim 48."""
+    from semirep.corpus import build_instance
+    spec = _s4_conjugation_spec(cyclic_group(2),
+                                lambda r: (1, 0, 2, 3) if r else (0, 1, 2, 3))
+    return build_instance(spec).product
+
+
+def _fresh(h: HopfData) -> HopfData:
+    """The same tensors with empty caches."""
+    return HopfData(h.mult, h.unit, h.comult, h.counit, h.antipode, h.star, h.haar)
+
+
+@pytest.mark.parametrize("case", [*"ABCDEF", "raw_hopf base", "rung"])
+def test_sparse_residuals_equal_dense_reference(case, request, s4_rung):
+    h = s4_rung if case == "rung" else _pairing_algebra(case, request)
+    assert verify_axioms(h) == _dense_verify_axioms(h)
+
+
+def test_sparse_residuals_equal_dense_reference_on_e_principals(inst_e):
+    for sub in all_subgroups(inst_e.lam_full):
+        h = inst_e.principal(sub).product
+        assert verify_axioms(h) == _dense_verify_axioms(h), sub.elements
+
+
+CORRUPTIONS = {  # tensor -> axioms a dense perturbation of it must break
+    "mult": ("associativity", "comult_multiplicative", "star_antimultiplicative"),
+    "comult": ("coassociativity", "comult_multiplicative", "comult_star"),
+    "star": ("star_involutive", "star_antimultiplicative", "comult_star"),
+    "antipode": ("antipode",),
+    "unit": ("unit", "comult_unital"),
+    "counit": ("counit", "counit_multiplicative"),
+    "haar": ("haar_unital", "haar_invariance"),
+}
+
+
+def _corrupted(h: HopfData, name: str) -> HopfData:
+    """h with a dense random perturbation of size 0.05 added to one tensor."""
+    rng = np.random.default_rng(11)
+    tensors = {k: getattr(h, k).copy() for k in
+               ("mult", "unit", "comult", "counit", "antipode", "star", "haar")}
+    shape = tensors[name].shape
+    tensors[name] += 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return HopfData(**tensors)
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_corrupted_tensor_breaks_its_axioms(name, inst_c):
+    bad = _corrupted(inst_c.product, name)
+    rep, ref = verify_axioms(bad), _dense_verify_axioms(bad)
+    assert set(rep) == set(ref)
+    for key in CORRUPTIONS[name]:
+        assert rep[key] > 1e-3, (key, rep[key])
+    for key in rep:
+        assert abs(rep[key] - ref[key]) <= 1e-12, (key, rep[key], ref[key])
+    assert not rep["pass"] and not ref["pass"]
+
+
+@pytest.mark.parametrize("name", ["mult", "comult", "star"])
+def test_single_entry_corruption_matches_dense_reference(name, inst_a):
+    """A change at one index leaves keys that only one side of an axiom reaches."""
+    h = inst_a.product
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        tensors = {k: getattr(h, k).copy() for k in
+                   ("mult", "unit", "comult", "counit", "antipode", "star", "haar")}
+        at = tuple(rng.integers(h.dim, size=tensors[name].ndim))
+        tensors[name][at] += 0.05
+        bad = HopfData(**tensors)
+        rep, ref = verify_axioms(bad), _dense_verify_axioms(bad)
+        for key in rep:
+            assert abs(rep[key] - ref[key]) <= 1e-12, (at, key, rep[key], ref[key])
+        assert not rep["pass"]
+
+
+@pytest.mark.parametrize("name", ["mult", "comult", "star"])
+def test_sliced_contractions_match_dense_reference(name, inst_c, monkeypatch):
+    """With slices of a few term pairs, every join runs in many parts, and
+    entries that sum into one output key still meet in one slice."""
+    monkeypatch.setattr(hopf, "JOIN_TERMS", 7)
+    bad = _corrupted(inst_c.product, name)
+    rep, ref = verify_axioms(bad), _dense_verify_axioms(bad)
+    for key in rep:
+        assert abs(rep[key] - ref[key]) <= 1e-12, (key, rep[key], ref[key])
+
+
+def _sparse(arr):
+    flat = arr.reshape(-1)
+    idx = np.flatnonzero(flat)
+    return idx, flat[idx]
+
+
+@pytest.mark.parametrize("subscripts", ["ijm,mkl->ijkl", "iml,mjk->ijkl", "ki,kpq->ipq",
+                                        "ibcp,jcbq->ijpq", "jap,ai->ijp", "ab,cd->dbca"])
+@pytest.mark.parametrize("join_terms", [1, 5, 1 << 18])
+def test_join_matches_einsum(subscripts, join_terms, monkeypatch):
+    monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
+    d = 4
+    rng = np.random.default_rng(len(subscripts) + join_terms)
+    (sa, sb), out = subscripts.split("->")[0].split(","), subscripts.split("->")[1]
+    a, b = (rng.standard_normal((d,) * len(s)) * (rng.random((d,) * len(s)) < 0.4)
+            + 0j for s in (sa, sb))
+    parts = list(hopf._join(subscripts, _sparse(a), _sparse(b), d))
+    keys = np.concatenate([k for k, _ in parts])
+    assert len(np.unique(keys)) == len(keys)
+    assert all(np.all(np.diff(k) > 0) for k, _ in parts)
+    got = np.zeros((d,) * len(out), dtype=complex).reshape(-1)
+    got[keys] = np.concatenate([v for _, v in parts])
+    assert max_abs(got.reshape((d,) * len(out)) - np.einsum(subscripts, a, b)) <= 1e-12
+
+
+def test_residual_covers_both_supports():
+    """Keys on one side only count with their full value, from either side."""
+    one = [(np.array([1, 5]), np.array([1.0, 3.0 + 0j]))]
+    other = [(np.array([1, 2]), np.array([1.0, 2.0 + 0j]))]
+    assert hopf._residual(one, other) == hopf._residual(other, one) == 3.0
+    split = [(np.array([5]), np.array([3.0 + 0j])), (np.array([1]), np.array([1.5 + 0j]))]
+    assert hopf._residual(split, iter(other)) == 3.0
+    assert hopf._residual([], []) == 0.0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rung_verification_builds_no_d4_array(s4_rung):
+    """At dim 48 one complex d^4 array is 81 MiB; the sparse residuals stay below."""
+    d = s4_rung.dim
+    rep, peak = _traced_peak(lambda: verify_axioms(_fresh(s4_rung)))
+    assert rep["pass"]
+    assert peak < 16 * d ** 4, peak
+
+
+def test_dim_144_instance_verifies():
+    """C(S4) x| S3, S3 in S4 as the permutations fixing 3, acting by conjugation."""
+    from semirep.corpus import build_instance
+    h = build_instance(_s4_conjugation_spec(symmetric_group(3),
+                                            lambda r: (*PERMS3[r], 3))).product
+    assert h.dim == 144
+    rep, peak = _traced_peak(lambda: verify_axioms(h))
+    assert rep["pass"], rep
+    assert peak < 256 * 2 ** 20, peak
+

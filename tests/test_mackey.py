@@ -4,8 +4,10 @@ import pytest
 from semirep._linalg import max_abs
 from semirep.cohomology import cocycle_inverse, cocycle_product
 from semirep.corep import Corep, irr_action, irr_enumerate, mor_dim, verify_corep
-from semirep.errors import NotStabilized, OracleDisagreement
-from semirep.groups import Subgroup, full_subgroup, orbits, stabilizer, trivial_subgroup
+from semirep.corpus import instance
+from semirep.errors import NotStabilized, OracleDisagreement, ValidationError
+from semirep.groups import (Subgroup, all_subgroups, full_subgroup, orbits, stabilizer,
+                            trivial_subgroup)
 from semirep.induction import induce, mackey_irreducible
 from semirep.mackey import (ClassifiedIrr, GRParameter, RepParameter, act_base,
                             classify, conjugate_parameter, conjugation_pairing,
@@ -300,6 +302,29 @@ def test_reduce_grp_empty_isotypic(inst_a):
     red = reduce_grp(inst_a, g, restrict_param(
         GRParameter(u0, v0, v, full), sub).u, w0)
     assert red is None
+
+
+@pytest.mark.parametrize("name", ["E", "F"])
+def test_restrict_param_sits_on_target_group(name, request):
+    """Restriction to a global subgroup reads V and v at its local indices and
+    puts them, with their cocycles, on the target's own group (F's last
+    parameter has a 2-dim v with a nontrivial cocycle)."""
+    inst = request.getfixturevalue("inst_e") if name == "E" else instance(name)
+    for w in classified(inst):
+        p = w.parameter
+        for sub in all_subgroups(inst.lam_full):
+            if not sub.is_subset_of(p.lambda0):
+                with pytest.raises(ValidationError):
+                    restrict_param(p, sub)
+                continue
+            q = restrict_param(p, sub)
+            locs = [p.lambda0.to_local(x) for x in sub.elements]
+            assert q.u is p.u and q.lambda0 == sub
+            for old, new in ((p.V, q.V), (p.v, q.v)):
+                assert new.group is sub.group and new.cocycle.group is sub.group
+                assert np.array_equal(new.mats, old.mats[locs])
+                assert np.array_equal(new.cocycle.values,
+                                      old.cocycle.values[np.ix_(locs, locs)])
 
 
 # -- incidence and fusion ----------------------------------------------------------
