@@ -1,12 +1,16 @@
 """Shared numerical helpers: tolerances, nullspaces, module homs, spectral splitting.
 
 Module homs come from one dense solve, the nullspace of the stacked Sylvester
-system. The largest module split, the regular one, never builds that system:
-its commutant is known in closed form (corep.regular_corep), and only the
-small pieces it splits into are solved for.
+system; where only their number is needed, it comes from the singular values
+alone (hom_space_dim). The largest module split, the regular one, never
+builds that system: its commutant is known in closed form
+(corep.regular_corep), and only the small pieces it splits into are solved
+for.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -45,6 +49,11 @@ def int_array(data) -> np.ndarray:
     return arr.astype(int)
 
 
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """Number of singular values (descending) above rtol * max(1, largest)."""
+    return int(np.sum(s > rtol * max(1.0, s[0] if len(s) else 0.0)))
+
+
 def nullspace(mat: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of the nullspace of `mat`, as rows of the result."""
     mat = np.asarray(mat, dtype=complex)
@@ -53,9 +62,16 @@ def nullspace(mat: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     # vh needs completing only for a wide matrix, whose nullspace rows lie past
     # its singular values; U is never used.
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    cutoff = rtol * max(1.0, s[0] if len(s) else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj()
+    return vh[_rank(s, rtol):].conj()
+
+
+def nullity(mat: np.ndarray, rtol: float = 1e-9) -> int:
+    """Dimension of the nullspace of `mat`: len(nullspace(mat, rtol)), from
+    the singular values alone."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.size == 0:
+        return mat.shape[1]
+    return mat.shape[1] - _rank(np.linalg.svd(mat, compute_uv=False), rtol)
 
 
 def sylvester_system(mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:
@@ -86,6 +102,12 @@ def module_hom_basis(mats1, mats2) -> list[np.ndarray]:
     return [vec.reshape(n2, n1) for vec in nullspace(sylvester_system(mats1, mats2))]
 
 
+def hom_space_dim(mats1, mats2) -> int:
+    """len(module_hom_basis(mats1, mats2)), without computing the basis."""
+    return nullity(sylvester_system(np.asarray(mats1, dtype=complex),
+                                    np.asarray(mats2, dtype=complex)))
+
+
 def check_commutant(mats, comm) -> None:
     """Raise unless every element of comm commutes with every matrix in mats
     to TOL_VERIFY."""
@@ -104,9 +126,8 @@ def hermitian_basis(basis: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def random_selfadjoint(basis: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    acc = sum(c * t for c, t in zip(coeffs, basis))
+def random_selfadjoint(basis: list[np.ndarray], rng: random.Random) -> np.ndarray:
+    acc = sum(complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) * t for t in basis)
     return (acc + acc.conj().T) / 2
 
 
@@ -123,7 +144,7 @@ def cluster_eigvals(vals: np.ndarray) -> list[np.ndarray]:
 
 
 def split_invariant_subspaces(commutant: list[np.ndarray],
-                              rng: np.random.Generator) -> list[np.ndarray]:
+                              rng: random.Random) -> list[np.ndarray]:
     """Isometries onto the spectral subspaces of a random commutant element.
 
     Each returned Q is dim x m with orthonormal columns. A single round of
@@ -135,7 +156,7 @@ def split_invariant_subspaces(commutant: list[np.ndarray],
     return [vecs[:, g] for g in cluster_eigvals(vals)]
 
 
-def decompose(x, comm, commutant, compress, equivalent, rng: np.random.Generator):
+def decompose(x, comm, commutant, compress, equivalent, seed: int):
     """Pairwise-inequivalent irreducible pieces of x, with multiplicities.
 
     The block-diagonalisation of a matrix *-algebra (Murota, Kanno, Kojima and
@@ -143,9 +164,11 @@ def decompose(x, comm, commutant, compress, equivalent, rng: np.random.Generator
     commutant of x, `commutant(piece)` one of a piece's commutant and
     `compress(x, q)` the piece on the range of an isometry q. Pieces are split
     by a random self-adjoint commutant element until the commutant is
-    trivial, then grouped by `equivalent(a, b)`. Returns a list of
-    (piece, multiplicity).
+    trivial, then grouped by `equivalent(a, b)`. The random elements are
+    drawn from the standard library's generator seeded with `seed`. Returns a
+    list of (piece, multiplicity).
     """
+    rng = random.Random(seed)
     factors = []
     stack = [(x, comm)]
     while stack:

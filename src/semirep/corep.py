@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (DEFAULT_SEED, TOL_VERIFY, as_int, check_commutant,
-                      decompose, max_abs, module_hom_basis)
+                      decompose, hom_space_dim, max_abs, module_hom_basis)
 from .errors import (OracleDisagreement, OrbitResolutionFailure,
                      PeterWeylMismatch, ValidationError)
 from .groups import FiniteGroup, GroupAction
@@ -97,17 +97,22 @@ def _char_mor_dim(u: Corep, w: Corep) -> int:
     return as_int(u.parent.pair(u.char_vec(), w.char_vec()))
 
 
-def intertwiner_basis(u: Corep, w: Corep) -> list[np.ndarray]:
-    """Orthonormal basis of Mor(u, w) = {T : (T (x) 1) u = w (T (x) 1)}."""
+def _common_parent(u: Corep, w: Corep) -> None:
     if u.parent is not w.parent:
         raise ValidationError("intertwiners require a common parent algebra")
+
+
+def intertwiner_basis(u: Corep, w: Corep) -> list[np.ndarray]:
+    """Orthonormal basis of Mor(u, w) = {T : (T (x) 1) u = w (T (x) 1)}."""
+    _common_parent(u, w)
     return module_hom_basis(u.coeff_slices(), w.coeff_slices())
 
 
 def mor_dim(u: Corep, w: Corep) -> int:
     """dim Mor(u, w), computed twice (characters and nullspace), must agree."""
     via_char = _char_mor_dim(u, w)
-    via_null = len(intertwiner_basis(u, w))
+    _common_parent(u, w)
+    via_null = hom_space_dim(u.coeff_slices(), w.coeff_slices())
     if via_char != via_null:
         raise OracleDisagreement(
             f"mor_dim mismatch: characters give {via_char}, nullspace gives {via_null}")
@@ -149,8 +154,7 @@ def irr_decompose(u: Corep, comm, seed: int = DEFAULT_SEED) -> list[tuple[Corep,
     """Pairwise-inequivalent irreducible factors with multiplicities; comm is
     a basis of u's self-intertwiners, e.g. intertwiner_basis(u, u)."""
     return decompose(u, comm, lambda x: intertwiner_basis(x, x), _compress,
-                     lambda a, b: a.dim == b.dim and mor_dim(a, b) >= 1,
-                     np.random.default_rng(seed))
+                     lambda a, b: a.dim == b.dim and mor_dim(a, b) >= 1, seed)
 
 
 def regular_corep(h: HopfData) -> tuple[Corep, np.ndarray]:

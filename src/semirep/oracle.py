@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import DEFAULT_SEED, decompose, module_hom_basis
+from ._linalg import DEFAULT_SEED, decompose, hom_space_dim, module_hom_basis
 from .corep import Corep, regular_corep, tensor
 from .errors import PeterWeylMismatch
 from .hopf import HopfData
@@ -19,7 +19,7 @@ from .hopf import HopfData
 
 def module_hom_dim(u: Corep, w: Corep) -> int:
     """dim of module homomorphisms between the slice modules of two coreps."""
-    return len(module_hom_basis(u.coeff_slices(), w.coeff_slices()))
+    return hom_space_dim(u.coeff_slices(), w.coeff_slices())
 
 
 def module_fusion_cube(coreps: list[Corep]) -> np.ndarray:
@@ -48,8 +48,7 @@ def module_decompose(u: Corep, comm, seed: int = DEFAULT_SEED):
     return decompose(u.coeff_slices(), comm, lambda s: module_hom_basis(s, s),
                      _compress_slices,
                      lambda a, b: (a[0].shape == b[0].shape
-                                   and len(module_hom_basis(a, b)) >= 1),
-                     np.random.default_rng(seed))
+                                   and hom_space_dim(a, b) >= 1), seed)
 
 
 def oracle_irr_dims(h: HopfData, seed: int = DEFAULT_SEED) -> list[int]:

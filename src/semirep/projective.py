@@ -191,15 +191,13 @@ def _subrep(v: ProjectiveRep, q: np.ndarray) -> ProjectiveRep:
     return ProjectiveRep(v.group, mats, v.cocycle)
 
 
-def decompose_projective(v: ProjectiveRep, rng=None) -> list[tuple[ProjectiveRep, int]]:
+def decompose_projective(v: ProjectiveRep,
+                         seed: int = DEFAULT_SEED) -> list[tuple[ProjectiveRep, int]]:
     """Split into pairwise-inequivalent irreducibles with multiplicities."""
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED)
-
     def commutant(x):
         return module_hom_basis(x.mats, x.mats)
     return decompose(v, commutant(v), commutant, _subrep,
-                     lambda a, b: a.dim == b.dim and proj_mor_dim(a, b) >= 1, rng)
+                     lambda a, b: a.dim == b.dim and proj_mor_dim(a, b) >= 1, seed)
 
 
 def _char_sort_key(v: ProjectiveRep):
@@ -218,8 +216,7 @@ def irreducible_projreps(group: FiniteGroup, omega: Cochain2, seed: int = DEFAUL
     if not ok:
         raise ValidationError(f"not a cocycle (residual {res} at {triple})")
     reg = regular_twisted_rep(group, omega)
-    rng = np.random.default_rng(seed)
-    grouped = decompose_projective(reg, rng)
+    grouped = decompose_projective(reg, seed)
     irreps = sorted((f for f, _ in grouped), key=_char_sort_key)
     total = sum(f.dim ** 2 for f in irreps)
     if total != group.order:

@@ -189,3 +189,15 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_irr_imports_no_numpy_random():
+    """The spectral splits draw from the standard library's seeded generator,
+    so a job never pays for importing numpy.random."""
+    probe = ("import sys, semirep.cli; rc = semirep.cli.main(sys.argv[1:]); "
+             "print(rc, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe, "irr",
+                           str(INSTANCES / "instance_a.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

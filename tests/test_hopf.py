@@ -9,7 +9,7 @@ from semirep._linalg import TOL_VERIFY, check_commutant, max_abs, module_hom_bas
 from semirep.corep import regular_corep
 from semirep.errors import (NotAntihomomorphism, NotAutomorphism, NoUniqueHaar,
                             OracleDisagreement)
-from semirep.groups import all_subgroups, cyclic_group, symmetric_group
+from semirep.groups import Subgroup, all_subgroups, cyclic_group, symmetric_group
 from semirep.hopf import (HopfData, action_from_group_hom, dual_algebra,
                           function_algebra, group_algebra, haar_solve, is_kac,
                           trivial_action, verify_axioms)
@@ -167,18 +167,9 @@ def test_dual_algebra_associative_and_blocks():
         assert oracle_irr_dims(h) == expected
 
 
-def _pairing_algebra(case, request):
-    """The product algebra of a shipped instance, a principal sub-instance of
-    E, or the base of a raw_hopf instance."""
-    from semirep.corpus import build_instance, instance
-    from semirep.groups import Subgroup
-    if case == "F":
-        return instance("F").product
-    if len(case) == 1:
-        return request.getfixturevalue(f"inst_{case.lower()}").product
-    if case == "E principal":
-        inst = request.getfixturevalue("inst_e")
-        return inst.principal(Subgroup(inst.lam_full, (0, 1))).product
+def _raw_hopf_instance(lam, mats):
+    """C[S3] given as raw_hopf data, lam acting by the matrices mats."""
+    from semirep.corpus import build_instance
     h = group_algebra(symmetric_group(3))
 
     def pairs(arr):
@@ -186,9 +177,23 @@ def _pairing_algebra(case, request):
     spec = {"kind": "raw_hopf",
             "base": {k: pairs(getattr(h, k)) for k in
                      ("mult", "unit", "comult", "counit", "antipode", "star", "haar")},
-            "lambda": {"order": 1, "table": [[0]]},
-            "action": [pairs(np.eye(h.dim, dtype=complex))]}
-    return build_instance(spec).base
+            "lambda": {"order": lam.order, "table": lam.mult.tolist()},
+            "action": [pairs(m) for m in mats]}
+    return build_instance(spec)
+
+
+def _pairing_algebra(case, request):
+    """The product algebra of a shipped instance, a principal sub-instance of
+    E, or the base of a raw_hopf instance."""
+    from semirep.corpus import instance
+    if case == "F":
+        return instance("F").product
+    if len(case) == 1:
+        return request.getfixturevalue(f"inst_{case.lower()}").product
+    if case == "E principal":
+        inst = request.getfixturevalue("inst_e")
+        return inst.principal(Subgroup(inst.lam_full, (0, 1))).product
+    return _raw_hopf_instance(cyclic_group(1), [np.eye(6, dtype=complex)]).base
 
 
 @pytest.mark.parametrize("case", [*"ABCDEF", "E principal", "raw_hopf base"])
@@ -286,28 +291,35 @@ def _dense_verify_axioms(h: HopfData) -> dict:
 PERMS3 = sorted(itertools.permutations(range(3)))
 
 
-def _s4_conjugation_spec(lam, embed):
-    """C(S4) x| lam, r acting by conjugation with the S4 permutation embed(r)."""
-    s4 = symmetric_group(4)
-    perms = sorted(itertools.permutations(range(4)))
+def _conjugation_spec(n, base, lam, embed):
+    """C(K) x| lam for a subgroup K of S_n, given by its S_n indices `base`;
+    r acts by conjugation with the S_n permutation embed(r)."""
+    sn = symmetric_group(n)
+    perms = sorted(itertools.permutations(range(n)))
+    k = Subgroup(sn, base)
     act = []
     for r in lam.elements():
         s = perms.index(embed(r))
-        act.append([s4.mul(s4.mul(s, g), s4.inverse(s)) for g in s4.elements()])
-    return {"name": f"C(S4) x| group of order {lam.order} by conjugation",
+        act.append([k.to_local(sn.mul(sn.mul(s, g), sn.inverse(s))) for g in k.elements])
+    return {"name": f"C(K), |K| = {k.order} in S{n}, x| group of order {lam.order}",
             "kind": "function_algebra",
-            "base": {"order": 24, "table": s4.mult.tolist()},
+            "base": {"order": k.order, "table": k.group.mult.tolist()},
             "lambda": {"order": lam.order, "table": lam.mult.tolist()},
             "action": act}
 
 
 @pytest.fixture(scope="module")
-def s4_rung():
+def rung_instance():
     """C(S4) x| Z2, Z2 acting by conjugation with the transposition (0 1); dim 48."""
     from semirep.corpus import build_instance
-    spec = _s4_conjugation_spec(cyclic_group(2),
-                                lambda r: (1, 0, 2, 3) if r else (0, 1, 2, 3))
-    return build_instance(spec).product
+    spec = _conjugation_spec(4, range(24), cyclic_group(2),
+                             lambda r: (1, 0, 2, 3) if r else (0, 1, 2, 3))
+    return build_instance(spec)
+
+
+@pytest.fixture(scope="module")
+def s4_rung(rung_instance):
+    return rung_instance.product
 
 
 def _fresh(h: HopfData) -> HopfData:
@@ -443,10 +455,118 @@ def test_rung_verification_builds_no_d4_array(s4_rung):
 def test_dim_144_instance_verifies():
     """C(S4) x| S3, S3 in S4 as the permutations fixing 3, acting by conjugation."""
     from semirep.corpus import build_instance
-    h = build_instance(_s4_conjugation_spec(symmetric_group(3),
-                                            lambda r: (*PERMS3[r], 3))).product
+    h = build_instance(_conjugation_spec(4, range(24), symmetric_group(3),
+                                         lambda r: (*PERMS3[r], 3))).product
     assert h.dim == 144
     rep, peak = _traced_peak(lambda: verify_axioms(h))
     assert rep["pass"], rep
     assert peak < 256 * 2 ** 20, peak
 
+
+def test_a5_instance_verifies():
+    """C(A5) x| Z2, A5 the even permutations in S5, Z2 acting by conjugation
+    with the transposition (0 1); dim 120."""
+    from semirep.corpus import build_instance
+    even = [i for i, p in enumerate(sorted(itertools.permutations(range(5))))
+            if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+    spec = _conjugation_spec(5, even, cyclic_group(2),
+                             lambda r: (1, 0, 2, 3, 4) if r else (0, 1, 2, 3, 4))
+    inst, peak = _traced_peak(lambda: build_instance(spec))
+    assert inst.base.dim == 60 and inst.dim == 120
+    assert inst.axioms["pass"], inst.axioms
+    assert peak < 256 * 2 ** 20, peak
+
+
+# -- automorphism residuals and the Gram matrix against their dense references ----
+
+def _dense_automorphism_residual(a: hopf.QAutomorphism) -> float:
+    """The dense einsum form of QAutomorphism.residual, kept only as a reference."""
+    h, m = a.parent, a.matrix
+    worst = max_abs(m @ h.unit - h.unit)
+    worst = max(worst, max_abs(h.counit @ m - h.counit))
+    lhs = np.einsum("ijk,pk->ijp", h.mult, m)
+    rhs = np.einsum("ai,bj,abp->ijp", m, m, h.mult)
+    worst = max(worst, max_abs(lhs - rhs))
+    worst = max(worst, max_abs(m @ h.star - h.star @ np.conj(m)))
+    lhs = np.einsum("ijk,pj,qk->ipq", h.comult, m, m)
+    rhs = np.einsum("ki,kpq->ipq", m, h.comult)
+    return max(worst, max_abs(lhs - rhs))
+
+
+def _dense_gram(h: HopfData) -> np.ndarray:
+    """The dense einsum form of HopfData.gram, kept only as a reference."""
+    return np.einsum("li,ljk,k->ij", h.star, h.mult, h.haar)
+
+
+def _action_instance(case, request):
+    from semirep.corpus import instance
+    if case == "F":
+        return instance("F")
+    if case == "raw_hopf matrix":  # Z2 conjugating by a transposition, as matrices
+        z2 = cyclic_group(2)
+        return _raw_hopf_instance(z2, [a.matrix for a in action_from_group_hom(
+            group_algebra(symmetric_group(3)), z2,
+            [np.arange(6), conj_by_transposition_perm()], kind="group")])
+    if case == "rung":
+        return request.getfixturevalue("rung_instance")
+    return request.getfixturevalue(f"inst_{case.lower()}")
+
+
+@pytest.mark.parametrize("join_terms", [hopf.JOIN_TERMS, 7])
+@pytest.mark.parametrize("case", [*"ABCDEF", "raw_hopf matrix", "rung"])
+def test_automorphism_residual_equals_dense_reference(case, join_terms, request,
+                                                      monkeypatch):
+    inst = _action_instance(case, request)
+    monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
+    assert len(inst.alpha) == inst.lam_full.order > 1
+    for a in inst.alpha:
+        assert abs(a.residual() - _dense_automorphism_residual(a)) <= 1e-12
+
+
+@pytest.mark.parametrize("join_terms", [hopf.JOIN_TERMS, 7])
+@pytest.mark.parametrize("case", ["A", "C", "raw_hopf matrix"])
+def test_corrupted_action_matrix_raises(case, join_terms, request, monkeypatch):
+    """A dense random perturbation of one action matrix is caught, and its
+    residual equals the dense reference; so is a change at a single entry."""
+    inst = _action_instance(case, request)
+    monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
+    h, d = inst.base, inst.base.dim
+    rng = np.random.default_rng(13)
+    for r in inst.lam_full.elements():
+        dense = 0.05 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        single = np.zeros((d, d), dtype=complex)
+        single[tuple(rng.integers(d, size=2))] = 0.05
+        for noise in (dense, single):
+            mats = [a.matrix.copy() for a in inst.alpha]
+            mats[r] += noise
+            bad = hopf.QAutomorphism(h, mats[r])
+            res, ref = bad.residual(), _dense_automorphism_residual(bad)
+            assert res > TOL_VERIFY and abs(res - ref) <= 1e-12, (r, res, ref)
+            with pytest.raises(NotAutomorphism):
+                action_from_group_hom(h, inst.lam_full, mats, kind="matrix")
+
+
+@pytest.mark.parametrize("case", [*"ABCDEF", "raw_hopf base", "rung"])
+def test_gram_equals_dense_reference(case, request, rung_instance):
+    """On the product algebra and on the base of each instance."""
+    inst = rung_instance if case == "rung" else None
+    if len(case) == 1:
+        inst = _action_instance(case, request)
+    algebras = [_pairing_algebra(case, request)] if inst is None \
+        else [inst.product, inst.base]
+    for h in algebras:
+        assert max_abs(_fresh(h).gram() - _dense_gram(h)) <= 1e-12
+
+
+def test_gram_equals_dense_reference_on_e_principals(inst_e):
+    for sub in all_subgroups(inst_e.lam_full):
+        h = inst_e.principal(sub).product
+        assert max_abs(_fresh(h).gram() - _dense_gram(h)) <= 1e-12, sub.elements
+
+
+@pytest.mark.parametrize("name", ["mult", "star", "haar"])
+def test_gram_of_corrupted_tensors_equals_dense_reference(name, inst_c):
+    """A dense random star, mult or haar has no symmetry that could hide a
+    transposed index."""
+    h = _corrupted(inst_c.product, name)
+    assert max_abs(h.gram() - _dense_gram(h)) <= 1e-12

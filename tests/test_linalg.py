@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from semirep._linalg import module_hom_basis, nullspace, sylvester_system
+from semirep._linalg import (hom_space_dim, module_hom_basis, nullity, nullspace,
+                             sylvester_system)
 
 
 def kron_system(mats1, mats2):
@@ -53,3 +54,35 @@ def test_nullspace_tall_and_wide(rows, cols, rank):
     assert basis.shape == (cols - rank, cols)
     assert np.allclose(basis @ basis.conj().T, np.eye(cols - rank), atol=1e-12)
     assert np.max(np.abs(mat @ basis.T)) < 1e-10
+
+
+@pytest.mark.parametrize("rows,cols,rank", [(12, 5, 3), (5, 5, 2), (3, 7, 3), (2, 6, 1),
+                                            (6, 4, 4), (4, 6, 0)])
+def test_nullity_counts_the_nullspace(rows, cols, rank):
+    """nullity reads the same singular values and cutoff as nullspace."""
+    rng = np.random.default_rng(rows * 10 + cols + 1)
+    mat = (rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))) \
+        @ (rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols)))
+    assert nullity(mat) == len(nullspace(mat)) == cols - rank
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+def test_nullity_of_empty_matrices(shape):
+    mat = np.zeros(shape, dtype=complex)
+    assert nullity(mat) == len(nullspace(mat)) == shape[1]
+
+
+def test_nullity_on_the_module_cube_of_e(inst_e):
+    """The 729 Sylvester systems of E's module-route fusion cube."""
+    from semirep.corep import tensor
+    from semirep.mackey import classify
+    coreps = [w.induced for w in classify(inst_e)]
+    assert len(coreps) ** 3 == 729
+    for w2 in coreps:
+        for w3 in coreps:
+            t = tensor(w2, w3).coeff_slices()
+            for w1 in coreps:
+                system = sylvester_system(w1.coeff_slices(), t)
+                count = len(nullspace(system))
+                assert nullity(system) == count
+                assert hom_space_dim(w1.coeff_slices(), t) == count
