@@ -15,9 +15,8 @@ from .corep import (Corep, conjugate, intertwiner_basis, irr_action,
 from .corpus import build_instance, instance, instance_spec
 from .groups import (FiniteGroup, GroupAction, Subgroup, all_subgroups,
                      conjugate_intersection, conjugate_subgroup, cyclic_group,
-                     direct_product, from_table, full_subgroup,
-                     general_isotropy_family, left_cosets, orbit, orbits,
-                     stabilizer, symmetric_group, trivial_subgroup)
+                     direct_product, full_subgroup, left_cosets, orbit, orbits,
+                     stabilizer, symmetric_group)
 from .hopf import (HopfData, QAutomorphism, action_from_group_hom,
                    dual_algebra, function_algebra, group_algebra, haar_solve,
                    is_kac, verify_axioms)
@@ -31,7 +30,6 @@ from .projective import (ProjectiveRep, cocycle_of, contragredient,
                          irreducible_projreps, proj_mor_dim, projective_rep,
                          rescale, transitional_map)
 from .semidirect import (SemidirectInstance, act_corep, build, check_covariant,
-                         conj_iso, extend, join_covariant, restrict_corep,
-                         split_covariant)
+                         extend, join_covariant, restrict_corep, split_covariant)
 
 __version__ = "0.1.0"

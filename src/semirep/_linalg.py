@@ -190,6 +190,12 @@ def decompose(x, comm, commutant, compress, equivalent, seed: int):
     return grouped
 
 
+def char_sort_key(dim: int, chi: np.ndarray):
+    """Canonical order of irreducibles: by dimension, then rounded character."""
+    chi = np.round(chi, 6)
+    return (dim, tuple((c.real, c.imag) for c in chi))
+
+
 def first_entry_phase(mat: np.ndarray):
     """Phase of the first row-major entry above 1e-8, or None."""
     flat = mat.reshape(-1)

@@ -92,26 +92,21 @@ def load_instance(path: str) -> tuple[SemidirectInstance, dict]:
     return build_instance(spec), spec
 
 
-def parse_instance(path: str) -> SemidirectInstance:
-    """Parse and validate an instance file (the library-level entry point)."""
-    return load_instance(path)[0]
-
-
 def cmd_check(inst, spec, args):
-    report = inst.axioms  # verified to TOL_VERIFY when the instance was built
-    passed = report["pass"]
+    # Building the instance raised on any residual above TOL_VERIFY, so the
+    # report here always passes.
+    report = inst.axioms
     doc = {"name": spec.get("name", "?"), "dim": inst.dim,
-           "residuals": {k: v for k, v in report.items() if k not in ("pass",)},
-           "pass": passed}
+           "residuals": {k: v for k, v in report.items() if k != "pass"},
+           "pass": report["pass"]}
     lines = [f"instance: {doc['name']}  (dim {inst.dim})"]
     for key, val in report.items():
         if key in ("pass", "max"):
             continue
         lines.append(f"  {key:<24} {val:.3e}")
-    lines.append(f"  max residual {report['max']:.3e} -> "
-                 f"{'PASS' if passed else 'FAIL'}")
+    lines.append(f"  max residual {report['max']:.3e} -> PASS")
     emit(doc, args.format, lines)
-    return 0 if passed else 1
+    return 0
 
 
 def cmd_irr(inst, spec, args):

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (DEFAULT_SEED, TOL_VERIFY, as_int, check_commutant,
-                      decompose, hom_space_dim, max_abs, module_hom_basis)
+from ._linalg import (DEFAULT_SEED, TOL_VERIFY, as_int, char_sort_key,
+                      check_commutant, decompose, hom_space_dim, max_abs,
+                      module_hom_basis)
 from .errors import (OracleDisagreement, OrbitResolutionFailure,
                      PeterWeylMismatch, ValidationError)
 from .groups import FiniteGroup, GroupAction
@@ -42,13 +43,6 @@ class Corep:
         """The matrices (id (x) f_a)(u), i.e. the dual-algebra module action,
         stacked along the first axis (a view of the entries)."""
         return self.entries.transpose(2, 0, 1)
-
-
-def trivial_corep(h: HopfData, dim: int = 1) -> Corep:
-    entries = np.zeros((dim, dim, h.dim), dtype=complex)
-    for i in range(dim):
-        entries[i, i] = h.unit
-    return Corep(h, entries)
 
 
 def verify_corep(u: Corep) -> dict:
@@ -80,15 +74,6 @@ def tensor(u: Corep, w: Corep) -> Corep:
     prod = np.einsum("ija,klb,abc->ikjlc", u.entries, w.entries, h.mult, optimize=True)
     n = u.dim * w.dim
     return Corep(h, prod.reshape(n, n, h.dim))
-
-
-def direct_sum(u: Corep, w: Corep) -> Corep:
-    h = u.parent
-    n1, n2 = u.dim, w.dim
-    entries = np.zeros((n1 + n2, n1 + n2, h.dim), dtype=complex)
-    entries[:n1, :n1] = u.entries
-    entries[n1:, n1:] = w.entries
-    return Corep(h, entries)
 
 
 # -- morphism spaces -----------------------------------------------------------
@@ -145,7 +130,8 @@ def conjugate(u: Corep) -> Corep:
 
 # -- decomposition and enumeration ---------------------------------------------
 
-def _compress(u: Corep, q: np.ndarray) -> Corep:
+def compress(u: Corep, q: np.ndarray) -> Corep:
+    """The corep q^* u q on the range of an isometry q (columns orthonormal)."""
     entries = np.einsum("ia,ijc,jb->abc", np.conj(q), u.entries, q)
     return Corep(u.parent, entries)
 
@@ -153,7 +139,7 @@ def _compress(u: Corep, q: np.ndarray) -> Corep:
 def irr_decompose(u: Corep, comm, seed: int = DEFAULT_SEED) -> list[tuple[Corep, int]]:
     """Pairwise-inequivalent irreducible factors with multiplicities; comm is
     a basis of u's self-intertwiners, e.g. intertwiner_basis(u, u)."""
-    return decompose(u, comm, lambda x: intertwiner_basis(x, x), _compress,
+    return decompose(u, comm, lambda x: intertwiner_basis(x, x), compress,
                      lambda a, b: a.dim == b.dim and mor_dim(a, b) >= 1, seed)
 
 
@@ -173,21 +159,14 @@ def regular_corep(h: HopfData) -> tuple[Corep, np.ndarray]:
     if vals.min() < 1e-10:
         raise ValidationError("Haar inner product is degenerate; no regular corep")
     b = vecs @ np.diag(1.0 / np.sqrt(vals))  # columns: orthonormal basis coeffs
-    # f_i^* coefficient vectors
-    bs = h.star @ np.conj(b)
     # hmat[i, p] = h(f_i^* e_p)
-    hmat = np.einsum("li,lpk,k->ip", bs, h.mult, h.haar)
+    hmat = np.conj(b).T @ gram
     # Delta(f_j) coefficients: dj[j, p, q]
     dj = np.einsum("ij,ipq->jpq", b, h.comult)
     u = Corep(h, np.einsum("ip,jpq->ijq", hmat, dj))
     comm = np.einsum("iq,jbq->bij", hmat, dj)
     check_commutant(u.coeff_slices(), comm)
     return u, comm
-
-
-def _char_sort_key(u: Corep):
-    chi = np.round(u.char_vec(), 6)
-    return (u.dim, tuple((c.real, c.imag) for c in chi))
 
 
 def irr_enumerate(h: HopfData, seed: int = DEFAULT_SEED) -> list[Corep]:
@@ -200,7 +179,8 @@ def irr_enumerate(h: HopfData, seed: int = DEFAULT_SEED) -> list[Corep]:
     if key in h._cache:
         return h._cache[key]
     grouped = irr_decompose(*regular_corep(h), seed)
-    irreps = sorted((f for f, _ in grouped), key=_char_sort_key)
+    irreps = sorted((f for f, _ in grouped),
+                    key=lambda f: char_sort_key(f.dim, f.char_vec()))
     total = sum(f.dim ** 2 for f in irreps)
     if total != h.dim:
         raise PeterWeylMismatch(f"sum dim^2 = {total} != dim(H) = {h.dim}")

@@ -4,8 +4,9 @@
   B: C(Z2 x Z2) x| Z2, factor swap      (classically D4)
   C: C[S3] x| Z2, conjugation by a transposition (noncommutative base)
   D: C[S3] x| Z2, trivial action        (a direct product)
-  E: C(Z3 x Z3) x| (Z2 x Z2), independent sign flips (|Lambda| = 4,
-     exercises a nontrivial general-isotropy family)
+  E: C(Z3 x Z3) x| (Z2 x Z2), independent sign flips (|Lambda| = 4; the
+     stabilizers are {e}, both Z2 factors and Lambda, so fusion meets
+     subgroups of every order)
   F: C(D4) x| (Z2 x Z2), inner automorphisms (the 2-dim irrep of D4 carries
      a nontrivial cohomology class, so one classified irrep needs a genuinely
      projective v)

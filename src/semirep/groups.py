@@ -1,13 +1,13 @@
 """Finite groups as multiplication tables, with 0-based element indices.
 
-Everything downstream (cosets, stabilizers, isotropy families) works on
-dense index tables; groups here never exceed a few dozen elements.
+Everything downstream (cosets, stabilizers, conjugate intersections) works
+on dense index tables; the largest group in use, S5, has 120 elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -20,16 +20,18 @@ class FiniteGroup:
     Elements are indices 0..order-1; ``mult[r, s]`` is the index of r*s.
     """
 
-    def __init__(self, mult, validate: bool = True):
+    def __init__(self, mult):
         table = np.asarray(mult, dtype=int)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotAGroup(f"multiplication table must be square, got {table.shape}")
         self.order = int(table.shape[0])
         self.mult = table
-        if validate:
-            self._validate()
-        self.identity = self._find_identity()
-        self.inv = self._find_inverses()
+        self._validate()
+        # An associative Latin square is a group, so the identity (the row
+        # that fixes every element) and each inverse exist.
+        span = np.arange(self.order)
+        self.identity = int(np.flatnonzero((table == span).all(axis=1))[0])
+        self.inv = np.argmax(table == self.identity, axis=1)
         self._subgroups: dict = {}  # Subgroup.group tables, keyed by elements
 
     def _validate(self):
@@ -37,33 +39,17 @@ class FiniteGroup:
         t = self.mult
         if t.min() < 0 or t.max() >= n:
             raise NotAGroup("table entries out of range")
-        for r in range(n):
-            if len(set(t[r])) != n or len(set(t[:, r])) != n:
-                raise NotAGroup(f"row/column {r} of table is not a permutation")
-        # Full associativity scan; n <= ~48 so n^3 is cheap.
-        for a in range(n):
-            for b in range(n):
-                ab = t[a, b]
-                for c in range(n):
-                    if t[ab, c] != t[a, t[b, c]]:
-                        raise NotAGroup(f"associativity fails at triple ({a}, {b}, {c})")
-
-    def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.mult[e, x] == x and self.mult[x, e] == x for x in range(self.order)):
-                return e
-        raise NotAGroup("no identity element")
-
-    def _find_inverses(self) -> np.ndarray:
-        inv = np.full(self.order, -1, dtype=int)
-        for r in range(self.order):
-            for s in range(self.order):
-                if self.mult[r, s] == self.identity and self.mult[s, r] == self.identity:
-                    inv[r] = s
-                    break
-            if inv[r] < 0:
-                raise NotAGroup(f"element {r} has no inverse")
-        return inv
+        span = np.arange(n)
+        bad = np.flatnonzero((np.sort(t, axis=1) != span).any(axis=1)
+                             | (np.sort(t, axis=0) != span[:, None]).any(axis=0))
+        if len(bad):
+            raise NotAGroup(f"row/column {bad[0]} of table is not a permutation")
+        # (ab)c against a(bc) for all triples at once; argwhere lists the
+        # failures in lexicographic order
+        fails = np.argwhere(t[t] != t[:, t])
+        if len(fails):
+            a, b, c = fails[0]
+            raise NotAGroup(f"associativity fails at triple ({a}, {b}, {c})")
 
     def mul(self, r: int, s: int) -> int:
         return int(self.mult[r, s])
@@ -85,12 +71,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def exponent(self) -> int:
-        out = 1
-        for r in self.elements():
-            out = int(np.lcm(out, self.element_order(r)))
-        return out
-
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and np.array_equal(self.mult, other.mult)
 
@@ -101,14 +81,9 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def from_table(mult_table) -> FiniteGroup:
-    """Validate a multiplication table and build the group."""
-    return FiniteGroup(mult_table, validate=True)
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n, validate=False)
+    return FiniteGroup((idx[:, None] + idx[None, :]) % n)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -123,7 +98,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     for i, p in enumerate(elems):
         for j, q in enumerate(elems):
             table[i, j] = index[tuple(p[q[x]] for x in range(n))]
-    return FiniteGroup(table, validate=False)
+    return FiniteGroup(table)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -136,7 +111,7 @@ def dihedral_group(n: int) -> FiniteGroup:
                     i = (i1 + (i2 if j1 == 0 else -i2)) % n
                     j = (j1 + j2) % 2
                     table[i1 + n * j1, i2 + n * j2] = i + n * j
-    return FiniteGroup(table, validate=False)
+    return FiniteGroup(table)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -156,7 +131,7 @@ def quaternion_group() -> FiniteGroup:
         return 2 * axis + (0 if sign > 0 else 1)
 
     table = np.array([[mul(a, b) for b in range(8)] for a in range(8)])
-    return FiniteGroup(table, validate=True)
+    return FiniteGroup(table)
 
 
 def automorphisms(g: FiniteGroup) -> list[np.ndarray]:
@@ -220,7 +195,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
             for a2 in range(n1):
                 for b2 in range(n2):
                     table[a1 * n2 + b1, a2 * n2 + b2] = g1.mul(a1, a2) * n2 + g2.mul(b1, b2)
-    return FiniteGroup(table, validate=False)
+    return FiniteGroup(table)
 
 
 @dataclass(frozen=True)
@@ -249,9 +224,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, r: int) -> bool:
-        return r in set(self.elements)
-
     def to_local(self, parent_idx: int) -> int:
         return self.elements.index(parent_idx)
 
@@ -270,7 +242,7 @@ class Subgroup:
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):
                 table[i, j] = pos[self.parent.mul(a, b)]
-        grp = FiniteGroup(table, validate=False)
+        grp = FiniteGroup(table)
         self.parent._subgroups[self.elements] = grp
         return grp
 
@@ -307,20 +279,10 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, tuple(range(g.order)))
 
 
-def trivial_subgroup(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, (g.identity,))
-
-
 def conjugate_subgroup(h: Subgroup, r: int) -> Subgroup:
     """rHr^{-1} as a Subgroup of the same parent."""
     g = h.parent
     return Subgroup(g, tuple(g.conjugate(r, x) for x in h.elements))
-
-
-def conjugation_bijection(h: Subgroup, r: int) -> dict[int, int]:
-    """Adj_r on parent indices: x in H -> r x r^{-1} in rHr^{-1}."""
-    g = h.parent
-    return {x: g.conjugate(r, x) for x in h.elements}
 
 
 def conjugate_intersection(subgroups: list[Subgroup], reps: list[int]) -> Subgroup:
@@ -385,27 +347,6 @@ def orbits(act: GroupAction) -> list[list[int]]:
         seen.update(orb)
         out.append(orb)
     return out
-
-
-def general_isotropy_family(act: GroupAction) -> list[Subgroup]:
-    """All intersections of point stabilizers, closed under pairwise intersection.
-
-    This is the family of isotropy subgroups for all finite powers of the
-    underlying set; it is automatically stable under conjugation.
-    """
-    stabs = {stabilizer(act, x).elements for x in range(act.set_size)}
-    family = set(stabs)
-    while True:
-        new = set()
-        for a, b in combinations(sorted(family), 2):
-            inter = tuple(sorted(set(a) & set(b)))
-            if inter not in family:
-                new.add(inter)
-        if not new:
-            break
-        family |= new
-    return [Subgroup(act.group, elems)
-            for elems in sorted(family, key=lambda e: (-len(e), e))]
 
 
 def left_cosets(h: Subgroup) -> list[tuple[int, list[int]]]:

@@ -85,12 +85,6 @@ class HopfData:
             self._cache["gram"] = self.star.T @ (self.mult @ self.haar)
         return self._cache["gram"]
 
-    def is_commutative(self) -> bool:
-        return max_abs(self.mult - self.mult.transpose(1, 0, 2)) <= TOL_VERIFY
-
-    def is_cocommutative(self) -> bool:
-        return max_abs(self.comult - self.comult.transpose(0, 2, 1)) <= TOL_VERIFY
-
 
 @dataclass(frozen=True)
 class QAutomorphism:
@@ -330,16 +324,14 @@ def is_kac(h: HopfData) -> bool:
 def function_algebra(g: FiniteGroup) -> HopfData:
     """C(G): pointwise functions on a finite group, basis of delta functions."""
     n = g.order
+    a = np.arange(n)
     mult = np.zeros((n, n, n), dtype=complex)
+    mult[a, a, a] = 1.0
     comult = np.zeros((n, n, n), dtype=complex)
+    # Delta(delta_i) = sum over ab = i of delta_a (x) delta_b
+    comult[g.mult, a[:, None], a[None, :]] = 1.0
     antipode = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        mult[i, i, i] = 1.0
-        antipode[g.inverse(i), i] = 1.0
-        for a in range(n):
-            for b in range(n):
-                if g.mul(a, b) == i:
-                    comult[i, a, b] = 1.0
+    antipode[g.inv, a] = 1.0
     unit = np.ones(n, dtype=complex)
     counit = np.zeros(n, dtype=complex)
     counit[g.identity] = 1.0
@@ -426,11 +418,6 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
         if res > TOL_VERIFY:
             raise NotAutomorphism(f"haar not invariant under alpha*_{r} ({res:.2e})")
     return autos
-
-
-def trivial_action(h: HopfData, lam: FiniteGroup) -> list[QAutomorphism]:
-    eye = np.eye(h.dim, dtype=complex)
-    return [QAutomorphism(h, eye.copy()) for _ in lam.elements()]
 
 
 def dual_algebra(h: HopfData):

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import TOL_BUILD, TOL_VERIFY, as_int, max_abs
-from .corep import Corep, mor_dim, verify_corep
+from .corep import Corep, compress, mor_dim, verify_corep
 from .errors import (CovarianceFailure, FormulaMismatch, OracleDisagreement,
                      ProjectionNotInvariant, ValidationError)
-from .groups import conjugate_intersection, left_cosets
+from .groups import Subgroup, conjugate_intersection, left_cosets
 from .projective import ordinary_rep
 from .semidirect import (SemidirectInstance, act_corep, check_covariant, extend,
                          instance_of_corep, join_covariant, restrict_corep,
@@ -98,8 +98,7 @@ def induce(inst: SemidirectInstance, u: Corep) -> InducedRep:
         raise ProjectionNotInvariant("coset basis does not lie in range(pi)")
 
     big = join_covariant(top, wg, wl)
-    compressed = np.einsum("ia,ijc,jb->abc", np.conj(isometry), big.entries, isometry)
-    result = Corep(top.product, compressed)
+    result = compress(big, isometry)
     report = verify_corep(result)
     if not report["pass"]:
         raise CovarianceFailure(
@@ -138,6 +137,13 @@ def induced_character(inst: SemidirectInstance, u: Corep) -> np.ndarray:
     return full
 
 
+def _meet_pairing(top: SemidirectInstance, x: Corep, y: Corep, meet: Subgroup) -> complex:
+    """Haar pairing of the characters of x and y restricted to G x| meet."""
+    chi_x = restrict_corep(top, x, meet).char_vec()
+    chi_y = restrict_corep(top, y, meet).char_vec()
+    return top.principal(meet).product.pair(chi_x, chi_y)
+
+
 def ind_mor_dim(inst: SemidirectInstance, u: Corep, w: Corep) -> int:
     """dim Mor(Ind(U), Ind(W)) by the double-sum intertwiner formula.
 
@@ -148,20 +154,13 @@ def ind_mor_dim(inst: SemidirectInstance, u: Corep, w: Corep) -> int:
     lam = top.lam_full
     theta = instance_of_corep(inst, u).subgroup
     xi = instance_of_corep(inst, w).subgroup
+    translates_u = {r: act_corep(top, r, u) for r in lam.elements()}
+    translates_w = {r: act_corep(top, r, w) for r in lam.elements()}
     total = 0.0
-    translates_u = {}
-    translates_w = {}
-    for r in lam.elements():
-        translates_u[r] = act_corep(top, r, u)
-        translates_w[r] = act_corep(top, r, w)
     for r in lam.elements():
         for s in lam.elements():
             meet = conjugate_intersection([theta, xi], [r, s])
-            ru = restrict_corep(instance_of_corep(top, translates_u[r]),
-                                translates_u[r], meet)
-            sw = restrict_corep(instance_of_corep(top, translates_w[s]),
-                                translates_w[s], meet)
-            pairing = top.principal(meet).product.pair(ru.char_vec(), sw.char_vec())
+            pairing = _meet_pairing(top, translates_u[r], translates_w[s], meet)
             total += pairing.real * meet.order / lam.order
             if abs(pairing.imag) > 1e-8:
                 raise OracleDisagreement("character pairing has an imaginary part")
@@ -178,8 +177,7 @@ def mackey_irreducible(inst: SemidirectInstance, u: Corep) -> bool:
     """Mackey's criterion for irreducibility of Ind(U), U irreducible required."""
     top = inst.top
     lam = top.lam_full
-    sub_inst = instance_of_corep(inst, u)
-    sub = sub_inst.subgroup
+    sub = instance_of_corep(inst, u).subgroup
     if mor_dim(u, u) != 1:
         raise ValidationError("Mackey criterion requires an irreducible input")
     sub_set = set(sub.elements)
@@ -189,11 +187,6 @@ def mackey_irreducible(inst: SemidirectInstance, u: Corep) -> bool:
             if lam.mul(lam.inverse(r), s) in sub_set:
                 continue
             meet = conjugate_intersection([sub, sub], [r, s])
-            ru = restrict_corep(instance_of_corep(top, translates[r]),
-                                translates[r], meet)
-            sw = restrict_corep(instance_of_corep(top, translates[s]),
-                                translates[s], meet)
-            pairing = top.principal(meet).product.pair(ru.char_vec(), sw.char_vec())
-            if as_int(pairing) != 0:
+            if as_int(_meet_pairing(top, translates[r], translates[s], meet)) != 0:
                 return False
     return True

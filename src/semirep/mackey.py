@@ -18,8 +18,8 @@ import numpy as np
 
 from ._linalg import TOL_ACCEPT, TOL_VERIFY, as_int, first_entry_phase, max_abs
 from .cohomology import cocycle_inverse, cocycle_product, pullback_adj
-from .corep import (Corep, act, conjugate, intertwiner_basis, irr_action,
-                    irr_enumerate, mor_dim, tensor as corep_tensor)
+from .corep import (Corep, act, compress, conjugate, intertwiner_basis,
+                    irr_action, irr_enumerate, mor_dim, tensor as corep_tensor)
 from .errors import (CompletenessFailure, GramFailure, NonIntegerCoefficient,
                      NonUnitaryExtraction, NotCovariant, NotStabilized,
                      OracleDisagreement, GaugeFailure, ValidationError)
@@ -31,8 +31,8 @@ from .projective import (ProjectiveRep, cocycle_of, contragredient,
                          irreducible_projreps, ordinary_rep, proj_mor_dim,
                          rescale, restrict, tensor as proj_tensor,
                          transitional_map)
-from .semidirect import (SemidirectInstance, act_corep, instance_of_corep,
-                         join_covariant, restrict_corep)
+from .semidirect import (SemidirectInstance, act_corep, join_covariant,
+                         restrict_corep)
 
 
 # -- parameters -----------------------------------------------------------------
@@ -330,10 +330,7 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
     red_chi = csr_corep(inst, result).char_vec()
     if big is None:
         big = csr_corep(inst, g)
-    nv = g.v.dim
-    iso = np.kron(np.eye(nv), cols)
-    compressed = np.einsum("ia,ijc,jb->abc", np.conj(iso), big.entries, iso)
-    blk_chi = np.einsum("iic->c", compressed)
+    blk_chi = compress(big, np.kron(np.eye(g.v.dim), cols)).char_vec()
     if max_abs(red_chi - blk_chi) > TOL_ACCEPT:
         raise OracleDisagreement("reduced CSR does not match the isotypic block")
     return result
@@ -374,8 +371,7 @@ class _FusionTables:
         key = (p, r, meet.elements)
         if key not in self.chars:
             moved = act_corep(self.top, r, self.csr(p))
-            self.chars[key] = restrict_corep(instance_of_corep(self.top, moved),
-                                             moved, meet).char_vec()
+            self.chars[key] = restrict_corep(self.top, moved, meet).char_vec()
         return self.chars[key]
 
     def moved_param(self, p: RepParameter, r: int, meet: Subgroup) -> GRParameter:

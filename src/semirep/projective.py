@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, as_int, decompose, max_abs,
-                      module_hom_basis)
+from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, as_int, char_sort_key,
+                      decompose, max_abs, module_hom_basis)
 from .cohomology import (Cochain1, Cochain2, coboundary, cocycle_inverse,
                          cocycle_product, is_cocycle, restrict_cocycle,
                          trivial_cochain2)
@@ -87,11 +87,6 @@ def projective_rep(group: FiniteGroup, mats) -> ProjectiveRep:
     return ProjectiveRep(group, mats, cocycle_of(group, mats))
 
 
-def trivial_rep(group: FiniteGroup, dim: int = 1) -> ProjectiveRep:
-    mats = np.broadcast_to(np.eye(dim), (group.order, dim, dim)).copy()
-    return ProjectiveRep(group, mats, trivial_cochain2(group))
-
-
 def ordinary_rep(group: FiniteGroup, mats) -> ProjectiveRep:
     """An honest (cocycle-free) representation; projectivity residual must vanish."""
     rep = projective_rep(group, mats)
@@ -123,11 +118,6 @@ def proj_mor_dim(v1: ProjectiveRep, v2: ProjectiveRep) -> int:
     return as_int(proj_char_pairing(v1, v2))
 
 
-def proj_intertwiner_basis(v1: ProjectiveRep, v2: ProjectiveRep) -> list[np.ndarray]:
-    """Basis of {T : T v1(r) = v2(r) T}; the nullspace cross-check for proj_mor_dim."""
-    return module_hom_basis(list(v1.mats), list(v2.mats))
-
-
 def tensor(v1: ProjectiveRep, v2: ProjectiveRep) -> ProjectiveRep:
     if v1.group != v2.group:
         raise ValidationError("tensor product requires the same group")
@@ -147,16 +137,6 @@ def restrict(v: ProjectiveRep, sub: Subgroup,
 def contragredient(v: ProjectiveRep) -> ProjectiveRep:
     """V^c(r) = conj(V(r)); the cocycle is inverted."""
     return ProjectiveRep(v.group, np.conj(v.mats), cocycle_inverse(v.cocycle))
-
-
-def direct_sum(v1: ProjectiveRep, v2: ProjectiveRep) -> ProjectiveRep:
-    if max_abs(v1.cocycle.values - v2.cocycle.values) > TOL_ACCEPT:
-        raise CocycleMismatch("direct sum requires equal cocycles")
-    n1, n2 = v1.dim, v2.dim
-    mats = np.zeros((v1.group.order, n1 + n2, n1 + n2), dtype=complex)
-    mats[:, :n1, :n1] = v1.mats
-    mats[:, n1:, n1:] = v2.mats
-    return ProjectiveRep(v1.group, mats, v1.cocycle)
 
 
 def transitional_map(v1: ProjectiveRep, v2: ProjectiveRep) -> Cochain1:
@@ -200,11 +180,6 @@ def decompose_projective(v: ProjectiveRep,
                      lambda a, b: a.dim == b.dim and proj_mor_dim(a, b) >= 1, seed)
 
 
-def _char_sort_key(v: ProjectiveRep):
-    chi = np.round(v.character(), 6)
-    return (v.dim, tuple((c.real, c.imag) for c in chi))
-
-
 def irreducible_projreps(group: FiniteGroup, omega: Cochain2, seed: int = DEFAULT_SEED,
                          ) -> list[ProjectiveRep]:
     """All irreducible omega-projective representations, up to equivalence.
@@ -217,7 +192,8 @@ def irreducible_projreps(group: FiniteGroup, omega: Cochain2, seed: int = DEFAUL
         raise ValidationError(f"not a cocycle (residual {res} at {triple})")
     reg = regular_twisted_rep(group, omega)
     grouped = decompose_projective(reg, seed)
-    irreps = sorted((f for f, _ in grouped), key=_char_sort_key)
+    irreps = sorted((f for f, _ in grouped),
+                    key=lambda f: char_sort_key(f.dim, f.character()))
     total = sum(f.dim ** 2 for f in irreps)
     if total != group.order:
         raise ValidationError(

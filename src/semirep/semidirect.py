@@ -85,10 +85,6 @@ class SemidirectInstance:
     def dim(self) -> int:
         return self.product.dim
 
-    def block(self, vec: np.ndarray, r_local: int) -> np.ndarray:
-        d = self.base.dim
-        return vec[..., r_local * d:(r_local + 1) * d]
-
     def alpha_local(self, r_local: int) -> np.ndarray:
         return self.alpha[self.subgroup.to_parent(r_local)].matrix
 
@@ -117,40 +113,29 @@ def build(base: HopfData, lam: FiniteGroup,
 
 
 def restrict_corep(inst: SemidirectInstance, u: Corep, sub: Subgroup) -> Corep:
-    """Drop the delta_r components with r outside the subgroup (the map phi)."""
-    if u.parent is not inst.product:
-        raise ValidationError("corep does not live on this instance")
-    if not sub.is_subset_of(inst.subgroup):
+    """Drop the delta_r components with r outside the subgroup (the map phi).
+
+    u may live on any principal instance of inst's top-level instance.
+    """
+    own = instance_of_corep(inst, u)
+    if not sub.is_subset_of(own.subgroup):
         raise ValidationError("can only restrict to smaller principal subgroups")
-    target = inst.principal(sub)
-    d = inst.base.dim
+    target = own.principal(sub)
+    d = own.base.dim
     cols = []
     for p in sub.elements:
-        r_local = inst.subgroup.to_local(p)
+        r_local = own.subgroup.to_local(p)
         cols.append(u.entries[:, :, r_local * d:(r_local + 1) * d])
     return Corep(target.product, np.concatenate(cols, axis=2))
-
-
-def embed_base_corep(inst: SemidirectInstance, u: Corep) -> Corep:
-    """View a corep of G as a corep of G x| {e} (the trivial principal piece)."""
-    from .groups import trivial_subgroup
-    sub = trivial_subgroup(inst.top.lam_full)
-    target = inst.principal(sub)
-    if u.parent is not inst.base:
-        raise ValidationError("expected a corepresentation of the base")
-    return Corep(target.product, u.entries.copy())
 
 
 # -- covariant pairs -------------------------------------------------------------
 
 def split_covariant(inst: SemidirectInstance, u: Corep) -> tuple[Corep, ProjectiveRep]:
     """U -> (U_G, U_Lambda) via the counits of the two factors."""
-    d = inst.base.dim
-    e_local = inst.lam.identity
-    ug = Corep(inst.base, inst.block(u.entries, e_local).copy())
-    mats = np.einsum("ijrc,c->rij",
-                     u.entries.reshape(u.dim, u.dim, inst.lam.order, d),
-                     inst.base.counit)
+    blocks = u.entries.reshape(u.dim, u.dim, inst.lam.order, inst.base.dim)
+    ug = Corep(inst.base, blocks[:, :, inst.lam.identity].copy())
+    mats = np.einsum("ijrc,c->rij", blocks, inst.base.counit)
     ul = ordinary_rep(inst.lam, mats)
     return ug, ul
 
@@ -189,34 +174,22 @@ def join_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep) -> Co
 
 # -- conjugation isomorphisms and the r. action ----------------------------------
 
-class ConjugationIso:
+def conjugation_iso(inst: SemidirectInstance, sub: Subgroup, r: int) -> np.ndarray:
     """The Hopf *-isomorphism alpha*_r (x) Adj*_r from G x| Lambda0 to G x| rLambda0r^-1.
 
-    `matrix` maps coefficient vectors on the *target* instance (over
+    The matrix maps coefficient vectors on the *target* instance (over
     r Lambda0 r^{-1}) to coefficient vectors on the source (over Lambda0),
     implementing the pullback e_i (x) delta_{r s r^{-1}} -> alpha*_r(e_i) (x) delta_s.
     """
-
-    def __init__(self, inst: SemidirectInstance, sub: Subgroup, r: int):
-        self.source = inst.principal(sub)
-        self.target = inst.principal(conjugate_subgroup(sub, r))
-        self.r = r
-        lam_full = inst.top.lam_full
-        d = inst.base.dim
-        m_r = inst.top.alpha[r].matrix
-        mat = np.zeros((self.source.dim, self.target.dim), dtype=complex)
-        for s_local, s in enumerate(sub.elements):
-            t = lam_full.conjugate(r, s)
-            t_local = self.target.subgroup.to_local(t)
-            mat[s_local * d:(s_local + 1) * d, t_local * d:(t_local + 1) * d] = m_r
-        self.matrix = mat
-
-    def pullback(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-
-def conj_iso(inst: SemidirectInstance, sub: Subgroup, r: int) -> ConjugationIso:
-    return ConjugationIso(inst, sub, r)
+    top = inst.top
+    target = conjugate_subgroup(sub, r)
+    d = top.base.dim
+    m_r = top.alpha[r].matrix
+    mat = np.zeros((sub.order * d, target.order * d), dtype=complex)
+    for s_local, s in enumerate(sub.elements):
+        t_local = target.to_local(top.lam_full.conjugate(r, s))
+        mat[s_local * d:(s_local + 1) * d, t_local * d:(t_local + 1) * d] = m_r
+    return mat
 
 
 def instance_of_corep(inst: SemidirectInstance, u: Corep) -> SemidirectInstance:
@@ -233,12 +206,12 @@ def act_corep(inst: SemidirectInstance, r: int, u: Corep) -> Corep:
     result is a corep of G x| r Lambda0 r^{-1}.
     """
     top = inst.top
-    sub = instance_of_corep(inst, u).subgroup
+    moved = conjugate_subgroup(instance_of_corep(inst, u).subgroup, r)
     # The pullback by (alpha*_{r^{-1}} (x) Adj*_{r^{-1}}) from the instance over
     # Lambda0 is exactly the conjugation iso of r Lambda0 r^{-1} along r^{-1}.
-    iso = ConjugationIso(top, conjugate_subgroup(sub, r), top.lam_full.inverse(r))
-    entries = np.einsum("pc,ijc->ijp", iso.matrix, u.entries)
-    return Corep(iso.source.product, entries)
+    mat = conjugation_iso(top, moved, top.lam_full.inverse(r))
+    entries = np.einsum("pc,ijc->ijp", mat, u.entries)
+    return Corep(top.principal(moved).product, entries)
 
 
 def extend(inst: SemidirectInstance, sub_inst: SemidirectInstance,

@@ -1,14 +1,14 @@
 import itertools
 
 import numpy as np
-import pytest
 
-from semirep.corep import (Corep, act, conjugate, direct_sum,
-                           intertwiner_basis, irr_action, irr_decompose,
-                           irr_enumerate, mor_dim, regular_corep, tensor,
-                           trivial_corep, verify_corep)
+from semirep.corep import (act, conjugate, intertwiner_basis,
+                           irr_action, irr_decompose, irr_enumerate, mor_dim,
+                           regular_corep, tensor, verify_corep)
 from semirep.groups import GroupAction, cyclic_group, symmetric_group
 from semirep.hopf import (action_from_group_hom, function_algebra, group_algebra)
+
+from helpers import direct_sum, trivial_corep
 
 
 def test_regular_corep_valid():

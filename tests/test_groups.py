@@ -6,10 +6,10 @@ import pytest
 from semirep.errors import NotAGroup
 from semirep.groups import (FiniteGroup, GroupAction, Subgroup, all_subgroups,
                             conjugate_intersection, conjugate_subgroup,
-                            conjugation_bijection, cyclic_group, direct_product,
-                            from_table, full_subgroup, general_isotropy_family,
-                            left_cosets, orbit, orbits, stabilizer,
-                            symmetric_group, trivial_subgroup)
+                            cyclic_group, direct_product, full_subgroup,
+                            left_cosets, orbit, orbits, stabilizer)
+
+from helpers import trivial_subgroup
 
 # Independent oracle: compose permutation tuples directly.
 PERMS3 = sorted(itertools.permutations(range(3)))
@@ -26,7 +26,7 @@ def s3_table():
 
 
 def test_cyclic_group_from_table():
-    z3 = from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    z3 = FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     assert z3.order == 3
     assert z3.identity == 0
     assert list(z3.inv) == [0, 2, 1]
@@ -39,7 +39,7 @@ def test_s3_table_brute_force_associativity():
         for b in range(6):
             for c in range(6):
                 assert table[table[a, b], c] == table[a, table[b, c]]
-    g = from_table(table)
+    g = FiniteGroup(table)
     assert g.order == 6
     assert g.identity == PERMS3.index((0, 1, 2))
 
@@ -47,12 +47,29 @@ def test_s3_table_brute_force_associativity():
 def test_non_associative_table_rejected():
     bad = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
     with pytest.raises(NotAGroup):
-        from_table(bad)
+        FiniteGroup(bad)
+
+
+def test_non_associative_loop_rejected():
+    """A Latin square with an identity (a loop) reaches the associativity scan,
+    which names the lexicographically first failing triple."""
+    loop = np.array([[0, 1, 2, 3, 4],
+                     [1, 0, 3, 4, 2],
+                     [2, 4, 0, 1, 3],
+                     [3, 2, 4, 0, 1],
+                     [4, 3, 1, 2, 0]])
+    span = list(range(5))
+    assert all(sorted(loop[r]) == span and sorted(loop[:, r]) == span for r in span)
+    first = next((a, b, c) for a in span for b in span for c in span
+                 if loop[loop[a, b], c] != loop[a, loop[b, c]])
+    assert first == (1, 1, 2)
+    with pytest.raises(NotAGroup, match=r"associativity fails at triple \(1, 1, 2\)"):
+        FiniteGroup(loop)
 
 
 def test_non_latin_square_rejected():
     with pytest.raises(NotAGroup):
-        from_table([[0, 0], [1, 1]])
+        FiniteGroup([[0, 0], [1, 1]])
 
 
 def idx(p):
@@ -60,7 +77,7 @@ def idx(p):
 
 
 def test_conjugate_subgroup_s3():
-    g = from_table(s3_table())
+    g = FiniteGroup(s3_table())
     e = (0, 1, 2)
     t12 = (1, 0, 2)
     t13 = (2, 1, 0)
@@ -73,14 +90,15 @@ def test_conjugate_subgroup_s3():
         val = compose(compose(t13, p), t13)  # t13 is its own inverse
         expected.add(idx(val))
     assert set(conj.elements) == expected == {idx(e), idx(t23)}
-    adj = conjugation_bijection(h, idx(t13))
+    r = idx(t13)
     for a in h.elements:
         for b in h.elements:
-            assert adj[g.mul(a, b)] == g.mul(adj[a], adj[b])
+            assert g.conjugate(r, g.mul(a, b)) == g.mul(g.conjugate(r, a),
+                                                        g.conjugate(r, b))
 
 
 def test_conjugate_subgroup_whole_group_and_order():
-    g = from_table(s3_table())
+    g = FiniteGroup(s3_table())
     full = full_subgroup(g)
     for r in g.elements():
         assert conjugate_subgroup(full, r).elements == full.elements
@@ -90,7 +108,7 @@ def test_conjugate_subgroup_whole_group_and_order():
 
 
 def test_conjugate_intersection():
-    g = from_table(s3_table())
+    g = FiniteGroup(s3_table())
     h = Subgroup(g, (idx((0, 1, 2)), idx((1, 0, 2))))
     res = conjugate_intersection([h, h], [g.identity, idx((2, 1, 0))])
     assert res.elements == (g.identity,)
@@ -100,7 +118,7 @@ def test_conjugate_intersection():
 
 
 def test_conjugate_intersection_coset_invariance():
-    g = from_table(s3_table())
+    g = FiniteGroup(s3_table())
     subs = all_subgroups(g)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -138,53 +156,8 @@ def test_trivial_action_stabilizer():
     assert orbit(act, 1) == {1}
 
 
-def test_general_isotropy_family():
-    act = z2_on_irr_z3_action()
-    fam = general_isotropy_family(act)
-    assert sorted(s.elements for s in fam) == [(0,), (0, 1)]
-    # trivial action gives only the whole group
-    z2 = cyclic_group(2)
-    triv = GroupAction(z2, np.array([[0, 1], [0, 1]]))
-    assert [s.elements for s in general_isotropy_family(triv)] == [(0, 1)]
-    # regular action of a group on itself contains the trivial subgroup
-    g = from_table(s3_table())
-    reg = GroupAction(g, np.array([[g.mul(r, x) for x in g.elements()]
-                                   for r in g.elements()]))
-    fam = general_isotropy_family(reg)
-    assert (g.identity,) in [s.elements for s in fam]
-
-
-def test_general_isotropy_family_closure_properties():
-    # Z2 x Z2 with independent sign flips on nontrivial points of Z3 x Z3 chars
-    lam = direct_product(cyclic_group(2), cyclic_group(2))
-    pts = [(a, b) for a in range(3) for b in range(3)]
-    pidx = {p: i for i, p in enumerate(pts)}
-
-    def flip(p, r1, r2):
-        a, b = p
-        return ((-a) % 3 if r1 else a, (-b) % 3 if r2 else b)
-
-    perm = np.zeros((4, 9), dtype=int)
-    for r1 in range(2):
-        for r2 in range(2):
-            r = r1 * 2 + r2
-            for p in pts:
-                perm[r, pidx[p]] = pidx[flip(p, r1, r2)]
-    act = GroupAction(lam, perm)
-    fam = general_isotropy_family(act)
-    elem_sets = {s.elements for s in fam}
-    # intersection-stable and conjugation-stable
-    for a in elem_sets:
-        for b in elem_sets:
-            assert tuple(sorted(set(a) & set(b))) in elem_sets
-    for s in fam:
-        for r in lam.elements():
-            assert conjugate_subgroup(s, r).elements in elem_sets
-    assert len(fam) == 4
-
-
 def test_left_cosets():
-    g = from_table(s3_table())
+    g = FiniteGroup(s3_table())
     full = full_subgroup(g)
     assert left_cosets(full) == [(0, list(range(6)))]
     triv = trivial_subgroup(g)
@@ -199,22 +172,22 @@ def test_left_cosets():
 
 
 def test_all_subgroups_s3():
-    g = from_table(s3_table())
+    g = FiniteGroup(s3_table())
     subs = all_subgroups(g)
     orders = sorted(s.order for s in subs)
     assert orders == [1, 2, 2, 2, 3, 6]
 
 
 def test_group_exponent_and_element_order():
-    g = from_table(s3_table())
-    assert g.exponent() == 6
+    g = FiniteGroup(s3_table())
+    assert np.lcm.reduce([g.element_order(r) for r in g.elements()]) == 6
     z4 = cyclic_group(4)
     assert z4.element_order(1) == 4
-    assert z4.exponent() == 4
+    assert np.lcm.reduce([z4.element_order(r) for r in z4.elements()]) == 4
 
 
 def test_subgroup_generators():
-    g = from_table(s3_table())
+    g = FiniteGroup(s3_table())
     full = full_subgroup(g)
     gens = full.generators()
     span = {g.identity}

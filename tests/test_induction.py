@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from semirep.corep import irr_enumerate, mor_dim, tensor, trivial_corep, verify_corep
+from semirep.corep import irr_enumerate, mor_dim, verify_corep
 from semirep.errors import ValidationError
-from semirep.groups import Subgroup, full_subgroup, trivial_subgroup
 from semirep.induction import (induce, induced_character, ind_mor_dim,
                                mackey_irreducible)
 from semirep.oracle import module_hom_dim
-from semirep.semidirect import (act_corep, embed_base_corep, instance_of_corep,
-                                restrict_corep)
+from semirep.semidirect import act_corep
+
+from helpers import direct_sum, embed_base_corep, trivial_corep
 
 
 def base_char_coreps(inst):
@@ -150,7 +150,6 @@ def test_mackey_agrees_with_direct(inst_a, inst_b):
 def test_mackey_requires_irreducible(inst_a):
     triv_e = trivial_char(inst_a)
     omega = nontrivial_chars(inst_a)[0]
-    from semirep.corep import direct_sum
     red = direct_sum(triv_e, omega)
     with pytest.raises(ValidationError):
         mackey_irreducible(inst_a, red)

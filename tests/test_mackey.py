@@ -5,17 +5,17 @@ from semirep._linalg import max_abs
 from semirep.cohomology import cocycle_inverse, cocycle_product
 from semirep.corep import Corep, irr_action, irr_enumerate, mor_dim, verify_corep
 from semirep.corpus import instance
-from semirep.errors import NotStabilized, OracleDisagreement, ValidationError
-from semirep.groups import (Subgroup, all_subgroups, full_subgroup, orbits, stabilizer,
-                            trivial_subgroup)
+from semirep.errors import NotStabilized, ValidationError
+from semirep.groups import all_subgroups, full_subgroup, stabilizer
 from semirep.induction import induce, mackey_irreducible
-from semirep.mackey import (ClassifiedIrr, GRParameter, RepParameter, act_base,
-                            classify, conjugate_parameter, conjugation_pairing,
-                            covariant_projective, csr_corep, fusion, fusion_entry,
-                            incidence, param_mor_dim, reduce_grp, restrict_param,
+from semirep.mackey import (GRParameter, RepParameter, act_base, classify,
+                            conjugate_parameter, conjugation_pairing,
+                            covariant_projective, csr_corep, fusion, incidence,
+                            param_mor_dim, reduce_grp, restrict_param,
                             stabilizer_of_class, translate_param)
-from semirep.projective import (ProjectiveRep, irreducible_projreps, proj_mor_dim,
-                                tensor as proj_tensor, trivial_rep)
+from semirep.projective import ProjectiveRep, irreducible_projreps
+
+from helpers import proj_direct_sum, trivial_rep, trivial_subgroup
 
 
 def classified(inst, cache={}):
@@ -102,7 +102,6 @@ def test_csr_corep_sign_twist_induces_sign_rep(inst_a):
 
 
 def test_csr_irreducible_iff_v_irreducible(inst_a):
-    from semirep.projective import direct_sum as proj_direct_sum
     full = full_subgroup(inst_a.lam_full)
     u = trivial_base_char(inst_a)
     v_cov = covariant_projective(inst_a, u, full)
@@ -245,7 +244,6 @@ def build_grp_roundtrip(inst, rng, mult=2):
     idxs = rng.integers(0, len(chars), size=mult)
     v1 = chars[idxs[0]]
     for i in idxs[1:]:
-        from semirep.projective import direct_sum as proj_direct_sum
         v1 = proj_direct_sum(v1, chars[i])
     q = random_unitary(mult * u0.dim, rng)
     # u = Q (1_m (x) u0) Q^*

@@ -49,8 +49,8 @@ def test_raw_hopf_roundtrip_instance_a(tmp_path):
     # also loadable through the CLI path
     path = tmp_path / "raw_a.json"
     path.write_text(json.dumps(spec))
-    from semirep.cli import parse_instance
-    inst2 = parse_instance(str(path))
+    from semirep.cli import load_instance
+    inst2 = load_instance(str(path))[0]
     assert inst2.dim == 6
 
 

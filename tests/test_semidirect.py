@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from semirep.corep import Corep, irr_enumerate, mor_dim, verify_corep
-from semirep.corpus import instance
 from semirep.errors import NotCovariant
-from semirep.groups import Subgroup, cyclic_group, full_subgroup, trivial_subgroup
-from semirep.hopf import (function_algebra, group_algebra, haar_solve, is_kac,
-                          trivial_action, verify_axioms)
+from semirep.groups import conjugate_subgroup, cyclic_group, full_subgroup
+from semirep.hopf import function_algebra, haar_solve, is_kac, verify_axioms
 from semirep.oracle import oracle_irr_dims
-from semirep.projective import ProjectiveRep, ordinary_rep, trivial_rep
-from semirep.semidirect import (act_corep, build, check_covariant, conj_iso,
-                                embed_base_corep, extend, instance_of_corep,
+from semirep.projective import ordinary_rep
+from semirep.semidirect import (act_corep, build, check_covariant,
+                                conjugation_iso, extend, instance_of_corep,
                                 join_covariant, restrict_corep, split_covariant)
+
+from helpers import (embed_base_corep, is_cocommutative, is_commutative,
+                     trivial_action, trivial_rep, trivial_subgroup)
 
 
 def test_build_axioms_all_instances(inst_a, inst_b, inst_c, inst_d):
@@ -32,15 +33,15 @@ def test_trivial_lambda_is_base():
 
 
 def test_instance_a_commutative_dual_blocks(inst_a):
-    assert inst_a.product.is_commutative()
+    assert is_commutative(inst_a.product)
     assert sorted(oracle_irr_dims(inst_a.product)) == [1, 1, 2]
 
 
 def test_instance_c_noncommutative_noncocommutative(inst_c):
     h = inst_c.product
     assert h.dim == 12
-    assert not h.is_commutative()
-    assert not h.is_cocommutative()
+    assert not is_commutative(h)
+    assert not is_cocommutative(h)
 
 
 def test_haar_closed_form(inst_a, inst_b, inst_c):
@@ -138,9 +139,9 @@ def test_conj_iso_intertwines_comultiplication(inst_c):
     lam = inst_c.lam_full
     sub = trivial_subgroup(lam)
     for r in lam.elements():
-        iso = conj_iso(inst_c, sub, r)
-        src, dst = iso.source, iso.target
-        m = iso.matrix
+        m = conjugation_iso(inst_c, sub, r)
+        src = inst_c.principal(sub)
+        dst = inst_c.principal(conjugate_subgroup(sub, r))
         # (m (x) m) Delta_target = Delta_source m
         lhs = np.einsum("ijk,pj,qk->ipq", dst.product.comult, m, m, optimize=True)
         rhs = np.einsum("ki,kpq->ipq", m, src.product.comult, optimize=True)
@@ -179,10 +180,10 @@ def test_act_corep_characters(inst_a):
     u = irr_enumerate(inst_a.product)[1]
     for r in lam.elements():
         moved = act_corep(inst_a, r, u)
-        iso = conj_iso(inst_a, instance_of_corep(inst_a, moved).subgroup,
-                       lam.inverse(r))
+        iso = conjugation_iso(inst_a, instance_of_corep(inst_a, moved).subgroup,
+                              lam.inverse(r))
         # chi_{r.U} = (alpha*_{r^{-1}} (x) Adj*_{r^{-1}})(chi_U)
-        assert np.max(np.abs(moved.char_vec() - iso.matrix @ u.char_vec())) < 1e-12
+        assert np.max(np.abs(moved.char_vec() - iso @ u.char_vec())) < 1e-12
 
 
 def test_extend(inst_a):
