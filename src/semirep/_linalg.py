@@ -102,6 +102,11 @@ def module_hom_basis(mats1, mats2) -> list[np.ndarray]:
     return [vec.reshape(n2, n1) for vec in nullspace(sylvester_system(mats1, mats2))]
 
 
+def compress_stack(mats: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q^* m q for each matrix m of a (k, n, n) stack; q is n x m."""
+    return np.conj(q).T @ mats @ q
+
+
 def hom_space_dim(mats1, mats2) -> int:
     """len(module_hom_basis(mats1, mats2)), without computing the basis."""
     return nullity(sylvester_system(np.asarray(mats1, dtype=complex),

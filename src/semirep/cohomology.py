@@ -12,7 +12,7 @@ import numpy as np
 
 from ._linalg import TOL_ACCEPT, TOL_BUILD, TOL_VERIFY, max_abs
 from .errors import NotRootsOfUnity, ValidationError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,32 +98,6 @@ def cocycle_product(o1: Cochain2, o2: Cochain2) -> Cochain2:
     if o1.group is not o2.group and o1.group != o2.group:
         raise ValidationError("cocycle product requires the same group")
     return Cochain2(o1.group, o1.values * o2.values)
-
-
-def restrict_cocycle(omega: Cochain2, sub: Subgroup,
-                     group: FiniteGroup | None = None) -> Cochain2:
-    """Restriction to a subgroup, reindexed to the subgroup's local group
-    (or to `group`, a group with the same table)."""
-    idx = np.asarray(sub.elements)
-    return Cochain2(sub.group if group is None else group,
-                    omega.values[np.ix_(idx, idx)])
-
-
-def pullback_adj(omega: Cochain2, sub_src: Subgroup, sub_dst: Subgroup, r: int) -> Cochain2:
-    """Transport a cocycle on sub_src to r*sub_src*r^{-1} = sub_dst.
-
-    (r.w)(a, b) = w(r^{-1} a r, r^{-1} b r) for a, b in the conjugated group.
-    """
-    g = sub_src.parent
-    rinv = g.inverse(r)
-    n = sub_dst.order
-    vals = np.empty((n, n), dtype=complex)
-    for i, a in enumerate(sub_dst.elements):
-        ai = sub_src.to_local(g.conjugate(rinv, a))
-        for j, b in enumerate(sub_dst.elements):
-            bj = sub_src.to_local(g.conjugate(rinv, b))
-            vals[i, j] = omega.values[ai, bj]
-    return Cochain2(sub_dst.group, vals)
 
 
 # -- coboundary solving over m-th roots of unity -------------------------------

@@ -2,6 +2,11 @@
 
 Everything downstream (cosets, stabilizers, conjugate intersections) works
 on dense index tables; the largest group in use, S5, has 120 elements.
+
+`Subgroup.to_local` is the one map from elements of a group to the local
+indices of a subgroup. Restriction, translation by conjugation and zero
+extension of coreps, projective representations and cocycles are each one
+indexing of an axis by an array it returns.
 """
 
 from __future__ import annotations
@@ -57,9 +62,10 @@ class FiniteGroup:
     def inverse(self, r: int) -> int:
         return int(self.inv[r])
 
-    def conjugate(self, r: int, h: int) -> int:
-        """r h r^{-1}."""
-        return self.mul(self.mul(r, h), self.inverse(r))
+    def conjugate(self, r: int, h):
+        """r h r^{-1}, for an element h or a sequence of them (as an array)."""
+        out = self.mult[self.mult[r, h], self.inv[r]]
+        return out if np.ndim(out) else int(out)
 
     def elements(self) -> range:
         return range(self.order)
@@ -210,6 +216,9 @@ class Subgroup:
         object.__setattr__(self, "elements", elems)
         if elems and (elems[0] < 0 or elems[-1] >= self.parent.order):
             raise ValidationError(f"subgroup elements must be in 0..{self.parent.order - 1}")
+        local = np.full(self.parent.order, -1)
+        local[list(elems)] = np.arange(len(elems))
+        object.__setattr__(self, "_local", local)
         eset = set(elems)
         if self.parent.identity not in eset:
             raise ValidationError("subgroup must contain the identity")
@@ -224,8 +233,14 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def to_local(self, parent_idx: int) -> int:
-        return self.elements.index(parent_idx)
+    def to_local(self, parent_idx):
+        """Local index of a parent element, or an array of them for a
+        sequence; raises for any element outside the subgroup."""
+        local = self._local[np.asarray(parent_idx)]
+        if np.any(local < 0):
+            raise ValidationError(f"not all of {np.asarray(parent_idx).tolist()} "
+                                  f"lie in subgroup {list(self.elements)}")
+        return local if np.ndim(local) else int(local)
 
     def to_parent(self, local_idx: int) -> int:
         return self.elements[local_idx]
@@ -236,13 +251,8 @@ class Subgroup:
         cached = self.parent._subgroups.get(self.elements)
         if cached is not None:
             return cached
-        pos = {p: i for i, p in enumerate(self.elements)}
-        n = len(self.elements)
-        table = np.zeros((n, n), dtype=int)
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                table[i, j] = pos[self.parent.mul(a, b)]
-        grp = FiniteGroup(table)
+        elems = np.array(self.elements)
+        grp = FiniteGroup(self.to_local(self.parent.mult[np.ix_(elems, elems)]))
         self.parent._subgroups[self.elements] = grp
         return grp
 
@@ -281,8 +291,7 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
 
 def conjugate_subgroup(h: Subgroup, r: int) -> Subgroup:
     """rHr^{-1} as a Subgroup of the same parent."""
-    g = h.parent
-    return Subgroup(g, tuple(g.conjugate(r, x) for x in h.elements))
+    return Subgroup(h.parent, tuple(h.parent.conjugate(r, h.elements)))
 
 
 def conjugate_intersection(subgroups: list[Subgroup], reps: list[int]) -> Subgroup:

@@ -12,9 +12,8 @@ from .errors import (CovarianceFailure, FormulaMismatch, OracleDisagreement,
                      ProjectionNotInvariant, ValidationError)
 from .groups import Subgroup, conjugate_intersection, left_cosets
 from .projective import ordinary_rep
-from .semidirect import (SemidirectInstance, act_corep, check_covariant, extend,
-                         instance_of_corep, join_covariant, restrict_corep,
-                         split_covariant)
+from .semidirect import (SemidirectInstance, act_corep, extend, instance_of_corep,
+                         join_covariant, restrict_corep, split_covariant)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +28,8 @@ def induce(inst: SemidirectInstance, u: Corep) -> InducedRep:
 
     Builds the right-regular Lambda part and the twisted direct sum of the
     G part on l2(Lambda) (x) H, checks the invariance of the projection onto
-    the covariant subspace K, and compresses.
+    the covariant subspace K, and compresses. K is indexed by the right
+    cosets Lambda0\\Lambda: the vector for s depends only on Lambda0 s.
     """
     top = inst.top
     sub_inst = instance_of_corep(inst, u)
@@ -55,11 +55,6 @@ def induce(inst: SemidirectInstance, u: Corep) -> InducedRep:
         wg_entries[s * n:(s + 1) * n, s * n:(s + 1) * n, :] = block
     wg = Corep(top.base, wg_entries)
 
-    ok, worst, witness = check_covariant(top, wg, wl)
-    if not ok:
-        raise CovarianceFailure(
-            f"(W~_G, W~_Lambda) not covariant: residual {worst:.2e} at {witness}")
-
     # pi = |Lambda0|^{-1} sum_{r0, s} e_{r0 s, s} (x) U_Lambda(r0)
     pi = np.zeros((nl * n, nl * n), dtype=complex)
     for r0_local, r0 in enumerate(sub.elements):
@@ -81,14 +76,16 @@ def induce(inst: SemidirectInstance, u: Corep) -> InducedRep:
     if res > TOL_VERIFY:
         raise ProjectionNotInvariant(f"pi does not commute with W~_G ({res:.2e})")
 
-    # Explicit orthonormal basis of K = range(pi): one block per left coset.
-    cosets = left_cosets(sub)
+    # Explicit orthonormal basis of K = range(pi): one block per right coset
+    # Lambda0 s. The inverses of left coset representatives are a right
+    # transversal.
     cols = []
-    for rep, _ in cosets:
+    for rep, _ in left_cosets(sub):
+        s = lam.inverse(rep)
         for a in range(n):
             vec = np.zeros(nl * n, dtype=complex)
             for r0_local, r0 in enumerate(sub.elements):
-                t = lam.mul(r0, rep)
+                t = lam.mul(r0, s)
                 vec[t * n:(t + 1) * n] += ul.mats[r0_local][:, a]
             cols.append(vec / np.sqrt(sub.order))
     isometry = np.array(cols).T

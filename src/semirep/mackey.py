@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import TOL_ACCEPT, TOL_VERIFY, as_int, first_entry_phase, max_abs
-from .cohomology import cocycle_inverse, cocycle_product, pullback_adj
+from .cohomology import cocycle_inverse, cocycle_product
 from .corep import (Corep, act, compress, conjugate, intertwiner_basis,
                     irr_action, irr_enumerate, mor_dim, tensor as corep_tensor)
 from .errors import (CompletenessFailure, GramFailure, NonIntegerCoefficient,
@@ -29,10 +29,10 @@ from .induction import induce
 from .oracle import module_fusion_cube
 from .projective import (ProjectiveRep, cocycle_of, contragredient,
                          irreducible_projreps, ordinary_rep, proj_mor_dim,
-                         rescale, restrict, tensor as proj_tensor,
+                         pullback, rescale, tensor as proj_tensor,
                          transitional_map)
-from .semidirect import (SemidirectInstance, act_corep, join_covariant,
-                         restrict_corep)
+from .semidirect import (SemidirectInstance, act_corep, check_covariant,
+                         join_covariant, restrict_corep)
 
 
 # -- parameters -----------------------------------------------------------------
@@ -51,8 +51,8 @@ class GRParameter:
             raise ValidationError("V must act on the carrier space of u")
         if self.V.group != self.lambda0.group or self.v.group != self.lambda0.group:
             raise ValidationError("V and v must be representations of lambda0")
-        res = covariance_residual(inst, self.u, self.V, self.lambda0)
-        if res > TOL_VERIFY:
+        ok, res, _ = check_covariant(inst.principal(self.lambda0), self.u, self.V)
+        if not ok:
             raise NotCovariant(f"V is not covariant with u (residual {res:.2e})")
         opp = max_abs(self.V.cocycle.values * self.v.cocycle.values - 1.0)
         if opp > TOL_ACCEPT:
@@ -72,18 +72,6 @@ class RepParameter(GRParameter):
 def act_base(inst: SemidirectInstance, r: int, u: Corep) -> Corep:
     """The base-level translate r . u = (id (x) alpha*_{r^{-1}})(u)."""
     return act(r, u, inst.top.alpha, inst.top.lam_full)
-
-
-def covariance_residual(inst: SemidirectInstance, u: Corep, v: ProjectiveRep,
-                        sub: Subgroup) -> float:
-    worst = 0.0
-    for local, r0 in enumerate(sub.elements):
-        moved = act_base(inst, r0, u)
-        t = v.mats[local]
-        lhs = np.einsum("ik,kjc->ijc", t, moved.entries)
-        rhs = np.einsum("ikc,kj->ijc", u.entries, t)
-        worst = max(worst, max_abs(lhs - rhs))
-    return worst
 
 
 def stabilizer_of_class(inst: SemidirectInstance, u: Corep) -> Subgroup:
@@ -119,42 +107,28 @@ def covariant_projective(inst: SemidirectInstance, u: Corep,
             raise NotStabilized(f"intertwiner for r0 = {r0} is not unitary")
         mats[local] = t
     v = ProjectiveRep(sub.group, mats, cocycle_of(sub.group, mats))
-    res = covariance_residual(inst, u, v, sub)
-    if res > TOL_VERIFY:
+    ok, res, _ = check_covariant(inst.principal(sub), u, v)
+    if not ok:
         raise NotCovariant(f"constructed V fails covariance ({res:.2e})")
     return v
 
 
 # -- moving parameters around ----------------------------------------------------
 
-def translate_projective(v: ProjectiveRep, sub_from: Subgroup,
-                         r: int) -> tuple[ProjectiveRep, Subgroup]:
-    """(r . v)(r a r^{-1}) = v(a), a projective rep of r Lambda0 r^{-1}."""
-    lam = sub_from.parent
-    sub_to = conjugate_subgroup(sub_from, r)
-    srcs = [sub_from.to_local(lam.conjugate(lam.inverse(r), p))
-            for p in sub_to.elements]
-    return ProjectiveRep(sub_to.group, v.mats[srcs],
-                         pullback_adj(v.cocycle, sub_from, sub_to, r)), sub_to
-
-
 def translate_param(inst: SemidirectInstance, r: int, p: GRParameter) -> GRParameter:
-    """r . (u, V, v) over r Lambda0 r^{-1}."""
-    moved_u = act_base(inst, r, p.u)
-    moved_v, sub_to = translate_projective(p.V, p.lambda0, r)
-    moved_w, _ = translate_projective(p.v, p.lambda0, r)
-    cls = RepParameter if isinstance(p, RepParameter) else GRParameter
-    return cls(moved_u, moved_v, moved_w, sub_to)
+    """r . (u, V, v) over r Lambda0 r^{-1}: (r . V)(r a r^{-1}) = V(a)."""
+    lam = inst.top.lam_full
+    sub_to = conjugate_subgroup(p.lambda0, r)
+    idx = p.lambda0.to_local(lam.conjugate(lam.inverse(r), sub_to.elements))
+    return type(p)(act_base(inst, r, p.u), pullback(p.V, idx, sub_to.group),
+                   pullback(p.v, idx, sub_to.group), sub_to)
 
 
 def restrict_param(p: GRParameter, sub_to: Subgroup) -> GRParameter:
     """(u, V, v) restricted to a (global) subgroup sub_to of its Lambda0."""
-    if not sub_to.is_subset_of(p.lambda0):
-        raise ValidationError("restriction target is not a subgroup of the source")
-    local = Subgroup(p.lambda0.group, [p.lambda0.to_local(x) for x in sub_to.elements])
-    cls = RepParameter if isinstance(p, RepParameter) else GRParameter
-    return cls(p.u, restrict(p.V, local, sub_to.group),
-               restrict(p.v, local, sub_to.group), sub_to)
+    idx = p.lambda0.to_local(sub_to.elements)
+    return type(p)(p.u, pullback(p.V, idx, sub_to.group),
+                   pullback(p.v, idx, sub_to.group), sub_to)
 
 
 # -- the CSR corepresentation ----------------------------------------------------

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import DEFAULT_SEED, decompose, hom_space_dim, module_hom_basis
+from ._linalg import (DEFAULT_SEED, compress_stack, decompose, hom_space_dim,
+                      module_hom_basis)
 from .corep import Corep, regular_corep, tensor
 from .errors import PeterWeylMismatch
 from .hopf import HopfData
@@ -34,10 +35,6 @@ def module_fusion_cube(coreps: list[Corep]) -> np.ndarray:
     return cube
 
 
-def _compress_slices(slices: list[np.ndarray], q: np.ndarray) -> list[np.ndarray]:
-    return [q.conj().T @ s @ q for s in slices]
-
-
 def module_decompose(u: Corep, comm, seed: int = DEFAULT_SEED):
     """Irreducible submodules of u's slice module, with multiplicities; comm
     is a basis of the module's commutant.
@@ -46,7 +43,7 @@ def module_decompose(u: Corep, comm, seed: int = DEFAULT_SEED):
     module-hom dimension, never by characters.
     """
     return decompose(u.coeff_slices(), comm, lambda s: module_hom_basis(s, s),
-                     _compress_slices,
+                     compress_stack,
                      lambda a, b: (a[0].shape == b[0].shape
                                    and hom_space_dim(a, b) >= 1), seed)
 

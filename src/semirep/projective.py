@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, as_int, char_sort_key,
-                      decompose, max_abs, module_hom_basis)
+                      compress_stack, decompose, max_abs, module_hom_basis)
 from .cohomology import (Cochain1, Cochain2, coboundary, cocycle_inverse,
-                         cocycle_product, is_cocycle, restrict_cocycle,
-                         trivial_cochain2)
+                         cocycle_product, is_cocycle, trivial_cochain2)
 from .errors import (CocycleMismatch, NotProjective, NotScalarRelated,
                      ValidationError)
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,13 +124,12 @@ def tensor(v1: ProjectiveRep, v2: ProjectiveRep) -> ProjectiveRep:
     return ProjectiveRep(v1.group, mats, cocycle_product(v1.cocycle, v2.cocycle))
 
 
-def restrict(v: ProjectiveRep, sub: Subgroup,
-             group: FiniteGroup | None = None) -> ProjectiveRep:
-    """Restriction to a subgroup of v.group, reindexed to sub.group (or to
-    `group`, a group with the same table)."""
-    group = sub.group if group is None else group
-    idx = np.asarray(sub.elements)
-    return ProjectiveRep(group, v.mats[idx], restrict_cocycle(v.cocycle, sub, group))
+def pullback(v: ProjectiveRep, idx: np.ndarray, group: FiniteGroup) -> ProjectiveRep:
+    """a -> V(idx[a]) as a representation of `group`, with cocycle
+    w(idx[a], idx[b]); idx maps group homomorphically into v.group (a
+    restriction, or a translation r a r^{-1} -> a)."""
+    return ProjectiveRep(group, v.mats[idx],
+                         Cochain2(group, v.cocycle.values[np.ix_(idx, idx)]))
 
 
 def contragredient(v: ProjectiveRep) -> ProjectiveRep:
@@ -166,17 +164,14 @@ def regular_twisted_rep(group: FiniteGroup, omega: Cochain2) -> ProjectiveRep:
     return ProjectiveRep(group, mats, omega)
 
 
-def _subrep(v: ProjectiveRep, q: np.ndarray) -> ProjectiveRep:
-    mats = np.einsum("ia,rij,jb->rab", np.conj(q), v.mats, q)
-    return ProjectiveRep(v.group, mats, v.cocycle)
-
-
 def decompose_projective(v: ProjectiveRep,
                          seed: int = DEFAULT_SEED) -> list[tuple[ProjectiveRep, int]]:
     """Split into pairwise-inequivalent irreducibles with multiplicities."""
     def commutant(x):
         return module_hom_basis(x.mats, x.mats)
-    return decompose(v, commutant(v), commutant, _subrep,
+    return decompose(v, commutant(v), commutant,
+                     lambda x, q: ProjectiveRep(x.group, compress_stack(x.mats, q),
+                                                x.cocycle),
                      lambda a, b: a.dim == b.dim and proj_mor_dim(a, b) >= 1, seed)
 
 

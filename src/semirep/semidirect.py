@@ -3,7 +3,10 @@
 The product Hopf algebra lives on the basis e_i (x) delta_r, indexed as
 r * dim(base) + i (blocks by group element, base index fastest). Sub-instances
 over principal subgroups are cached on the top-level instance; all coset and
-conjugation bookkeeping happens in global Lambda coordinates.
+conjugation bookkeeping happens in global Lambda coordinates. Moving a corep
+or a coefficient vector between principal subgroups (restriction, the
+translation r . U, zero extension) indexes its block axis by the local
+indices that `Subgroup.to_local` gives.
 """
 
 from __future__ import annotations
@@ -118,15 +121,10 @@ def restrict_corep(inst: SemidirectInstance, u: Corep, sub: Subgroup) -> Corep:
     u may live on any principal instance of inst's top-level instance.
     """
     own = instance_of_corep(inst, u)
-    if not sub.is_subset_of(own.subgroup):
-        raise ValidationError("can only restrict to smaller principal subgroups")
-    target = own.principal(sub)
-    d = own.base.dim
-    cols = []
-    for p in sub.elements:
-        r_local = own.subgroup.to_local(p)
-        cols.append(u.entries[:, :, r_local * d:(r_local + 1) * d])
-    return Corep(target.product, np.concatenate(cols, axis=2))
+    idx = own.subgroup.to_local(sub.elements)
+    n = u.dim
+    blocks = u.entries.reshape(n, n, own.lam.order, own.base.dim)[:, :, idx]
+    return Corep(own.principal(sub).product, blocks.reshape(n, n, -1))
 
 
 # -- covariant pairs -------------------------------------------------------------
@@ -172,25 +170,7 @@ def join_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep) -> Co
     return Corep(inst.product, entries.reshape(n, n, inst.dim))
 
 
-# -- conjugation isomorphisms and the r. action ----------------------------------
-
-def conjugation_iso(inst: SemidirectInstance, sub: Subgroup, r: int) -> np.ndarray:
-    """The Hopf *-isomorphism alpha*_r (x) Adj*_r from G x| Lambda0 to G x| rLambda0r^-1.
-
-    The matrix maps coefficient vectors on the *target* instance (over
-    r Lambda0 r^{-1}) to coefficient vectors on the source (over Lambda0),
-    implementing the pullback e_i (x) delta_{r s r^{-1}} -> alpha*_r(e_i) (x) delta_s.
-    """
-    top = inst.top
-    target = conjugate_subgroup(sub, r)
-    d = top.base.dim
-    m_r = top.alpha[r].matrix
-    mat = np.zeros((sub.order * d, target.order * d), dtype=complex)
-    for s_local, s in enumerate(sub.elements):
-        t_local = target.to_local(top.lam_full.conjugate(r, s))
-        mat[s_local * d:(s_local + 1) * d, t_local * d:(t_local + 1) * d] = m_r
-    return mat
-
+# -- the r. action and zero extension ------------------------------------------
 
 def instance_of_corep(inst: SemidirectInstance, u: Corep) -> SemidirectInstance:
     for cand in inst.top._principal_cache.values():
@@ -206,20 +186,22 @@ def act_corep(inst: SemidirectInstance, r: int, u: Corep) -> Corep:
     result is a corep of G x| r Lambda0 r^{-1}.
     """
     top = inst.top
-    moved = conjugate_subgroup(instance_of_corep(inst, u).subgroup, r)
-    # The pullback by (alpha*_{r^{-1}} (x) Adj*_{r^{-1}}) from the instance over
-    # Lambda0 is exactly the conjugation iso of r Lambda0 r^{-1} along r^{-1}.
-    mat = conjugation_iso(top, moved, top.lam_full.inverse(r))
-    entries = np.einsum("pc,ijc->ijp", mat, u.entries)
-    return Corep(top.principal(moved).product, entries)
+    lam = top.lam_full
+    own = instance_of_corep(inst, u).subgroup
+    moved = conjugate_subgroup(own, r)
+    # block s of the result is block r^{-1} s r of U, moved by alpha*_{r^{-1}}
+    rinv = lam.inverse(r)
+    idx = own.to_local(lam.conjugate(rinv, moved.elements))
+    n = u.dim
+    blocks = u.entries.reshape(n, n, own.order, top.base.dim)[:, :, idx]
+    entries = blocks @ top.alpha[rinv].matrix.T
+    return Corep(top.principal(moved).product, entries.reshape(n, n, -1))
 
 
 def extend(inst: SemidirectInstance, sub_inst: SemidirectInstance,
            vec: np.ndarray) -> np.ndarray:
     """Zero-fill an element of A (x) C(Lambda0) into A (x) C(Lambda)."""
     d = inst.base.dim
-    out = np.zeros(inst.dim, dtype=complex)
-    for s_local, p in enumerate(sub_inst.subgroup.elements):
-        r_local = inst.subgroup.to_local(p)
-        out[r_local * d:(r_local + 1) * d] = vec[s_local * d:(s_local + 1) * d]
-    return out
+    out = np.zeros((inst.lam.order, d), dtype=complex)
+    out[inst.subgroup.to_local(sub_inst.subgroup.elements)] = vec.reshape(-1, d)
+    return out.reshape(-1)

@@ -2,6 +2,8 @@ import pytest
 
 from semirep.corpus import instance
 
+from helpers import shipped_instance
+
 
 @pytest.fixture(scope="session")
 def inst_a():
@@ -26,3 +28,18 @@ def inst_d():
 @pytest.fixture(scope="session")
 def inst_e():
     return instance("E")
+
+
+@pytest.fixture(scope="session")
+def inst_f():
+    return instance("F")
+
+
+@pytest.fixture(scope="session")
+def inst_g():
+    return shipped_instance("g")
+
+
+@pytest.fixture(scope="session")
+def inst_h():
+    return shipped_instance("h")

@@ -1,14 +1,20 @@
 """Small objects that only the tests build (trivial and direct-sum
 representations, the trivial action, the trivial subgroup, base coreps viewed
-over G x| {e}) and the (co)commutativity tests of a Hopf algebra."""
+over G x| {e}, the shipped instance files), the (co)commutativity tests of a
+Hopf algebra, and the dense conjugation isomorphism that act_corep is
+checked against."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 
 from semirep._linalg import TOL_ACCEPT, TOL_VERIFY, max_abs
 from semirep.cohomology import trivial_cochain2
 from semirep.corep import Corep
+from semirep.corpus import build_instance
 from semirep.errors import CocycleMismatch, ValidationError
-from semirep.groups import FiniteGroup, Subgroup
+from semirep.groups import FiniteGroup, Subgroup, conjugate_subgroup
 from semirep.hopf import HopfData, QAutomorphism
 from semirep.projective import ProjectiveRep
 
@@ -67,3 +73,29 @@ def embed_base_corep(inst, u: Corep) -> Corep:
     if u.parent is not inst.base:
         raise ValidationError("expected a corepresentation of the base")
     return Corep(target.product, u.entries.copy())
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+def shipped_instance(name: str):
+    """The instance in instances/instance_<name>.json."""
+    return build_instance(json.loads((INSTANCES / f"instance_{name}.json").read_text()))
+
+
+def conjugation_iso(inst, sub: Subgroup, r: int) -> np.ndarray:
+    """The Hopf *-isomorphism alpha*_r (x) Adj*_r from G x| Lambda0 to G x| rLambda0r^-1.
+
+    The dense matrix maps coefficient vectors on the *target* instance (over
+    r Lambda0 r^{-1}) to coefficient vectors on the source (over Lambda0),
+    implementing the pullback e_i (x) delta_{r s r^{-1}} -> alpha*_r(e_i) (x) delta_s.
+    """
+    top = inst.top
+    target = conjugate_subgroup(sub, r)
+    d = top.base.dim
+    m_r = top.alpha[r].matrix
+    mat = np.zeros((sub.order * d, target.order * d), dtype=complex)
+    for s_local, s in enumerate(sub.elements):
+        t_local = target.to_local(top.lam_full.conjugate(r, s))
+        mat[s_local * d:(s_local + 1) * d, t_local * d:(t_local + 1) * d] = m_r
+    return mat

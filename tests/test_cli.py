@@ -15,7 +15,7 @@ def run_cli(*args):
 
 
 def test_check_passes_all_shipped(tmp_path):
-    for name in "abcde":
+    for name in "abcdegh":
         code, out, _ = run_cli("check", str(INSTANCES / f"instance_{name}.json"))
         assert code == 0, out
         assert "PASS" in out
@@ -140,7 +140,7 @@ def test_structured_output_deterministic():
 
 
 def test_oracle_agrees_with_irr():
-    for name in "abc":
+    for name in "abcgh":
         path = str(INSTANCES / f"instance_{name}.json")
         code, irr_out, _ = run_cli("irr", path, "--format", "structured")
         assert code == 0

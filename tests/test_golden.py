@@ -2,9 +2,11 @@
 
 tests/golden holds the structured output of check, irr, conj and oracle on
 A-D, of oracle on E and F (whose regular modules are the largest split), of
-fuse on A-C and of induce (--subgroup 0 --param x:1,v:0) on A-C, all with
---seed 7. A refactor that keeps the arithmetic must reproduce these files
-byte for byte.
+fuse on A-C, of induce (--subgroup 0 --param x:1,v:0) on A-C, and of irr,
+conj, oracle, fuse and induce on the two instances with a nonabelian Lambda:
+G (induce --subgroup 0,2 --param x:0,v:0) and H (induce --subgroup 0,5
+--param x:0,v:0), all with --seed 7. A refactor that keeps the arithmetic
+must reproduce these files byte for byte.
 """
 
 from pathlib import Path
@@ -15,16 +17,24 @@ from semirep.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-EXTRA_ARGS = {"induce": ["--subgroup", "0", "--param", "x:1,v:0"]}
+INDUCE_ARGS = {"g": ("0,2", "x:0,v:0"), "h": ("0,5", "x:0,v:0")}
 CASES = [(cmd, x) for cmd in ("check", "irr", "conj", "oracle") for x in "abcd"] + \
     [("oracle", "e"), ("oracle", "f")] + \
-    [(cmd, x) for cmd in ("fuse", "induce") for x in "abc"]
+    [(cmd, x) for cmd in ("fuse", "induce") for x in "abc"] + \
+    [(cmd, x) for cmd in ("irr", "conj", "oracle", "fuse", "induce") for x in "gh"]
+
+
+def extra_args(cmd, name):
+    if cmd != "induce":
+        return []
+    subgroup, param = INDUCE_ARGS.get(name, ("0", "x:1,v:0"))
+    return ["--subgroup", subgroup, "--param", param]
 
 
 @pytest.mark.parametrize("cmd,name", CASES)
 def test_structured_output_matches_golden(cmd, name, capsys):
     path = ROOT / "instances" / f"instance_{name}.json"
     code = main([cmd, str(path), "--format", "structured", "--seed", "7",
-                 *EXTRA_ARGS.get(cmd, [])])
+                 *extra_args(cmd, name)])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{cmd}_{name}.json").read_text()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from semirep.errors import NotAGroup
+from semirep.errors import NotAGroup, ValidationError
 from semirep.groups import (FiniteGroup, GroupAction, Subgroup, all_subgroups,
                             conjugate_intersection, conjugate_subgroup,
                             cyclic_group, direct_product, full_subgroup,
@@ -95,6 +95,23 @@ def test_conjugate_subgroup_s3():
         for b in h.elements:
             assert g.conjugate(r, g.mul(a, b)) == g.mul(g.conjugate(r, a),
                                                         g.conjugate(r, b))
+
+
+def test_index_maps_take_sequences():
+    """conjugate and to_local map a sequence elementwise, and to_local raises
+    for any element outside the subgroup."""
+    g = FiniteGroup(s3_table())
+    for r in g.elements():
+        expected = [g.mul(g.mul(r, x), g.inverse(r)) for x in g.elements()]
+        assert list(g.conjugate(r, range(g.order))) == expected
+        assert [g.conjugate(r, x) for x in g.elements()] == expected
+    h = Subgroup(g, (idx((0, 1, 2)), idx((1, 0, 2))))
+    assert h.to_local(h.elements[1]) == 1
+    assert list(h.to_local(h.elements[::-1])) == [1, 0]
+    assert list(full_subgroup(g).to_local(range(6))) == list(range(6))
+    for outside in (idx((0, 2, 1)), [h.elements[0], idx((0, 2, 1))]):
+        with pytest.raises(ValidationError):
+            h.to_local(outside)
 
 
 def test_conjugate_subgroup_whole_group_and_order():

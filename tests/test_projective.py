@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from semirep._linalg import module_hom_basis
-from semirep.cohomology import Cochain1, coboundary, cocycle_inverse, trivial_cochain2
+from semirep.cohomology import (Cochain1, coboundary, cocycle_inverse, is_cocycle,
+                                trivial_cochain2)
 from semirep.errors import CocycleMismatch, NotScalarRelated
-from semirep.groups import Subgroup, cyclic_group, direct_product, symmetric_group
+from semirep.groups import (Subgroup, all_subgroups, conjugate_subgroup, cyclic_group,
+                            direct_product, symmetric_group)
 from semirep.projective import (ProjectiveRep, cocycle_of, contragredient,
                                 decompose_projective, irreducible_projreps,
-                                ordinary_rep, proj_mor_dim, projective_rep,
-                                regular_twisted_rep, rescale, restrict, tensor,
+                                ordinary_rep, proj_mor_dim, projective_rep, pullback,
+                                regular_twisted_rep, rescale, tensor,
                                 transitional_map)
 
 from helpers import trivial_rep
@@ -132,11 +134,44 @@ def test_tensor_contragredient_restrict():
     mults = [proj_mor_dim(c, tens) for c in chars]
     assert mults == [1, 1, 1, 1]
     sub = Subgroup(v.group, (0,))
-    r = restrict(v, sub)
+    r = pullback(v, np.array(sub.elements), sub.group)
     assert r.dim == 2 and r.group.order == 1
     sub2 = Subgroup(v.group, (0, 1))
-    r2 = restrict(v, sub2)
+    r2 = pullback(v, np.array(sub2.elements), sub2.group)
     assert r2.verify() < 1e-12
+
+
+def twisted_s3_rep():
+    """The 2-dim irrep of S3 rescaled by random phases: a projective
+    representation of a nonabelian group whose cocycle table is not constant."""
+    s3 = symmetric_group(3)
+    two = next(w for w in irreducible_projreps(s3, trivial_cochain2(s3)) if w.dim == 2)
+    phases = np.exp(2j * np.pi * np.random.default_rng(5).random(6))
+    phases[s3.identity] = 1.0
+    return rescale(Cochain1(s3, phases), two)
+
+
+@pytest.mark.parametrize("make", [pauli_rep, twisted_s3_rep])
+def test_pullback_restricts_and_translates(make):
+    """Restriction and translation are both pullbacks along an index map:
+    each gives a projective representation whose cocycle is the pulled-back
+    cocycle, and restricting then translating by r equals translating then
+    restricting to the conjugated subgroup."""
+    v = make()
+    g = v.group
+    for sub in all_subgroups(g):
+        res = pullback(v, np.array(sub.elements), sub.group)
+        assert res.group is sub.group and res.cocycle.group is sub.group
+        assert res.verify() < 1e-12 and is_cocycle(res.cocycle)[0]
+        for r in g.elements():
+            dst = conjugate_subgroup(sub, r)
+            back = g.conjugate(g.inverse(r), np.array(dst.elements))
+            moved = pullback(res, sub.to_local(back), dst.group)
+            assert moved.verify() < 1e-12
+            whole = pullback(v, g.conjugate(g.inverse(r), np.arange(g.order)), g)
+            direct = pullback(whole, np.array(dst.elements), dst.group)
+            assert np.array_equal(moved.mats, direct.mats)
+            assert np.array_equal(moved.cocycle.values, direct.cocycle.values)
 
 
 def test_tensor_of_pauli_with_itself():

@@ -3,16 +3,17 @@ import pytest
 
 from semirep.corep import Corep, irr_enumerate, mor_dim, verify_corep
 from semirep.errors import NotCovariant
-from semirep.groups import conjugate_subgroup, cyclic_group, full_subgroup
+from semirep.groups import (all_subgroups, conjugate_subgroup, cyclic_group,
+                            full_subgroup)
 from semirep.hopf import function_algebra, haar_solve, is_kac, verify_axioms
 from semirep.oracle import oracle_irr_dims
 from semirep.projective import ordinary_rep
-from semirep.semidirect import (act_corep, build, check_covariant,
-                                conjugation_iso, extend, instance_of_corep,
-                                join_covariant, restrict_corep, split_covariant)
+from semirep.semidirect import (act_corep, build, check_covariant, extend,
+                                instance_of_corep, join_covariant, restrict_corep,
+                                split_covariant)
 
-from helpers import (embed_base_corep, is_cocommutative, is_commutative,
-                     trivial_action, trivial_rep, trivial_subgroup)
+from helpers import (conjugation_iso, embed_base_corep, is_cocommutative,
+                     is_commutative, trivial_action, trivial_rep, trivial_subgroup)
 
 
 def test_build_axioms_all_instances(inst_a, inst_b, inst_c, inst_d):
@@ -173,6 +174,27 @@ def test_act_corep_inside_subgroup_is_equivalent(inst_c):
             moved = act_corep(inst_c, r, u)
             assert moved.parent is u.parent
             assert mor_dim(moved, u) >= 1
+
+
+@pytest.mark.parametrize("name", "abcdefgh")
+def test_act_corep_matches_dense_conjugation_iso(name, request):
+    """Indexing the block axis by Subgroup.to_local gives what the dense
+    pullback along alpha*_{r^{-1}} (x) Adj*_{r^{-1}} gives, on every principal
+    subgroup and every r (G and H have a nonabelian Lambda)."""
+    inst = request.getfixturevalue(f"inst_{name}")
+    lam = inst.lam_full
+    rng = np.random.default_rng(2)
+    for sub in all_subgroups(lam):
+        src = inst.principal(sub)
+        u = Corep(src.product, rng.standard_normal((2, 2, src.dim))
+                  + 1j * rng.standard_normal((2, 2, src.dim)))
+        for r in lam.elements():
+            moved = act_corep(inst, r, u)
+            target = conjugate_subgroup(sub, r)
+            assert moved.parent is inst.principal(target).product
+            iso = conjugation_iso(inst, target, lam.inverse(r))
+            dense = np.einsum("pc,ijc->ijp", iso, u.entries)
+            assert np.max(np.abs(moved.entries - dense)) < 1e-12
 
 
 def test_act_corep_characters(inst_a):
