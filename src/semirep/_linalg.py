@@ -213,3 +213,14 @@ def first_entry_phase(mat: np.ndarray):
 def max_abs(arr) -> float:
     arr = np.asarray(arr)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+def max_abs_each(arr: np.ndarray) -> np.ndarray:
+    """max_abs(arr[r]) for every r along the first axis at once."""
+    return np.abs(arr).reshape(len(arr), -1).max(axis=1)
+
+
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a[r], b[r]) for every r of two stacks of square matrices."""
+    n = a.shape[1] * b.shape[1]
+    return np.einsum("rab,rij->raibj", a, b).reshape(-1, n, n)

@@ -50,14 +50,17 @@ def verify_corep(u: Corep) -> dict:
     h = u.parent
     e = u.entries
     res: dict[str, float] = {}
-    lhs = np.einsum("ijc,cab->ijab", e, h.comult)
+    lhs = np.tensordot(e, h.comult, axes=1)
     rhs = np.einsum("ika,kjb->ijab", e, e)
     res["comodule"] = max_abs(lhs - rhs)
     res["counit"] = max_abs(np.einsum("ijc,c->ij", e, h.counit) - np.eye(u.dim))
     star_e = np.einsum("pc,ijc->ijp", h.star, np.conj(e))
-    # row orthogonality: sum_k u_{ik} u_{jk}^* = delta_{ij} 1, columns likewise
-    row = np.einsum("ika,jkb,abp->ijp", e, star_e, h.mult, optimize=True)
-    col = np.einsum("kia,kjb,abp->ijp", star_e, e, h.mult, optimize=True)
+    # row orthogonality: sum_k u_{ik} u_{jk}^* = delta_{ij} 1, columns likewise;
+    # mult is contracted with the second factor first, then with the first
+    row = np.tensordot(e, np.tensordot(star_e, h.mult, axes=([2], [1])),
+                       axes=([1, 2], [1, 2]))
+    col = np.tensordot(star_e, np.tensordot(e, h.mult, axes=([2], [1])),
+                       axes=([0, 2], [0, 2]))
     target = np.einsum("ij,p->ijp", np.eye(u.dim), h.unit)
     res["unitary_rows"] = max_abs(row - target)
     res["unitary_cols"] = max_abs(col - target)
@@ -71,9 +74,10 @@ def tensor(u: Corep, w: Corep) -> Corep:
     if u.parent is not w.parent:
         raise ValidationError("tensor product requires a common parent algebra")
     h = u.parent
-    prod = np.einsum("ija,klb,abc->ikjlc", u.entries, w.entries, h.mult, optimize=True)
+    prod = np.tensordot(u.entries, np.tensordot(w.entries, h.mult, axes=([2], [1])),
+                        axes=([2], [2]))
     n = u.dim * w.dim
-    return Corep(h, prod.reshape(n, n, h.dim))
+    return Corep(h, prod.transpose(0, 2, 1, 3, 4).reshape(n, n, h.dim))
 
 
 # -- morphism spaces -----------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import TOL_BUILD, TOL_VERIFY, as_int, max_abs
+from ._linalg import TOL_BUILD, TOL_VERIFY, as_int, max_abs, max_abs_each
 from .corep import Corep, compress, mor_dim, verify_corep
 from .errors import (CovarianceFailure, FormulaMismatch, OracleDisagreement,
                      ProjectionNotInvariant, ValidationError)
@@ -39,56 +39,44 @@ def induce(inst: SemidirectInstance, u: Corep) -> InducedRep:
     nl = lam.order
     ug, ul = split_covariant(sub_inst, u)
 
-    # W~_Lambda(s): delta_r (x) xi -> delta_{r s^{-1}} (x) xi
-    wl_mats = np.zeros((nl, nl * n, nl * n), dtype=complex)
-    eye = np.eye(n)
-    for s in lam.elements():
-        for r in lam.elements():
-            t = lam.mul(r, lam.inverse(s))
-            wl_mats[s, t * n:(t + 1) * n, r * n:(r + 1) * n] = eye
-    wl = ordinary_rep(lam, wl_mats)
+    span = np.arange(nl)
+    # W~_Lambda(s): delta_r (x) xi -> delta_{r s^{-1}} (x) xi; shift[s, t, r] = [ts = r]
+    shift = lam.mult.T[:, :, None] == span
+    wl = ordinary_rep(lam, np.einsum("str,ij->stirj", shift, np.eye(n)).reshape(
+        nl, nl * n, nl * n))
 
     # W~_G = sum_s e_{s,s} (x) (id (x) alpha*_s)(U_G)
-    wg_entries = np.zeros((nl * n, nl * n, top.base.dim), dtype=complex)
-    for s in lam.elements():
-        block = np.einsum("pc,ijc->ijp", top.alpha[s].matrix, ug.entries)
-        wg_entries[s * n:(s + 1) * n, s * n:(s + 1) * n, :] = block
-    wg = Corep(top.base, wg_entries)
+    wg_entries = np.zeros((nl, n, nl, n, top.base.dim), dtype=complex)
+    wg_entries[span, :, span] = ug.entries @ top.alpha_mats.transpose(0, 2, 1)[:, None]
+    wg = Corep(top.base, wg_entries.reshape(nl * n, nl * n, -1))
 
-    # pi = |Lambda0|^{-1} sum_{r0, s} e_{r0 s, s} (x) U_Lambda(r0)
-    pi = np.zeros((nl * n, nl * n), dtype=complex)
-    for r0_local, r0 in enumerate(sub.elements):
-        for s in lam.elements():
-            t = lam.mul(r0, s)
-            pi[t * n:(t + 1) * n, s * n:(s + 1) * n] += ul.mats[r0_local]
-    pi /= sub.order
+    # pi = |Lambda0|^{-1} sum_{r0, s} e_{r0 s, s} (x) U_Lambda(r0); r0 -> r0 s is
+    # injective, so every block is set at most once
+    r0 = np.array(sub.elements)[:, None]
+    pi = np.zeros((nl, n, nl, n), dtype=complex)
+    pi[lam.mult[r0, span], :, span] = ul.mats[:, None]
+    pi = pi.reshape(nl * n, nl * n) / sub.order
 
     res = max_abs(pi @ pi - pi)
     if res > TOL_VERIFY:
         raise ProjectionNotInvariant(f"pi is not a projection (residual {res:.2e})")
-    for s in lam.elements():
-        res = max_abs(pi @ wl.mats[s] - wl.mats[s] @ pi)
-        if res > TOL_VERIFY:
-            raise ProjectionNotInvariant(
-                f"pi does not commute with W~_Lambda({s}) ({res:.2e})")
+    comm = max_abs_each(pi @ wl.mats - wl.mats @ pi)
+    bad = np.flatnonzero(comm > TOL_VERIFY)
+    if len(bad):
+        raise ProjectionNotInvariant(
+            f"pi does not commute with W~_Lambda({bad[0]}) ({comm[bad[0]]:.2e})")
     res = max_abs(np.einsum("ik,kjc->ijc", pi, wg.entries)
                   - np.einsum("ikc,kj->ijc", wg.entries, pi))
     if res > TOL_VERIFY:
         raise ProjectionNotInvariant(f"pi does not commute with W~_G ({res:.2e})")
 
     # Explicit orthonormal basis of K = range(pi): one block per right coset
-    # Lambda0 s. The inverses of left coset representatives are a right
-    # transversal.
-    cols = []
-    for rep, _ in left_cosets(sub):
-        s = lam.inverse(rep)
-        for a in range(n):
-            vec = np.zeros(nl * n, dtype=complex)
-            for r0_local, r0 in enumerate(sub.elements):
-                t = lam.mul(r0, s)
-                vec[t * n:(t + 1) * n] += ul.mats[r0_local][:, a]
-            cols.append(vec / np.sqrt(sub.order))
-    isometry = np.array(cols).T
+    # Lambda0 s, the column block of s holding U_Lambda(r0) in row block r0 s.
+    # The inverses of left coset representatives are a right transversal.
+    right = lam.inv[[rep for rep, _ in left_cosets(sub)]]
+    basis = np.zeros((nl, n, len(right), n), dtype=complex)
+    basis[lam.mult[r0, right], :, np.arange(len(right))] = ul.mats[:, None]
+    isometry = basis.reshape(nl * n, -1) / np.sqrt(sub.order)
     if max_abs(isometry.conj().T @ isometry - np.eye(isometry.shape[1])) > TOL_VERIFY:
         raise ProjectionNotInvariant("coset basis of K is not orthonormal")
     if max_abs(pi @ isometry - isometry) > TOL_VERIFY:

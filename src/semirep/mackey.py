@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import TOL_ACCEPT, TOL_VERIFY, as_int, first_entry_phase, max_abs
+from ._linalg import (TOL_ACCEPT, TOL_VERIFY, as_int, first_entry_phase, kron_stack,
+                      max_abs, max_abs_each)
 from .cohomology import cocycle_inverse, cocycle_product
 from .corep import (Corep, act, compress, conjugate, intertwiner_basis,
                     irr_action, irr_enumerate, mor_dim, tensor as corep_tensor)
@@ -134,16 +135,19 @@ def restrict_param(p: GRParameter, sub_to: Subgroup) -> GRParameter:
 # -- the CSR corepresentation ----------------------------------------------------
 
 def csr_corep(inst: SemidirectInstance, p: GRParameter) -> Corep:
-    """The corep of G x| Lambda0 packaged by a (generalized) parameter."""
+    """The corep of G x| Lambda0 packaged by a (generalized) parameter.
+
+    The Lambda0 part v (x) V goes through `ordinary_rep`, which re-extracts its
+    cocycle and requires it to be trivial. For a GRP this is the only check of
+    that: `_FusionTables.grp` never validates the GRPs it builds.
+    """
     sub_inst = inst.principal(p.lambda0)
     nv, nu = p.v.dim, p.u.dim
     eye = np.eye(nv)
     ug_entries = np.einsum("ab,ijc->aibjc", eye, p.u.entries).reshape(
         nv * nu, nv * nu, inst.base.dim)
     ug = Corep(inst.base, ug_entries)
-    ul_mats = np.stack([np.kron(p.v.mats[s], p.V.mats[s])
-                        for s in range(p.lambda0.order)])
-    ul = ordinary_rep(sub_inst.lam, ul_mats)
+    ul = ordinary_rep(sub_inst.lam, kron_stack(p.v.mats, p.V.mats))
     return join_covariant(sub_inst, ug, ul)
 
 
@@ -277,23 +281,21 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
     if n == 0:
         return None
     d0 = u0.dim
-    cols = np.zeros((g.u.dim, n * d0), dtype=complex)
-    for a, t in enumerate(basis):
-        cols[:, a * d0:(a + 1) * d0] = t * np.sqrt(d0)
+    cols = np.hstack(basis) * np.sqrt(d0)
     if max_abs(cols.conj().T @ cols - np.eye(n * d0)) > TOL_VERIFY:
         raise NonUnitaryExtraction("isotypic isometry is not orthonormal")
-    order = g.lambda0.order
-    v1_mats = np.zeros((order, n, n), dtype=complex)
-    for local in range(order):
-        vp = cols.conj().T @ g.V.mats[local] @ cols
-        block = vp.reshape(n, d0, n, d0)
-        v1 = np.einsum("ki,akbi->ab", np.conj(v0.mats[local]), block) / d0
-        if max_abs(block - np.einsum("ab,ij->aibj", v1, v0.mats[local])) > TOL_ACCEPT:
+    # all local elements at once; the first one that fails is reported
+    vp = cols.conj().T @ g.V.mats @ cols
+    v1_mats = np.einsum("rki,rakbi->rab", np.conj(v0.mats),
+                        vp.reshape(-1, n, d0, n, d0)) / d0
+    factor_res = max_abs_each(vp - kron_stack(v1_mats, v0.mats))
+    unit_res = max_abs_each(v1_mats @ v1_mats.conj().transpose(0, 2, 1) - np.eye(n))
+    bad = np.flatnonzero((factor_res > TOL_ACCEPT) | (unit_res > TOL_VERIFY))
+    if len(bad):
+        if factor_res[bad[0]] > TOL_ACCEPT:
             raise NonUnitaryExtraction(
-                f"compressed V does not factor through V0 at local element {local}")
-        if max_abs(v1 @ v1.conj().T - np.eye(n)) > TOL_VERIFY:
-            raise NonUnitaryExtraction("extracted factor is not unitary")
-        v1_mats[local] = v1
+                f"compressed V does not factor through V0 at local element {bad[0]}")
+        raise NonUnitaryExtraction("extracted factor is not unitary")
     omega1 = cocycle_product(g.V.cocycle, cocycle_inverse(v0.cocycle))
     v1_rep = ProjectiveRep(g.lambda0.group, v1_mats, omega1)
     if v1_rep.verify() > TOL_ACCEPT:
@@ -327,6 +329,13 @@ class _FusionTables:
         self.chars: dict = {}
         self.moved: dict = {}
         self.grps: dict = {}
+        self.transversals: dict = {}
+
+    def transversal(self, sub: Subgroup) -> list[int]:
+        """The left coset representatives of sub."""
+        if sub.elements not in self.transversals:
+            self.transversals[sub.elements] = [z for z, _ in left_cosets(sub)]
+        return self.transversals[sub.elements]
 
     def meet(self, subs: list[Subgroup], reps: tuple[int, ...]) -> Subgroup:
         """cap r_i Lambda_i r_i^{-1}."""
@@ -434,7 +443,7 @@ def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
     params = (w1.parameter, w2.parameter, w3.parameter)
     subs = [p.lambda0 for p in params]
     total = 0.0
-    for reps in itertools.product(*([z for z, _ in left_cosets(s)] for s in subs)):
+    for reps in itertools.product(*(tables.transversal(s) for s in subs)):
         m = incidence(top, params, reps, tables=tables)
         total += m * tables.meet(subs, reps).order / top.lam_full.order
     try:
@@ -453,11 +462,12 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionT
 
     What does not depend on the entry is built once per call and shared by
     all entries: the CSR corep of each classified parameter (taken from
-    classify), the meet of each coset triple, per (parameter, coset
-    representative, meet) the moved restricted parameter and the restricted
-    character of the moved CSR, and per (p2, r2, p3, r3, meet) the GRP and
-    its CSR corep. Every incidence number, GRP reduction with its checks,
-    character pairing and module-hom count still runs for each entry.
+    classify), the coset transversal of each Lambda0, the meet of each coset
+    triple, per (parameter, coset representative, meet) the moved restricted
+    parameter and the restricted character of the moved CSR, and per (p2, r2,
+    p3, r3, meet) the GRP and its CSR corep. Every incidence number, GRP
+    reduction with its checks, character pairing and module-hom count still
+    runs for each entry.
     """
     top = inst.top
     h = top.product

@@ -3,6 +3,10 @@
 A ProjectiveRep stores one unitary matrix per group element together with its
 2-cocycle. Enumeration of the irreducibles with a prescribed cocycle goes
 through the left regular representation of the twisted group algebra.
+
+Group relations are checked over the whole multiplication table in one array
+expression: all products V(r)V(s) are mats[:, None] @ mats[None], and their
+targets V(rs) are mats[group.mult].
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, as_int, char_sort_key,
-                      compress_stack, decompose, max_abs, module_hom_basis)
+                      compress_stack, decompose, kron_stack, max_abs,
+                      max_abs_each, module_hom_basis)
 from .cohomology import (Cochain1, Cochain2, coboundary, cocycle_inverse,
                          cocycle_product, is_cocycle, trivial_cochain2)
 from .errors import (CocycleMismatch, NotProjective, NotScalarRelated,
@@ -44,34 +49,27 @@ class ProjectiveRep:
 
     def verify(self) -> float:
         """Max residual over: V(e)=1, unitarity, V(r)V(s) = w(r,s)V(rs)."""
-        g = self.group
+        g, m = self.group, self.mats
         eye = np.eye(self.dim)
-        worst = max_abs(self.mats[g.identity] - eye)
-        for r in g.elements():
-            worst = max(worst, max_abs(self.mats[r] @ self.mats[r].conj().T - eye))
-            for s in g.elements():
-                res = self.mats[r] @ self.mats[s] - self.cocycle(r, s) * self.mats[g.mul(r, s)]
-                worst = max(worst, max_abs(res))
-        return worst
+        return max(max_abs(m[g.identity] - eye),
+                   max_abs(m @ m.conj().transpose(0, 2, 1) - eye),
+                   max_abs(m[:, None] @ m[None]
+                           - self.cocycle.values[:, :, None, None] * m[g.mult]))
 
 
 def cocycle_of(group: FiniteGroup, mats) -> Cochain2:
-    """Extract the unique cocycle with V(r)V(s) = w(r,s) V(rs)."""
+    """Extract the unique cocycle with V(r)V(s) = w(r,s) V(rs); the first
+    pair (row-major) whose product is orthogonal to V(rs) is reported."""
     mats = np.asarray(mats, dtype=complex)
-    dim = mats.shape[1]
-    n = group.order
-    vals = np.empty((n, n), dtype=complex)
-    worst = 0.0
-    for r in range(n):
-        for s in range(n):
-            rs = group.mul(r, s)
-            prod = mats[r] @ mats[s]
-            w = np.trace(mats[rs].conj().T @ prod) / dim
-            if abs(w) < 1e-8:
-                raise NotProjective(f"V({r})V({s}) is orthogonal to V({r}*{s})")
-            w /= abs(w)
-            worst = max(worst, max_abs(prod - w * mats[rs]))
-            vals[r, s] = w
+    prods = mats[:, None] @ mats[None]
+    targets = mats[group.mult]
+    vals = np.einsum("rsij,rsij->rs", targets.conj(), prods) / mats.shape[1]
+    orthogonal = np.argwhere(np.abs(vals) < 1e-8)
+    if len(orthogonal):
+        r, s = orthogonal[0]
+        raise NotProjective(f"V({r})V({s}) is orthogonal to V({r}*{s})")
+    vals /= np.abs(vals)
+    worst = max_abs(prods - vals[:, :, None, None] * targets)
     if worst > TOL_ACCEPT:
         raise NotProjective(f"projectivity residual {worst} exceeds {TOL_ACCEPT}")
     omega = Cochain2(group, vals)
@@ -120,8 +118,8 @@ def proj_mor_dim(v1: ProjectiveRep, v2: ProjectiveRep) -> int:
 def tensor(v1: ProjectiveRep, v2: ProjectiveRep) -> ProjectiveRep:
     if v1.group != v2.group:
         raise ValidationError("tensor product requires the same group")
-    mats = np.stack([np.kron(v1.mats[r], v2.mats[r]) for r in v1.group.elements()])
-    return ProjectiveRep(v1.group, mats, cocycle_product(v1.cocycle, v2.cocycle))
+    return ProjectiveRep(v1.group, kron_stack(v1.mats, v2.mats),
+                         cocycle_product(v1.cocycle, v2.cocycle))
 
 
 def pullback(v: ProjectiveRep, idx: np.ndarray, group: FiniteGroup) -> ProjectiveRep:
@@ -138,29 +136,31 @@ def contragredient(v: ProjectiveRep) -> ProjectiveRep:
 
 
 def transitional_map(v1: ProjectiveRep, v2: ProjectiveRep) -> Cochain1:
-    """The unique b with V2 = b V1, if V2(r)V1(r)^{-1} is scalar for every r."""
+    """The unique b with V2 = b V1, if V2(r)V1(r)^{-1} is scalar for every r.
+
+    The first element that is orthogonal or not scalar-related is reported."""
     if v1.group != v2.group or v1.dim != v2.dim:
         raise ValidationError("transitional map needs equal groups and dimensions")
-    g = v1.group
-    vals = np.empty(g.order, dtype=complex)
-    for r in g.elements():
-        ratio = np.trace(v2.mats[r] @ v1.mats[r].conj().T) / v1.dim
-        if abs(ratio) < 1e-8:
+    ratio = np.einsum("rij,rij->r", v2.mats, v1.mats.conj()) / v1.dim
+    orthogonal = np.abs(ratio) < 1e-8
+    ratio = np.where(orthogonal, 1.0, ratio)
+    ratio /= np.abs(ratio)
+    scalar_res = max_abs_each(v2.mats - ratio[:, None, None] * v1.mats)
+    bad = np.flatnonzero(orthogonal | (scalar_res > TOL_ACCEPT))
+    if len(bad):
+        r = bad[0]
+        if orthogonal[r]:
             raise NotScalarRelated(f"V2({r}) is orthogonal to V1({r})")
-        ratio /= abs(ratio)
-        if max_abs(v2.mats[r] - ratio * v1.mats[r]) > TOL_ACCEPT:
-            raise NotScalarRelated(f"V2({r}) is not a scalar multiple of V1({r})")
-        vals[r] = ratio
-    return Cochain1(g, vals)
+        raise NotScalarRelated(f"V2({r}) is not a scalar multiple of V1({r})")
+    return Cochain1(v1.group, ratio)
 
 
 def regular_twisted_rep(group: FiniteGroup, omega: Cochain2) -> ProjectiveRep:
     """Left regular omega-representation: L(r) e_s = w(r, s) e_{rs}."""
     n = group.order
     mats = np.zeros((n, n, n), dtype=complex)
-    for r in group.elements():
-        for s in group.elements():
-            mats[r, group.mul(r, s), s] = omega(r, s)
+    span = np.arange(n)
+    mats[span[:, None], group.mult, span[None]] = omega.values
     return ProjectiveRep(group, mats, omega)
 
 

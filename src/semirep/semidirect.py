@@ -6,7 +6,9 @@ over principal subgroups are cached on the top-level instance; all coset and
 conjugation bookkeeping happens in global Lambda coordinates. Moving a corep
 or a coefficient vector between principal subgroups (restriction, the
 translation r . U, zero extension) indexes its block axis by the local
-indices that `Subgroup.to_local` gives.
+indices that `Subgroup.to_local` gives. The covariance law of a pair
+(U_G, U_Lambda) is checked for every element of Lambda0 in one array
+expression over the stacked automorphism matrices `alpha_mats`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .hopf import HopfData, QAutomorphism, verify_axioms
 from .projective import ProjectiveRep, ordinary_rep
 
 
-def _product_hopf(base: HopfData, lam: FiniteGroup, alpha_mats: list[np.ndarray]) -> HopfData:
+def _product_hopf(base: HopfData, lam: FiniteGroup, alpha_mats: np.ndarray) -> HopfData:
     d = base.dim
     n = lam.order
     dd = d * n
@@ -70,8 +72,9 @@ class SemidirectInstance:
         self.alpha = alpha  # indexed by *global* Lambda elements
         self.subgroup = subgroup
         self.lam = subgroup.group
-        local_mats = [alpha[p].matrix for p in subgroup.elements]
-        self.product = _product_hopf(base, self.lam, local_mats)
+        # alpha_mats[r_local] is the matrix of alpha*_r, r = subgroup element
+        self.alpha_mats = np.stack([alpha[p].matrix for p in subgroup.elements])
+        self.product = _product_hopf(base, self.lam, self.alpha_mats)
         self._principal_cache: dict = {self.subgroup.elements: self}
         if top is None:
             self.top = self
@@ -87,9 +90,6 @@ class SemidirectInstance:
     @property
     def dim(self) -> int:
         return self.product.dim
-
-    def alpha_local(self, r_local: int) -> np.ndarray:
-        return self.alpha[self.subgroup.to_parent(r_local)].matrix
 
     # -- principal subgroups ----------------------------------------------------
 
@@ -139,19 +139,18 @@ def split_covariant(inst: SemidirectInstance, u: Corep) -> tuple[Corep, Projecti
 
 
 def check_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep):
-    """Residual of sum_k f_ik(r) u_kj = sum_k f_kj(r) alpha*_r(u_ik), with witness."""
-    worst, witness = 0.0, None
-    for r_local in inst.lam.elements():
-        f = ul.mats[r_local]
-        m = inst.alpha_local(r_local)
-        lhs = np.einsum("ik,kjc->ijc", f, ug.entries)
-        rhs = np.einsum("kj,ikc->ijc", f, ug.entries) @ m.T
-        res = np.abs(lhs - rhs)
-        local_worst = float(res.max())
-        if local_worst > worst:
-            ij = np.unravel_index(np.argmax(res.max(axis=-1)), (ug.dim, ug.dim))
-            worst, witness = local_worst, (r_local, int(ij[0]), int(ij[1]))
-    return worst <= TOL_VERIFY, worst, witness
+    """Residual of sum_k f_ik(r) u_kj = sum_k f_kj(r) alpha*_r(u_ik), with witness.
+
+    The witness is the first (row-major) local (r, i, j) attaining the worst
+    residual, None if every residual vanishes.
+    """
+    f, e = ul.mats, ug.entries
+    lhs = np.einsum("rik,kjc->rijc", f, e)
+    rhs = np.einsum("rkj,ikc->rijc", f, e) @ inst.alpha_mats.transpose(0, 2, 1)[:, None]
+    res = np.abs(lhs - rhs).max(axis=-1)
+    worst = float(res.max())
+    witness = tuple(int(x) for x in np.unravel_index(res.argmax(), res.shape))
+    return worst <= TOL_VERIFY, worst, witness if worst > 0 else None
 
 
 def join_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep) -> Corep:
@@ -161,12 +160,8 @@ def join_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep) -> Co
     ok, worst, witness = check_covariant(inst, ug, ul)
     if not ok:
         raise NotCovariant(f"covariance residual {worst:.2e} at (r, i, j) = {witness}")
-    d = inst.base.dim
     n = ug.dim
-    entries = np.zeros((n, n, inst.lam.order, d), dtype=complex)
-    for r_local in inst.lam.elements():
-        entries[:, :, r_local, :] = np.einsum("ikc,kj->ijc", ug.entries,
-                                              ul.mats[r_local])
+    entries = np.einsum("ikc,rkj->ijrc", ug.entries, ul.mats)
     return Corep(inst.product, entries.reshape(n, n, inst.dim))
 
 

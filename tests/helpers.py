@@ -1,8 +1,9 @@
 """Small objects that only the tests build (trivial and direct-sum
 representations, the trivial action, the trivial subgroup, base coreps viewed
 over G x| {e}, the shipped instance files), the (co)commutativity tests of a
-Hopf algebra, and the dense conjugation isomorphism that act_corep is
-checked against."""
+Hopf algebra, the dense conjugation isomorphism that act_corep is checked
+against, and element-by-element and einsum references of the batched
+group-relation checks and corep contractions."""
 
 import json
 from pathlib import Path
@@ -10,11 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from semirep._linalg import TOL_ACCEPT, TOL_VERIFY, max_abs
-from semirep.cohomology import trivial_cochain2
-from semirep.corep import Corep
+from semirep.cohomology import Cochain1, Cochain2, trivial_cochain2
+from semirep.corep import Corep, intertwiner_basis
 from semirep.corpus import build_instance
-from semirep.errors import CocycleMismatch, ValidationError
-from semirep.groups import FiniteGroup, Subgroup, conjugate_subgroup
+from semirep.errors import (CocycleMismatch, NonUnitaryExtraction, NotProjective,
+                            NotScalarRelated, ValidationError)
+from semirep.groups import FiniteGroup, Subgroup, conjugate_subgroup, left_cosets
 from semirep.hopf import HopfData, QAutomorphism
 from semirep.projective import ProjectiveRep
 
@@ -99,3 +101,199 @@ def conjugation_iso(inst, sub: Subgroup, r: int) -> np.ndarray:
         t_local = target.to_local(top.lam_full.conjugate(r, s))
         mat[s_local * d:(s_local + 1) * d, t_local * d:(t_local + 1) * d] = m_r
     return mat
+
+
+# -- element-by-element references of the batched group-relation checks ---------
+#
+# The library checks every relation between group elements over the whole
+# multiplication table in one array expression. These are the same checks as
+# explicit loops over elements, with the same residuals, witnesses, exception
+# classes and messages; tests compare the two.
+
+def _loop_is_cocycle(omega):
+    g = omega.group
+    w = omega.values
+    worst = 0.0
+    worst_triple = None
+    for r in g.elements():
+        for s in g.elements():
+            rs = g.mul(r, s)
+            for t in g.elements():
+                lhs = w[r, g.mul(s, t)] * w[s, t]
+                rhs = w[r, s] * w[rs, t]
+                res = abs(lhs - rhs)
+                if res > worst:
+                    worst, worst_triple = res, (r, s, t)
+    return worst <= TOL_VERIFY, worst, worst_triple
+
+
+def _loop_coboundary(b):
+    g = b.group
+    vals = np.empty((g.order, g.order), dtype=complex)
+    for r in g.elements():
+        for s in g.elements():
+            vals[r, s] = b(r) * b(s) / b(g.mul(r, s))
+    return Cochain2(g, vals)
+
+
+def _loop_cocycle_of(group, mats):
+    mats = np.asarray(mats, dtype=complex)
+    dim = mats.shape[1]
+    n = group.order
+    vals = np.empty((n, n), dtype=complex)
+    worst = 0.0
+    for r in range(n):
+        for s in range(n):
+            rs = group.mul(r, s)
+            prod = mats[r] @ mats[s]
+            w = np.trace(mats[rs].conj().T @ prod) / dim
+            if abs(w) < 1e-8:
+                raise NotProjective(f"V({r})V({s}) is orthogonal to V({r}*{s})")
+            w /= abs(w)
+            worst = max(worst, max_abs(prod - w * mats[rs]))
+            vals[r, s] = w
+    if worst > TOL_ACCEPT:
+        raise NotProjective(f"projectivity residual {worst} exceeds {TOL_ACCEPT}")
+    omega = Cochain2(group, vals)
+    ok, res, triple = _loop_is_cocycle(omega)
+    if not ok:
+        raise NotProjective(f"extracted cochain fails cocycle law at {triple} ({res})")
+    return omega
+
+
+def _loop_verify(v: ProjectiveRep) -> float:
+    """ProjectiveRep.verify, element by element."""
+    g = v.group
+    eye = np.eye(v.dim)
+    worst = max_abs(v.mats[g.identity] - eye)
+    for r in g.elements():
+        worst = max(worst, max_abs(v.mats[r] @ v.mats[r].conj().T - eye))
+        for s in g.elements():
+            res = v.mats[r] @ v.mats[s] - v.cocycle(r, s) * v.mats[g.mul(r, s)]
+            worst = max(worst, max_abs(res))
+    return worst
+
+
+def _loop_proj_tensor_mats(v1: ProjectiveRep, v2: ProjectiveRep) -> np.ndarray:
+    return np.stack([np.kron(v1.mats[r], v2.mats[r]) for r in v1.group.elements()])
+
+
+def _loop_transitional_map(v1: ProjectiveRep, v2: ProjectiveRep) -> Cochain1:
+    g = v1.group
+    vals = np.empty(g.order, dtype=complex)
+    for r in g.elements():
+        ratio = np.trace(v2.mats[r] @ v1.mats[r].conj().T) / v1.dim
+        if abs(ratio) < 1e-8:
+            raise NotScalarRelated(f"V2({r}) is orthogonal to V1({r})")
+        ratio /= abs(ratio)
+        if max_abs(v2.mats[r] - ratio * v1.mats[r]) > TOL_ACCEPT:
+            raise NotScalarRelated(f"V2({r}) is not a scalar multiple of V1({r})")
+        vals[r] = ratio
+    return Cochain1(g, vals)
+
+
+def _loop_regular_twisted_mats(group: FiniteGroup, omega) -> np.ndarray:
+    n = group.order
+    mats = np.zeros((n, n, n), dtype=complex)
+    for r in group.elements():
+        for s in group.elements():
+            mats[r, group.mul(r, s), s] = omega(r, s)
+    return mats
+
+
+def _loop_check_covariant(inst, ug: Corep, ul: ProjectiveRep):
+    worst, witness = 0.0, None
+    for r_local in inst.lam.elements():
+        f = ul.mats[r_local]
+        m = inst.alpha[inst.subgroup.to_parent(r_local)].matrix
+        lhs = np.einsum("ik,kjc->ijc", f, ug.entries)
+        rhs = np.einsum("kj,ikc->ijc", f, ug.entries) @ m.T
+        res = np.abs(lhs - rhs)
+        local_worst = float(res.max())
+        if local_worst > worst:
+            ij = np.unravel_index(np.argmax(res.max(axis=-1)), (ug.dim, ug.dim))
+            worst, witness = local_worst, (r_local, int(ij[0]), int(ij[1]))
+    return worst <= TOL_VERIFY, worst, witness
+
+
+def _loop_join_covariant_entries(inst, ug: Corep, ul: ProjectiveRep) -> np.ndarray:
+    """The entries join_covariant builds for a covariant pair."""
+    n = ug.dim
+    entries = np.zeros((n, n, inst.lam.order, inst.base.dim), dtype=complex)
+    for r_local in inst.lam.elements():
+        entries[:, :, r_local, :] = np.einsum("ikc,kj->ijc", ug.entries,
+                                              ul.mats[r_local])
+    return entries.reshape(n, n, inst.dim)
+
+
+def _loop_grp_factor(g, u0: Corep, v0: ProjectiveRep):
+    """The factor V1 with (compressed V) = V1 (x) V0 that reduce_grp extracts
+    from a GRP g, or None for an empty isotypic component."""
+    basis = intertwiner_basis(u0, g.u)
+    n = len(basis)
+    if n == 0:
+        return None
+    d0 = u0.dim
+    cols = np.zeros((g.u.dim, n * d0), dtype=complex)
+    for a, t in enumerate(basis):
+        cols[:, a * d0:(a + 1) * d0] = t * np.sqrt(d0)
+    order = g.lambda0.order
+    v1_mats = np.zeros((order, n, n), dtype=complex)
+    for local in range(order):
+        vp = cols.conj().T @ g.V.mats[local] @ cols
+        block = vp.reshape(n, d0, n, d0)
+        v1 = np.einsum("ki,akbi->ab", np.conj(v0.mats[local]), block) / d0
+        if max_abs(block - np.einsum("ab,ij->aibj", v1, v0.mats[local])) > TOL_ACCEPT:
+            raise NonUnitaryExtraction(
+                f"compressed V does not factor through V0 at local element {local}")
+        if max_abs(v1 @ v1.conj().T - np.eye(n)) > TOL_VERIFY:
+            raise NonUnitaryExtraction("extracted factor is not unitary")
+        v1_mats[local] = v1
+    return v1_mats
+
+
+def _loop_coset_isometry(top, sub: Subgroup, ul: ProjectiveRep) -> np.ndarray:
+    """The orthonormal coset basis of K that induce builds from U_Lambda."""
+    lam = top.lam_full
+    n = ul.dim
+    nl = lam.order
+    cols = []
+    for rep, _ in left_cosets(sub):
+        s = lam.inverse(rep)
+        for a in range(n):
+            vec = np.zeros(nl * n, dtype=complex)
+            for r0_local, r0 in enumerate(sub.elements):
+                t = lam.mul(r0, s)
+                vec[t * n:(t + 1) * n] += ul.mats[r0_local][:, a]
+            cols.append(vec / np.sqrt(sub.order))
+    return np.array(cols).T
+
+
+# -- einsum references of the corep contractions -------------------------------
+
+def _einsum_corep_tensor(u: Corep, w: Corep) -> np.ndarray:
+    """The entries of corep.tensor(u, w) by one optimized einsum."""
+    h = u.parent
+    prod = np.einsum("ija,klb,abc->ikjlc", u.entries, w.entries, h.mult, optimize=True)
+    n = u.dim * w.dim
+    return prod.reshape(n, n, h.dim)
+
+
+def _einsum_verify_corep(u: Corep) -> dict:
+    """verify_corep(u) with its contractions as optimized einsums."""
+    h = u.parent
+    e = u.entries
+    res = {}
+    lhs = np.einsum("ijc,cab->ijab", e, h.comult)
+    rhs = np.einsum("ika,kjb->ijab", e, e)
+    res["comodule"] = max_abs(lhs - rhs)
+    res["counit"] = max_abs(np.einsum("ijc,c->ij", e, h.counit) - np.eye(u.dim))
+    star_e = np.einsum("pc,ijc->ijp", h.star, np.conj(e))
+    row = np.einsum("ika,jkb,abp->ijp", e, star_e, h.mult, optimize=True)
+    col = np.einsum("kia,kjb,abp->ijp", star_e, e, h.mult, optimize=True)
+    target = np.einsum("ij,p->ijp", np.eye(u.dim), h.unit)
+    res["unitary_rows"] = max_abs(row - target)
+    res["unitary_cols"] = max_abs(col - target)
+    res["max"] = max(res.values())
+    res["pass"] = res["max"] < TOL_VERIFY
+    return res
