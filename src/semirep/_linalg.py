@@ -2,10 +2,14 @@
 
 Module homs come from one dense solve, the nullspace of the stacked Sylvester
 system; where only their number is needed, it comes from the singular values
-alone (hom_space_dim). The largest module split, the regular one, never
-builds that system: its commutant is known in closed form
-(corep.regular_corep), and only the small pieces it splits into are solved
-for.
+alone (hom_space_dim). Callers stack only the slices of a corep's generators
+(corep.Corep.coeff_slices): the slices are the images of the dual basis
+elements f_a under an algebra map, and a matrix commutes with every image
+exactly when it commutes with the images of generators of the algebra. So
+each system has len(HopfData.generators()) row blocks instead of d, with the
+same nullspace. The largest module split, the regular one, never builds that
+system: its commutant is known in closed form (corep.regular_corep), and
+only the small pieces it splits into are solved for.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ TOL_BUILD = 1e-12
 TOL_VERIFY = 1e-9
 TOL_ACCEPT = 1e-6
 
+# Relative cutoff below which a singular value counts as zero, for every
+# nullspace, nullity and span rank.
+RANK_RTOL = 1e-9
 EIG_CLUSTER_TOL = 1e-7
 INT_ROUND_TOL = 0.1
 DEFAULT_SEED = 7
@@ -54,7 +61,7 @@ def _rank(s: np.ndarray, rtol: float) -> int:
     return int(np.sum(s > rtol * max(1.0, s[0] if len(s) else 0.0)))
 
 
-def nullspace(mat: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis of the nullspace of `mat`, as rows of the result."""
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
@@ -65,13 +72,31 @@ def nullspace(mat: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return vh[_rank(s, rtol):].conj()
 
 
-def nullity(mat: np.ndarray, rtol: float = 1e-9) -> int:
+def nullity(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
     """Dimension of the nullspace of `mat`: len(nullspace(mat, rtol)), from
     the singular values alone."""
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
         return mat.shape[1]
     return mat.shape[1] - _rank(np.linalg.svd(mat, compute_uv=False), rtol)
+
+
+def new_directions(comp: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning comp @ span(cand): the part of span(cand)
+    outside a subspace, comp being the orthogonal projector onto the
+    subspace's complement.
+
+    A column whose projection is at most RANK_RTOL times its own length lies
+    in the subspace and is dropped; the rank of the rest, each scaled by its
+    column's length, is read from their singular values with RANK_RTOL.
+    """
+    resid = comp @ cand
+    norms = np.linalg.norm(cand, axis=0)
+    keep = np.linalg.norm(resid, axis=0) > RANK_RTOL * norms
+    if not keep.any():
+        return resid[:, keep]
+    u, s, _ = np.linalg.svd(resid[:, keep] / norms[keep], full_matrices=False)
+    return u[:, :_rank(s, RANK_RTOL)]
 
 
 def sylvester_system(mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:

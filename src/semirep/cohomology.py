@@ -47,10 +47,11 @@ class Cochain2:
         n = self.group.order
         if vals.shape != (n, n):
             raise ValidationError("2-cochain needs an n x n table")
-        if max_abs(np.abs(vals) - 1.0) > TOL_BUILD:
-            raise ValidationError("2-cochain values must be unit modulus")
+        # one pass over the table, then the row and column of the identity
         e = self.group.identity
-        if max_abs(vals[e, :] - 1.0) > TOL_BUILD or max_abs(vals[:, e] - 1.0) > TOL_BUILD:
+        if np.abs(np.abs(vals) - 1.0).max() > TOL_BUILD:
+            raise ValidationError("2-cochain values must be unit modulus")
+        if np.abs(np.concatenate((vals[e], vals[:, e])) - 1.0).max() > TOL_BUILD:
             raise ValidationError("2-cochain must be normalized: w(e,.) = w(.,e) = 1")
 
     def __call__(self, r: int, s: int) -> complex:
@@ -58,7 +59,13 @@ class Cochain2:
 
 
 def trivial_cochain2(group: FiniteGroup) -> Cochain2:
-    return Cochain2(group, np.ones((group.order, group.order), dtype=complex))
+    """The all-ones 2-cocycle, built and validated once per group; its table
+    is read-only."""
+    if "trivial_cochain2" not in group._cache:
+        ones = np.ones((group.order, group.order), dtype=complex)
+        ones.flags.writeable = False
+        group._cache["trivial_cochain2"] = Cochain2(group, ones)
+    return group._cache["trivial_cochain2"]
 
 
 def is_cocycle(omega: Cochain2):

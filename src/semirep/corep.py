@@ -9,6 +9,7 @@ nullspace of the intertwiner system) and must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,10 +40,19 @@ class Corep:
     def char_vec(self) -> np.ndarray:
         return np.einsum("iic->c", self.entries)
 
+    @cached_property
     def coeff_slices(self) -> np.ndarray:
-        """The matrices (id (x) f_a)(u), i.e. the dual-algebra module action,
-        stacked along the first axis (a view of the entries)."""
-        return self.entries.transpose(2, 0, 1)
+        """The matrices (id (x) f_a)(u) for a in parent.generators(), stacked
+        along the first axis: the dual-algebra module action on generators.
+
+        a -> (id (x) f_a)(u) extends to a unital algebra map from A^, so a
+        matrix commutes with every slice of u exactly when it commutes with
+        these; every module-hom system and commutant check over them is exact,
+        not sampled. Computed once per corep, and read-only.
+        """
+        slices = np.moveaxis(self.entries, 2, 0)[self.parent.generators()]
+        slices.flags.writeable = False
+        return slices
 
 
 def verify_corep(u: Corep) -> dict:
@@ -94,14 +104,14 @@ def _common_parent(u: Corep, w: Corep) -> None:
 def intertwiner_basis(u: Corep, w: Corep) -> list[np.ndarray]:
     """Orthonormal basis of Mor(u, w) = {T : (T (x) 1) u = w (T (x) 1)}."""
     _common_parent(u, w)
-    return module_hom_basis(u.coeff_slices(), w.coeff_slices())
+    return module_hom_basis(u.coeff_slices, w.coeff_slices)
 
 
 def mor_dim(u: Corep, w: Corep) -> int:
     """dim Mor(u, w), computed twice (characters and nullspace), must agree."""
     via_char = _char_mor_dim(u, w)
     _common_parent(u, w)
-    via_null = hom_space_dim(u.coeff_slices(), w.coeff_slices())
+    via_null = hom_space_dim(u.coeff_slices, w.coeff_slices)
     if via_char != via_null:
         raise OracleDisagreement(
             f"mor_dim mismatch: characters give {via_char}, nullspace gives {via_null}")
@@ -169,7 +179,7 @@ def regular_corep(h: HopfData) -> tuple[Corep, np.ndarray]:
     dj = np.einsum("ij,ipq->jpq", b, h.comult)
     u = Corep(h, np.einsum("ip,jpq->ijq", hmat, dj))
     comm = np.einsum("iq,jbq->bij", hmat, dj)
-    check_commutant(u.coeff_slices(), comm)
+    check_commutant(u.coeff_slices, comm)
     return u, comm
 
 

@@ -37,7 +37,9 @@ class FiniteGroup:
         span = np.arange(self.order)
         self.identity = int(np.flatnonzero((table == span).all(axis=1))[0])
         self.inv = np.argmax(table == self.identity, axis=1)
-        self._subgroups: dict = {}  # Subgroup.group tables, keyed by elements
+        # artifacts built once per group: Subgroup.group tables keyed by
+        # their elements, and the trivial 2-cocycle
+        self._cache: dict = {}
 
     def _validate(self):
         n = self.order
@@ -248,12 +250,12 @@ class Subgroup:
     @property
     def group(self) -> FiniteGroup:
         """The subgroup as a FiniteGroup on local indices 0..|H|-1."""
-        cached = self.parent._subgroups.get(self.elements)
+        cached = self.parent._cache.get(self.elements)
         if cached is not None:
             return cached
         elems = np.array(self.elements)
         grp = FiniteGroup(self.to_local(self.parent.mult[np.ix_(elems, elems)]))
-        self.parent._subgroups[self.elements] = grp
+        self.parent._cache[self.elements] = grp
         return grp
 
     def is_subset_of(self, other: "Subgroup") -> bool:

@@ -6,7 +6,10 @@ antimultiplicative, Delta a *-map) and the antipode axiom by sparse
 contraction of the nonzero entries of mult, comult, star and antipode;
 QAutomorphism.residual checks alpha against mult and comult the same way,
 through the nonzeros of its matrix. HopfData.gram is two d^3 matrix
-products. So no d^4 array is ever built and no d^4 or d^5 loop runs.
+products and HopfData.product sums over the nonzeros of mult. So no d^4
+array is ever built and no d^4 or d^5 loop runs. HopfData.generators picks
+and certifies the dual basis elements that generate the dual algebra, whose
+slices are all that module-hom systems need.
 
 Conventions for a HopfData of dimension d with basis e_0..e_{d-1}:
   - mult[i, j, k]:    e_i e_j = sum_k mult[i, j, k] e_k
@@ -25,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import TOL_VERIFY, int_array, max_abs, nullspace
+from ._linalg import (RANK_RTOL, TOL_VERIFY, int_array, max_abs, new_directions,
+                      nullspace)
 from .errors import (NoUniqueHaar, NotAntihomomorphism, NotAutomorphism,
                      ParseError, ValidationError)
 from .groups import FiniteGroup
@@ -61,10 +65,31 @@ class HopfData:
             self._cache[key] = _nonzeros(getattr(self, name))
         return self._cache[key]
 
+    def generators(self) -> np.ndarray:
+        """Indices a, increasing, whose dual basis elements f_a generate the
+        dual algebra A^ (hopf.dual_algebra) as a unital algebra:
+        generating_subset over all indices, so certified, and read-only.
+
+        A linear map commutes with the image of A^ exactly when it commutes
+        with the images of these f_a, so module homs need only their slices.
+        """
+        if "generators" not in self._cache:
+            gens = generating_subset(self, range(self.dim))
+            gens.flags.writeable = False
+            self._cache["generators"] = gens
+        return self._cache["generators"]
+
     # -- element-level helpers (coefficient vectors) --------------------------
 
     def product(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.mult)
+        """Coefficients of x y, summed over the nonzero entries of mult."""
+        if "mult_terms" not in self._cache:
+            idx, vals = self.coo("mult")
+            self._cache["mult_terms"] = (*np.unravel_index(idx, self.mult.shape), vals)
+        i, j, k, vals = self._cache["mult_terms"]
+        terms = x[i] * y[j] * vals
+        return (np.bincount(k, terms.real, self.dim)
+                + 1j * np.bincount(k, terms.imag, self.dim))
 
     def star_vec(self, x):
         return self.star @ np.conj(x)
@@ -418,6 +443,59 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
         if res > TOL_VERIFY:
             raise NotAutomorphism(f"haar not invariant under alpha*_{r} ({res:.2e})")
     return autos
+
+
+def _left_multiplications(h: HopfData) -> np.ndarray:
+    """left[a] @ coeffs(phi) = coeffs(f_a phi) in the dual algebra."""
+    mult_hat, _ = dual_algebra(h)
+    return mult_hat.transpose(0, 2, 1)
+
+
+def _close(left: np.ndarray, gens, span: np.ndarray, cand: np.ndarray):
+    """Orthonormal basis of the smallest space containing span and cand that
+    left multiplication by every f_a, a in gens, maps into itself, with the
+    orthogonal projector onto its complement.
+
+    Semi-naive: every product of such an f_a with a vector of span must
+    already lie in span + span(cand), so only the vectors each round adds
+    are multiplied.
+    """
+    while True:
+        comp = np.eye(len(span)) - span @ span.conj().T
+        fresh = new_directions(comp, cand)
+        if not fresh.shape[1]:
+            return span, comp
+        span = np.hstack([span, fresh])
+        cand = (left[gens] @ fresh).transpose(1, 0, 2).reshape(len(span), -1)
+
+
+def generating_subset(h: HopfData, candidates) -> np.ndarray:
+    """The candidate indices a, in their order, that a greedy pass keeps:
+    f_a joins unless it lies in the subalgebra of A^ the kept ones generate.
+    Raises ValidationError unless the kept f_a generate A^.
+
+    The subalgebra is the span of the kept f_a's words, closed semi-naively
+    from the unit of A^ (the counit); f_a lies in it iff the projector onto
+    the span's complement annihilates e_a. The set is certified when the
+    span reaches h.dim.
+    """
+    left = _left_multiplications(h)
+    cands = np.array(candidates, dtype=int)
+    span, comp = _close(left, [], np.zeros((h.dim, 0)), h.counit[:, None])
+    gens = []
+    while span.shape[1] < h.dim:
+        outside = np.flatnonzero(np.linalg.norm(comp[:, cands], axis=0) > RANK_RTOL)
+        if not len(outside):
+            break
+        gens.append(int(cands[outside[0]]))
+        # candidates passed over lie in the subalgebra, which only grows
+        cands = cands[outside[0] + 1:]
+        span, comp = _close(left, gens, span, left[gens[-1]] @ span)
+    if span.shape[1] < h.dim:
+        raise ValidationError(
+            f"dual basis elements {gens} generate a subalgebra of dimension "
+            f"{span.shape[1]} < {h.dim}")
+    return np.array(gens, dtype=int)
 
 
 def dual_algebra(h: HopfData):

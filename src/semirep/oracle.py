@@ -1,10 +1,14 @@
 """Brute-force oracle over the dual algebra.
 
 A corepresentation u of H makes its carrier space a module over the dual
-*-algebra A^: the generator f_a acts by the coefficient slice u[:, :, a].
-Decomposing modules and counting module homs uses nothing but dense linear
-algebra (no characters, no Haar pairings), which makes this layer an
-independent cross-check for the classification and fusion pipelines.
+*-algebra A^: the dual basis element f_a acts by the coefficient slice
+u[:, :, a]. Decomposing modules and counting module homs uses nothing but
+dense linear algebra (no characters, no Haar pairings), which makes this
+layer an independent cross-check for the classification and fusion
+pipelines. Every system here stacks only the slices of the f_a that generate
+A^ (Corep.coeff_slices, certified by HopfData.generators): a map commutes
+with the whole module action exactly when it commutes with the generators'
+action, so the counts are those over all d slices.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .hopf import HopfData
 
 def module_hom_dim(u: Corep, w: Corep) -> int:
     """dim of module homomorphisms between the slice modules of two coreps."""
-    return hom_space_dim(u.coeff_slices(), w.coeff_slices())
+    return hom_space_dim(u.coeff_slices, w.coeff_slices)
 
 
 def module_fusion_cube(coreps: list[Corep]) -> np.ndarray:
@@ -42,15 +46,15 @@ def module_decompose(u: Corep, comm, seed: int = DEFAULT_SEED):
     Returns a list of (slices, multiplicity). Equivalence is decided by
     module-hom dimension, never by characters.
     """
-    return decompose(u.coeff_slices(), comm, lambda s: module_hom_basis(s, s),
+    return decompose(u.coeff_slices, comm, lambda s: module_hom_basis(s, s),
                      compress_stack,
-                     lambda a, b: (a[0].shape == b[0].shape
+                     lambda a, b: (a.shape[1:] == b.shape[1:]
                                    and hom_space_dim(a, b) >= 1), seed)
 
 
 def oracle_irr_dims(h: HopfData, seed: int = DEFAULT_SEED) -> list[int]:
     """Dimensions of Irr(H) from the regular module, certified by Peter-Weyl."""
-    dims = sorted(f[0].shape[0] for f, _ in module_decompose(*regular_corep(h), seed))
+    dims = sorted(f.shape[1] for f, _ in module_decompose(*regular_corep(h), seed))
     if sum(d * d for d in dims) != h.dim:
         raise PeterWeylMismatch(
             f"dual-algebra blocks give sum dim^2 = {sum(d * d for d in dims)}"

@@ -1,8 +1,9 @@
 import pytest
 
-from semirep.corpus import instance
+from semirep.corpus import build_instance, instance
+from semirep.groups import cyclic_group
 
-from helpers import shipped_instance
+from helpers import conjugation_spec, shipped_instance
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +44,10 @@ def inst_g():
 @pytest.fixture(scope="session")
 def inst_h():
     return shipped_instance("h")
+
+
+@pytest.fixture(scope="session")
+def rung_instance():
+    """C(S4) x| Z2, Z2 acting by conjugation with the transposition (0 1); dim 48."""
+    return build_instance(conjugation_spec(4, range(24), cyclic_group(2),
+                                           lambda r: (1, 0, 2, 3) if r else (0, 1, 2, 3)))

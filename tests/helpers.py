@@ -1,24 +1,49 @@
-"""Small objects that only the tests build (trivial and direct-sum
-representations, the trivial action, the trivial subgroup, base coreps viewed
-over G x| {e}, the shipped instance files), the (co)commutativity tests of a
+"""A call-logging spy, and small objects that only the tests build (trivial
+and direct-sum representations, the trivial action, the trivial subgroup, base
+coreps viewed over G x| {e}, the shipped instance files, conjugation instances
+C(K) x| lam, a HopfData with empty caches), the (co)commutativity tests of a
 Hopf algebra, the dense conjugation isomorphism that act_corep is checked
-against, and element-by-element and einsum references of the batched
-group-relation checks and corep contractions."""
+against, element-by-element and einsum references of the batched
+group-relation checks and corep contractions, and the module-hom systems over
+all d coefficient slices that the generator-slice systems are checked
+against."""
 
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 
-from semirep._linalg import TOL_ACCEPT, TOL_VERIFY, max_abs
+from semirep._linalg import (TOL_ACCEPT, TOL_VERIFY, check_commutant, compress_stack,
+                             decompose, hom_space_dim, max_abs, module_hom_basis)
 from semirep.cohomology import Cochain1, Cochain2, trivial_cochain2
-from semirep.corep import Corep, intertwiner_basis
+from semirep.corep import Corep, intertwiner_basis, regular_corep, tensor
 from semirep.corpus import build_instance
 from semirep.errors import (CocycleMismatch, NonUnitaryExtraction, NotProjective,
                             NotScalarRelated, ValidationError)
-from semirep.groups import FiniteGroup, Subgroup, conjugate_subgroup, left_cosets
+from semirep.groups import (FiniteGroup, Subgroup, conjugate_subgroup, left_cosets,
+                            symmetric_group)
 from semirep.hopf import HopfData, QAutomorphism
 from semirep.projective import ProjectiveRep
+
+
+def spy(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs (args, result) per call."""
+    fn = getattr(module, name)
+    log = []
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        log.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return log
+
+
+def fresh(h: HopfData) -> HopfData:
+    """The same tensors with empty caches."""
+    return HopfData(h.mult, h.unit, h.comult, h.counit, h.antipode, h.star, h.haar)
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
@@ -83,6 +108,23 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 def shipped_instance(name: str):
     """The instance in instances/instance_<name>.json."""
     return build_instance(json.loads((INSTANCES / f"instance_{name}.json").read_text()))
+
+
+def conjugation_spec(n, base, lam, embed):
+    """C(K) x| lam for a subgroup K of S_n, given by its S_n indices `base`;
+    r acts by conjugation with the S_n permutation embed(r)."""
+    sn = symmetric_group(n)
+    perms = sorted(itertools.permutations(range(n)))
+    k = Subgroup(sn, base)
+    act = []
+    for r in lam.elements():
+        s = perms.index(embed(r))
+        act.append([k.to_local(sn.mul(sn.mul(s, g), sn.inverse(s))) for g in k.elements])
+    return {"name": f"C(K), |K| = {k.order} in S{n}, x| group of order {lam.order}",
+            "kind": "function_algebra",
+            "base": {"order": k.order, "table": k.group.mult.tolist()},
+            "lambda": {"order": lam.order, "table": lam.mult.tolist()},
+            "action": act}
 
 
 def conjugation_iso(inst, sub: Subgroup, r: int) -> np.ndarray:
@@ -297,3 +339,39 @@ def _einsum_verify_corep(u: Corep) -> dict:
     res["max"] = max(res.values())
     res["pass"] = res["max"] < TOL_VERIFY
     return res
+
+
+# -- module-hom systems over all d coefficient slices ---------------------------
+#
+# The library stacks only the slices of a generating set of the dual algebra
+# (Corep.coeff_slices). These are the same systems over every slice
+# (id (x) f_a)(u), a = 0..d-1; tests compare the two.
+
+def all_slices(u: Corep) -> np.ndarray:
+    """Every coefficient slice of u, stacked along the first axis."""
+    return np.moveaxis(u.entries, 2, 0)
+
+
+def all_slice_mor_dim(u: Corep, w: Corep) -> int:
+    return hom_space_dim(all_slices(u), all_slices(w))
+
+
+def all_slice_module_fusion_cube(coreps: list[Corep]) -> np.ndarray:
+    k = len(coreps)
+    cube = np.zeros((k, k, k), dtype=int)
+    for i2, w2 in enumerate(coreps):
+        for i3, w3 in enumerate(coreps):
+            t = all_slices(tensor(w2, w3))
+            for i1, w1 in enumerate(coreps):
+                cube[i1, i2, i3] = hom_space_dim(all_slices(w1), t)
+    return cube
+
+
+def all_slice_oracle_irr_dims(h: HopfData, seed: int) -> list[int]:
+    reg, comm = regular_corep(h)
+    slices = all_slices(reg)
+    check_commutant(slices, comm)
+    pieces = decompose(slices, comm, lambda s: module_hom_basis(s, s), compress_stack,
+                       lambda a, b: (a.shape[1:] == b.shape[1:]
+                                     and hom_space_dim(a, b) >= 1), seed)
+    return sorted(f.shape[1] for f, _ in pieces)

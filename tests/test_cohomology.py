@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from semirep._linalg import TOL_BUILD
 from semirep.cohomology import (Cochain1, Cochain2, coboundary, cocycle_inverse,
                                 cocycle_product, is_cocycle, is_trivial_class,
                                 trivial_cochain2, try_solve_coboundary)
 from semirep.errors import NotRootsOfUnity, ValidationError
 from semirep.groups import cyclic_group, direct_product
+from semirep.projective import ordinary_rep
 
 
 def klein_group():
@@ -153,3 +155,29 @@ def test_cochain_validation():
         Cochain1(g, np.array([1.0, 2.0]))
     with pytest.raises(ValidationError):
         Cochain2(g, np.array([[1.0, -1.0], [1.0, 1.0]]))
+
+
+def test_cochain2_validation_messages():
+    g = cyclic_group(3)
+    ones = np.ones((3, 3), dtype=complex)
+    Cochain2(g, ones + 0.9 * TOL_BUILD)
+    off_modulus = ones.copy()
+    off_modulus[1, 2] = 1.0 + 2 * TOL_BUILD
+    with pytest.raises(ValidationError, match="unit modulus"):
+        Cochain2(g, off_modulus)
+    for row, col in ((0, 1), (2, 0)):
+        unnormalized = ones.copy()
+        unnormalized[row, col] = np.exp(1j * 4 * TOL_BUILD)
+        with pytest.raises(ValidationError, match="normalized"):
+            Cochain2(g, unnormalized)
+
+
+def test_trivial_cochain2_is_built_once_per_group():
+    g = klein_group()
+    omega = trivial_cochain2(g)
+    assert trivial_cochain2(g) is omega
+    assert np.array_equal(omega.values, np.ones((4, 4)))
+    assert not omega.values.flags.writeable
+    mats = np.stack([np.eye(2, dtype=complex)] * 4)
+    assert ordinary_rep(g, mats).cocycle is omega
+    assert trivial_cochain2(klein_group()) is not omega

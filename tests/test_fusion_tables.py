@@ -16,21 +16,9 @@ from semirep.groups import left_cosets
 from semirep.mackey import (FusionTable, GRParameter, RepParameter, classify,
                             fusion, fusion_entry)
 
+from helpers import spy
+
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-
-
-def spy(monkeypatch, module, name):
-    """Replace module.name by a wrapper that logs (args, result) per call."""
-    fn = getattr(module, name)
-    log = []
-
-    def wrapper(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        log.append((args, out))
-        return out
-
-    monkeypatch.setattr(module, name, wrapper)
-    return log
 
 
 def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypatch):

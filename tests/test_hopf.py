@@ -14,7 +14,8 @@ from semirep.hopf import (HopfData, action_from_group_hom, dual_algebra,
                           function_algebra, group_algebra, haar_solve, is_kac,
                           verify_axioms)
 
-from helpers import is_cocommutative, is_commutative, trivial_action
+from helpers import (conjugation_spec, fresh, is_cocommutative, is_commutative,
+                     trivial_action)
 
 
 def test_function_algebra_trivial_group():
@@ -215,7 +216,7 @@ def test_regular_commutant_spans_module_homs(case, request):
     h = group_algebra(symmetric_group(3)) if case == "C[S3]" \
         else _pairing_algebra(case, request)
     reg, comm = regular_corep(h)
-    slices = reg.coeff_slices()
+    slices = reg.coeff_slices
     homs = np.stack([t.reshape(-1) for t in module_hom_basis(slices, slices)])
     flat = comm.reshape(len(comm), -1)
     rank = np.linalg.matrix_rank
@@ -224,7 +225,7 @@ def test_regular_commutant_spans_module_homs(case, request):
 
 def test_corrupted_regular_commutant_raises(inst_a):
     reg, comm = regular_corep(inst_a.product)
-    slices = reg.coeff_slices()
+    slices = reg.coeff_slices
     check_commutant(slices, comm)
     for bad in (comm.transpose(1, 0, 2), slices):
         with pytest.raises(OracleDisagreement):
@@ -292,40 +293,9 @@ def _dense_verify_axioms(h: HopfData) -> dict:
 PERMS3 = sorted(itertools.permutations(range(3)))
 
 
-def _conjugation_spec(n, base, lam, embed):
-    """C(K) x| lam for a subgroup K of S_n, given by its S_n indices `base`;
-    r acts by conjugation with the S_n permutation embed(r)."""
-    sn = symmetric_group(n)
-    perms = sorted(itertools.permutations(range(n)))
-    k = Subgroup(sn, base)
-    act = []
-    for r in lam.elements():
-        s = perms.index(embed(r))
-        act.append([k.to_local(sn.mul(sn.mul(s, g), sn.inverse(s))) for g in k.elements])
-    return {"name": f"C(K), |K| = {k.order} in S{n}, x| group of order {lam.order}",
-            "kind": "function_algebra",
-            "base": {"order": k.order, "table": k.group.mult.tolist()},
-            "lambda": {"order": lam.order, "table": lam.mult.tolist()},
-            "action": act}
-
-
-@pytest.fixture(scope="module")
-def rung_instance():
-    """C(S4) x| Z2, Z2 acting by conjugation with the transposition (0 1); dim 48."""
-    from semirep.corpus import build_instance
-    spec = _conjugation_spec(4, range(24), cyclic_group(2),
-                             lambda r: (1, 0, 2, 3) if r else (0, 1, 2, 3))
-    return build_instance(spec)
-
-
 @pytest.fixture(scope="module")
 def s4_rung(rung_instance):
     return rung_instance.product
-
-
-def _fresh(h: HopfData) -> HopfData:
-    """The same tensors with empty caches."""
-    return HopfData(h.mult, h.unit, h.comult, h.counit, h.antipode, h.star, h.haar)
 
 
 @pytest.mark.parametrize("case", [*"ABCDEF", "raw_hopf base", "rung"])
@@ -448,7 +418,7 @@ def _traced_peak(fn):
 def test_rung_verification_builds_no_d4_array(s4_rung):
     """At dim 48 one complex d^4 array is 81 MiB; the sparse residuals stay below."""
     d = s4_rung.dim
-    rep, peak = _traced_peak(lambda: verify_axioms(_fresh(s4_rung)))
+    rep, peak = _traced_peak(lambda: verify_axioms(fresh(s4_rung)))
     assert rep["pass"]
     assert peak < 16 * d ** 4, peak
 
@@ -456,7 +426,7 @@ def test_rung_verification_builds_no_d4_array(s4_rung):
 def test_dim_144_instance_verifies():
     """C(S4) x| S3, S3 in S4 as the permutations fixing 3, acting by conjugation."""
     from semirep.corpus import build_instance
-    h = build_instance(_conjugation_spec(4, range(24), symmetric_group(3),
+    h = build_instance(conjugation_spec(4, range(24), symmetric_group(3),
                                          lambda r: (*PERMS3[r], 3))).product
     assert h.dim == 144
     rep, peak = _traced_peak(lambda: verify_axioms(h))
@@ -470,7 +440,7 @@ def test_a5_instance_verifies():
     from semirep.corpus import build_instance
     even = [i for i, p in enumerate(sorted(itertools.permutations(range(5))))
             if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
-    spec = _conjugation_spec(5, even, cyclic_group(2),
+    spec = conjugation_spec(5, even, cyclic_group(2),
                              lambda r: (1, 0, 2, 3, 4) if r else (0, 1, 2, 3, 4))
     inst, peak = _traced_peak(lambda: build_instance(spec))
     assert inst.base.dim == 60 and inst.dim == 120
@@ -556,13 +526,13 @@ def test_gram_equals_dense_reference(case, request, rung_instance):
     algebras = [_pairing_algebra(case, request)] if inst is None \
         else [inst.product, inst.base]
     for h in algebras:
-        assert max_abs(_fresh(h).gram() - _dense_gram(h)) <= 1e-12
+        assert max_abs(fresh(h).gram() - _dense_gram(h)) <= 1e-12
 
 
 def test_gram_equals_dense_reference_on_e_principals(inst_e):
     for sub in all_subgroups(inst_e.lam_full):
         h = inst_e.principal(sub).product
-        assert max_abs(_fresh(h).gram() - _dense_gram(h)) <= 1e-12, sub.elements
+        assert max_abs(fresh(h).gram() - _dense_gram(h)) <= 1e-12, sub.elements
 
 
 @pytest.mark.parametrize("name", ["mult", "star", "haar"])

@@ -80,9 +80,9 @@ def test_nullity_on_the_module_cube_of_e(inst_e):
     assert len(coreps) ** 3 == 729
     for w2 in coreps:
         for w3 in coreps:
-            t = tensor(w2, w3).coeff_slices()
+            t = tensor(w2, w3).coeff_slices
             for w1 in coreps:
-                system = sylvester_system(w1.coeff_slices(), t)
+                system = sylvester_system(w1.coeff_slices, t)
                 count = len(nullspace(system))
                 assert nullity(system) == count
-                assert hom_space_dim(w1.coeff_slices(), t) == count
+                assert hom_space_dim(w1.coeff_slices, t) == count

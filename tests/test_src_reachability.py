@@ -18,7 +18,6 @@ BENCHMARK = "benchmark input (perfbench/inputs.py)"
 KEEP = {
     ("cohomology", "is_trivial_class"): ROADMAP_1,
     ("cohomology", "try_solve_coboundary"): ROADMAP_1,
-    ("hopf", "dual_algebra"): ROADMAP_1,
     ("corpus", "instance"): ACCEPTANCE,
     ("groups", "all_subgroups"): ACCEPTANCE,
     ("hopf", "haar_solve"): ACCEPTANCE,
