@@ -26,6 +26,10 @@ from .errors import IntegerRecoveryError, OracleDisagreement
 TOL_BUILD = 1e-12
 TOL_VERIFY = 1e-9
 TOL_ACCEPT = 1e-6
+# A value above TOL_NONZERO counts as nonzero (phase gauges, orthogonality);
+# an eigenvalue or singular value below TOL_DEGENERATE counts as degenerate.
+TOL_NONZERO = 1e-8
+TOL_DEGENERATE = 1e-10
 
 # Relative cutoff below which a singular value counts as zero, for every
 # nullspace, nullity and span rank.
@@ -227,10 +231,10 @@ def char_sort_key(dim: int, chi: np.ndarray):
 
 
 def first_entry_phase(mat: np.ndarray):
-    """Phase of the first row-major entry above 1e-8, or None."""
+    """Phase of the first row-major entry above TOL_NONZERO, or None."""
     flat = mat.reshape(-1)
     for entry in flat:
-        if abs(entry) > 1e-8:
+        if abs(entry) > TOL_NONZERO:
             return entry / abs(entry)
     return None
 

@@ -1,24 +1,15 @@
 """Command-line front end.
 
-Instance files are JSON documents:
-
-    {
-      "name": "A: C(Z3) x| Z2 by inversion",
-      "kind": "function_algebra" | "group_algebra" | "raw_hopf",
-      "base": {"order": n, "table": [[...]]}          (group kinds)
-              | {"mult": ..., "unit": ..., ...}       (raw_hopf; complex
-                 entries as [re, im] pairs)
-      "lambda": {"order": m, "table": [[...]]},
-      "action": [perm-per-lambda-element]             (group kinds)
-              | [matrix-per-lambda-element]           (raw_hopf),
-      "seed": 7                                       (optional)
-    }
+Instance files follow the schema in corpus, whose read_spec reads them.
 
 Commands: check, irr, fuse, induce, conj, oracle. Structured output is JSON
 with integers as integers and complex numbers as [re, im] pairs; it is
 byte-identical across runs for a fixed file and seed. `check` reports the Hopf
 axiom residuals; building an instance already rejects any residual above
 TOL_VERIFY (1e-9), so a file that fails them exits 1 on every command.
+`oracle` checks its dims against classify and its cube against dimensions;
+`conj` checks that the pairing is an involution. Only induce takes --subgroup
+and --param.
 
 Exit codes: 0 ok, 1 validation failure, 2 internal oracle disagreement.
 """
@@ -33,7 +24,7 @@ import numpy as np
 
 from . import _linalg
 from .corep import irr_enumerate, mor_dim
-from .corpus import build_instance
+from .corpus import build_instance, read_spec
 from .errors import OracleDisagreement, ParseError, SemirepError, ValidationError
 from .groups import Subgroup
 from .induction import induce, mackey_irreducible
@@ -77,18 +68,7 @@ def emit(doc: dict, fmt: str, human_lines):
 
 
 def load_instance(path: str) -> tuple[SemidirectInstance, dict]:
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if not isinstance(spec, dict):
-        raise ParseError(f"{path}: the top level must be a JSON object")
-    for field in ("kind", "base", "lambda", "action"):
-        if field not in spec:
-            raise ParseError(f"{path}: missing field {field!r}")
+    spec = read_spec(path)
     return build_instance(spec), spec
 
 
@@ -224,6 +204,8 @@ def cmd_induce(inst, spec, args):
 def cmd_conj(inst, spec, args):
     cl = classify(inst, seed=args.seed)
     pairing = {w.label: conjugation_pairing(inst, w, cl) for w in cl}
+    if any(pairing.get(pairing[k]) != k for k in pairing):
+        raise OracleDisagreement(f"conjugation is not an involution: {pairing}")
     doc = {"name": spec.get("name", "?"), "conjugation": pairing}
     lines = [f"instance: {doc['name']}", "conjugation involution:"]
     for k in pairing:
@@ -236,12 +218,19 @@ def cmd_oracle(inst, spec, args):
     dims = oracle_irr_dims(inst.product, args.seed)
     # standalone fusion of the classified list against the module oracle
     cl = classify(inst, seed=args.seed)
+    classified = sorted(w.dim for w in cl)
+    if dims != classified:
+        raise OracleDisagreement(
+            f"dual-algebra dims {dims} differ from the classified dims {classified}")
     cube = module_fusion_cube([w.induced for w in cl])
-    doc = {"name": spec.get("name", "?"),
-           "irr_dims": sorted(dims),
-           "fusion_cube": cube}
+    wdims = np.array([w.dim for w in cl])
+    bad = np.argwhere(np.einsum("abc,a->bc", cube, wdims) != np.outer(wdims, wdims))
+    if len(bad):
+        raise OracleDisagreement("module fusion cube breaks dim(w2 (x) w3) at "
+                                 + " x ".join(cl[i].label for i in bad[0]))
+    doc = {"name": spec.get("name", "?"), "irr_dims": dims, "fusion_cube": cube}
     lines = [f"instance: {doc['name']}",
-             f"dual-algebra irreducible dims: {sorted(dims)}",
+             f"dual-algebra irreducible dims: {dims}",
              f"fusion cube computed from module homs "
              f"({len(cl)}^3 entries)"]
     emit(doc, args.format, lines)
@@ -278,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command != "induce" and (args.subgroup, args.param) != (None, None):
+            raise ParseError("--subgroup and --param apply only to induce")
         inst, spec = load_instance(args.file)
         if args.seed is None:
             seed = spec.get("seed", _linalg.DEFAULT_SEED)

@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (DEFAULT_SEED, TOL_VERIFY, as_int, char_sort_key,
-                      check_commutant, decompose, hom_space_dim, max_abs,
-                      module_hom_basis)
+from ._linalg import (DEFAULT_SEED, TOL_DEGENERATE, TOL_VERIFY, as_int,
+                      char_sort_key, check_commutant, decompose, hom_space_dim,
+                      max_abs, module_hom_basis)
 from .errors import (OracleDisagreement, OrbitResolutionFailure,
                      PeterWeylMismatch, ValidationError)
 from .groups import FiniteGroup, GroupAction
@@ -170,7 +170,7 @@ def regular_corep(h: HopfData) -> tuple[Corep, np.ndarray]:
     """
     gram = h.gram()
     vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
-    if vals.min() < 1e-10:
+    if vals.min() < TOL_DEGENERATE:
         raise ValidationError("Haar inner product is degenerate; no regular corep")
     b = vecs @ np.diag(1.0 / np.sqrt(vals))  # columns: orthonormal basis coeffs
     # hmat[i, p] = h(f_i^* e_p)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (RANK_RTOL, TOL_VERIFY, int_array, max_abs, new_directions,
-                      nullspace)
+from ._linalg import (RANK_RTOL, TOL_BUILD, TOL_DEGENERATE, TOL_VERIFY, int_array,
+                      max_abs, new_directions, nullspace)
 from .errors import (NoUniqueHaar, NotAntihomomorphism, NotAutomorphism,
                      ParseError, ValidationError)
 from .groups import FiniteGroup
@@ -331,12 +331,12 @@ def haar_solve(h: HopfData) -> np.ndarray:
             row = h.comult[i, j, :].copy()
             row[i] -= h.unit[j]
             rows.append(row)
-    ns = nullspace(np.asarray(rows), rtol=1e-10)
+    ns = nullspace(np.asarray(rows), rtol=TOL_DEGENERATE)
     if ns.shape[0] != 1:
         raise NoUniqueHaar(f"invariant-functional space has dimension {ns.shape[0]}")
     eta = ns[0]
     scale = complex(eta @ h.unit)
-    if abs(scale) < 1e-12:
+    if abs(scale) < TOL_BUILD:
         raise NoUniqueHaar("invariant functional vanishes on the unit")
     return eta / scale
 

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import TOL_BUILD, TOL_VERIFY, as_int, max_abs, max_abs_each
+from ._linalg import (TOL_BUILD, TOL_NONZERO, TOL_VERIFY, as_int, max_abs,
+                      max_abs_each)
 from .corep import Corep, compress, mor_dim, verify_corep
 from .errors import (CovarianceFailure, FormulaMismatch, OracleDisagreement,
                      ProjectionNotInvariant, ValidationError)
@@ -147,7 +148,7 @@ def ind_mor_dim(inst: SemidirectInstance, u: Corep, w: Corep) -> int:
             meet = conjugate_intersection([theta, xi], [r, s])
             pairing = _meet_pairing(top, translates_u[r], translates_w[s], meet)
             total += pairing.real * meet.order / lam.order
-            if abs(pairing.imag) > 1e-8:
+            if abs(pairing.imag) > TOL_NONZERO:
                 raise OracleDisagreement("character pairing has an imaginary part")
     total /= theta.order * xi.order
     value = as_int(total)

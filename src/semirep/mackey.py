@@ -87,7 +87,7 @@ def covariant_projective(inst: SemidirectInstance, u: Corep,
     """The covariant projective representation of Lambda0 attached to u.
 
     For each r0 the unitary spanning Mor(r0 . u, u), gauged so that the first
-    entry above 1e-8 (row-major) is real positive; V(e) is the identity.
+    entry above TOL_NONZERO (row-major) is real positive; V(e) is the identity.
     """
     lam = inst.top.lam_full
     mats = np.zeros((sub.order, u.dim, u.dim), dtype=complex)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, as_int, char_sort_key,
-                      compress_stack, decompose, kron_stack, max_abs,
-                      max_abs_each, module_hom_basis)
+from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, TOL_NONZERO, as_int,
+                      char_sort_key, compress_stack, decompose, kron_stack,
+                      max_abs, max_abs_each, module_hom_basis)
 from .cohomology import (Cochain1, Cochain2, coboundary, cocycle_inverse,
                          cocycle_product, is_cocycle, trivial_cochain2)
 from .errors import (CocycleMismatch, NotProjective, NotScalarRelated,
@@ -64,7 +64,7 @@ def cocycle_of(group: FiniteGroup, mats) -> Cochain2:
     prods = mats[:, None] @ mats[None]
     targets = mats[group.mult]
     vals = np.einsum("rsij,rsij->rs", targets.conj(), prods) / mats.shape[1]
-    orthogonal = np.argwhere(np.abs(vals) < 1e-8)
+    orthogonal = np.argwhere(np.abs(vals) < TOL_NONZERO)
     if len(orthogonal):
         r, s = orthogonal[0]
         raise NotProjective(f"V({r})V({s}) is orthogonal to V({r}*{s})")
@@ -142,7 +142,7 @@ def transitional_map(v1: ProjectiveRep, v2: ProjectiveRep) -> Cochain1:
     if v1.group != v2.group or v1.dim != v2.dim:
         raise ValidationError("transitional map needs equal groups and dimensions")
     ratio = np.einsum("rij,rij->r", v2.mats, v1.mats.conj()) / v1.dim
-    orthogonal = np.abs(ratio) < 1e-8
+    orthogonal = np.abs(ratio) < TOL_NONZERO
     ratio = np.where(orthogonal, 1.0, ratio)
     ratio /= np.abs(ratio)
     scalar_res = max_abs_each(v2.mats - ratio[:, None, None] * v1.mats)

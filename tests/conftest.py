@@ -3,7 +3,7 @@ import pytest
 from semirep.corpus import build_instance, instance
 from semirep.groups import cyclic_group
 
-from helpers import conjugation_spec, shipped_instance
+from helpers import conjugation_spec
 
 
 @pytest.fixture(scope="session")
@@ -38,12 +38,12 @@ def inst_f():
 
 @pytest.fixture(scope="session")
 def inst_g():
-    return shipped_instance("g")
+    return instance("G")
 
 
 @pytest.fixture(scope="session")
 def inst_h():
-    return shipped_instance("h")
+    return instance("H")
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,13 @@
 """A call-logging spy, and small objects that only the tests build (trivial
 and direct-sum representations, the trivial action, the trivial subgroup, base
-coreps viewed over G x| {e}, the shipped instance files, conjugation instances
-C(K) x| lam, a HopfData with empty caches), the (co)commutativity tests of a
-Hopf algebra, the dense conjugation isomorphism that act_corep is checked
-against, element-by-element and einsum references of the batched
-group-relation checks and corep contractions, and the module-hom systems over
-all d coefficient slices that the generator-slice systems are checked
-against."""
+coreps viewed over G x| {e}, conjugation instances C(K) x| lam, a HopfData
+with empty caches), the (co)commutativity tests of a Hopf algebra, the dense
+conjugation isomorphism that act_corep is checked against, element-by-element
+and einsum references of the batched group-relation checks and corep
+contractions, and the module-hom systems over all d coefficient slices that
+the generator-slice systems are checked against."""
 
 import itertools
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +15,6 @@ from semirep._linalg import (TOL_ACCEPT, TOL_VERIFY, check_commutant, compress_s
                              decompose, hom_space_dim, max_abs, module_hom_basis)
 from semirep.cohomology import Cochain1, Cochain2, trivial_cochain2
 from semirep.corep import Corep, intertwiner_basis, regular_corep, tensor
-from semirep.corpus import build_instance
 from semirep.errors import (CocycleMismatch, NonUnitaryExtraction, NotProjective,
                             NotScalarRelated, ValidationError)
 from semirep.groups import (FiniteGroup, Subgroup, conjugate_subgroup, left_cosets,
@@ -100,14 +96,6 @@ def embed_base_corep(inst, u: Corep) -> Corep:
     if u.parent is not inst.base:
         raise ValidationError("expected a corepresentation of the base")
     return Corep(target.product, u.entries.copy())
-
-
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
-
-
-def shipped_instance(name: str):
-    """The instance in instances/instance_<name>.json."""
-    return build_instance(json.loads((INSTANCES / f"instance_{name}.json").read_text()))
 
 
 def conjugation_spec(n, base, lam, embed):

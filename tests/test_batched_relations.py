@@ -22,7 +22,7 @@ from semirep import cli, corep, groups, induction, mackey, projective, semidirec
 from semirep._linalg import TOL_ACCEPT, max_abs
 from semirep.cohomology import (Cochain1, Cochain2, coboundary, is_cocycle,
                                 trivial_cochain2)
-from semirep.corpus import instance
+from semirep.corpus import INSTANCES, instance
 from semirep.errors import (NonUnitaryExtraction, NotCovariant, NotProjective,
                             ValidationError)
 from semirep.groups import cyclic_group, symmetric_group
@@ -32,12 +32,11 @@ from semirep.projective import (ProjectiveRep, cocycle_of, irreducible_projreps,
 from semirep.semidirect import (check_covariant, instance_of_corep, join_covariant,
                                 split_covariant)
 
-from helpers import (INSTANCES, _einsum_corep_tensor, _einsum_verify_corep,
+from helpers import (_einsum_corep_tensor, _einsum_verify_corep,
                      _loop_check_covariant, _loop_coboundary, _loop_cocycle_of,
                      _loop_coset_isometry, _loop_grp_factor, _loop_is_cocycle,
                      _loop_join_covariant_entries, _loop_proj_tensor_mats,
-                     _loop_regular_twisted_mats, _loop_transitional_map, _loop_verify,
-                     shipped_instance)
+                     _loop_regular_twisted_mats, _loop_transitional_map, _loop_verify)
 
 TOL = 1e-12
 
@@ -162,10 +161,6 @@ class _Mirror:
                 mp.setattr(mod, attr, wrapper)
 
 
-def _fresh(name):
-    return instance(name) if name in "ABCDEF" else shipped_instance(name.lower())
-
-
 @pytest.fixture(scope="module")
 def mirrored_runs():
     """Classify and fuse each of A-H on a fresh instance with every batched
@@ -175,7 +170,7 @@ def mirrored_runs():
         mirror = _Mirror()
         with pytest.MonkeyPatch.context() as mp:
             mirror.install(mp)
-            inst = _fresh(name)
+            inst = instance(name)
             fusion(inst, classify(inst, seed=7))
         runs[name] = mirror
     return runs

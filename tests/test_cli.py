@@ -1,11 +1,11 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+from semirep import cli
+from semirep.corpus import INSTANCES, instance_spec
 
 
 def run_cli(*args):
@@ -22,7 +22,7 @@ def test_check_passes_all_shipped(tmp_path):
 
 
 def test_check_corrupted_exits_1(tmp_path):
-    spec = json.loads((INSTANCES / "instance_a.json").read_text())
+    spec = instance_spec("A")
     spec["action"] = [[0, 1, 2], [1, 0, 2]]  # not an automorphism of Z3
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))
@@ -44,7 +44,7 @@ def test_missing_field_exits_1(tmp_path):
     bad.write_text(json.dumps({"kind": "function_algebra"}))
     code, _, err = run_cli("check", str(bad))
     assert code == 1
-    spec = json.loads((INSTANCES / "instance_a.json").read_text())
+    spec = instance_spec("A")
     unknown_kind = dict(spec, kind="no_such_kind")
     no_table = dict(spec, base={"order": 3})
     for i, doc in enumerate((unknown_kind, no_table)):
@@ -55,7 +55,7 @@ def test_missing_field_exits_1(tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
-SPEC_A = json.loads((INSTANCES / "instance_a.json").read_text())
+SPEC_A = instance_spec("A")
 RAW_TRIVIAL = {  # C of the trivial group as raw tensors
     "kind": "raw_hopf",
     "base": {"mult": [[[1.0]]], "unit": [1.0], "comult": [[[1.0]]], "counit": [1.0],
@@ -107,6 +107,55 @@ def test_malformed_induce_arguments_exit_1(subgroup, param, needle):
     code, _, err = run_cli("induce", str(INSTANCES / "instance_a.json"),
                            "--subgroup", subgroup, "--param", param)
     assert_one_error_line(code, err, needle)
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("check", "--subgroup", "0"),
+    ("irr", "--param", "x:0,v:0"),
+    ("oracle", "--subgroup", "0"),
+])
+def test_induce_flags_rejected_elsewhere(command, flag, value):
+    code, out, err = run_cli(command, str(INSTANCES / "instance_a.json"), flag, value)
+    assert out == ""
+    assert_one_error_line(code, err, "only to induce")
+
+
+def test_instance_spec_reads_the_shipped_files():
+    for name in "ABCDEFGH":
+        doc = json.loads((INSTANCES / f"instance_{name.lower()}.json").read_text())
+        assert instance_spec(name) == doc == instance_spec(name.lower())
+    for name in ("Z", "../x"):
+        with pytest.raises(KeyError):
+            instance_spec(name)
+
+
+def run_main_expecting_disagreement(capsys, *argv):
+    assert cli.main([*argv, "--format", "structured"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oracle disagreement:"), captured.err
+
+
+def test_oracle_rejects_dims_unlike_classify(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "oracle_irr_dims", lambda h, seed: [1] * h.dim)
+    run_main_expecting_disagreement(capsys, "oracle", str(INSTANCES / "instance_a.json"))
+
+
+def test_oracle_rejects_cube_breaking_dimensions(monkeypatch, capsys):
+    real = cli.module_fusion_cube
+
+    def bumped(coreps):
+        cube = real(coreps)
+        cube[0, 0, 0] += 1
+        return cube
+
+    monkeypatch.setattr(cli, "module_fusion_cube", bumped)
+    run_main_expecting_disagreement(capsys, "oracle", str(INSTANCES / "instance_a.json"))
+
+
+def test_conj_rejects_a_non_involution(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "conjugation_pairing", lambda inst, w, cl: cl[0].label)
+    run_main_expecting_disagreement(capsys, "conj", str(INSTANCES / "instance_a.json"))
 
 
 def test_irr_instance_a_rows():

@@ -5,20 +5,18 @@ globals, so it sees exactly the calls a traced run sees.
 """
 
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semirep import cli, mackey, oracle
+from semirep.corpus import INSTANCES
 from semirep.errors import OracleDisagreement
 from semirep.groups import left_cosets
 from semirep.mackey import (FusionTable, GRParameter, RepParameter, classify,
                             fusion, fusion_entry)
 
 from helpers import spy
-
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypatch):

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from semirep.cli import main
+from semirep.corpus import INSTANCES
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INDUCE_ARGS = {"g": ("0,2", "x:0,v:0"), "h": ("0,5", "x:0,v:0")}
 CASES = [(cmd, x) for cmd in ("check", "irr", "conj", "oracle") for x in "abcd"] + \
@@ -33,7 +33,7 @@ def extra_args(cmd, name):
 
 @pytest.mark.parametrize("cmd,name", CASES)
 def test_structured_output_matches_golden(cmd, name, capsys):
-    path = ROOT / "instances" / f"instance_{name}.json"
+    path = INSTANCES / f"instance_{name}.json"
     code = main([cmd, str(path), "--format", "structured", "--seed", "7",
                  *extra_args(cmd, name)])
     assert code == 0

@@ -26,7 +26,11 @@ KEEP = {
     ("induction", "induced_character"): ACCEPTANCE,
     ("mackey", "param_mor_dim"): ACCEPTANCE,
     ("groups", "automorphisms"): BENCHMARK,
+    ("groups", "cyclic_group"): BENCHMARK,
+    ("groups", "dihedral_group"): BENCHMARK,
+    ("groups", "direct_product"): BENCHMARK,
     ("groups", "quaternion_group"): BENCHMARK,
+    ("groups", "symmetric_group"): BENCHMARK,
 }
 
 
