@@ -21,11 +21,11 @@ from ._linalg import (TOL_ACCEPT, TOL_VERIFY, as_int, first_entry_phase, kron_st
 from .cohomology import cocycle_inverse, cocycle_product
 from .corep import (Corep, act, compress, conjugate, intertwiner_basis,
                     irr_action, irr_enumerate, mor_dim, tensor as corep_tensor)
-from .errors import (CompletenessFailure, GramFailure, NonIntegerCoefficient,
-                     NonUnitaryExtraction, NotCovariant, NotStabilized,
-                     OracleDisagreement, GaugeFailure, ValidationError)
-from .groups import (Subgroup, conjugate_intersection, conjugate_subgroup,
-                     left_cosets, orbits, stabilizer)
+from .errors import (CompletenessFailure, GramFailure, IntegerRecoveryError,
+                     NonIntegerCoefficient, NonUnitaryExtraction, NotCovariant,
+                     NotStabilized, OracleDisagreement, GaugeFailure, ValidationError)
+from .groups import (Subgroup, conjugate_intersection, left_cosets, orbits,
+                     stabilizer)
 from .induction import induce
 from .oracle import module_fusion_cube
 from .projective import (ProjectiveRep, cocycle_of, contragredient,
@@ -116,20 +116,13 @@ def covariant_projective(inst: SemidirectInstance, u: Corep,
 
 # -- moving parameters around ----------------------------------------------------
 
-def translate_param(inst: SemidirectInstance, r: int, p: GRParameter) -> GRParameter:
-    """r . (u, V, v) over r Lambda0 r^{-1}: (r . V)(r a r^{-1}) = V(a)."""
+def move_rep(inst: SemidirectInstance, r: int, sub: Subgroup, meet: Subgroup,
+             x: ProjectiveRep) -> ProjectiveRep:
+    """x, a projective rep of sub, translated by r and restricted to meet, a
+    subgroup of r sub r^{-1}: (r . x)(a) = x(r^{-1} a r) for a in meet."""
     lam = inst.top.lam_full
-    sub_to = conjugate_subgroup(p.lambda0, r)
-    idx = p.lambda0.to_local(lam.conjugate(lam.inverse(r), sub_to.elements))
-    return type(p)(act_base(inst, r, p.u), pullback(p.V, idx, sub_to.group),
-                   pullback(p.v, idx, sub_to.group), sub_to)
-
-
-def restrict_param(p: GRParameter, sub_to: Subgroup) -> GRParameter:
-    """(u, V, v) restricted to a (global) subgroup sub_to of its Lambda0."""
-    idx = p.lambda0.to_local(sub_to.elements)
-    return type(p)(p.u, pullback(p.V, idx, sub_to.group),
-                   pullback(p.v, idx, sub_to.group), sub_to)
+    return pullback(x, sub.to_local(lam.conjugate(lam.inverse(r), meet.elements)),
+                    meet.group)
 
 
 # -- the CSR corepresentation ----------------------------------------------------
@@ -139,7 +132,8 @@ def csr_corep(inst: SemidirectInstance, p: GRParameter) -> Corep:
 
     The Lambda0 part v (x) V goes through `ordinary_rep`, which re-extracts its
     cocycle and requires it to be trivial. For a GRP this is the only check of
-    that: `_FusionTables.grp` never validates the GRPs it builds.
+    that: `_FusionTables.grp` never validates the GRPs it builds, and builds
+    the CSR of each distinct GRP once.
     """
     sub_inst = inst.principal(p.lambda0)
     nv, nu = p.v.dim, p.u.dim
@@ -271,12 +265,15 @@ def conjugation_pairing(inst: SemidirectInstance, w: ClassifiedIrr,
 # -- GRP reduction -----------------------------------------------------------------
 
 def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
-               v0: ProjectiveRep, big: Corep | None = None):
+               v0: ProjectiveRep, basis: list[np.ndarray] | None = None,
+               big: Corep | None = None):
     """Reduce a GRP along (u0, V0); returns a RepParameter, or None when the
     isotypic component of [u0] in g.u is empty (callers score incidence 0).
 
-    `big` is the CSR corep of g when the caller has built it already."""
-    basis = intertwiner_basis(u0, g.u)
+    `basis` is intertwiner_basis(u0, g.u) and `big` the CSR corep of g, when
+    the caller has built them already."""
+    if basis is None:
+        basis = intertwiner_basis(u0, g.u)
     n = len(basis)
     if n == 0:
         return None
@@ -315,66 +312,98 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
 # -- incidence numbers and fusion ---------------------------------------------------
 
 class _FusionTables:
-    """The artifacts of one fusion run that do not depend on the entry.
+    """The artifacts of one fusion run, each built once per distinct input.
 
-    Each is built on first use and then shared. Keys hold the parameter
-    objects themselves (parameters hash by identity), so a key keeps its
-    parameter alive and no id can be recycled within a run.
+    A table's key is exactly what its artifact reads:
+      csrs         parameter -> its CSR corep (the classified ones from classify)
+      transversals Lambda0 -> its left coset representatives
+      meets        (Lambda_i, r_i) -> cap r_i Lambda_i r_i^{-1}
+      chars        (p, r, meet) -> character of r . CSR(p) on G x| meet
+      moved_uV     (u, V, Lambda0, r, meet) -> the moved u and V
+      moved        (p, r, meet) -> r . p restricted to meet
+      u_tensors    (moved u2, moved u3) -> u2 (x) u3
+      V_tensors    (moved V2, moved V3) -> V2 (x) V3
+      grps         (p2, r2, p3, r3, meet) -> the GRP, its CSR and chi2 . chi3
+      isotypic     (moved u1, GRP u) -> intertwiner_basis(u1, GRP u)
+      reductions   (GRP, moved u1, moved V1) -> reduce_grp's result
+    Keys hold parameters, coreps and projective reps themselves (they hash by
+    identity), so a key keeps its objects alive and no id can be recycled
+    within a run. All parameters of one orbit share u and V (classify), so
+    their moved u and V, and everything keyed by those, are shared too.
     """
 
     def __init__(self, inst: SemidirectInstance, classified=()):
         self.top = inst.top
         self.csrs = {w.parameter: w.csr for w in classified}
+        self.transversals: dict = {}
         self.meets: dict = {}
         self.chars: dict = {}
+        self.moved_uV: dict = {}
         self.moved: dict = {}
+        self.u_tensors: dict = {}
+        self.V_tensors: dict = {}
         self.grps: dict = {}
-        self.transversals: dict = {}
+        self.isotypic: dict = {}
+        self.reductions: dict = {}
+
+    @staticmethod
+    def _once(table: dict, key, build):
+        if key not in table:
+            table[key] = build()
+        return table[key]
 
     def transversal(self, sub: Subgroup) -> list[int]:
         """The left coset representatives of sub."""
-        if sub.elements not in self.transversals:
-            self.transversals[sub.elements] = [z for z, _ in left_cosets(sub)]
-        return self.transversals[sub.elements]
+        return self._once(self.transversals, sub.elements,
+                          lambda: [z for z, _ in left_cosets(sub)])
 
     def meet(self, subs: list[Subgroup], reps: tuple[int, ...]) -> Subgroup:
         """cap r_i Lambda_i r_i^{-1}."""
-        key = (tuple(s.elements for s in subs), reps)
-        if key not in self.meets:
-            self.meets[key] = conjugate_intersection(subs, list(reps))
-        return self.meets[key]
+        return self._once(self.meets, (tuple(s.elements for s in subs), reps),
+                          lambda: conjugate_intersection(subs, list(reps)))
 
     def csr(self, p: GRParameter) -> Corep:
-        if p not in self.csrs:
-            self.csrs[p] = csr_corep(self.top, p)
-        return self.csrs[p]
+        return self._once(self.csrs, p, lambda: csr_corep(self.top, p))
 
     def character(self, p: RepParameter, r: int, meet: Subgroup) -> np.ndarray:
         """Character of r . CSR(p), restricted to G x| meet."""
-        key = (p, r, meet.elements)
-        if key not in self.chars:
+        def build():
             moved = act_corep(self.top, r, self.csr(p))
-            self.chars[key] = restrict_corep(self.top, moved, meet).char_vec()
-        return self.chars[key]
+            return restrict_corep(self.top, moved, meet).char_vec()
+        return self._once(self.chars, (p, r, meet.elements), build)
 
-    def moved_param(self, p: RepParameter, r: int, meet: Subgroup) -> GRParameter:
-        """r . p, restricted to meet."""
-        key = (p, r, meet.elements)
-        if key not in self.moved:
-            self.moved[key] = restrict_param(translate_param(self.top, r, p), meet)
-        return self.moved[key]
+    def moved_param(self, p: RepParameter, r: int, meet: Subgroup) -> RepParameter:
+        """r . p, restricted to meet; only its v is moved per parameter."""
+        def build():
+            u, V = self._once(
+                self.moved_uV, (p.u, p.V, p.lambda0.elements, r, meet.elements),
+                lambda: (act_base(self.top, r, p.u),
+                         move_rep(self.top, r, p.lambda0, meet, p.V)))
+            return type(p)(u, V, move_rep(self.top, r, p.lambda0, meet, p.v), meet)
+        return self._once(self.moved, (p, r, meet.elements), build)
 
     def grp(self, p2: RepParameter, r2: int, p3: RepParameter, r3: int,
-            meet: Subgroup) -> tuple[GRParameter, Corep]:
-        """The GRP (u2 (x) u3, V2 (x) V3, v2 (x) v3) of moved p2, p3, and its CSR."""
-        key = (p2, r2, p3, r3, meet.elements)
-        if key not in self.grps:
-            q2 = self.moved_param(p2, r2, meet)
-            q3 = self.moved_param(p3, r3, meet)
-            g = GRParameter(corep_tensor(q2.u, q3.u), proj_tensor(q2.V, q3.V),
-                            proj_tensor(q2.v, q3.v), meet)
-            self.grps[key] = (g, csr_corep(self.top, g))
-        return self.grps[key]
+            meet: Subgroup) -> tuple[GRParameter, Corep, np.ndarray]:
+        """The GRP (u2 (x) u3, V2 (x) V3, v2 (x) v3) of moved p2, p3, its CSR
+        corep, and the product of their restricted characters on G x| meet."""
+        def build():
+            q2, q3 = self.moved_param(p2, r2, meet), self.moved_param(p3, r3, meet)
+            g = GRParameter(
+                self._once(self.u_tensors, (q2.u, q3.u), lambda: corep_tensor(q2.u, q3.u)),
+                self._once(self.V_tensors, (q2.V, q3.V), lambda: proj_tensor(q2.V, q3.V)),
+                proj_tensor(q2.v, q3.v), meet)
+            chi23 = self.top.principal(meet).product.product(
+                self.character(p2, r2, meet), self.character(p3, r3, meet))
+            return g, csr_corep(self.top, g), chi23
+        return self._once(self.grps, (p2, r2, p3, r3, meet.elements), build)
+
+    def reduction(self, g: GRParameter, big: Corep, q1: RepParameter):
+        """reduce_grp of g along (q1.u, q1.V); q1.v is not read."""
+        def build():
+            basis = self._once(self.isotypic, (q1.u, g.u),
+                               lambda: intertwiner_basis(q1.u, g.u))
+            return reduce_grp(self.top, g, q1.u, q1.V, basis, big)
+        return self._once(self.reductions, (g, q1.u, q1.V), build)
 
 
 def incidence(inst: SemidirectInstance, params, reps, *,
@@ -391,12 +420,11 @@ def incidence(inst: SemidirectInstance, params, reps, *,
         tables = _FusionTables(top)
     meet = tables.meet([p.lambda0 for p in params], tuple(reps))
     h0 = top.principal(meet).product
-    chis = [tables.character(p, r, meet) for p, r in zip(params, reps)]
-    m_char = as_int(h0.pair(chis[0], h0.product(chis[1], chis[2])))
+    grp, big, chi23 = tables.grp(params[1], reps[1], params[2], reps[2], meet)
+    m_char = as_int(h0.pair(tables.character(params[0], reps[0], meet), chi23))
 
     q1 = tables.moved_param(params[0], reps[0], meet)
-    grp, big = tables.grp(params[1], reps[1], params[2], reps[2], meet)
-    red = reduce_grp(top, grp, q1.u, q1.V, big=big)
+    red = tables.reduction(grp, big, q1)
     m_proj = 0 if red is None else proj_mor_dim(q1.v, red.v)
     if m_proj != m_char:
         raise OracleDisagreement(
@@ -448,7 +476,7 @@ def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
         total += m * tables.meet(subs, reps).order / top.lam_full.order
     try:
         return as_int(total, tol=TOL_ACCEPT)
-    except Exception as exc:
+    except IntegerRecoveryError as exc:
         raise NonIntegerCoefficient(str(exc)) from exc
 
 
@@ -460,14 +488,16 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionT
     homs; any disagreement raises. No route is skipped or sampled, and the
     table records how many entries each route evaluated.
 
-    What does not depend on the entry is built once per call and shared by
-    all entries: the CSR corep of each classified parameter (taken from
-    classify), the coset transversal of each Lambda0, the meet of each coset
-    triple, per (parameter, coset representative, meet) the moved restricted
-    parameter and the restricted character of the moved CSR, and per (p2, r2,
-    p3, r3, meet) the GRP and its CSR corep. Every incidence number, GRP
-    reduction with its checks, character pairing and module-hom count still
-    runs for each entry.
+    Per entry and coset triple run `incidence`: its character pairing,
+    proj_mor_dim(q1.v, red.v) on the moved v1 and the reduced v, and the
+    comparison of the two. Per entry run the characters and modules routes.
+    Everything else is built once per distinct input and shared (see
+    _FusionTables): the CSR corep of each classified parameter (taken from
+    classify), coset transversals, meets, restricted characters, moved
+    parameters (their u and V once per (u, V, r, meet)), the tensor factors
+    u2 (x) u3 and V2 (x) V3, each GRP with its CSR and chi2 . chi3, each
+    isotypic basis per (moved u1, GRP u), and each GRP reduction,
+    with all of its checks, per (GRP, moved u1, moved V1).
     """
     top = inst.top
     h = top.product

@@ -4,7 +4,8 @@ coreps viewed over G x| {e}, conjugation instances C(K) x| lam, a HopfData
 with empty caches), the (co)commutativity tests of a Hopf algebra, the dense
 conjugation isomorphism that act_corep is checked against, element-by-element
 and einsum references of the batched group-relation checks and corep
-contractions, and the module-hom systems over all d coefficient slices that
+contractions, the two-step translate-then-restrict reference of a moved
+parameter, and the module-hom systems over all d coefficient slices that
 the generator-slice systems are checked against."""
 
 import itertools
@@ -20,7 +21,8 @@ from semirep.errors import (CocycleMismatch, NonUnitaryExtraction, NotProjective
 from semirep.groups import (FiniteGroup, Subgroup, conjugate_subgroup, left_cosets,
                             symmetric_group)
 from semirep.hopf import HopfData, QAutomorphism
-from semirep.projective import ProjectiveRep
+from semirep.mackey import act_base
+from semirep.projective import ProjectiveRep, pullback
 
 
 def spy(monkeypatch, module, name):
@@ -297,6 +299,24 @@ def _loop_coset_isometry(top, sub: Subgroup, ul: ProjectiveRep) -> np.ndarray:
                 vec[t * n:(t + 1) * n] += ul.mats[r0_local][:, a]
             cols.append(vec / np.sqrt(sub.order))
     return np.array(cols).T
+
+
+# -- a moved parameter in two steps --------------------------------------------
+
+def translate_param(inst, r: int, p):
+    """r . (u, V, v) over r Lambda0 r^{-1}: (r . V)(r a r^{-1}) = V(a)."""
+    lam = inst.top.lam_full
+    sub_to = conjugate_subgroup(p.lambda0, r)
+    idx = p.lambda0.to_local(lam.conjugate(lam.inverse(r), sub_to.elements))
+    return type(p)(act_base(inst, r, p.u), pullback(p.V, idx, sub_to.group),
+                   pullback(p.v, idx, sub_to.group), sub_to)
+
+
+def restrict_param(p, sub_to: Subgroup):
+    """(u, V, v) restricted to a (global) subgroup sub_to of its Lambda0."""
+    idx = p.lambda0.to_local(sub_to.elements)
+    return type(p)(p.u, pullback(p.V, idx, sub_to.group),
+                   pullback(p.v, idx, sub_to.group), sub_to)
 
 
 # -- einsum references of the corep contractions -------------------------------

@@ -85,7 +85,7 @@ def _cmp_report(out, ref):
     return None
 
 
-def _ref_grp(inst, g, u0, v0, big=None):
+def _ref_grp(inst, g, u0, v0, basis=None, big=None):
     """The loop factor, paired with the v that reduce_grp will return."""
     v1 = _loop_grp_factor(g, u0, v0)
     return None if v1 is None else (v1, g)
@@ -288,7 +288,7 @@ def test_grp_factor_failure_matches_reference(inst_f, scale, message):
     elements 2 and 3; the first is reported."""
     cl, p2, p1 = _f_parameters(inst_f)
     e = inst_f.lam_full.identity
-    g, _ = _FusionTables(inst_f, cl).grp(p2, e, p1, e, p2.lambda0)
+    g = _FusionTables(inst_f, cl).grp(p2, e, p1, e, p2.lambda0)[0]
     assert _loop_grp_factor(g, p2.u, p2.V) is not None
     mats = g.V.mats.copy()
     mats[2:] = mats[2:] @ scale
@@ -300,10 +300,20 @@ def test_grp_factor_failure_matches_reference(inst_f, scale, message):
 
 # -- how often each check runs -----------------------------------------------------
 
-# Call counts of `semirep fuse instances/instance_d.json --seed 7` before the
-# checks were batched; batching must not drop or add a single check.
-FUSE_D_CALLS = {"cocycle_of": 474, "check_covariant": 762, "ProjectiveRep.verify": 288,
-                "intertwiner_basis": 1740, "verify_corep": 12}
+# Call counts of `semirep fuse instances/instance_d.json --seed 7`. Batching
+# the checks dropped and added none; fusion runs each once per distinct input:
+# - classify: cocycle_of 42, check_covariant 42, intertwiner_basis 12,
+#   verify_corep 12.
+# - 144 distinct GRPs (12 x 12 parameter pairs, one coset each) build one CSR
+#   each: cocycle_of +144, check_covariant +144.
+# - 216 isotypic bases, one per (moved u1, u2 (x) u3): 6 x 36.
+# - 864 reductions, one per (GRP, moved u1, moved V1): 144 x 6. The 144 with
+#   a non-empty isotypic block each run verify +1, validate (check_covariant
+#   +1) and the CSR of the result (cocycle_of +1, check_covariant +1).
+# Before the reduction was shared, every one of the 1,728 (entry, coset
+# triple) pairs reduced once (474, 762, 288, 1740, 12).
+FUSE_D_CALLS = {"cocycle_of": 330, "check_covariant": 474, "ProjectiveRep.verify": 144,
+                "intertwiner_basis": 228, "verify_corep": 12}
 
 
 def test_fuse_d_runs_every_check_and_one_transversal_per_subgroup(monkeypatch):

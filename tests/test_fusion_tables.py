@@ -1,7 +1,8 @@
 """Fusion builds each shared artifact once per run and still runs every route.
 
 The counting test wraps the functions `fusion` reaches through module
-globals, so it sees exactly the calls a traced run sees.
+globals, so it sees exactly the calls a traced run sees. The keys it expects
+are derived here from the definitions, not read from the tables.
 """
 
 from itertools import product
@@ -11,12 +12,31 @@ import pytest
 
 from semirep import cli, mackey, oracle
 from semirep.corpus import INSTANCES
-from semirep.errors import OracleDisagreement
-from semirep.groups import left_cosets
-from semirep.mackey import (FusionTable, GRParameter, RepParameter, classify,
-                            fusion, fusion_entry)
+from semirep.errors import NonIntegerCoefficient, OracleDisagreement
+from semirep.groups import (all_subgroups, conjugate_intersection, conjugate_subgroup,
+                            left_cosets)
+from semirep.mackey import (FusionTable, GRParameter, RepParameter, _FusionTables,
+                            classify, fusion, fusion_entry)
 
-from helpers import spy
+from helpers import restrict_param, spy, translate_param
+
+
+def _distinct_inputs(cl):
+    """The distinct (GRP, moved u1, moved V1) inputs of the reduction, and
+    the distinct (moved u1, GRP u) inputs of its isotypic basis, over every
+    entry and coset triple. A GRP is fixed by (p2, r2, p3, r3, meet), its u
+    by the moved u2 and u3, and a moved u and V by (u, V, Lambda0, r, meet)."""
+    reductions, isotypic = set(), set()
+    for w1, w2, w3 in product(cl, repeat=3):
+        params = [w.parameter for w in (w1, w2, w3)]
+        subs = [p.lambda0 for p in params]
+        for reps in product(*([z for z, _ in left_cosets(s)] for s in subs)):
+            meet = conjugate_intersection(subs, list(reps)).elements
+            uv1, uv2, uv3 = ((p.u, p.V, p.lambda0.elements, r, meet)
+                             for p, r in zip(params, reps))
+            reductions.add(((params[1], reps[1], params[2], reps[2], meet), uv1))
+            isotypic.add((uv1, uv2, uv3))
+    return len(reductions), len(isotypic)
 
 
 def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypatch):
@@ -25,19 +45,28 @@ def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypat
     cosets = sum(len(left_cosets(w.parameter.lambda0)) for w in cl)
     incidences = spy(monkeypatch, mackey, "incidence")
     reductions = spy(monkeypatch, mackey, "reduce_grp")
+    bases = spy(monkeypatch, mackey, "intertwiner_basis")
     csrs = spy(monkeypatch, mackey, "csr_corep")
     module_homs = spy(monkeypatch, oracle, "module_hom_dim")
 
     table = fusion(inst_d, cl)
 
-    # one incidence, with its GRP reduction, per (entry, coset triple); one
-    # module-hom count per entry
+    # one incidence per (entry, coset triple); one module-hom count per entry
     assert cosets ** 3 == k ** 3 == 1728
-    assert len(incidences) == len(reductions) == cosets ** 3
+    assert len(incidences) == cosets ** 3
     assert len(module_homs) == k ** 3
     assert table.evaluated == {"formula": k ** 3, "characters": k ** 3,
                                "modules": k ** 3}
     assert table.agreement() == "3/3 methods agree"
+
+    # one GRP reduction per distinct (GRP, moved u1, moved V1), and one
+    # isotypic basis per distinct (moved u1, GRP u)
+    want_reductions, want_bases = _distinct_inputs(cl)
+    assert (want_reductions, want_bases) == (864, 216)
+    assert len(reductions) == want_reductions
+    assert len({tuple(map(id, args[1:4])) for args, _ in reductions}) == want_reductions
+    assert len(bases) == want_bases
+    assert len({tuple(map(id, args)) for args, _ in bases}) == want_bases
 
     # csr_corep: once per distinct GRP, once per non-empty reduction, and
     # never for a classified parameter
@@ -52,14 +81,68 @@ def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypat
     assert len(params) <= len(grps) + nonempty
 
 
-def test_fusion_cube_equals_standalone_entries(inst_c):
-    cl = classify(inst_c)
-    cube = fusion(inst_c, cl).coefficients
-    k = len(cl)
-    standalone = np.zeros((k, k, k), dtype=int)
-    for i1, i2, i3 in product(range(k), repeat=3):
-        standalone[i1, i2, i3] = fusion_entry(inst_c, cl[i1], cl[i2], cl[i3])
-    assert np.array_equal(cube, standalone)
+def test_fusion_cube_equals_standalone_entries(inst_b, inst_c, inst_g):
+    """Every entry from fresh tables equals the cube from one run's shared
+    tables; G has a nonabelian Lambda, nontrivial coset representatives and
+    meets."""
+    for inst in (inst_b, inst_c, inst_g):
+        cl = classify(inst)
+        cube = fusion(inst, cl).coefficients
+        k = len(cl)
+        standalone = np.zeros((k, k, k), dtype=int)
+        for i1, i2, i3 in product(range(k), repeat=3):
+            standalone[i1, i2, i3] = fusion_entry(inst, cl[i1], cl[i2], cl[i3])
+        assert np.array_equal(cube, standalone)
+
+
+def test_moved_params_match_translate_then_restrict(inst_g, inst_h):
+    """A moved parameter equals the two-step reference (translate by r, then
+    restrict to a subgroup of r Lambda0 r^{-1}) exactly, and parameters that
+    differ only in v share its u and V."""
+    for inst in (inst_g, inst_h):
+        cl = classify(inst)
+        tables = _FusionTables(inst, cl)
+        subgroups = all_subgroups(inst.lam_full)
+        shared, reused = {}, 0
+        for w in cl:
+            p = w.parameter
+            for r in inst.lam_full.elements():
+                target = conjugate_subgroup(p.lambda0, r)
+                for meet in (s for s in subgroups if s.is_subset_of(target)):
+                    q = tables.moved_param(p, r, meet)
+                    ref = restrict_param(translate_param(inst, r, p), meet)
+                    assert type(q) is type(ref) and q.lambda0 == ref.lambda0
+                    assert np.array_equal(q.u.entries, ref.u.entries)
+                    for got, want in ((q.V, ref.V), (q.v, ref.v)):
+                        assert got.group is want.group
+                        assert np.array_equal(got.mats, want.mats)
+                        assert np.array_equal(got.cocycle.values, want.cocycle.values)
+                    key = (p.u, p.V, r, meet.elements)
+                    reused += key in shared
+                    uv = shared.setdefault(key, (q.u, q.V))
+                    assert uv[0] is q.u and uv[1] is q.V
+        assert reused
+
+
+def test_non_integer_total_raises_non_integer_coefficient(inst_a, monkeypatch):
+    """A first incidence of 1/2 and zeros after it put the coset sum strictly
+    between 0 and 1/2."""
+    cl = classify(inst_a)
+    values = iter([0.5])
+    monkeypatch.setattr(mackey, "incidence", lambda *args, **kwargs: next(values, 0))
+    with pytest.raises(NonIntegerCoefficient, match="not within"):
+        fusion_entry(inst_a, cl[0], cl[0], cl[0])
+
+
+def test_unrelated_fault_in_fusion_entry_is_not_an_oracle_disagreement(inst_a, monkeypatch):
+    cl = classify(inst_a)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("not an integer-recovery failure")
+
+    monkeypatch.setattr(mackey, "as_int", broken)
+    with pytest.raises(RuntimeError, match="not an integer-recovery"):
+        fusion_entry(inst_a, cl[0], cl[0], cl[0])
 
 
 def test_agreement_requires_every_route_on_every_entry(inst_a):

@@ -2,7 +2,8 @@
 
 tests/golden holds the structured output of check, irr, conj and oracle on
 A-D, of oracle on E and F (whose regular modules are the largest split), of
-fuse on A-C, of induce (--subgroup 0 --param x:1,v:0) on A-C, and of irr,
+fuse on A-D (D's 1,728-entry cube shares the most GRP reductions between
+entries), of induce (--subgroup 0 --param x:1,v:0) on A-C, and of irr,
 conj, oracle, fuse and induce on the two instances with a nonabelian Lambda:
 G (induce --subgroup 0,2 --param x:0,v:0) and H (induce --subgroup 0,5
 --param x:0,v:0), all with --seed 7. A refactor that keeps the arithmetic
@@ -20,7 +21,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 INDUCE_ARGS = {"g": ("0,2", "x:0,v:0"), "h": ("0,5", "x:0,v:0")}
 CASES = [(cmd, x) for cmd in ("check", "irr", "conj", "oracle") for x in "abcd"] + \
     [("oracle", "e"), ("oracle", "f")] + \
-    [(cmd, x) for cmd in ("fuse", "induce") for x in "abc"] + \
+    [(cmd, x) for cmd in ("fuse", "induce") for x in "abc"] + [("fuse", "d")] + \
     [(cmd, x) for cmd in ("irr", "conj", "oracle", "fuse", "induce") for x in "gh"]
 
 

@@ -11,11 +11,11 @@ from semirep.induction import induce, mackey_irreducible
 from semirep.mackey import (GRParameter, RepParameter, act_base, classify,
                             conjugate_parameter, conjugation_pairing,
                             covariant_projective, csr_corep, fusion, incidence,
-                            param_mor_dim, reduce_grp, restrict_param,
-                            stabilizer_of_class, translate_param)
+                            move_rep, param_mor_dim, reduce_grp, stabilizer_of_class)
 from semirep.projective import ProjectiveRep, irreducible_projreps
 
-from helpers import proj_direct_sum, trivial_rep, trivial_subgroup
+from helpers import (proj_direct_sum, restrict_param, translate_param, trivial_rep,
+                     trivial_subgroup)
 
 
 def classified(inst, cache={}):
@@ -304,21 +304,22 @@ def test_reduce_grp_empty_isotypic(inst_a):
 
 @pytest.mark.parametrize("name", ["E", "F"])
 def test_restrict_param_sits_on_target_group(name, request):
-    """Restriction to a global subgroup reads V and v at its local indices and
-    puts them, with their cocycles, on the target's own group (F's last
-    parameter has a 2-dim v with a nontrivial cocycle)."""
+    """Restriction (move_rep by the identity) to a global subgroup reads V and
+    v at their local indices and puts them, with their cocycles, on the
+    target's own group (F's last parameter has a 2-dim v with a nontrivial
+    cocycle)."""
     inst = request.getfixturevalue("inst_e") if name == "E" else instance(name)
+    e = inst.lam_full.identity
     for w in classified(inst):
         p = w.parameter
         for sub in all_subgroups(inst.lam_full):
             if not sub.is_subset_of(p.lambda0):
                 with pytest.raises(ValidationError):
-                    restrict_param(p, sub)
+                    move_rep(inst, e, p.lambda0, sub, p.V)
                 continue
-            q = restrict_param(p, sub)
             locs = [p.lambda0.to_local(x) for x in sub.elements]
-            assert q.u is p.u and q.lambda0 == sub
-            for old, new in ((p.V, q.V), (p.v, q.v)):
+            for old in (p.V, p.v):
+                new = move_rep(inst, e, p.lambda0, sub, old)
                 assert new.group is sub.group and new.cocycle.group is sub.group
                 assert np.array_equal(new.mats, old.mats[locs])
                 assert np.array_equal(new.cocycle.values,
