@@ -7,8 +7,7 @@ result is cross-checked against brute-force oracles (character pairings,
 intertwiner nullspaces, dual-algebra module decompositions).
 """
 
-from .cohomology import (Cochain1, Cochain2, coboundary, is_cocycle,
-                         is_trivial_class, try_solve_coboundary)
+from .cohomology import Cochain1, Cochain2, coboundary, is_cocycle
 from .corep import (Corep, conjugate, intertwiner_basis, irr_action,
                     irr_decompose, irr_enumerate, mor_dim, regular_corep,
                     tensor, verify_corep)

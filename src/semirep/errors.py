@@ -25,10 +25,6 @@ class NotAGroup(ValidationError):
     """Multiplication table fails a group axiom; carries a witness."""
 
 
-class NotRootsOfUnity(ValidationError):
-    pass
-
-
 class CocycleMismatch(ValidationError):
     pass
 

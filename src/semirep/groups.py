@@ -244,9 +244,6 @@ class Subgroup:
                                   f"lie in subgroup {list(self.elements)}")
         return local if np.ndim(local) else int(local)
 
-    def to_parent(self, local_idx: int) -> int:
-        return self.elements[local_idx]
-
     @property
     def group(self) -> FiniteGroup:
         """The subgroup as a FiniteGroup on local indices 0..|H|-1."""

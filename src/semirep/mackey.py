@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (TOL_ACCEPT, TOL_VERIFY, as_int, first_entry_phase, kron_stack,
-                      max_abs, max_abs_each)
+from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, TOL_VERIFY, as_int,
+                      first_entry_phase, kron_stack, max_abs, max_abs_each)
 from .cohomology import cocycle_inverse, cocycle_product
 from .corep import (Corep, act, compress, conjugate, intertwiner_basis,
                     irr_action, irr_enumerate, mor_dim, tensor as corep_tensor)
@@ -175,6 +175,13 @@ def param_mor_dim(inst: SemidirectInstance, p1: RepParameter, p2: RepParameter) 
 
 @dataclass(frozen=True, eq=False)
 class ClassifiedIrr:
+    """One irreducible of G x| Lambda, induced from a distinguished parameter.
+
+    cocycle_trivial says whether the cocycle omega of the parameter's v is a
+    coboundary, i.e. whether its class in H^2(Lambda0, T) is trivial; see
+    classify for the criterion.
+    """
+
     label: str
     parameter: RepParameter
     csr: Corep
@@ -189,13 +196,22 @@ class ClassifiedIrr:
         return int(self.induced.dim)
 
 
-def classify(inst: SemidirectInstance, seed: int = 7) -> list[ClassifiedIrr]:
+def classify(inst: SemidirectInstance, seed: int = DEFAULT_SEED) -> list[ClassifiedIrr]:
     """All irreducibles of G x| Lambda via distinguished parameters.
 
     One orbit representative per Lambda-orbit on Irr(G), its full stabilizer,
     the attached covariant projective V, and every irreducible v with the
-    opposite cocycle. Deduplication and completeness are certified by the
-    character Gram matrix and the Peter-Weyl count.
+    opposite cocycle omega. Distinct distinguished parameters induce
+    inequivalent irreducibles, so every parameter is kept; a duplicate would
+    fail the Peter-Weyl count (CompletenessFailure) or the character Gram
+    matrix (GramFailure), both checked at the end.
+
+    cocycle_trivial is "some irreducible omega-projective v is
+    one-dimensional", read off the complete list that irreducible_projreps
+    certifies. The criterion is exact: a one-dimensional v satisfies
+    v(r) v(s) = omega(r, s) v(rs), so omega is the coboundary of v; and if
+    omega is the coboundary of b, then b is itself a one-dimensional
+    omega-projective representation.
     """
     top = inst.top
     lam = top.lam_full
@@ -220,13 +236,6 @@ def classify(inst: SemidirectInstance, seed: int = 7) -> list[ClassifiedIrr]:
             if as_int(norm) != 1:
                 raise GramFailure(
                     f"induced corep from orbit {orb} has character norm {norm}")
-            dup = False
-            for kept in out:
-                if as_int(h.pair(kept.character, chi)) != 0:
-                    dup = True
-                    break
-            if dup:
-                continue
             out.append(ClassifiedIrr(
                 label=f"W{len(out)}", parameter=p, csr=csr, induced=ind.result,
                 character=chi, orbit=tuple(orb), orbit_rep=x,

@@ -59,7 +59,8 @@ class SemidirectInstance:
     """A quantum group G x| Lambda0 together with its building data.
 
     For the top-level instance, subgroup covers all of Lambda. Sub-instances
-    share the same base algebra and draw their automorphisms from the parent.
+    share the same base algebra and draw their automorphisms from the parent;
+    over the one-element subgroup the product is the base algebra itself.
     Only the top-level instance (top is None) verifies the Hopf axioms, and it
     keeps the report as `axioms`.
     """
@@ -74,7 +75,9 @@ class SemidirectInstance:
         self.lam = subgroup.group
         # alpha_mats[r_local] is the matrix of alpha*_r, r = subgroup element
         self.alpha_mats = np.stack([alpha[p].matrix for p in subgroup.elements])
-        self.product = _product_hopf(base, self.lam, self.alpha_mats)
+        # G x| {e} is G itself, so it shares the base's cached artifacts
+        self.product = (base if self.lam.order == 1
+                        else _product_hopf(base, self.lam, self.alpha_mats))
         self._principal_cache: dict = {self.subgroup.elements: self}
         if top is None:
             self.top = self

@@ -237,7 +237,7 @@ def _loop_check_covariant(inst, ug: Corep, ul: ProjectiveRep):
     worst, witness = 0.0, None
     for r_local in inst.lam.elements():
         f = ul.mats[r_local]
-        m = inst.alpha[inst.subgroup.to_parent(r_local)].matrix
+        m = inst.alpha[inst.subgroup.elements[r_local]].matrix
         lhs = np.einsum("ik,kjc->ijc", f, ug.entries)
         rhs = np.einsum("kj,ikc->ijc", f, ug.entries) @ m.T
         res = np.abs(lhs - rhs)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from semirep import cli
+from semirep import cli, hopf
 from semirep.corpus import INSTANCES, instance_spec
 
 
@@ -210,6 +210,26 @@ def test_induce_command():
     assert doc["irreducible"] is True
     # complex numbers serialize as [re, im] pairs
     assert all(len(pair) == 2 for pair in doc["character"])
+
+
+@pytest.mark.parametrize("name", "abc")
+def test_induce_on_trivial_subgroup_selects_generators_twice(name, request,
+                                                               monkeypatch, capsys):
+    """Only the base and the product select dual-algebra generators: the
+    instance over {e} is the base itself, so it shares the base's."""
+    calls = []
+    real = hopf.generating_subset
+
+    def spy(h, candidates):
+        calls.append(h.dim)
+        return real(h, candidates)
+
+    monkeypatch.setattr(hopf, "generating_subset", spy)
+    path = str(INSTANCES / f"instance_{name}.json")
+    assert cli.main(["induce", path, "--subgroup", "0", "--param", "x:1,v:0"]) == 0
+    capsys.readouterr()
+    inst = request.getfixturevalue(f"inst_{name}")
+    assert sorted(calls) == sorted([inst.base.dim, inst.dim])
 
 
 def test_induce_rejects_non_stabilizing_subgroup():

@@ -3,11 +3,10 @@ import pytest
 
 from semirep._linalg import TOL_BUILD
 from semirep.cohomology import (Cochain1, Cochain2, coboundary, cocycle_inverse,
-                                cocycle_product, is_cocycle, is_trivial_class,
-                                trivial_cochain2, try_solve_coboundary)
-from semirep.errors import NotRootsOfUnity, ValidationError
+                                cocycle_product, is_cocycle, trivial_cochain2)
+from semirep.errors import ValidationError
 from semirep.groups import cyclic_group, direct_product
-from semirep.projective import ordinary_rep
+from semirep.projective import irreducible_projreps, ordinary_rep
 
 
 def klein_group():
@@ -92,61 +91,20 @@ def test_cocycle_ops():
     assert np.allclose(cocycle_inverse(trivial_cochain2(w.group)).values, 1.0)
 
 
-def test_try_solve_trivial():
-    g = cyclic_group(2)
-    b = try_solve_coboundary(trivial_cochain2(g), 2)
-    assert b is not None
-    assert np.allclose(b.values, 1.0)
-
-
-def test_try_solve_roundtrip_z2z2():
-    g = klein_group()
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        signs = rng.choice([1.0, -1.0], size=4)
-        signs[g.identity] = 1.0
-        b = Cochain1(g, signs.astype(complex))
-        w = coboundary(b)
-        sol = try_solve_coboundary(w, 2)
-        assert sol is not None
-        assert np.max(np.abs(coboundary(sol).values - w.values)) < 1e-12
-
-
-def test_try_solve_nontrivial_absent():
-    w = pauli_cocycle()
-    g = w.group
-    # oracle first: exhaustive search over all 2^4 sign vectors finds no solution
-    found = False
-    for bits in range(16):
-        signs = np.array([1.0 if (bits >> i) & 1 == 0 else -1.0 for i in range(4)])
-        if signs[g.identity] != 1.0:
-            continue
-        b = Cochain1(g, signs.astype(complex))
-        if np.max(np.abs(coboundary(b).values - w.values)) < 1e-9:
-            found = True
-    assert not found
-    assert try_solve_coboundary(w, 2) is None
-    # the class stays nontrivial even over finer roots of unity
-    assert try_solve_coboundary(w, 8) is None
-
-
-def test_try_solve_rejects_non_roots():
-    g = cyclic_group(2)
-    vals = np.ones((2, 2), dtype=complex)
-    vals[1, 1] = np.exp(0.77j)
-    with pytest.raises(NotRootsOfUnity):
-        try_solve_coboundary(Cochain2(g, vals), 2)
-
-
-def test_is_trivial_class():
-    assert not is_trivial_class(pauli_cocycle())
-    assert is_trivial_class(trivial_cochain2(klein_group()))
-    # a coboundary with irrational phases is still trivial
+def test_trivial_class_criterion():
+    """[w] = 1 iff some irreducible w-projective rep is one-dimensional; on
+    the abelian Klein group, independently, iff w(r, s) = w(s, r) for all r, s."""
     g = klein_group()
     rng = np.random.default_rng(2)
     phases = np.exp(2j * np.pi * rng.random(4))
     phases[g.identity] = 1.0
-    assert is_trivial_class(coboundary(Cochain1(g, phases)))
+    cases = [(pauli_cocycle(), False), (trivial_cochain2(g), True),
+             # a coboundary with irrational phases is still trivial
+             (coboundary(Cochain1(g, phases)), True)]
+    for omega, trivial in cases:
+        assert any(v.dim == 1 for v in irreducible_projreps(g, omega)) == trivial
+        symmetric = np.max(np.abs(omega.values - omega.values.T)) < 1e-12
+        assert symmetric == trivial
 
 
 def test_cochain_validation():

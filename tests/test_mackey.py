@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from semirep import cli
 from semirep._linalg import max_abs
 from semirep.cohomology import cocycle_inverse, cocycle_product
 from semirep.corep import Corep, irr_action, irr_enumerate, mor_dim, verify_corep
-from semirep.corpus import instance
-from semirep.errors import NotStabilized, ValidationError
+from semirep.corpus import INSTANCES, instance
+from semirep.errors import CompletenessFailure, NotStabilized, ValidationError
 from semirep.groups import all_subgroups, full_subgroup, stabilizer
 from semirep.induction import induce, mackey_irreducible
 from semirep.mackey import (GRParameter, RepParameter, act_base, classify,
@@ -186,6 +187,25 @@ def test_classify_translation_invariance(inst_c):
 def test_classify_cocycle_flags(inst_a, inst_e):
     assert all(w.cocycle_trivial for w in classified(inst_a))
     assert all(w.cocycle_trivial for w in classified(inst_e))
+
+
+def test_duplicate_parameter_fails_completeness(inst_a, monkeypatch, capsys):
+    """A parameter listed twice induces the same irreducible twice; classify
+    keeps it, so the Peter-Weyl count raises and `irr` exits 2."""
+    real = irreducible_projreps
+
+    def doubled(*args, **kwargs):
+        vs = real(*args, **kwargs)
+        first = vs[0]
+        return vs + [ProjectiveRep(first.group, first.mats.copy(), first.cocycle)]
+
+    monkeypatch.setattr("semirep.mackey.irreducible_projreps", doubled)
+    with pytest.raises(CompletenessFailure):
+        classify(inst_a)
+    assert cli.main(["irr", str(INSTANCES / "instance_a.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oracle disagreement: classification is incomplete")
 
 
 # -- conjugation -------------------------------------------------------------------

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from semirep._linalg import as_int
-from semirep.cohomology import (cocycle_inverse, is_trivial_class,
-                                try_solve_coboundary)
+from semirep.cohomology import cocycle_inverse
 from semirep.corep import irr_enumerate, mor_dim, tensor
 from semirep.corpus import instance
 from semirep.groups import full_subgroup
@@ -36,15 +35,23 @@ def test_f_cocycle_class_is_nontrivial(inst_f):
     two = next(u for u in irr_enumerate(inst_f.base) if u.dim == 2)
     v_cov = covariant_projective(inst_f, two, full_subgroup(inst_f.lam_full))
     omega = v_cov.cocycle
-    # the gauged cocycle lands in 4th roots of unity; solving within 8th roots
-    # (4 * exponent of Z2 x Z2) is conclusive for class nontriviality
+    klein = v_cov.group
+    # the gauged cocycle lands in 4th roots of unity
     assert np.max(np.abs(omega.values ** 4 - 1.0)) < 1e-9
-    assert try_solve_coboundary(omega, 4) is None
-    assert try_solve_coboundary(omega, 8) is None
-    assert not is_trivial_class(omega)
-    # twisted Peter-Weyl: a single 2-dim irreducible on the Klein group
-    vs = irreducible_projreps(v_cov.group, cocycle_inverse(omega))
+    # On the abelian Klein group a cocycle is a coboundary iff it is
+    # symmetric. V(r)V(s) = (w / w^T)(r, s) V(s)V(r), and the V of any two
+    # distinct non-identity elements anticommute, so w / w^T = -1 there.
+    assert np.array_equal(klein.mult, klein.mult.T)
+    e = klein.identity
+    r, s = np.indices(klein.mult.shape)
+    anticommuting = (r != s) & (r != e) & (s != e)
+    assert np.max(np.abs(omega.values / omega.values.T
+                         - np.where(anticommuting, -1.0, 1.0))) < 1e-9
+    # twisted Peter-Weyl: a single 2-dim irreducible on the Klein group, so
+    # no one-dimensional one either
+    vs = irreducible_projreps(klein, cocycle_inverse(omega))
     assert [v.dim for v in vs] == [2]
+    assert not any(v.dim == 1 for v in vs)
 
 
 def test_f_flags_and_mackey(inst_f, classified_f):

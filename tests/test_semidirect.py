@@ -8,9 +8,9 @@ from semirep.groups import (all_subgroups, conjugate_subgroup, cyclic_group,
 from semirep.hopf import function_algebra, haar_solve, is_kac, verify_axioms
 from semirep.oracle import oracle_irr_dims
 from semirep.projective import ordinary_rep
-from semirep.semidirect import (act_corep, build, check_covariant, extend,
-                                instance_of_corep, join_covariant, restrict_corep,
-                                split_covariant)
+from semirep.semidirect import (_product_hopf, act_corep, build, check_covariant,
+                                extend, instance_of_corep, join_covariant,
+                                restrict_corep, split_covariant)
 
 from helpers import (conjugation_iso, embed_base_corep, is_cocommutative,
                      is_commutative, trivial_action, trivial_rep, trivial_subgroup)
@@ -31,6 +31,18 @@ def test_trivial_lambda_is_base():
     assert inst.dim == base.dim
     assert np.max(np.abs(inst.product.mult - base.mult)) < 1e-15
     assert np.max(np.abs(inst.product.comult - base.comult)) < 1e-15
+
+
+@pytest.mark.parametrize("name", "ABCDEFGH")
+def test_trivial_principal_product_is_base(name, request):
+    """G x| {e} is G: the instance over {e} takes the base algebra itself,
+    whose tensors the product construction reproduces exactly."""
+    inst = request.getfixturevalue(f"inst_{name.lower()}")
+    sub_inst = inst.principal(trivial_subgroup(inst.lam_full))
+    assert sub_inst.product is inst.base
+    built = _product_hopf(inst.base, sub_inst.lam, sub_inst.alpha_mats)
+    for tensor in ("mult", "unit", "comult", "counit", "antipode", "star", "haar"):
+        assert np.array_equal(getattr(built, tensor), getattr(inst.base, tensor))
 
 
 def test_instance_a_commutative_dual_blocks(inst_a):

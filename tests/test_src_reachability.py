@@ -1,23 +1,25 @@
-"""Every top-level function and class in src/semirep is reached from the library.
+"""Every top-level function and class in src/semirep, and every method of
+those classes, is reached from the library.
 
-A definition counts as reached when its own module uses it outside its own
-body, or another module (other than __init__, which only re-exports) imports
-it by name. Code that only tests call belongs in tests/; the few names kept
-for another reason are listed in KEEP with that reason.
+A top-level definition counts as reached when its own module uses it outside
+its own body, or another module (other than __init__, which only re-exports)
+imports it by name. A method (dunders exempt) counts as reached when its name
+appears as an attribute anywhere in src/semirep outside its own body. Code
+that only tests call belongs in tests/; the few names kept for another reason
+are listed in KEEP with that reason, methods as "Class.method".
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "semirep"
 
 ACCEPTANCE = "acceptance reference (tests/test_acceptance.py)"
-ROADMAP_1 = "ROADMAP item 1 plans a second route through it"
 BENCHMARK = "benchmark input (perfbench/inputs.py)"
+PAIR_REFERENCE = "reference that tests compare `pair` against"
 
 KEEP = {
-    ("cohomology", "is_trivial_class"): ROADMAP_1,
-    ("cohomology", "try_solve_coboundary"): ROADMAP_1,
     ("corpus", "instance"): ACCEPTANCE,
     ("groups", "all_subgroups"): ACCEPTANCE,
     ("hopf", "haar_solve"): ACCEPTANCE,
@@ -31,6 +33,8 @@ KEEP = {
     ("groups", "direct_product"): BENCHMARK,
     ("groups", "quaternion_group"): BENCHMARK,
     ("groups", "symmetric_group"): BENCHMARK,
+    ("hopf", "HopfData.haar_vec"): PAIR_REFERENCE,
+    ("hopf", "HopfData.star_vec"): PAIR_REFERENCE,
 }
 
 
@@ -41,6 +45,21 @@ def _modules():
 
 def _names(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _attributes(node) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def _methods(modules):
+    """(module, "Class.method", node) for every non-dunder method."""
+    for mod, tree in modules.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not (
+                            node.name.startswith("__") and node.name.endswith("__")):
+                        yield mod, f"{cls.name}.{node.name}", node
 
 
 def _reached(modules) -> set[tuple[str, str]]:
@@ -54,12 +73,16 @@ def _reached(modules) -> set[tuple[str, str]]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and any(
                     node.name in used for j, used in enumerate(names) if j != i):
                 reached.add((mod, node.name))
+    attributes = sum((_attributes(tree) for tree in modules.values()), Counter())
+    reached.update((mod, name) for mod, name, node in _methods(modules)
+                   if attributes[node.name] > _attributes(node)[node.name])
     return reached
 
 
 def _definitions(modules) -> set[tuple[str, str]]:
-    return {(mod, node.name) for mod, tree in modules.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    top = {(mod, node.name) for mod, tree in modules.items() for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return top | {(mod, name) for mod, name, _ in _methods(modules)}
 
 
 def test_every_definition_is_reached_or_kept():
