@@ -29,7 +29,7 @@ from .errors import OracleDisagreement, ParseError, SemirepError, ValidationErro
 from .groups import Subgroup
 from .induction import induce, mackey_irreducible
 from .mackey import (RepParameter, classify, conjugation_pairing,
-                     covariant_projective, csr_corep, fusion, stabilizer_of_class)
+                     covariant_projective, csr_corep, fusion)
 from .oracle import module_fusion_cube, oracle_irr_dims
 from .projective import irreducible_projreps
 from .cohomology import cocycle_inverse
@@ -171,12 +171,7 @@ def cmd_induce(inst, spec, args):
     if not 0 <= psec.get("x", -1) < len(xs):
         raise ParseError(f"--param x must be in 0..{len(xs) - 1}")
     u = xs[psec["x"]]
-    stab = stabilizer_of_class(inst, u)
-    if not sub.is_subset_of(stab):
-        raise ValidationError(
-            f"subgroup {list(elems)} does not stabilize irrep {psec['x']} "
-            f"(stabilizer is {list(stab.elements)})")
-    v_cov = covariant_projective(inst, u, sub)
+    v_cov = covariant_projective(inst, u, sub)  # NotStabilized unless sub fixes [u]
     vs = irreducible_projreps(sub.group, cocycle_inverse(v_cov.cocycle), args.seed)
     if not 0 <= psec.get("v", -1) < len(vs):
         raise ParseError(f"--param v must be in 0..{len(vs) - 1}")

@@ -60,17 +60,13 @@ def verify_corep(u: Corep) -> dict:
     h = u.parent
     e = u.entries
     res: dict[str, float] = {}
-    lhs = np.tensordot(e, h.comult, axes=1)
     rhs = np.einsum("ika,kjb->ijab", e, e)
-    res["comodule"] = max_abs(lhs - rhs)
+    res["comodule"] = max_abs(h.coproduct(e) - rhs)
     res["counit"] = max_abs(np.einsum("ijc,c->ij", e, h.counit) - np.eye(u.dim))
-    star_e = np.einsum("pc,ijc->ijp", h.star, np.conj(e))
-    # row orthogonality: sum_k u_{ik} u_{jk}^* = delta_{ij} 1, columns likewise;
-    # mult is contracted with the second factor first, then with the first
-    row = np.tensordot(e, np.tensordot(star_e, h.mult, axes=([2], [1])),
-                       axes=([1, 2], [1, 2]))
-    col = np.tensordot(star_e, np.tensordot(e, h.mult, axes=([2], [1])),
-                       axes=([0, 2], [0, 2]))
+    star_e = h.star_vec(e)
+    # row orthogonality: sum_k u_{ik} u_{jk}^* = delta_{ij} 1, columns likewise
+    row = h.product(e[:, None], star_e[None]).sum(axis=2)
+    col = h.product(star_e[:, :, None], e[:, None]).sum(axis=0)
     target = np.einsum("ij,p->ijp", np.eye(u.dim), h.unit)
     res["unitary_rows"] = max_abs(row - target)
     res["unitary_cols"] = max_abs(col - target)
@@ -84,10 +80,9 @@ def tensor(u: Corep, w: Corep) -> Corep:
     if u.parent is not w.parent:
         raise ValidationError("tensor product requires a common parent algebra")
     h = u.parent
-    prod = np.tensordot(u.entries, np.tensordot(w.entries, h.mult, axes=([2], [1])),
-                        axes=([2], [2]))
+    prod = h.product(u.entries[:, None, :, None], w.entries[None, :, None, :])
     n = u.dim * w.dim
-    return Corep(h, prod.transpose(0, 2, 1, 3, 4).reshape(n, n, h.dim))
+    return Corep(h, prod.reshape(n, n, h.dim))
 
 
 # -- morphism spaces -----------------------------------------------------------
@@ -122,9 +117,7 @@ def mor_dim(u: Corep, w: Corep) -> int:
 
 def contragredient(u: Corep) -> Corep:
     """u^c = (j (x) id)(u^*): entrywise star of the coefficients."""
-    h = u.parent
-    entries = np.einsum("pc,ijc->ijp", h.star, np.conj(u.entries))
-    return Corep(h, entries)
+    return Corep(u.parent, u.parent.star_vec(u.entries))
 
 
 def conjugate(u: Corep) -> Corep:
@@ -176,7 +169,7 @@ def regular_corep(h: HopfData) -> tuple[Corep, np.ndarray]:
     # hmat[i, p] = h(f_i^* e_p)
     hmat = np.conj(b).T @ gram
     # Delta(f_j) coefficients: dj[j, p, q]
-    dj = np.einsum("ij,ipq->jpq", b, h.comult)
+    dj = h.coproduct(b.T)
     u = Corep(h, np.einsum("ip,jpq->ijq", hmat, dj))
     comm = np.einsum("iq,jbq->bij", hmat, dj)
     check_commutant(u.coeff_slices, comm)

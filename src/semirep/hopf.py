@@ -1,15 +1,19 @@
 """Finite-dimensional Hopf *-algebras as dense structure-constant tensors.
 
+Only this module (and semidirect._product_hopf, which builds a product's
+tensors) reads mult, comult and star: other modules go through
+HopfData.product, coproduct and star_vec, which take stacks of coefficient
+vectors; product sums over the nonzero rows mult[i, j, :].
+
 verify_axioms checks the axioms that involve two structure tensors
 (associativity, coassociativity, Delta multiplicative, star
 antimultiplicative, Delta a *-map) and the antipode axiom by sparse
 contraction of the nonzero entries of mult, comult, star and antipode;
 QAutomorphism.residual checks alpha against mult and comult the same way,
 through the nonzeros of its matrix. HopfData.gram is two d^3 matrix
-products and HopfData.product sums over the nonzeros of mult. So no d^4
-array is ever built and no d^4 or d^5 loop runs. HopfData.generators picks
-and certifies the dual basis elements that generate the dual algebra, whose
-slices are all that module-hom systems need.
+products. So no d^4 array is ever built and no d^4 or d^5 loop runs.
+HopfData.generators picks and certifies the dual basis elements that
+generate the dual algebra, whose slices are all that module-hom systems need.
 
 Conventions for a HopfData of dimension d with basis e_0..e_{d-1}:
   - mult[i, j, k]:    e_i e_j = sum_k mult[i, j, k] e_k
@@ -79,20 +83,25 @@ class HopfData:
             self._cache["generators"] = gens
         return self._cache["generators"]
 
-    # -- element-level helpers (coefficient vectors) --------------------------
+    # -- element-level helpers (coefficient vectors and stacks of them) --------
 
     def product(self, x, y):
-        """Coefficients of x y, summed over the nonzero entries of mult."""
-        if "mult_terms" not in self._cache:
-            idx, vals = self.coo("mult")
-            self._cache["mult_terms"] = (*np.unravel_index(idx, self.mult.shape), vals)
-        i, j, k, vals = self._cache["mult_terms"]
-        terms = x[i] * y[j] * vals
-        return (np.bincount(k, terms.real, self.dim)
-                + 1j * np.bincount(k, terms.imag, self.dim))
+        """Coefficients of x y for coefficient vectors, or stacks of them that
+        broadcast (last axis the basis), summed over the nonzero rows of mult."""
+        if "mult_rows" not in self._cache:
+            rows = self.mult.reshape(self.dim ** 2, self.dim)
+            nonzero = np.flatnonzero(rows.any(axis=1))
+            self._cache["mult_rows"] = (*np.divmod(nonzero, self.dim), rows[nonzero])
+        i, j, rows = self._cache["mult_rows"]
+        return (x[..., i] * y[..., j]) @ rows
+
+    def coproduct(self, x):
+        """Coefficients of Delta(x) on e_j (x) e_k, shape (..., d, d)."""
+        d = self.dim
+        return (x @ self.comult.reshape(d, d * d)).reshape(*x.shape[:-1], d, d)
 
     def star_vec(self, x):
-        return self.star @ np.conj(x)
+        return np.conj(x) @ self.star.T
 
     def haar_vec(self, x) -> complex:
         return complex(self.haar @ x)

@@ -76,6 +76,8 @@ def act_base(inst: SemidirectInstance, r: int, u: Corep) -> Corep:
 
 
 def stabilizer_of_class(inst: SemidirectInstance, u: Corep) -> Subgroup:
+    """The r with Mor(r . u, u) != 0, by one mor_dim each: an independent
+    route to the stabilizers that classify reads off irr_action."""
     lam = inst.top.lam_full
     elems = tuple(r for r in lam.elements()
                   if mor_dim(act_base(inst, r, u), u) >= 1)
@@ -97,7 +99,8 @@ def covariant_projective(inst: SemidirectInstance, u: Corep,
             continue
         basis = intertwiner_basis(act_base(inst, r0, u), u)
         if not basis:
-            raise NotStabilized(f"Mor(r0 . u, u) = 0 for r0 = {r0}")
+            raise NotStabilized(
+                f"r0 = {r0} does not stabilize the irrep: Mor(r0 . u, u) = 0")
         t = basis[0]
         t = t * np.sqrt(u.dim) / np.linalg.norm(t)
         phase = first_entry_phase(t)
@@ -341,7 +344,7 @@ class _FusionTables:
     their moved u and V, and everything keyed by those, are shared too.
     """
 
-    def __init__(self, inst: SemidirectInstance, classified=()):
+    def __init__(self, inst: SemidirectInstance, classified):
         self.top = inst.top
         self.csrs = {w.parameter: w.csr for w in classified}
         self.transversals: dict = {}
@@ -416,17 +419,14 @@ class _FusionTables:
 
 
 def incidence(inst: SemidirectInstance, params, reps, *,
-              tables: _FusionTables | None = None) -> int:
+              tables: _FusionTables) -> int:
     """The incidence number of three parameters at coset representatives.
 
     Computed by the character route over G x| (cap r_i Lambda_i r_i^{-1}) and
     re-derived through the GRP-reduction route; both must agree exactly.
-    `fusion` passes its run's tables; a call on its own starts from empty
-    tables.
+    Artifacts come from, and go to, the fusion run's tables.
     """
     top = inst.top
-    if tables is None:
-        tables = _FusionTables(top)
     meet = tables.meet([p.lambda0 for p in params], tuple(reps))
     h0 = top.principal(meet).product
     grp, big, chi23 = tables.grp(params[1], reps[1], params[2], reps[2], meet)
@@ -468,15 +468,10 @@ class FusionTable:
 
 
 def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
-                 w3: ClassifiedIrr, tables: _FusionTables | None = None) -> int:
-    """N_{w2,w3}^{w1} by the triple coset sum of incidence numbers.
-
-    `fusion` passes its run's tables; a call on its own starts from tables
-    that hold only the three classified CSR coreps.
-    """
+                 w3: ClassifiedIrr, tables: _FusionTables) -> int:
+    """N_{w2,w3}^{w1} by the triple coset sum of incidence numbers, over the
+    fusion run's tables."""
     top = inst.top
-    if tables is None:
-        tables = _FusionTables(top, (w1, w2, w3))
     params = (w1.parameter, w2.parameter, w3.parameter)
     subs = [p.lambda0 for p in params]
     total = 0.0

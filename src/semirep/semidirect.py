@@ -171,7 +171,12 @@ def join_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep) -> Co
 # -- the r. action and zero extension ------------------------------------------
 
 def instance_of_corep(inst: SemidirectInstance, u: Corep) -> SemidirectInstance:
-    for cand in inst.top._principal_cache.values():
+    """The principal instance whose product algebra u is a corep of; a corep
+    of the base is one of G x| {e}, built if not yet cached."""
+    top = inst.top
+    if u.parent is top.base:
+        return top.principal(Subgroup(top.lam_full, (top.lam_full.identity,)))
+    for cand in top._principal_cache.values():
         if cand.product is u.parent:
             return cand
     raise ValidationError("corep does not belong to any cached principal instance")

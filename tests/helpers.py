@@ -5,8 +5,9 @@ with empty caches), the (co)commutativity tests of a Hopf algebra, the dense
 conjugation isomorphism that act_corep is checked against, element-by-element
 and einsum references of the batched group-relation checks and corep
 contractions, the two-step translate-then-restrict reference of a moved
-parameter, and the module-hom systems over all d coefficient slices that
-the generator-slice systems are checked against."""
+parameter, the module-hom systems over all d coefficient slices that the
+generator-slice systems are checked against, and fusion entries and
+incidence numbers over fresh tables."""
 
 import itertools
 
@@ -21,7 +22,7 @@ from semirep.errors import (CocycleMismatch, NonUnitaryExtraction, NotProjective
 from semirep.groups import (FiniteGroup, Subgroup, conjugate_subgroup, left_cosets,
                             symmetric_group)
 from semirep.hopf import HopfData, QAutomorphism
-from semirep.mackey import act_base
+from semirep.mackey import _FusionTables, act_base, fusion_entry, incidence
 from semirep.projective import ProjectiveRep, pullback
 
 
@@ -383,3 +384,15 @@ def all_slice_oracle_irr_dims(h: HopfData, seed: int) -> list[int]:
                        lambda a, b: (a.shape[1:] == b.shape[1:]
                                      and hom_space_dim(a, b) >= 1), seed)
     return sorted(f.shape[1] for f, _ in pieces)
+
+
+# -- fusion entries outside a fusion run ------------------------------------------
+
+def standalone_entry(inst, w1, w2, w3) -> int:
+    """fusion_entry over fresh tables that hold only the three classified CSRs."""
+    return fusion_entry(inst, w1, w2, w3, _FusionTables(inst, (w1, w2, w3)))
+
+
+def standalone_incidence(inst, params, reps) -> int:
+    """incidence over fresh, empty tables."""
+    return incidence(inst, params, reps, tables=_FusionTables(inst, ()))

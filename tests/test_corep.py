@@ -1,14 +1,16 @@
 import itertools
 
 import numpy as np
+import pytest
 
-from semirep.corep import (act, conjugate, intertwiner_basis,
+from semirep.corep import (Corep, act, conjugate, intertwiner_basis,
                            irr_action, irr_decompose, irr_enumerate, mor_dim,
                            regular_corep, tensor, verify_corep)
 from semirep.groups import GroupAction, cyclic_group, symmetric_group
 from semirep.hopf import (action_from_group_hom, function_algebra, group_algebra)
 
-from helpers import direct_sum, trivial_corep
+from helpers import (_einsum_corep_tensor, _einsum_verify_corep, direct_sum,
+                     trivial_corep)
 
 
 def test_regular_corep_valid():
@@ -38,6 +40,23 @@ def test_character_multiplicative_additive():
     cu, cw = u.char_vec(), w.char_vec()
     assert np.max(np.abs(tensor(u, w).char_vec() - h.product(cu, cw))) < 1e-9
     assert np.max(np.abs(direct_sum(u, w).char_vec() - (cu + cw))) < 1e-12
+
+
+@pytest.mark.parametrize("name", "CD")
+def test_contractions_equal_einsum_on_arbitrary_entries(name, request):
+    """Random entries are no corep, so every residual of verify_corep is far
+    from 0 and rows differ from columns; the residuals and tensor equal their
+    einsum forms (C(G)- and C[G]-based product algebras)."""
+    h = request.getfixturevalue(f"inst_{name.lower()}").product
+    rng = np.random.default_rng(23)
+    u, w = (Corep(h, rng.standard_normal((n, n, h.dim))
+                  + 1j * rng.standard_normal((n, n, h.dim))) for n in (3, 2))
+    got, want = verify_corep(u), _einsum_verify_corep(u)
+    assert min(want[k] for k in want if k not in ("max", "pass")) > 0.1
+    assert abs(want["unitary_rows"] - want["unitary_cols"]) > 1e-3
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), key
+    assert np.max(np.abs(tensor(u, w).entries - _einsum_corep_tensor(u, w))) <= 1e-12
 
 
 def test_irr_enumerate_z3():

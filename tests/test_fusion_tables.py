@@ -16,9 +16,9 @@ from semirep.errors import NonIntegerCoefficient, OracleDisagreement
 from semirep.groups import (all_subgroups, conjugate_intersection, conjugate_subgroup,
                             left_cosets)
 from semirep.mackey import (FusionTable, GRParameter, RepParameter, _FusionTables,
-                            classify, fusion, fusion_entry)
+                            classify, fusion)
 
-from helpers import restrict_param, spy, translate_param
+from helpers import restrict_param, spy, standalone_entry, translate_param
 
 
 def _distinct_inputs(cl):
@@ -91,7 +91,7 @@ def test_fusion_cube_equals_standalone_entries(inst_b, inst_c, inst_g):
         k = len(cl)
         standalone = np.zeros((k, k, k), dtype=int)
         for i1, i2, i3 in product(range(k), repeat=3):
-            standalone[i1, i2, i3] = fusion_entry(inst, cl[i1], cl[i2], cl[i3])
+            standalone[i1, i2, i3] = standalone_entry(inst, cl[i1], cl[i2], cl[i3])
         assert np.array_equal(cube, standalone)
 
 
@@ -131,7 +131,7 @@ def test_non_integer_total_raises_non_integer_coefficient(inst_a, monkeypatch):
     values = iter([0.5])
     monkeypatch.setattr(mackey, "incidence", lambda *args, **kwargs: next(values, 0))
     with pytest.raises(NonIntegerCoefficient, match="not within"):
-        fusion_entry(inst_a, cl[0], cl[0], cl[0])
+        standalone_entry(inst_a, cl[0], cl[0], cl[0])
 
 
 def test_unrelated_fault_in_fusion_entry_is_not_an_oracle_disagreement(inst_a, monkeypatch):
@@ -142,7 +142,7 @@ def test_unrelated_fault_in_fusion_entry_is_not_an_oracle_disagreement(inst_a, m
 
     monkeypatch.setattr(mackey, "as_int", broken)
     with pytest.raises(RuntimeError, match="not an integer-recovery"):
-        fusion_entry(inst_a, cl[0], cl[0], cl[0])
+        standalone_entry(inst_a, cl[0], cl[0], cl[0])
 
 
 def test_agreement_requires_every_route_on_every_entry(inst_a):

@@ -541,3 +541,42 @@ def test_gram_of_corrupted_tensors_equals_dense_reference(name, inst_c):
     transposed index."""
     h = _corrupted(inst_c.product, name)
     assert max_abs(h.gram() - _dense_gram(h)) <= 1e-12
+
+
+# -- stacked element operations against their einsum forms ------------------------
+
+STACK_OPS = {  # name -> (operation on stacks x, y, its einsum form)
+    "product": (lambda h, x, y: h.product(x, y),
+                lambda h, x, y: np.einsum("...a,...b,abc->...c", x, y, h.mult)),
+    "coproduct": (lambda h, x, y: h.coproduct(x),
+                  lambda h, x, y: np.einsum("...a,abc->...bc", x, h.comult)),
+    "star_vec": (lambda h, x, y: h.star_vec(x),
+                 lambda h, x, y: np.einsum("pc,...c->...p", h.star, np.conj(x))),
+}
+STACK_TENSOR = {"product": "mult", "coproduct": "comult", "star_vec": "star"}
+
+
+def _stack_algebra(case, request, s4_rung, op):
+    """The product algebra of a shipped instance, the C(S4) x| Z2 rung, or
+    C's product algebra with a dense perturbation of the tensor op reads (no
+    row of a perturbed mult is zero)."""
+    if case == "rung":
+        return s4_rung
+    if case == "corrupted":
+        return _corrupted(request.getfixturevalue("inst_c").product, STACK_TENSOR[op])
+    return _pairing_algebra(case, request)
+
+
+@pytest.mark.parametrize("op", STACK_OPS)
+@pytest.mark.parametrize("case", [*"ABCDEFGH", "rung", "corrupted"])
+def test_stacked_operations_equal_einsum(case, op, request, s4_rung):
+    """On single vectors and on stacks that broadcast against each other."""
+    h = _stack_algebra(case, request, s4_rung, op)
+    rng = np.random.default_rng(17)
+    run, reference = STACK_OPS[op]
+    for xs, ys in (((), ()), ((3, 1), (1, 2)), ((2, 2, 3), (3,))):
+        x = rng.standard_normal((*xs, h.dim)) + 1j * rng.standard_normal((*xs, h.dim))
+        y = rng.standard_normal((*ys, h.dim)) + 1j * rng.standard_normal((*ys, h.dim))
+        got, want = run(h, x, y), reference(h, x, y)
+        assert got.shape == want.shape
+        assert max_abs(got - want) <= 1e-12, (xs, ys)

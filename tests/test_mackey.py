@@ -11,12 +11,12 @@ from semirep.groups import all_subgroups, full_subgroup, stabilizer
 from semirep.induction import induce, mackey_irreducible
 from semirep.mackey import (GRParameter, RepParameter, act_base, classify,
                             conjugate_parameter, conjugation_pairing,
-                            covariant_projective, csr_corep, fusion, incidence,
+                            covariant_projective, csr_corep, fusion,
                             move_rep, param_mor_dim, reduce_grp, stabilizer_of_class)
 from semirep.projective import ProjectiveRep, irreducible_projreps
 
-from helpers import (proj_direct_sum, restrict_param, translate_param, trivial_rep,
-                     trivial_subgroup)
+from helpers import (proj_direct_sum, restrict_param, standalone_incidence,
+                     translate_param, trivial_rep, trivial_subgroup)
 
 
 def classified(inst, cache={}):
@@ -352,7 +352,8 @@ def test_incidence_full_subgroups_is_plain_mor(inst_d):
     cl = classified(inst_d)
     w1, w2, w3 = cl[0], cl[1], cl[2]
     e = inst_d.lam_full.identity
-    m = incidence(inst_d, (w1.parameter, w2.parameter, w3.parameter), (e, e, e))
+    m = standalone_incidence(inst_d, (w1.parameter, w2.parameter, w3.parameter),
+                             (e, e, e))
     from semirep.corep import tensor
     direct = mor_dim(w1.csr, tensor(w2.csr, w3.csr))
     assert m == direct
@@ -367,11 +368,11 @@ def test_incidence_coset_invariance(inst_a, inst_c):
             ws = [cl[int(i)] for i in rng.integers(0, len(cl), 3)]
             params = tuple(w.parameter for w in ws)
             reps = tuple(int(r) for r in rng.integers(0, lam.order, 3))
-            base = incidence(inst, params, reps)
+            base = standalone_incidence(inst, params, reps)
             shifted = tuple(
                 lam.mul(r, p.lambda0.elements[int(rng.integers(p.lambda0.order))])
                 for r, p in zip(reps, params))
-            assert incidence(inst, params, shifted) == base
+            assert standalone_incidence(inst, params, shifted) == base
 
 
 def test_incidence_2dim_triple_instance_a(inst_a):
@@ -382,7 +383,7 @@ def test_incidence_2dim_triple_instance_a(inst_a):
     for z1, _ in [(r, None) for r in lam.elements()]:
         for z2 in lam.elements():
             for z3 in lam.elements():
-                m = incidence(inst_a, (two.parameter,) * 3, (z1, z2, z3))
+                m = standalone_incidence(inst_a, (two.parameter,) * 3, (z1, z2, z3))
                 total += m / 2.0  # [Lambda : {e}] = 2
     assert abs(total - 1.0) < 1e-9
 

@@ -10,10 +10,11 @@ from semirep.corep import irr_enumerate, mor_dim, tensor
 from semirep.corpus import instance
 from semirep.groups import full_subgroup
 from semirep.induction import mackey_irreducible
-from semirep.mackey import classify, conjugation_pairing, covariant_projective, \
-    fusion_entry
+from semirep.mackey import classify, conjugation_pairing, covariant_projective
 from semirep.oracle import module_hom_dim
 from semirep.projective import irreducible_projreps
+
+from helpers import standalone_entry
 
 
 @pytest.fixture(scope="module")
@@ -71,13 +72,13 @@ def test_f_fusion_spot_checks(inst_f, classified_f):
     # 4 (x) 4 contains every 1-dim exactly once and no copy of itself
     for w in ones[:4] + [big]:
         expected = 0 if w is big else 1
-        n_formula = fusion_entry(inst_f, w, big, big)
+        n_formula = standalone_entry(inst_f, w, big, big)
         n_char = as_int(h.haar_vec(h.product(h.star_vec(w.character), chi44)))
         n_module = module_hom_dim(w.induced, t44)
         assert n_formula == n_char == n_module == expected
     # 1-dim (x) 4-dim stays the 4-dim
-    assert fusion_entry(inst_f, big, ones[0], big) == 1
-    assert fusion_entry(inst_f, ones[1], ones[0], big) == 0
+    assert standalone_entry(inst_f, big, ones[0], big) == 1
+    assert standalone_entry(inst_f, ones[1], ones[0], big) == 0
 
 
 def test_f_conjugation_fixes_big(inst_f, classified_f):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from semirep.corep import Corep, irr_enumerate, mor_dim, verify_corep
+from semirep.corep import Corep, act, irr_enumerate, mor_dim, verify_corep
+from semirep.corpus import instance
 from semirep.errors import NotCovariant
 from semirep.groups import (all_subgroups, conjugate_subgroup, cyclic_group,
                             full_subgroup)
@@ -175,6 +176,20 @@ def test_act_corep_laws(inst_a, inst_c):
                 rhs = act_corep(inst, r, act_corep(inst, s, u))
                 assert lhs.parent is rhs.parent
                 assert np.max(np.abs(lhs.entries - rhs.entries)) < 1e-12
+
+
+def test_base_corep_resolves_on_a_fresh_instance():
+    """A corep of the base is one of G x| {e}, even before anything cached
+    the principal instance over {e}."""
+    inst = instance("A")
+    u = irr_enumerate(inst.base)[0]
+    own = instance_of_corep(inst, u)
+    assert own.product is u.parent and own.subgroup.elements == (inst.lam_full.identity,)
+    for r in inst.lam_full.elements():
+        moved = act_corep(inst, r, u)
+        ref = act(r, u, inst.alpha, inst.lam_full)
+        assert moved.parent is ref.parent
+        assert np.max(np.abs(moved.entries - ref.entries)) <= 1e-12
 
 
 def test_act_corep_inside_subgroup_is_equivalent(inst_c):

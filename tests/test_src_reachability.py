@@ -27,6 +27,7 @@ KEEP = {
     ("induction", "ind_mor_dim"): ACCEPTANCE,
     ("induction", "induced_character"): ACCEPTANCE,
     ("mackey", "param_mor_dim"): ACCEPTANCE,
+    ("mackey", "stabilizer_of_class"): ACCEPTANCE,
     ("groups", "automorphisms"): BENCHMARK,
     ("groups", "cyclic_group"): BENCHMARK,
     ("groups", "dihedral_group"): BENCHMARK,
@@ -34,7 +35,6 @@ KEEP = {
     ("groups", "quaternion_group"): BENCHMARK,
     ("groups", "symmetric_group"): BENCHMARK,
     ("hopf", "HopfData.haar_vec"): PAIR_REFERENCE,
-    ("hopf", "HopfData.star_vec"): PAIR_REFERENCE,
 }
 
 
