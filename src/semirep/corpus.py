@@ -6,8 +6,8 @@ Instance files are JSON documents:
       "name": "A: C(Z3) x| Z2 by inversion",
       "kind": "function_algebra" | "group_algebra" | "raw_hopf",
       "base": {"order": n, "table": [[...]]}          (group kinds)
-              | {"mult": ..., "unit": ..., ...}       (raw_hopf; complex
-                 entries as [re, im] pairs)
+              | {"mult": ..., "unit": ..., ...}       (raw_hopf; dense
+                 tensors, entries real or [re, im] pairs)
       "lambda": {"order": m, "table": [[...]]},
       "action": [perm-per-lambda-element]             (group kinds)
               | [matrix-per-lambda-element]           (raw_hopf),
@@ -29,7 +29,7 @@ import numpy as np
 from ._linalg import int_array
 from .errors import ParseError, ValidationError
 from .groups import FiniteGroup
-from .hopf import (HopfData, action_from_group_hom, function_algebra,
+from .hopf import (RANKS, HopfData, action_from_group_hom, function_algebra,
                    group_algebra, verify_axioms)
 from .semidirect import SemidirectInstance, build
 
@@ -68,6 +68,20 @@ def _table(spec: dict, key: str) -> np.ndarray:
         raise ParseError(f"{key!r} needs an integer multiplication table") from exc
 
 
+def _raw_tensor(obj, name: str, rank: int) -> np.ndarray:
+    """A raw_hopf tensor of the given rank: real entries, or [re, im] pairs
+    along one more axis; every entry finite."""
+    arr = np.asarray(obj, dtype=float)
+    if arr.ndim == rank + 1 and arr.shape[-1] == 2:
+        arr = arr[..., 0] + 1j * arr[..., 1]
+    elif arr.ndim != rank:
+        raise ParseError(f"{name} must have rank {rank}, or {rank + 1} with [re, im] "
+                         f"pairs; it has shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{name} has a non-finite entry")
+    return arr.astype(complex)
+
+
 def build_instance(spec: dict) -> SemidirectInstance:
     """Assemble a SemidirectInstance from the file-schema dictionary."""
     lam = FiniteGroup(_table(spec, "lambda"))
@@ -81,21 +95,14 @@ def build_instance(spec: dict) -> SemidirectInstance:
         base = group_algebra(base_group)
         autos = action_from_group_hom(base, lam, spec["action"], "group")
     elif kind == "raw_hopf":
-        def tensorize(obj):
-            arr = np.asarray(obj, dtype=float)
-            if arr.shape[-1] == 2:
-                return arr[..., 0] + 1j * arr[..., 1]
-            return arr.astype(complex)
-
         try:
-            raw = [tensorize(spec["base"][k]) for k in
-                   ("mult", "unit", "comult", "counit", "antipode", "star", "haar")]
-            action = [tensorize(m) for m in spec["action"]]
+            raw = {k: _raw_tensor(spec["base"][k], k, rank) for k, rank in RANKS.items()}
+            action = [_raw_tensor(m, "action matrix", 2) for m in spec["action"]]
         except KeyError as exc:
             raise ParseError(f"raw_hopf base is missing {exc}") from exc
         except (IndexError, TypeError, ValueError) as exc:
             raise ParseError(f"raw_hopf data is malformed: {exc}") from exc
-        base = HopfData(*raw)
+        base = HopfData.from_dense(**raw)
         report = verify_axioms(base)
         if not report["pass"]:
             raise ValidationError(

@@ -1,19 +1,17 @@
-"""Finite-dimensional Hopf *-algebras as dense structure-constant tensors.
+"""Finite-dimensional Hopf *-algebras, the 3-tensors mult and comult kept as
+their nonzeros: (keys, values), the keys the indices (i, j, k) raveled base d,
+sorted and unique. The constructors and product_algebra emit them directly;
+HopfData.from_dense keeps those of the dense arrays an instance file gives.
 
-Only this module (and semidirect._product_hopf, which builds a product's
-tensors) reads mult, comult and star: other modules go through
+Only this module reads mult, comult and star: other modules go through
 HopfData.product, coproduct and star_vec, which take stacks of coefficient
-vectors; product sums over the nonzero rows mult[i, j, :].
-
-verify_axioms checks the axioms that involve two structure tensors
-(associativity, coassociativity, Delta multiplicative, star
-antimultiplicative, Delta a *-map) and the antipode axiom by sparse
-contraction of the nonzero entries of mult, comult, star and antipode;
-QAutomorphism.residual checks alpha against mult and comult the same way,
-through the nonzeros of its matrix. HopfData.gram is two d^3 matrix
-products. So no d^4 array is ever built and no d^4 or d^5 loop runs.
-HopfData.generators picks and certifies the dual basis elements that
-generate the dual algebra, whose slices are all that module-hom systems need.
+vectors. verify_axioms and QAutomorphism.residual join the nonzeros of two
+tensors (_join); the identities with a unit, counit or Haar vector,
+HopfData.gram and the dual algebra's left multiplications contract one
+3-tensor with one vector (_contract_vec). So no d^3 tensor is densified and no
+d^4 array built. HopfData.generators picks and certifies the dual basis
+elements that generate the dual algebra, whose slices are all that
+module-hom systems need.
 
 Conventions for a HopfData of dimension d with basis e_0..e_{d-1}:
   - mult[i, j, k]:    e_i e_j = sum_k mult[i, j, k] e_k
@@ -39,40 +37,41 @@ from .errors import (NoUniqueHaar, NotAntihomomorphism, NotAutomorphism,
 from .groups import FiniteGroup
 
 
+# The rank of each tensor of a HopfData, in the order it takes them.
+RANKS = {"mult": 3, "unit": 1, "comult": 3, "counit": 1, "antipode": 2, "star": 2,
+         "haar": 1}
+
+
 class HopfData:
-    """A finite-dimensional Hopf *-algebra with an invariant state."""
+    """A finite-dimensional Hopf *-algebra with an invariant state; mult and
+    comult are sparse operands (sorted unique raveled keys, values)."""
 
     def __init__(self, mult, unit, comult, counit, antipode, star, haar):
-        self.mult = np.asarray(mult, dtype=complex)
-        self.unit = np.asarray(unit, dtype=complex)
-        self.comult = np.asarray(comult, dtype=complex)
-        self.counit = np.asarray(counit, dtype=complex)
-        self.antipode = np.asarray(antipode, dtype=complex)
-        self.star = np.asarray(star, dtype=complex)
-        self.haar = np.asarray(haar, dtype=complex)
-        d = self.mult.shape[0]
-        shapes = {
-            "mult": (d, d, d), "unit": (d,), "comult": (d, d, d),
-            "counit": (d,), "antipode": (d, d), "star": (d, d), "haar": (d,),
-        }
-        for name, shape in shapes.items():
-            if getattr(self, name).shape != shape:
-                raise ValidationError(f"{name} has shape {getattr(self, name).shape}, "
-                                      f"expected {shape}")
-        self.dim = d
+        self.mult, self.comult = mult, comult
+        self.unit, self.counit, self.antipode, self.star, self.haar = (
+            np.asarray(t, dtype=complex) for t in (unit, counit, antipode, star, haar))
+        self.dim = len(self.unit)
         self._cache: dict = {}
 
-    def coo(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero entries of a structure tensor: (raveled indices, values)."""
-        key = ("coo", name)
-        if key not in self._cache:
-            self._cache[key] = _nonzeros(getattr(self, name))
-        return self._cache[key]
+    @classmethod
+    def from_dense(cls, mult, unit, comult, counit, antipode, star, haar) -> HopfData:
+        """A HopfData from dense tensors, each shape-checked; of mult and
+        comult, (d, d, d) arrays, only the nonzeros are kept."""
+        tensors = dict(zip(RANKS, (np.asarray(t, dtype=complex) for t in
+                                   (mult, unit, comult, counit, antipode, star, haar))))
+        d = tensors["mult"].shape[0]
+        for name, rank in RANKS.items():
+            if tensors[name].shape != (d,) * rank:
+                raise ValidationError(f"{name} has shape {tensors[name].shape}, "
+                                      f"expected {(d,) * rank}")
+        for name in ("mult", "comult"):
+            tensors[name] = _nonzeros(tensors[name])
+        return cls(**tensors)
 
     def generators(self) -> np.ndarray:
         """Indices a, increasing, whose dual basis elements f_a generate the
-        dual algebra A^ (hopf.dual_algebra) as a unital algebra:
-        generating_subset over all indices, so certified, and read-only.
+        dual algebra A^ as a unital algebra: generating_subset over all
+        indices, so certified, and read-only.
 
         A linear map commutes with the image of A^ exactly when it commutes
         with the images of these f_a, so module homs need only their slices.
@@ -89,16 +88,28 @@ class HopfData:
         """Coefficients of x y for coefficient vectors, or stacks of them that
         broadcast (last axis the basis), summed over the nonzero rows of mult."""
         if "mult_rows" not in self._cache:
-            rows = self.mult.reshape(self.dim ** 2, self.dim)
-            nonzero = np.flatnonzero(rows.any(axis=1))
-            self._cache["mult_rows"] = (*np.divmod(nonzero, self.dim), rows[nonzero])
+            keys, vals = self.mult
+            nonzero, row = np.unique(keys // self.dim, return_inverse=True)
+            rows = np.zeros((len(nonzero), self.dim), dtype=complex)
+            rows[row, keys % self.dim] = vals
+            self._cache["mult_rows"] = (*np.divmod(nonzero, self.dim), rows)
         i, j, rows = self._cache["mult_rows"]
         return (x[..., i] * y[..., j]) @ rows
 
     def coproduct(self, x):
-        """Coefficients of Delta(x) on e_j (x) e_k, shape (..., d, d)."""
+        """Coefficients of Delta(x) on e_j (x) e_k, shape (..., d, d): the
+        terms x[..., i] comult[i, j, k], gathered by column (j, k) and summed."""
         d = self.dim
-        return (x @ self.comult.reshape(d, d * d)).reshape(*x.shape[:-1], d, d)
+        if "comult_cols" not in self._cache:
+            i, col = np.divmod(self.comult[0], d * d)
+            order = np.argsort(col, kind="stable")
+            starts = np.flatnonzero(np.diff(col[order], prepend=-1))
+            self._cache["comult_cols"] = (i[order], self.comult[1][order], starts,
+                                          col[order][starts])
+        i, vals, starts, cols = self._cache["comult_cols"]
+        out = np.zeros((*x.shape[:-1], d * d), dtype=complex)
+        out[..., cols] = np.add.reduceat(x[..., i] * vals, starts, axis=-1)
+        return out.reshape(*x.shape[:-1], d, d)
 
     def star_vec(self, x):
         return np.conj(x) @ self.star.T
@@ -115,8 +126,9 @@ class HopfData:
     def gram(self) -> np.ndarray:
         """Gram matrix G[i, j] = h(e_i^* e_j) of the Haar inner product."""
         if "gram" not in self._cache:
-            # column i of star = coeffs of e_i^*; mult @ haar = h(e_l e_j)
-            self._cache["gram"] = self.star.T @ (self.mult @ self.haar)
+            # column i of star = coeffs of e_i^*; h(e_l e_j) = sum_k mult[l, j, k] haar[k]
+            self._cache["gram"] = self.star.T @ _contract_vec(self.mult, self.haar, 2,
+                                                              self.dim)
         return self._cache["gram"]
 
 
@@ -137,7 +149,7 @@ class QAutomorphism:
         worst = max_abs(m @ h.unit - h.unit)
         worst = max(worst, max_abs(h.counit @ m - h.counit))
         # sparse contractions over the nonzeros of M, mult and comult
-        mc, mult, comult = _nonzeros(m), h.coo("mult"), h.coo("comult")
+        mc, mult, comult = _nonzeros(m), h.mult, h.comult
         # multiplicativity: alpha(e_i e_j) = alpha(e_i) alpha(e_j)
         worst = max(worst, _residual(
             _join("ijk,pk->ijp", mult, mc, d),
@@ -242,6 +254,16 @@ def _contract(subscripts: str, a, b, d: int):
             np.concatenate([v for _, v in parts] + [np.zeros(0, dtype=complex)]))
 
 
+def _contract_vec(t, vec, axis: int, d: int) -> np.ndarray:
+    """The (d, d) matrix of a sparse 3-tensor t contracted with the vector vec
+    on one axis, the two other axes kept in their order."""
+    keys, vals = t
+    idx = np.unravel_index(keys, (d, d, d))
+    out = np.zeros((d, d), dtype=complex)
+    np.add.at(out, tuple(idx[a] for a in range(3) if a != axis), vals * vec[idx[axis]])
+    return out
+
+
 def _residual(lhs, rhs) -> float:
     """max |lhs - rhs| over the union of the supports of two _join results.
 
@@ -270,29 +292,27 @@ def verify_axioms(h: HopfData) -> dict:
     d = h.dim
     res: dict[str, float] = {}
     eye = np.eye(d)
-    m, c, s = h.coo("mult"), h.coo("comult"), h.coo("star")
+    m, c, s = h.mult, h.comult, _nonzeros(h.star)
 
     res["associativity"] = _residual(_join("ijm,mkl->ijkl", m, m, d),
                                      _join("jkm,iml->ijkl", m, m, d))
-    res["unit"] = max(
-        max_abs(np.einsum("i,ijk->jk", h.unit, h.mult) - eye),
-        max_abs(np.einsum("j,ijk->ik", h.unit, h.mult) - eye))
+    res["unit"] = max(max_abs(_contract_vec(m, h.unit, 0, d) - eye),
+                      max_abs(_contract_vec(m, h.unit, 1, d) - eye))
 
     res["coassociativity"] = _residual(_join("iml,mjk->ijkl", c, c, d),
                                        _join("ijm,mkl->ijkl", c, c, d))
-    res["counit"] = max(
-        max_abs(np.einsum("ijk,j->ik", h.comult, h.counit) - eye),
-        max_abs(np.einsum("ijk,k->ij", h.comult, h.counit) - eye))
+    res["counit"] = max(max_abs(_contract_vec(c, h.counit, 1, d) - eye),
+                        max_abs(_contract_vec(c, h.counit, 2, d) - eye))
 
     # Delta is a unital algebra morphism: Delta(e_i e_j) = Delta(e_i) Delta(e_j),
     # the right side as sum_{b,c} [sum_a D(i,a,b) m(a,c,p)] [sum_d D(j,c,d) m(b,d,q)]
     rhs = _join("ibcp,jcbq->ijpq", _contract("iab,acp->ibcp", c, m, d),
                 _contract("jcd,bdq->jcbq", c, m, d), d)
     res["comult_multiplicative"] = _residual(_join("ijk,kpq->ijpq", m, c, d), rhs)
-    res["comult_unital"] = max_abs(np.einsum("i,ijk->jk", h.unit, h.comult)
+    res["comult_unital"] = max_abs(_contract_vec(c, h.unit, 0, d)
                                    - np.outer(h.unit, h.unit))
-    res["counit_multiplicative"] = max_abs(
-        np.einsum("ijk,k->ij", h.mult, h.counit) - np.outer(h.counit, h.counit))
+    res["counit_multiplicative"] = max_abs(_contract_vec(m, h.counit, 2, d)
+                                           - np.outer(h.counit, h.counit))
 
     # star: antilinear involutive antiautomorphism, Delta a *-morphism
     res["star_involutive"] = max_abs(h.star @ np.conj(h.star) - eye)
@@ -313,8 +333,8 @@ def verify_axioms(h: HopfData) -> dict:
     # Haar state: normalized, invariant, positive
     res["haar_unital"] = abs(complex(h.haar @ h.unit) - 1.0)
     res["haar_invariance"] = max(
-        max_abs(np.einsum("ijk,j->ik", h.comult, h.haar) - np.outer(h.haar, h.unit)),
-        max_abs(np.einsum("ijk,k->ij", h.comult, h.haar) - np.outer(h.haar, h.unit)))
+        max_abs(_contract_vec(c, h.haar, 1, d) - np.outer(h.haar, h.unit)),
+        max_abs(_contract_vec(c, h.haar, 2, d) - np.outer(h.haar, h.unit)))
     gram = h.gram()
     res["haar_hermitian"] = max_abs(gram - gram.conj().T)
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
@@ -328,19 +348,14 @@ def verify_axioms(h: HopfData) -> dict:
 def haar_solve(h: HopfData) -> np.ndarray:
     """Solve for the invariant state directly; cross-checks the stored haar."""
     d = h.dim
-    # (eta (x) id) Delta(e_i) = eta(e_i) 1 and the (id (x) eta) mirror.
-    rows = []
-    for i in range(d):
-        for k in range(d):
-            row = h.comult[i, :, k].copy()
-            row[i] -= h.unit[k]
-            rows.append(row)
-    for i in range(d):
-        for j in range(d):
-            row = h.comult[i, j, :].copy()
-            row[i] -= h.unit[j]
-            rows.append(row)
-    ns = nullspace(np.asarray(rows), rtol=TOL_DEGENERATE)
+    # (eta (x) id) Delta(e_i) = eta(e_i) 1 and the (id (x) eta) mirror: row
+    # (i, k) of the first system is comult[i, :, k] - unit[k] e_i, row (i, j)
+    # of the second comult[i, j, :] - unit[j] e_i.
+    i, j, k = np.unravel_index(h.comult[0], (d, d, d))
+    rows = np.zeros((2, d, d, d), dtype=complex)
+    rows[0, i, k, j] = rows[1, i, j, k] = h.comult[1]
+    rows[:, np.arange(d), :, np.arange(d)] -= h.unit
+    ns = nullspace(rows.reshape(2 * d * d, d), rtol=TOL_DEGENERATE)
     if ns.shape[0] != 1:
         raise NoUniqueHaar(f"invariant-functional space has dimension {ns.shape[0]}")
     eta = ns[0]
@@ -358,41 +373,68 @@ def is_kac(h: HopfData) -> bool:
 def function_algebra(g: FiniteGroup) -> HopfData:
     """C(G): pointwise functions on a finite group, basis of delta functions."""
     n = g.order
-    a = np.arange(n)
-    mult = np.zeros((n, n, n), dtype=complex)
-    mult[a, a, a] = 1.0
-    comult = np.zeros((n, n, n), dtype=complex)
+    a, eye = np.arange(n), np.eye(n)
+    mult = (a * (n * n + n + 1), np.ones(n, dtype=complex))
     # Delta(delta_i) = sum over ab = i of delta_a (x) delta_b
-    comult[g.mult, a[:, None], a[None, :]] = 1.0
-    antipode = np.zeros((n, n), dtype=complex)
-    antipode[g.inv, a] = 1.0
-    unit = np.ones(n, dtype=complex)
-    counit = np.zeros(n, dtype=complex)
-    counit[g.identity] = 1.0
-    star = np.eye(n, dtype=complex)
-    haar = np.full(n, 1.0 / n, dtype=complex)
-    return HopfData(mult, unit, comult, counit, antipode, star, haar)
+    comult = (np.sort((g.mult * n * n + a[:, None] * n + a).reshape(-1)),
+              np.ones(n * n, dtype=complex))
+    # S(delta_i) = delta_{i^{-1}}
+    return HopfData(mult, np.ones(n), comult, eye[g.identity], eye[:, g.inv], eye,
+                    np.full(n, 1.0 / n))
 
 
 def group_algebra(g: FiniteGroup) -> HopfData:
     """C[G]: the group algebra, cocommutative dual model."""
     n = g.order
-    mult = np.zeros((n, n, n), dtype=complex)
-    comult = np.zeros((n, n, n), dtype=complex)
-    antipode = np.zeros((n, n), dtype=complex)
-    star = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        comult[i, i, i] = 1.0
-        antipode[g.inverse(i), i] = 1.0
-        star[g.inverse(i), i] = 1.0
-        for j in range(n):
-            mult[i, j, g.mul(i, j)] = 1.0
-    unit = np.zeros(n, dtype=complex)
-    unit[g.identity] = 1.0
-    counit = np.ones(n, dtype=complex)
-    haar = np.zeros(n, dtype=complex)
-    haar[g.identity] = 1.0
-    return HopfData(mult, unit, comult, counit, antipode, star, haar)
+    a, eye = np.arange(n), np.eye(n)
+    mult = (((a[:, None] * n + a) * n + g.mult).reshape(-1), np.ones(n * n, dtype=complex))
+    comult = (a * (n * n + n + 1), np.ones(n, dtype=complex))
+    # S(lambda_g) = lambda_g^* = lambda_{g^{-1}}; the Haar state is the unit's coefficient
+    return HopfData(mult, eye[g.identity], comult, np.ones(n), eye[:, g.inv],
+                    eye[:, g.inv], eye[g.identity])
+
+
+def product_algebra(base: HopfData, lam: FiniteGroup, alpha_mats: np.ndarray) -> HopfData:
+    """The Hopf algebra of G x| Lambda0 on the basis e_i (x) delta_r, indexed
+    r * d + i, from the base and the matrices alpha_mats[r] of alpha*_r:
+    mult, unit, star and haar / |Lambda0| are the base's in every block r,
+    S(e_i (x) delta_r) = alpha*_r(S e_i) (x) delta_{r^{-1}} and
+    Delta(e_i (x) delta_r) = sum_s [(id (x) alpha*_s) Delta(e_i)]_{13}
+                                   (delta_s (x) delta_{s^{-1} r})_{24}."""
+    d, n = base.dim, lam.order
+    dd = d * n
+    r = np.arange(n)
+    off = r[:, None] * d
+    full = (dd, dd, dd)
+    i, j, k = np.unravel_index(base.mult[0], (d, d, d))
+    mult = (np.ravel_multi_index((off + i, off + j, off + k), full).reshape(-1),
+            np.tile(base.mult[1], n))
+    # twisted[i, j, s d + l] = sum_k comult[i, j, k] alpha_mats[s, l, k], every
+    # s at once, as one sparse contraction with keys raveled base dd
+    i, j, k = np.unravel_index(base.comult[0], (d, d, d))
+    alpha = alpha_mats.reshape(dd, d)
+    sl, col = np.nonzero(alpha)
+    keys, vals = _contract("ijk,lk->ijl",
+                           (np.ravel_multi_index((i, j, k), full), base.comult[1]),
+                           (sl * dd + col, alpha[sl, col]), dd)
+    keys, vals = keys[vals != 0], vals[vals != 0]
+    i, j, sl = np.unravel_index(keys, full)
+    s, l = np.divmod(sl, d)
+    t = lam.mult[lam.inv[s]]  # t[:, r] = s^{-1} r
+    keys = np.ravel_multi_index(((off + i).T, (s * d + j)[:, None], t * d + l[:, None]),
+                                full).reshape(-1)
+    order = np.argsort(keys)
+    comult = (keys[order], np.repeat(vals, n)[order])
+
+    star = np.zeros((n, d, n, d), dtype=complex)
+    star[r, :, r] = base.star
+    antipode = np.zeros((n, d, n, d), dtype=complex)
+    antipode[lam.inv, :, r] = alpha_mats @ base.antipode
+    counit = np.zeros((n, d), dtype=complex)
+    counit[lam.identity] = base.counit
+    return HopfData(mult, np.tile(base.unit, n), comult, counit.reshape(-1),
+                    antipode.reshape(dd, dd), star.reshape(dd, dd),
+                    np.tile(base.haar / n, n))
 
 
 def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
@@ -406,7 +448,6 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
     kind 'matrix': hom[r] is the matrix of alpha*_r itself.
     """
     d = h.dim
-    mats = []
     if kind in ("function", "group"):
         # Both constructors use the same pullback formula: alpha*_r moves basis
         # vector g to hom[r^{-1}](g) (hom[r^{-1}] = (hom[r])^{-1} when hom is a
@@ -420,12 +461,7 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
         for r, p in enumerate(perms):
             if p.shape != (d,) or not np.array_equal(np.sort(p), np.arange(d)):
                 raise NotAutomorphism(f"action entry {r} does not permute 0..{d - 1}")
-        for r in lam.elements():
-            m = np.zeros((d, d), dtype=complex)
-            p_inv = perms[lam.inverse(r)]
-            for gidx in range(d):
-                m[p_inv[gidx], gidx] = 1.0
-            mats.append(m)
+        mats = [np.eye(d, dtype=complex)[:, perms[lam.inverse(r)]] for r in lam.elements()]
     elif kind == "matrix":
         mats = [np.asarray(m, dtype=complex) for m in hom]
         if len(mats) != lam.order:
@@ -454,18 +490,12 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
     return autos
 
 
-def _left_multiplications(h: HopfData) -> np.ndarray:
-    """left[a] @ coeffs(phi) = coeffs(f_a phi) in the dual algebra."""
-    mult_hat, _ = dual_algebra(h)
-    return mult_hat.transpose(0, 2, 1)
-
-
-def _close(left: np.ndarray, gens, span: np.ndarray, cand: np.ndarray):
+def _close(left: np.ndarray, span: np.ndarray, cand: np.ndarray):
     """Orthonormal basis of the smallest space containing span and cand that
-    left multiplication by every f_a, a in gens, maps into itself, with the
-    orthogonal projector onto its complement.
+    every matrix in the stack left maps into itself, with the orthogonal
+    projector onto its complement.
 
-    Semi-naive: every product of such an f_a with a vector of span must
+    Semi-naive: every product of such a matrix with a vector of span must
     already lie in span + span(cand), so only the vectors each round adds
     are multiplied.
     """
@@ -475,7 +505,7 @@ def _close(left: np.ndarray, gens, span: np.ndarray, cand: np.ndarray):
         if not fresh.shape[1]:
             return span, comp
         span = np.hstack([span, fresh])
-        cand = (left[gens] @ fresh).transpose(1, 0, 2).reshape(len(span), -1)
+        cand = (left @ fresh).transpose(1, 0, 2).reshape(len(span), -1)
 
 
 def generating_subset(h: HopfData, candidates) -> np.ndarray:
@@ -484,36 +514,28 @@ def generating_subset(h: HopfData, candidates) -> np.ndarray:
     Raises ValidationError unless the kept f_a generate A^.
 
     The subalgebra is the span of the kept f_a's words, closed semi-naively
-    from the unit of A^ (the counit); f_a lies in it iff the projector onto
-    the span's complement annihilates e_a. The set is certified when the
-    span reaches h.dim.
+    from the unit of A^ (the counit) under the left multiplications by the
+    kept f_a, coeffs(f_a phi) = comult[:, a, :] @ coeffs(phi), each built when
+    a is kept; f_a lies in it iff the projector onto the span's complement
+    annihilates e_a. The set is certified when the span reaches h.dim.
     """
-    left = _left_multiplications(h)
+    d = h.dim
+    eye = np.eye(d)
     cands = np.array(candidates, dtype=int)
-    span, comp = _close(left, [], np.zeros((h.dim, 0)), h.counit[:, None])
+    left = np.zeros((0, d, d), dtype=complex)
+    span, comp = _close(left, np.zeros((d, 0)), h.counit[:, None])
     gens = []
-    while span.shape[1] < h.dim:
+    while span.shape[1] < d:
         outside = np.flatnonzero(np.linalg.norm(comp[:, cands], axis=0) > RANK_RTOL)
         if not len(outside):
             break
         gens.append(int(cands[outside[0]]))
         # candidates passed over lie in the subalgebra, which only grows
         cands = cands[outside[0] + 1:]
-        span, comp = _close(left, gens, span, left[gens[-1]] @ span)
-    if span.shape[1] < h.dim:
+        left = np.concatenate([left, _contract_vec(h.comult, eye[gens[-1]], 1, d)[None]])
+        span, comp = _close(left, span, left[-1] @ span)
+    if span.shape[1] < d:
         raise ValidationError(
             f"dual basis elements {gens} generate a subalgebra of dimension "
-            f"{span.shape[1]} < {h.dim}")
+            f"{span.shape[1]} < {d}")
     return np.array(gens, dtype=int)
-
-
-def dual_algebra(h: HopfData):
-    """Structure constants of the dual *-algebra A^.
-
-    Returns (mult_hat, star_hat): f_a f_b = sum_k mult_hat[a, b, k] f_k where
-    f_a is the dual basis, and coeffs(phi^*) = star_hat @ conj(coeffs(phi)).
-    """
-    mult_hat = h.comult.transpose(1, 2, 0)
-    # phi^*(x) = conj(phi(S(x)^*)): f_a^*(e_k) = conj((star @ conj(antipode))[a, k])
-    star_hat = (np.conj(h.star) @ h.antipode).T
-    return mult_hat, star_hat

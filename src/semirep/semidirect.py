@@ -1,7 +1,8 @@
 """The semidirect product of a finite quantum group with a finite group.
 
-The product Hopf algebra lives on the basis e_i (x) delta_r, indexed as
-r * dim(base) + i (blocks by group element, base index fastest). Sub-instances
+The product Hopf algebra, which hopf.product_algebra builds, lives on the
+basis e_i (x) delta_r, indexed as r * dim(base) + i (blocks by group element,
+base index fastest). Sub-instances
 over principal subgroups are cached on the top-level instance; all coset and
 conjugation bookkeeping happens in global Lambda coordinates. Moving a corep
 or a coefficient vector between principal subgroups (restriction, the
@@ -19,40 +20,8 @@ from ._linalg import TOL_VERIFY, max_abs
 from .corep import Corep
 from .errors import NotCovariant, ValidationError
 from .groups import FiniteGroup, Subgroup, conjugate_subgroup, full_subgroup
-from .hopf import HopfData, QAutomorphism, verify_axioms
+from .hopf import HopfData, QAutomorphism, product_algebra, verify_axioms
 from .projective import ProjectiveRep, ordinary_rep
-
-
-def _product_hopf(base: HopfData, lam: FiniteGroup, alpha_mats: np.ndarray) -> HopfData:
-    d = base.dim
-    n = lam.order
-    dd = d * n
-    mult = np.zeros((dd, dd, dd), dtype=complex)
-    comult = np.zeros((dd, dd, dd), dtype=complex)
-    antipode = np.zeros((dd, dd), dtype=complex)
-    star = np.zeros((dd, dd), dtype=complex)
-    unit = np.zeros(dd, dtype=complex)
-    counit = np.zeros(dd, dtype=complex)
-    haar = np.zeros(dd, dtype=complex)
-
-    for r in lam.elements():
-        sl = slice(r * d, (r + 1) * d)
-        mult[sl, sl, sl] = base.mult
-        unit[sl] = base.unit
-        haar[sl] = base.haar / n
-        star[sl, sl] = base.star
-        rinv = lam.inverse(r)
-        antipode[rinv * d:(rinv + 1) * d, sl] = alpha_mats[r] @ base.antipode
-    counit[lam.identity * d:(lam.identity + 1) * d] = base.counit
-
-    # Delta(e_i (x) delta_r) = sum_s [ (id (x) alpha*_s) Delta(e_i) ]_{13}
-    #                                 (delta_s (x) delta_{s^{-1} r})_{24}
-    for s in lam.elements():
-        twisted = np.einsum("ijk,lk->ijl", base.comult, alpha_mats[s])
-        for r in lam.elements():
-            t = lam.mul(lam.inverse(s), r)
-            comult[r * d:(r + 1) * d, s * d:(s + 1) * d, t * d:(t + 1) * d] += twisted
-    return HopfData(mult, unit, comult, counit, antipode, star, haar)
 
 
 class SemidirectInstance:
@@ -77,7 +46,7 @@ class SemidirectInstance:
         self.alpha_mats = np.stack([alpha[p].matrix for p in subgroup.elements])
         # G x| {e} is G itself, so it shares the base's cached artifacts
         self.product = (base if self.lam.order == 1
-                        else _product_hopf(base, self.lam, self.alpha_mats))
+                        else product_algebra(base, self.lam, self.alpha_mats))
         self._principal_cache: dict = {self.subgroup.elements: self}
         if top is None:
             self.top = self

@@ -1,8 +1,9 @@
 """A call-logging spy, and small objects that only the tests build (trivial
 and direct-sum representations, the trivial action, the trivial subgroup, base
 coreps viewed over G x| {e}, conjugation instances C(K) x| lam, a HopfData
-with empty caches), the (co)commutativity tests of a Hopf algebra, the dense
-conjugation isomorphism that act_corep is checked against, element-by-element
+with empty caches), dense copies of a HopfData's tensors and the dense
+structure constants of its dual algebra, the (co)commutativity tests of a
+Hopf algebra, the dense conjugation isomorphism that act_corep is checked against, element-by-element
 and einsum references of the batched group-relation checks and corep
 contractions, the two-step translate-then-restrict reference of a moved
 parameter, the module-hom systems over all d coefficient slices that the
@@ -45,16 +46,44 @@ def fresh(h: HopfData) -> HopfData:
     return HopfData(h.mult, h.unit, h.comult, h.counit, h.antipode, h.star, h.haar)
 
 
+TENSORS = ("mult", "unit", "comult", "counit", "antipode", "star", "haar")
+
+
+def dense(h: HopfData, name: str) -> np.ndarray:
+    """A dense copy of one of the tensors of h; mult and comult, which h holds
+    as their nonzeros, as (d, d, d) arrays."""
+    if name not in ("mult", "comult"):
+        return getattr(h, name).copy()
+    keys, vals = getattr(h, name)
+    out = np.zeros(h.dim ** 3, dtype=complex)
+    out[keys] = vals
+    return out.reshape((h.dim,) * 3)
+
+
+def dual_algebra(h: HopfData):
+    """Dense structure constants of the dual *-algebra A^.
+
+    Returns (mult_hat, star_hat): f_a f_b = sum_k mult_hat[a, b, k] f_k where
+    f_a is the dual basis, and coeffs(phi^*) = star_hat @ conj(coeffs(phi)).
+    """
+    mult_hat = dense(h, "comult").transpose(1, 2, 0)
+    # phi^*(x) = conj(phi(S(x)^*)): f_a^*(e_k) = conj((star @ conj(antipode))[a, k])
+    star_hat = (np.conj(h.star) @ h.antipode).T
+    return mult_hat, star_hat
+
+
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, (g.identity,))
 
 
 def is_commutative(h: HopfData) -> bool:
-    return max_abs(h.mult - h.mult.transpose(1, 0, 2)) <= TOL_VERIFY
+    mult = dense(h, "mult")
+    return max_abs(mult - mult.transpose(1, 0, 2)) <= TOL_VERIFY
 
 
 def is_cocommutative(h: HopfData) -> bool:
-    return max_abs(h.comult - h.comult.transpose(0, 2, 1)) <= TOL_VERIFY
+    comult = dense(h, "comult")
+    return max_abs(comult - comult.transpose(0, 2, 1)) <= TOL_VERIFY
 
 
 def trivial_corep(h: HopfData, dim: int = 1) -> Corep:
@@ -325,7 +354,8 @@ def restrict_param(p, sub_to: Subgroup):
 def _einsum_corep_tensor(u: Corep, w: Corep) -> np.ndarray:
     """The entries of corep.tensor(u, w) by one optimized einsum."""
     h = u.parent
-    prod = np.einsum("ija,klb,abc->ikjlc", u.entries, w.entries, h.mult, optimize=True)
+    prod = np.einsum("ija,klb,abc->ikjlc", u.entries, w.entries, dense(h, "mult"),
+                     optimize=True)
     n = u.dim * w.dim
     return prod.reshape(n, n, h.dim)
 
@@ -335,13 +365,14 @@ def _einsum_verify_corep(u: Corep) -> dict:
     h = u.parent
     e = u.entries
     res = {}
-    lhs = np.einsum("ijc,cab->ijab", e, h.comult)
+    lhs = np.einsum("ijc,cab->ijab", e, dense(h, "comult"))
     rhs = np.einsum("ika,kjb->ijab", e, e)
     res["comodule"] = max_abs(lhs - rhs)
     res["counit"] = max_abs(np.einsum("ijc,c->ij", e, h.counit) - np.eye(u.dim))
     star_e = np.einsum("pc,ijc->ijp", h.star, np.conj(e))
-    row = np.einsum("ika,jkb,abp->ijp", e, star_e, h.mult, optimize=True)
-    col = np.einsum("kia,kjb,abp->ijp", star_e, e, h.mult, optimize=True)
+    mult = dense(h, "mult")
+    row = np.einsum("ika,jkb,abp->ijp", e, star_e, mult, optimize=True)
+    col = np.einsum("kia,kjb,abp->ijp", star_e, e, mult, optimize=True)
     target = np.einsum("ij,p->ijp", np.eye(u.dim), h.unit)
     res["unitary_rows"] = max_abs(row - target)
     res["unitary_cols"] = max_abs(col - target)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -79,6 +80,10 @@ MALFORMED_FILES = {  # name -> (document, text the error line must contain)
         k: v for k, v in RAW_TRIVIAL["base"].items() if k != "unit"}), "unit"),
     "raw_hopf_action_not_square": (dict(RAW_TRIVIAL, action=[[[1.0], [0.0]]]),
                                    "action matrices"),
+    "raw_hopf_nan": (dict(RAW_TRIVIAL, base=dict(RAW_TRIVIAL["base"], mult=[[[float("nan")]]])),
+                     "mult has a non-finite entry"),
+    "raw_hopf_infinite_action": (dict(RAW_TRIVIAL, action=[[[float("inf")]]]),
+                                 "action matrix has a non-finite entry"),
 }
 
 
@@ -249,6 +254,21 @@ def test_conj_command():
     assert sorted(pairing) == sorted(pairing.values())
     for k, v in pairing.items():
         assert pairing[v] == k
+
+
+@pytest.mark.parametrize("command", ["irr", "fuse"])
+def test_output_is_independent_of_the_hash_seed(command):
+    """G has a nonabelian Lambda; set and dict iteration order must not leak
+    into the result."""
+    outs = set()
+    for hash_seed in ("0", "4242"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "semirep.cli", command,
+             str(INSTANCES / "instance_g.json"), "--format", "structured"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 def test_import_loads_no_scipy():

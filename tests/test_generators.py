@@ -19,7 +19,7 @@ from semirep.mackey import classify
 from semirep.oracle import module_fusion_cube, oracle_irr_dims
 
 from helpers import (all_slice_module_fusion_cube, all_slice_mor_dim,
-                     all_slice_oracle_irr_dims, fresh, spy)
+                     all_slice_oracle_irr_dims, dense, fresh, spy)
 
 CASES = [*"ABCDEFGH", "rung"]
 
@@ -115,5 +115,5 @@ def test_sparse_product_equals_einsum(case, request):
     rng = np.random.default_rng(11)
     for _ in range(5):
         x, y = rng.standard_normal((2, h.dim)) + 1j * rng.standard_normal((2, h.dim))
-        want = np.einsum("i,j,ijk->k", x, y, h.mult)
+        want = np.einsum("i,j,ijk->k", x, y, dense(h, "mult"))
         assert np.max(np.abs(h.product(x, y) - want)) <= 1e-12

@@ -10,12 +10,11 @@ from semirep.corep import regular_corep
 from semirep.errors import (NotAntihomomorphism, NotAutomorphism, NoUniqueHaar,
                             OracleDisagreement)
 from semirep.groups import Subgroup, all_subgroups, cyclic_group, symmetric_group
-from semirep.hopf import (HopfData, action_from_group_hom, dual_algebra,
-                          function_algebra, group_algebra, haar_solve, is_kac,
-                          verify_axioms)
+from semirep.hopf import (HopfData, action_from_group_hom, function_algebra,
+                          group_algebra, haar_solve, is_kac, verify_axioms)
 
-from helpers import (conjugation_spec, fresh, is_cocommutative, is_commutative,
-                     trivial_action)
+from helpers import (TENSORS, conjugation_spec, dense, dual_algebra, fresh,
+                     is_cocommutative, is_commutative, trivial_action)
 
 
 def test_function_algebra_trivial_group():
@@ -66,7 +65,8 @@ def test_abelian_duality_dims_and_residuals():
 
 def test_corrupted_comult_fails():
     h = function_algebra(cyclic_group(3))
-    bad = HopfData(h.mult, h.unit, h.comult + 0.05, h.counit, h.antipode, h.star, h.haar)
+    bad = HopfData.from_dense(dense(h, "mult"), h.unit, dense(h, "comult") + 0.05,
+                              h.counit, h.antipode, h.star, h.haar)
     rep = verify_axioms(bad)
     assert not rep["pass"]
     assert rep["coassociativity"] > 1e-3 or rep["counit"] > 1e-3
@@ -89,8 +89,8 @@ def test_haar_solve_uniform_and_delta_e():
 
 def test_haar_solve_rejects_non_coalgebra():
     h = function_algebra(cyclic_group(2))
-    broken = HopfData(h.mult, h.unit, np.zeros_like(h.comult), h.counit,
-                      h.antipode, h.star, h.haar)
+    broken = HopfData.from_dense(dense(h, "mult"), h.unit, np.zeros_like(dense(h, "comult")),
+                                 h.counit, h.antipode, h.star, h.haar)
     with pytest.raises(NoUniqueHaar):
         haar_solve(broken)
 
@@ -177,8 +177,7 @@ def _raw_hopf_instance(lam, mats):
     def pairs(arr):
         return np.stack([arr.real, arr.imag], axis=-1).tolist()
     spec = {"kind": "raw_hopf",
-            "base": {k: pairs(getattr(h, k)) for k in
-                     ("mult", "unit", "comult", "counit", "antipode", "star", "haar")},
+            "base": {k: pairs(dense(h, k)) for k in TENSORS},
             "lambda": {"order": lam.order, "table": lam.mult.tolist()},
             "action": [pairs(m) for m in mats]}
     return build_instance(spec)
@@ -239,47 +238,48 @@ def _dense_verify_axioms(h: HopfData) -> dict:
     d = h.dim
     res: dict[str, float] = {}
     eye = np.eye(d)
+    mult, comult = dense(h, "mult"), dense(h, "comult")
 
-    assoc = np.einsum("ijm,mkl->ijkl", h.mult, h.mult) \
-        - np.einsum("jkm,iml->ijkl", h.mult, h.mult)
+    assoc = np.einsum("ijm,mkl->ijkl", mult, mult) \
+        - np.einsum("jkm,iml->ijkl", mult, mult)
     res["associativity"] = max_abs(assoc)
     res["unit"] = max(
-        max_abs(np.einsum("i,ijk->jk", h.unit, h.mult) - eye),
-        max_abs(np.einsum("j,ijk->ik", h.unit, h.mult) - eye))
+        max_abs(np.einsum("i,ijk->jk", h.unit, mult) - eye),
+        max_abs(np.einsum("j,ijk->ik", h.unit, mult) - eye))
 
-    coassoc = np.einsum("iml,mjk->ijkl", h.comult, h.comult) \
-        - np.einsum("ijm,mkl->ijkl", h.comult, h.comult)
+    coassoc = np.einsum("iml,mjk->ijkl", comult, comult) \
+        - np.einsum("ijm,mkl->ijkl", comult, comult)
     res["coassociativity"] = max_abs(coassoc)
     res["counit"] = max(
-        max_abs(np.einsum("ijk,j->ik", h.comult, h.counit) - eye),
-        max_abs(np.einsum("ijk,k->ij", h.comult, h.counit) - eye))
+        max_abs(np.einsum("ijk,j->ik", comult, h.counit) - eye),
+        max_abs(np.einsum("ijk,k->ij", comult, h.counit) - eye))
 
-    lhs = np.einsum("ijk,kpq->ijpq", h.mult, h.comult)
-    rhs = np.einsum("iab,jcd,acp,bdq->ijpq", h.comult, h.comult, h.mult, h.mult,
+    lhs = np.einsum("ijk,kpq->ijpq", mult, comult)
+    rhs = np.einsum("iab,jcd,acp,bdq->ijpq", comult, comult, mult, mult,
                     optimize=True)
     res["comult_multiplicative"] = max_abs(lhs - rhs)
-    res["comult_unital"] = max_abs(np.einsum("i,ijk->jk", h.unit, h.comult)
+    res["comult_unital"] = max_abs(np.einsum("i,ijk->jk", h.unit, comult)
                                    - np.outer(h.unit, h.unit))
     res["counit_multiplicative"] = max_abs(
-        np.einsum("ijk,k->ij", h.mult, h.counit) - np.outer(h.counit, h.counit))
+        np.einsum("ijk,k->ij", mult, h.counit) - np.outer(h.counit, h.counit))
 
     res["star_involutive"] = max_abs(h.star @ np.conj(h.star) - eye)
-    lhs = np.einsum("ijk,pk->ijp", np.conj(h.mult), h.star)
-    rhs = np.einsum("bj,ai,bap->ijp", h.star, h.star, h.mult)
+    lhs = np.einsum("ijk,pk->ijp", np.conj(mult), h.star)
+    rhs = np.einsum("bj,ai,bap->ijp", h.star, h.star, mult)
     res["star_antimultiplicative"] = max_abs(lhs - rhs)
-    lhs = np.einsum("ki,kpq->ipq", h.star, h.comult)
-    rhs = np.einsum("ijk,pj,qk->ipq", np.conj(h.comult), h.star, h.star)
+    lhs = np.einsum("ki,kpq->ipq", h.star, comult)
+    rhs = np.einsum("ijk,pj,qk->ipq", np.conj(comult), h.star, h.star)
     res["comult_star"] = max_abs(lhs - rhs)
 
-    left = np.einsum("ijk,lj,lkp->ip", h.comult, h.antipode, h.mult, optimize=True)
-    right = np.einsum("ijk,lk,jlp->ip", h.comult, h.antipode, h.mult, optimize=True)
+    left = np.einsum("ijk,lj,lkp->ip", comult, h.antipode, mult, optimize=True)
+    right = np.einsum("ijk,lk,jlp->ip", comult, h.antipode, mult, optimize=True)
     target = np.outer(h.counit, h.unit)
     res["antipode"] = max(max_abs(left - target), max_abs(right - target))
 
     res["haar_unital"] = abs(complex(h.haar @ h.unit) - 1.0)
     res["haar_invariance"] = max(
-        max_abs(np.einsum("ijk,j->ik", h.comult, h.haar) - np.outer(h.haar, h.unit)),
-        max_abs(np.einsum("ijk,k->ij", h.comult, h.haar) - np.outer(h.haar, h.unit)))
+        max_abs(np.einsum("ijk,j->ik", comult, h.haar) - np.outer(h.haar, h.unit)),
+        max_abs(np.einsum("ijk,k->ij", comult, h.haar) - np.outer(h.haar, h.unit)))
     gram = h.gram()
     res["haar_hermitian"] = max_abs(gram - gram.conj().T)
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
@@ -324,11 +324,10 @@ CORRUPTIONS = {  # tensor -> axioms a dense perturbation of it must break
 def _corrupted(h: HopfData, name: str) -> HopfData:
     """h with a dense random perturbation of size 0.05 added to one tensor."""
     rng = np.random.default_rng(11)
-    tensors = {k: getattr(h, k).copy() for k in
-               ("mult", "unit", "comult", "counit", "antipode", "star", "haar")}
+    tensors = {k: dense(h, k) for k in TENSORS}
     shape = tensors[name].shape
     tensors[name] += 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return HopfData(**tensors)
+    return HopfData.from_dense(**tensors)
 
 
 @pytest.mark.parametrize("name", CORRUPTIONS)
@@ -349,11 +348,10 @@ def test_single_entry_corruption_matches_dense_reference(name, inst_a):
     h = inst_a.product
     rng = np.random.default_rng(5)
     for _ in range(6):
-        tensors = {k: getattr(h, k).copy() for k in
-                   ("mult", "unit", "comult", "counit", "antipode", "star", "haar")}
+        tensors = {k: dense(h, k) for k in TENSORS}
         at = tuple(rng.integers(h.dim, size=tensors[name].ndim))
         tensors[name][at] += 0.05
-        bad = HopfData(**tensors)
+        bad = HopfData.from_dense(**tensors)
         rep, ref = verify_axioms(bad), _dense_verify_axioms(bad)
         for key in rep:
             assert abs(rep[key] - ref[key]) <= 1e-12, (at, key, rep[key], ref[key])
@@ -448,25 +446,38 @@ def test_a5_instance_verifies():
     assert peak < 256 * 2 ** 20, peak
 
 
+def test_dim_240_instance_verifies():
+    """C(S5) x| Z2, Z2 acting by conjugation with the transposition (0 1);
+    its dense mult and comult alone would take 221 MB each."""
+    from semirep.corpus import build_instance
+    spec = conjugation_spec(5, range(120), cyclic_group(2),
+                            lambda r: (1, 0, 2, 3, 4) if r else (0, 1, 2, 3, 4))
+    inst, peak = _traced_peak(lambda: build_instance(spec))
+    assert inst.dim == 240
+    assert inst.axioms["pass"], inst.axioms
+    assert peak < 400 * 2 ** 20, peak
+
+
 # -- automorphism residuals and the Gram matrix against their dense references ----
 
 def _dense_automorphism_residual(a: hopf.QAutomorphism) -> float:
     """The dense einsum form of QAutomorphism.residual, kept only as a reference."""
     h, m = a.parent, a.matrix
+    mult, comult = dense(h, "mult"), dense(h, "comult")
     worst = max_abs(m @ h.unit - h.unit)
     worst = max(worst, max_abs(h.counit @ m - h.counit))
-    lhs = np.einsum("ijk,pk->ijp", h.mult, m)
-    rhs = np.einsum("ai,bj,abp->ijp", m, m, h.mult)
+    lhs = np.einsum("ijk,pk->ijp", mult, m)
+    rhs = np.einsum("ai,bj,abp->ijp", m, m, mult)
     worst = max(worst, max_abs(lhs - rhs))
     worst = max(worst, max_abs(m @ h.star - h.star @ np.conj(m)))
-    lhs = np.einsum("ijk,pj,qk->ipq", h.comult, m, m)
-    rhs = np.einsum("ki,kpq->ipq", m, h.comult)
+    lhs = np.einsum("ijk,pj,qk->ipq", comult, m, m)
+    rhs = np.einsum("ki,kpq->ipq", m, comult)
     return max(worst, max_abs(lhs - rhs))
 
 
 def _dense_gram(h: HopfData) -> np.ndarray:
     """The dense einsum form of HopfData.gram, kept only as a reference."""
-    return np.einsum("li,ljk,k->ij", h.star, h.mult, h.haar)
+    return np.einsum("li,ljk,k->ij", h.star, dense(h, "mult"), h.haar)
 
 
 def _action_instance(case, request):
@@ -547,9 +558,9 @@ def test_gram_of_corrupted_tensors_equals_dense_reference(name, inst_c):
 
 STACK_OPS = {  # name -> (operation on stacks x, y, its einsum form)
     "product": (lambda h, x, y: h.product(x, y),
-                lambda h, x, y: np.einsum("...a,...b,abc->...c", x, y, h.mult)),
+                lambda h, x, y: np.einsum("...a,...b,abc->...c", x, y, dense(h, "mult"))),
     "coproduct": (lambda h, x, y: h.coproduct(x),
-                  lambda h, x, y: np.einsum("...a,abc->...bc", x, h.comult)),
+                  lambda h, x, y: np.einsum("...a,abc->...bc", x, dense(h, "comult"))),
     "star_vec": (lambda h, x, y: h.star_vec(x),
                  lambda h, x, y: np.einsum("pc,...c->...p", h.star, np.conj(x))),
 }

@@ -11,6 +11,8 @@ from semirep.groups import cyclic_group
 from semirep.hopf import function_algebra
 from semirep.mackey import classify
 
+from helpers import dense
+
 
 def complexify(arr):
     arr = np.asarray(arr, dtype=complex)
@@ -22,9 +24,9 @@ def raw_spec_from(h, lam_table, action_mats, name="raw"):
         "name": name,
         "kind": "raw_hopf",
         "base": {
-            "mult": complexify(h.mult),
+            "mult": complexify(dense(h, "mult")),
             "unit": complexify(h.unit),
-            "comult": complexify(h.comult),
+            "comult": complexify(dense(h, "comult")),
             "counit": complexify(h.counit),
             "antipode": complexify(h.antipode),
             "star": complexify(h.star),
@@ -54,11 +56,29 @@ def test_raw_hopf_roundtrip_instance_a(tmp_path):
     assert inst2.dim == 6
 
 
+def test_real_entries_read_by_rank(tmp_path, capsys):
+    """C(Z2) written with real entries, where every tensor axis has length 2,
+    builds, and checks exactly as the same file written as [re, im] pairs."""
+    from semirep.cli import main
+    h = function_algebra(cyclic_group(2))
+    pairs = raw_spec_from(h, [[0]], [np.eye(2)], name="C(Z2)")
+    real = dict(pairs, base={k: dense(h, k).real.tolist() for k in pairs["base"]},
+                action=[np.eye(2).tolist()])
+    assert build_instance(real).axioms == build_instance(pairs).axioms
+    outs = []
+    for name, spec in (("real", real), ("pairs", pairs)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        assert main(["check", str(path), "--format", "structured"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_raw_hopf_rejects_broken_tensors():
     z3 = cyclic_group(3)
     h = function_algebra(z3)
     spec = raw_spec_from(h, [[0]], [np.eye(3)])
-    spec["base"]["comult"] = complexify(np.asarray(h.comult) + 0.25)
+    spec["base"]["comult"] = complexify(dense(h, "comult") + 0.25)
     with pytest.raises(ValidationError):
         build_instance(spec)
 
