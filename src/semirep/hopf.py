@@ -5,13 +5,17 @@ HopfData.from_dense keeps those of the dense arrays an instance file gives.
 
 Only this module reads mult, comult and star: other modules go through
 HopfData.product, coproduct and star_vec, which take stacks of coefficient
-vectors. verify_axioms and QAutomorphism.residual join the nonzeros of two
-tensors (_join); the identities with a unit, counit or Haar vector,
-HopfData.gram and the dual algebra's left multiplications contract one
-3-tensor with one vector (_contract_vec). So no d^3 tensor is densified and no
-d^4 array built. HopfData.generators picks and certifies the dual basis
-elements that generate the dual algebra, whose slices are all that
-module-hom systems need.
+vectors. Each identity of verify_axioms compares two joins of the nonzeros of
+two tensors (_join), both streamed in blocks of increasing leading output
+index; _residual reduces the keys whose leading index both sides have
+finished, so a check holds a block of each side at a time at every d.
+automorphism_residuals checks all automorphisms of an action in one such pass,
+their stacked matrices carrying the leading letter r. The identities with a
+unit, counit or Haar vector, HopfData.gram and the dual algebra's left
+multiplications contract one 3-tensor with one vector (_contract_vec). So no
+d^3 tensor is densified and no d^4 array built. HopfData.generators picks and
+certifies the dual basis elements that generate the dual algebra, whose
+slices are all that module-hom systems need.
 
 Conventions for a HopfData of dimension d with basis e_0..e_{d-1}:
   - mult[i, j, k]:    e_i e_j = sum_k mult[i, j, k] e_k
@@ -26,12 +30,14 @@ Conventions for a HopfData of dimension d with basis e_0..e_{d-1}:
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linalg import (RANK_RTOL, TOL_BUILD, TOL_DEGENERATE, TOL_VERIFY, int_array,
-                      max_abs, new_directions, nullspace)
+                      max_abs, max_abs_each, new_directions, nullspace)
 from .errors import (NoUniqueHaar, NotAntihomomorphism, NotAutomorphism,
                      ParseError, ValidationError)
 from .groups import FiniteGroup
@@ -142,26 +148,6 @@ class QAutomorphism:
     def __call__(self, x):
         return self.matrix @ x
 
-    def residual(self) -> float:
-        h = self.parent
-        d = h.dim
-        m = self.matrix
-        worst = max_abs(m @ h.unit - h.unit)
-        worst = max(worst, max_abs(h.counit @ m - h.counit))
-        # sparse contractions over the nonzeros of M, mult and comult
-        mc, mult, comult = _nonzeros(m), h.mult, h.comult
-        # multiplicativity: alpha(e_i e_j) = alpha(e_i) alpha(e_j)
-        worst = max(worst, _residual(
-            _join("ijk,pk->ijp", mult, mc, d),
-            _join("ibp,bj->ijp", _contract("ai,abp->ibp", mc, mult, d), mc, d)))
-        # star compatibility: M @ star = star @ conj(M)
-        worst = max(worst, max_abs(m @ h.star - h.star @ np.conj(m)))
-        # comultiplication: (M (x) M) Delta = Delta M
-        worst = max(worst, _residual(
-            _join("ikp,qk->ipq", _contract("ijk,pj->ikp", comult, mc, d), mc, d),
-            _join("ki,kpq->ipq", mc, comult, d)))
-        return worst
-
 
 def _nonzeros(arr) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero entries of an array as a sparse operand: (raveled indices, values)."""
@@ -170,18 +156,22 @@ def _nonzeros(arr) -> tuple[np.ndarray, np.ndarray]:
     return idx, flat[idx]
 
 
-# Term pairs in one slice of _join; a slice's temporaries take about 100 bytes
-# a pair, and every shipped instance joins in one slice.
-JOIN_TERMS = 1 << 18
+# Term pairs in one block of a streamed join; a block's temporaries take about
+# 100 bytes a pair.
+JOIN_TERMS = 1 << 14
 
 
-def _ravel(keys, letters: str, chosen, d: int):
-    """Raveled base-d key over the `chosen` letters of keys raveled over `letters`."""
-    out = np.zeros(len(keys), dtype=np.int64)
-    for c in chosen:
-        out *= d
-        out += keys // d ** (len(letters) - 1 - letters.index(c)) % d
-    return out
+def _operand_keys(keys, letters: str, kept, shared, size, place):
+    """Per entry of an operand raveled over `letters`: its partial output key,
+    the `kept` letters at their output place values, and its key over the
+    `shared` letters."""
+    digits = dict(zip(letters, np.unravel_index(keys, [size[c] for c in letters])))
+    part = np.zeros(len(keys), dtype=np.int64)
+    for c in kept:
+        part += digits[c] * place[c]
+    if not shared:
+        return part, np.zeros(len(keys), dtype=np.int64)
+    return part, np.ravel_multi_index([digits[c] for c in shared], [size[c] for c in shared])
 
 
 def _sum_duplicates(keys, vals):
@@ -192,66 +182,66 @@ def _sum_duplicates(keys, vals):
     return keys[starts], np.add.reduceat(vals, starts)
 
 
-def _join(subscripts: str, a, b, d: int):
-    """Two-operand einsum of sparse operands (raveled keys, values), in parts.
+def _join(subscripts: str, a, b, size):
+    """Two-operand einsum of sparse operands (raveled keys, values), streamed
+    in blocks of increasing leading output index.
 
-    Every letter shared by the operands is summed. b is sorted by its shared
-    key and each entry of a is searchsorted against it, so it meets exactly
-    its run of matching b entries. The entries of a are ordered by their
-    output letters and taken in consecutive slices of at most JOIN_TERMS term
-    pairs, never splitting entries with equal output letters (such a group
-    with more pairs is a slice of its own). Yields one part per slice: sorted
-    unique output keys raveled base d with their summed values; the parts'
-    key sets are disjoint.
+    Letters range over size[letter]. The operands are matched on every letter
+    they share, and a shared letter the output lacks is summed. The operand
+    holding the output's first letter drives: its entries, ordered by their
+    output letters, are taken in consecutive blocks of at most JOIN_TERMS term
+    pairs, cut only where the leading index changes (a leading index with
+    more pairs is a block of its own). Each entry meets exactly its run of
+    entries of the other operand, sorted by shared key, and each product
+    keeps the subscripts' operand order. Yields (cut, keys, vals) per block:
+    sorted unique output keys raveled over size with their summed values,
+    every key with leading index below cut being complete.
     """
     ins, out = subscripts.split("->")
     sa, sb = ins.split(",")
-    (ka, va), (kb, vb) = a, b
+    flip = out[0] not in sa
+    if flip:
+        sa, sb, a, b = sb, sa, b, a
     shared = [c for c in sa if c in sb]
-    skb = _ravel(kb, sb, shared, d)
+    place, span = {}, 1
+    for c in reversed(out):
+        place[c], span = span, span * size[c]
+    pa, ska = _operand_keys(a[0], sa, [c for c in sa if c in out], shared, size, place)
+    pb, skb = _operand_keys(b[0], sb, [c for c in sb if c in out and c not in sa], shared,
+                            size, place)
     order = np.argsort(skb, kind="stable")
-    skb = skb[order]
-    group = _ravel(ka, sa, [c for c in out if c in sa], d)
-    rank = np.argsort(group, kind="stable")
-    ka, va, group = ka[rank], va[rank], group[rank]
-    ska = _ravel(ka, sa, shared, d)
+    skb, pb, vb = skb[order], pb[order], b[1][order]
+    rank = np.argsort(pa, kind="stable")
+    pa, ska, va = pa[rank], ska[rank], a[1][rank]
     lo = np.searchsorted(skb, ska, "left")
     counts = np.searchsorted(skb, ska, "right") - lo
     ends = np.cumsum(counts)
-    if not len(ka):
-        return
-    stops = np.append(np.flatnonzero(np.diff(group)) + 1, len(ka))
+    shift = lo - ends + counts  # pair p of entry e meets entry p + shift[e] of b
+    lead = pa // place[out[0]]
+    stops = np.append(np.flatnonzero(np.diff(lead)) + 1, len(pa))
     done = ends[stops - 1]  # pairs formed up to each stop
     start = nxt = 0
-    while start < len(ka):
+    while start < len(pa):
         before = ends[start] - counts[start]
         nxt = max(int(np.searchsorted(done, before + JOIN_TERMS, "right")) - 1, nxt)
         stop = stops[nxt]
         nxt += 1
         runs = counts[start:stop]
-        rows = np.repeat(np.arange(start, stop), runs)
-        first = lo[start:stop] - (ends[start:stop] - runs - before)
-        brows = order[np.arange(len(rows)) + np.repeat(first, runs)]
-        vals = va[rows]
-        vals *= vb[brows]
-        ga, gb = ka[rows], kb[brows]
-        del rows, brows
-        key = np.zeros(len(ga), dtype=np.int64)
-        for c in out:
-            key *= d
-            key += _ravel(ga, sa, c, d) if c in sa else _ravel(gb, sb, c, d)
-        del ga, gb
-        yield _sum_duplicates(key, vals)
+        pos = np.arange(before, ends[stop - 1]) + np.repeat(shift[start:stop], runs)
+        x, y = np.repeat(va[start:stop], runs), vb[pos]
+        keys, vals = _sum_duplicates(np.repeat(pa[start:stop], runs) + pb[pos],
+                                     y * x if flip else x * y)
+        yield (lead[stop] if stop < len(pa) else size[out[0]]), keys, vals
         start = stop
 
 
-def _contract(subscripts: str, a, b, d: int):
-    """_join's parts as one sparse operand (unique, not sorted, keys)."""
-    parts = list(_join(subscripts, a, b, d))
-    if len(parts) == 1:
-        return parts[0]
-    return (np.concatenate([k for k, _ in parts] + [np.zeros(0, dtype=np.int64)]),
-            np.concatenate([v for _, v in parts] + [np.zeros(0, dtype=complex)]))
+def _contract(subscripts: str, a, b, size):
+    """_join's blocks as one sparse operand (sorted unique keys)."""
+    blocks = list(_join(subscripts, a, b, size))
+    if len(blocks) == 1:
+        return blocks[0][1:]
+    return (np.concatenate([k for _, k, _ in blocks] + [np.zeros(0, dtype=np.int64)]),
+            np.concatenate([v for _, _, v in blocks] + [np.zeros(0, dtype=complex)]))
 
 
 def _contract_vec(t, vec, axis: int, d: int) -> np.ndarray:
@@ -264,27 +254,43 @@ def _contract_vec(t, vec, axis: int, d: int) -> np.ndarray:
     return out
 
 
-def _residual(lhs, rhs) -> float:
-    """max |lhs - rhs| over the union of the supports of two _join results.
+def _residual(lhs, rhs, shape) -> np.ndarray:
+    """max |lhs - rhs| per leading index, over the union of the supports of
+    two streams of _join blocks whose output has the given shape.
 
-    lhs is held in its parts; rhs is consumed one part at a time, and each of
-    its keys is looked up only in the lhs parts whose key range covers it.
-    Every key lies in at most one part of each side, so each difference is
-    one subtraction, as in the dense difference.
+    The streams run in lockstep: the side whose cut is lower takes its next
+    block, and the keys whose leading index lies below both cuts, complete on
+    both sides, are reduced together and dropped. So the side that moves has
+    nothing held, and only the other side's last block is kept. A key on one
+    side counts with its full value; a key on both sums -lhs + rhs, which is
+    rhs - lhs exactly, as in the dense difference.
     """
-    lhs = [part for part in lhs if len(part[0])]
-    seen = [np.zeros(len(kl), dtype=bool) for kl, _ in lhs]
-    worst = 0.0
-    for kr, vr in rhs:
-        diff = vr.copy()
-        for (kl, vl), hit_l in zip(lhs, seen):
-            span = slice(np.searchsorted(kr, kl[0]), np.searchsorted(kr, kl[-1], "right"))
-            pos = np.searchsorted(kl, kr[span])
-            hit = kl[pos] == kr[span]
-            diff[span][hit] -= vl[pos[hit]]
-            hit_l[pos[hit]] = True
-        worst = max(worst, max_abs(diff))
-    return max([worst] + [max_abs(vl[~hit_l]) for (_, vl), hit_l in zip(lhs, seen)])
+    n, lead = shape[0], math.prod(shape[1:])
+    worst = np.zeros(n)
+    streams = [iter(lhs), iter(rhs)]
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+    held, cuts = [empty, empty], [0, 0]
+    while (low := min(cuts)) < n:
+        side = cuts.index(low)
+        block = next(streams[side], None)
+        if block is None:
+            cuts[side] = n
+        else:
+            cuts[side], keys, vals = block
+            held[side] = keys, vals
+        if min(cuts) == low:
+            continue
+        below = []
+        for s, (keys, vals) in enumerate(held):
+            at = np.searchsorted(keys, min(cuts) * lead)
+            below.append((keys[:at], vals[:at]))
+            held[s] = keys[at:], vals[at:]
+        (kl, vl), (kr, vr) = below
+        keys, diff = _sum_duplicates(np.concatenate([kl, kr]), np.concatenate([-vl, vr]))
+        keys //= lead
+        at = np.flatnonzero(np.diff(keys, prepend=-1))
+        worst[keys[at]] = np.maximum.reduceat(np.abs(diff), at)
+    return worst
 
 
 def verify_axioms(h: HopfData) -> dict:
@@ -293,22 +299,26 @@ def verify_axioms(h: HopfData) -> dict:
     res: dict[str, float] = {}
     eye = np.eye(d)
     m, c, s = h.mult, h.comult, _nonzeros(h.star)
+    size = defaultdict(lambda: d)
 
-    res["associativity"] = _residual(_join("ijm,mkl->ijkl", m, m, d),
-                                     _join("jkm,iml->ijkl", m, m, d))
+    def worst(lhs, rhs, shape) -> float:
+        return float(_residual(lhs, rhs, shape).max())
+
+    res["associativity"] = worst(_join("ijm,mkl->ijkl", m, m, size),
+                                 _join("jkm,iml->ijkl", m, m, size), (d,) * 4)
     res["unit"] = max(max_abs(_contract_vec(m, h.unit, 0, d) - eye),
                       max_abs(_contract_vec(m, h.unit, 1, d) - eye))
 
-    res["coassociativity"] = _residual(_join("iml,mjk->ijkl", c, c, d),
-                                       _join("ijm,mkl->ijkl", c, c, d))
+    res["coassociativity"] = worst(_join("iml,mjk->ijkl", c, c, size),
+                                   _join("ijm,mkl->ijkl", c, c, size), (d,) * 4)
     res["counit"] = max(max_abs(_contract_vec(c, h.counit, 1, d) - eye),
                         max_abs(_contract_vec(c, h.counit, 2, d) - eye))
 
     # Delta is a unital algebra morphism: Delta(e_i e_j) = Delta(e_i) Delta(e_j),
     # the right side as sum_{b,c} [sum_a D(i,a,b) m(a,c,p)] [sum_d D(j,c,d) m(b,d,q)]
-    rhs = _join("ibcp,jcbq->ijpq", _contract("iab,acp->ibcp", c, m, d),
-                _contract("jcd,bdq->jcbq", c, m, d), d)
-    res["comult_multiplicative"] = _residual(_join("ijk,kpq->ijpq", m, c, d), rhs)
+    rhs = _join("ibcp,jcbq->ijpq", _contract("iab,acp->ibcp", c, m, size),
+                _contract("jcd,bdq->jcbq", c, m, size), size)
+    res["comult_multiplicative"] = worst(_join("ijk,kpq->ijpq", m, c, size), rhs, (d,) * 4)
     res["comult_unital"] = max_abs(_contract_vec(c, h.unit, 0, d)
                                    - np.outer(h.unit, h.unit))
     res["counit_multiplicative"] = max_abs(_contract_vec(m, h.counit, 2, d)
@@ -317,18 +327,21 @@ def verify_axioms(h: HopfData) -> dict:
     # star: antilinear involutive antiautomorphism, Delta a *-morphism
     res["star_involutive"] = max_abs(h.star @ np.conj(h.star) - eye)
     conj_m, conj_c = (m[0], np.conj(m[1])), (c[0], np.conj(c[1]))
-    res["star_antimultiplicative"] = _residual(
-        _join("ijk,pk->ijp", conj_m, s, d),  # coeffs of (e_i e_j)^*
-        _join("jap,ai->ijp", _contract("bj,bap->jap", s, m, d), s, d))  # e_j^* e_i^*
-    res["comult_star"] = _residual(
-        _join("ki,kpq->ipq", s, c, d),  # Delta(e_i^*)
-        _join("ikp,qk->ipq", _contract("ijk,pj->ikp", conj_c, s, d), s, d))
+    res["star_antimultiplicative"] = worst(
+        _join("ijk,pk->ijp", conj_m, s, size),  # coeffs of (e_i e_j)^*
+        _join("jap,ai->ijp", _contract("bj,bap->jap", s, m, size), s, size),  # e_j^* e_i^*
+        (d,) * 3)
+    res["comult_star"] = worst(
+        _join("ki,kpq->ipq", s, c, size),  # Delta(e_i^*)
+        _join("ikp,qk->ipq", _contract("ijk,pj->ikp", conj_c, s, size), s, size), (d,) * 3)
 
     # antipode axiom m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
-    a, target = _nonzeros(h.antipode), _nonzeros(np.outer(h.counit, h.unit))
+    a, target = _nonzeros(h.antipode), [(d, *_nonzeros(np.outer(h.counit, h.unit)))]
     res["antipode"] = max(
-        _residual(_join("ikl,lkp->ip", _contract("ijk,lj->ikl", c, a, d), m, d), [target]),
-        _residual(_join("ijl,jlp->ip", _contract("ijk,lk->ijl", c, a, d), m, d), [target]))
+        worst(_join("ikl,lkp->ip", _contract("ijk,lj->ikl", c, a, size), m, size), target,
+              (d, d)),
+        worst(_join("ijl,jlp->ip", _contract("ijk,lk->ijl", c, a, size), m, size), target,
+              (d, d)))
 
     # Haar state: normalized, invariant, positive
     res["haar_unital"] = abs(complex(h.haar @ h.unit) - 1.0)
@@ -345,17 +358,32 @@ def verify_axioms(h: HopfData) -> dict:
     return res
 
 
+# haar_solve assembles the 2 d invariance rows of this many indices i at a time.
+HAAR_BLOCK = 8
+
+
 def haar_solve(h: HopfData) -> np.ndarray:
-    """Solve for the invariant state directly; cross-checks the stored haar."""
+    """Solve for the invariant state directly; cross-checks the stored haar.
+
+    The invariance system has 2 d^2 rows; they are assembled in blocks of
+    HAAR_BLOCK indices, and each block is folded into the triangular factor
+    R of a running QR, which has the system's singular values and right
+    singular vectors in O(d^2) memory.
+    """
     d = h.dim
     # (eta (x) id) Delta(e_i) = eta(e_i) 1 and the (id (x) eta) mirror: row
     # (i, k) of the first system is comult[i, :, k] - unit[k] e_i, row (i, j)
     # of the second comult[i, j, :] - unit[j] e_i.
-    i, j, k = np.unravel_index(h.comult[0], (d, d, d))
-    rows = np.zeros((2, d, d, d), dtype=complex)
-    rows[0, i, k, j] = rows[1, i, j, k] = h.comult[1]
-    rows[:, np.arange(d), :, np.arange(d)] -= h.unit
-    ns = nullspace(rows.reshape(2 * d * d, d), rtol=TOL_DEGENERATE)
+    r = np.zeros((0, d), dtype=complex)
+    for lo in range(0, d, HAAR_BLOCK):
+        part = np.arange(lo, min(lo + HAAR_BLOCK, d))
+        at = slice(*np.searchsorted(h.comult[0], [lo * d * d, (part[-1] + 1) * d * d]))
+        i, j, k = np.unravel_index(h.comult[0][at] - lo * d * d, (len(part), d, d))
+        rows = np.zeros((2, len(part), d, d), dtype=complex)
+        rows[0, i, k, j] = rows[1, i, j, k] = h.comult[1][at]
+        rows[:, np.arange(len(part)), :, part] -= h.unit
+        r = np.linalg.qr(np.vstack([r, rows.reshape(-1, d)]), mode="r")
+    ns = nullspace(r, rtol=TOL_DEGENERATE)
     if ns.shape[0] != 1:
         raise NoUniqueHaar(f"invariant-functional space has dimension {ns.shape[0]}")
     eta = ns[0]
@@ -416,7 +444,7 @@ def product_algebra(base: HopfData, lam: FiniteGroup, alpha_mats: np.ndarray) ->
     sl, col = np.nonzero(alpha)
     keys, vals = _contract("ijk,lk->ijl",
                            (np.ravel_multi_index((i, j, k), full), base.comult[1]),
-                           (sl * dd + col, alpha[sl, col]), dd)
+                           (sl * dd + col, alpha[sl, col]), defaultdict(lambda: dd))
     keys, vals = keys[vals != 0], vals[vals != 0]
     i, j, sl = np.unravel_index(keys, full)
     s, l = np.divmod(sl, d)
@@ -435,6 +463,30 @@ def product_algebra(base: HopfData, lam: FiniteGroup, alpha_mats: np.ndarray) ->
     return HopfData(mult, np.tile(base.unit, n), comult, counit.reshape(-1),
                     antipode.reshape(dd, dd), star.reshape(dd, dd),
                     np.tile(base.haar / n, n))
+
+
+def automorphism_residuals(h: HopfData, mats: np.ndarray) -> np.ndarray:
+    """For each matrix mats[r] of a stack, its residual as a unital
+    *-algebra automorphism of h intertwining the comultiplication.
+
+    The identities of every r stream together: the stacked nonzeros carry the
+    letter r, ranging over len(mats), which leads each output.
+    """
+    d, n = h.dim, len(mats)
+    size, shape = defaultdict(lambda: d, r=n), (n, d, d, d)
+    a, mult, comult = _nonzeros(mats), h.mult, h.comult
+    worst = np.maximum(max_abs_each(mats @ h.unit - h.unit),
+                       max_abs_each(h.counit @ mats - h.counit))
+    # multiplicativity: alpha(e_i e_j) = alpha(e_i) alpha(e_j)
+    worst = np.maximum(worst, _residual(
+        _join("ijk,rpk->rijp", mult, a, size),
+        _join("ribp,rbj->rijp", _contract("rai,abp->ribp", a, mult, size), a, size), shape))
+    # star compatibility: M @ star = star @ conj(M)
+    worst = np.maximum(worst, max_abs_each(mats @ h.star - h.star @ np.conj(mats)))
+    # comultiplication: (M (x) M) Delta = Delta M
+    return np.maximum(worst, _residual(
+        _join("rikp,rqk->ripq", _contract("ijk,rpj->rikp", comult, a, size), a, size),
+        _join("rki,kpq->ripq", a, comult, size), shape))
 
 
 def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
@@ -471,9 +523,7 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
     else:
         raise ValidationError(f"unknown action kind {kind!r}")
 
-    autos = [QAutomorphism(h, m) for m in mats]
-    for r, a in enumerate(autos):
-        res = a.residual()
+    for r, res in enumerate(automorphism_residuals(h, np.stack(mats))):
         if res > TOL_VERIFY:
             raise NotAutomorphism(f"alpha*_{r} fails the automorphism check ({res:.2e})")
     for r in lam.elements():
@@ -483,11 +533,11 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
                 raise NotAntihomomorphism(
                     f"alpha*_(rs) != alpha*_s alpha*_r at ({r}, {s}) ({res:.2e})")
     # Haar invariance under every alpha*_s (uniqueness of the Haar state)
-    for r, a in enumerate(autos):
-        res = max_abs(h.haar @ a.matrix - h.haar)
+    for r, m in enumerate(mats):
+        res = max_abs(h.haar @ m - h.haar)
         if res > TOL_VERIFY:
             raise NotAutomorphism(f"haar not invariant under alpha*_{r} ({res:.2e})")
-    return autos
+    return [QAutomorphism(h, m) for m in mats]
 
 
 def _close(left: np.ndarray, span: np.ndarray, cand: np.ndarray):

@@ -271,6 +271,19 @@ def test_output_is_independent_of_the_hash_seed(command):
     assert len(outs) == 1
 
 
+@pytest.mark.parametrize("name", ["g", "h"])
+@pytest.mark.parametrize("command", ["irr", "conj", "fuse"])
+def test_output_is_independent_of_the_seed(command, name, capsys):
+    """The spectral splits draw from the --seed generator, but G and H (each
+    with a nonabelian Lambda) print the same bytes under every seed."""
+    outs = set()
+    for seed in ("1", "7", "2147483647"):
+        assert cli.main([command, str(INSTANCES / f"instance_{name}.json"),
+                         "--seed", seed]) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
+
+
 def test_import_loads_no_scipy():
     """numpy is the only runtime dependency, and start-up pays for no scipy."""
     probe = ("import sys, semirep.cli; "
