@@ -2,7 +2,13 @@
 
 Module homs come from one dense solve, the nullspace of the stacked Sylvester
 system; where only their number is needed, it comes from the singular values
-alone (hom_space_dim). Callers stack only the slices of a corep's generators
+alone (hom_space_dims). A family of such counts is batched: the systems of
+equal shape are stacked along leading axes, at most SYSTEM_CELLS entries per
+stack, and each stack's singular values come from one np.linalg.svd call,
+which runs the same LAPACK routine on every matrix of the stack (batched
+BLAS/LAPACK: Dongarra et al., Procedia Comput. Sci. 108, 2017). Every count
+reads the same system, singular values and cutoff as a one-by-one count.
+Callers stack only the slices of a corep's generators
 (corep.Corep.coeff_slices): the slices are the images of the dual basis
 elements f_a under an algebra map, and a matrix commutes with every image
 exactly when it commutes with the images of generators of the algebra. So
@@ -34,6 +40,9 @@ TOL_DEGENERATE = 1e-10
 # Relative cutoff below which a singular value counts as zero, for every
 # nullspace, nullity and span rank.
 RANK_RTOL = 1e-9
+# Largest number of system entries (rows x columns, summed over the stack) that
+# hom_space_dims hands one SVD call; a single larger system goes alone.
+SYSTEM_CELLS = 2 ** 13
 EIG_CLUSTER_TOL = 1e-7
 INT_ROUND_TOL = 0.1
 DEFAULT_SEED = 7
@@ -60,9 +69,10 @@ def int_array(data) -> np.ndarray:
     return arr.astype(int)
 
 
-def _rank(s: np.ndarray, rtol: float) -> int:
-    """Number of singular values (descending) above rtol * max(1, largest)."""
-    return int(np.sum(s > rtol * max(1.0, s[0] if len(s) else 0.0)))
+def _rank(s: np.ndarray, rtol: float) -> np.ndarray:
+    """Number of singular values (descending along the last axis) above
+    rtol * max(1, largest), for every leading index."""
+    return np.sum(s > rtol * np.maximum(1.0, s[..., :1]), axis=-1)
 
 
 def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -76,13 +86,13 @@ def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return vh[_rank(s, rtol):].conj()
 
 
-def nullity(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Dimension of the nullspace of `mat`: len(nullspace(mat, rtol)), from
-    the singular values alone."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.size == 0:
-        return mat.shape[1]
-    return mat.shape[1] - _rank(np.linalg.svd(mat, compute_uv=False), rtol)
+def nullity(mats: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+    """len(nullspace(mat, rtol)) for each matrix of a (..., m, n) stack, from
+    the singular values alone, all taken in one call."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape[-2] == 0 or mats.shape[-1] == 0:
+        return np.full(mats.shape[:-2], mats.shape[-1])
+    return mats.shape[-1] - _rank(np.linalg.svd(mats, compute_uv=False), rtol)
 
 
 def new_directions(comp: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -106,17 +116,19 @@ def new_directions(comp: np.ndarray, cand: np.ndarray) -> np.ndarray:
 def sylvester_system(mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:
     """The stacked system whose nullspace is {T : m2_a T = T m1_a for all a}.
 
-    mats1 is (s, n1, n1) and mats2 is (s, n2, n2). Row block a is
-    m2_a (x) I - I (x) m1_a^T, the map vec(T) -> vec(m2_a T - T m1_a) on the
-    row-major vec of n2 x n1 matrices, built for all slices in one broadcast:
-    the entries are the products np.kron would form, so the system is the
-    same to the bit.
+    mats1 is (..., s, n1, n1) and mats2 is (..., s, n2, n2), with the same
+    leading batch axes; the result is (..., s * n2 * n1, n2 * n1), one system
+    per batch index. Row block a is m2_a (x) I - I (x) m1_a^T, the map
+    vec(T) -> vec(m2_a T - T m1_a) on the row-major vec of n2 x n1 matrices,
+    built for all slices in one broadcast: the entries are the products
+    np.kron would form, so the system is the same to the bit.
     """
-    s, n1, n2 = len(mats1), mats1.shape[1], mats2.shape[1]
-    system = mats2[:, :, None, :, None] * np.eye(n1)[None, None, :, None, :]
-    system -= np.eye(n2)[None, :, None, :, None] * \
-        mats1.transpose(0, 2, 1)[:, None, :, None, :]
-    return system.reshape(s * n2 * n1, n2 * n1)
+    *batch, s, n1, _ = mats1.shape
+    n2 = mats2.shape[-1]
+    system = mats2[..., :, :, None, :, None] * np.eye(n1)[:, None, :]
+    system -= np.eye(n2)[:, None, :, None] * \
+        mats1.swapaxes(-1, -2)[..., :, None, :, None, :]
+    return system.reshape(*batch, s * n2 * n1, n2 * n1)
 
 
 def module_hom_basis(mats1, mats2) -> list[np.ndarray]:
@@ -136,10 +148,36 @@ def compress_stack(mats: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.conj(q).T @ mats @ q
 
 
+def hom_space_dims(pairs) -> list[int]:
+    """len(module_hom_basis(mats1, mats2)) for every (mats1, mats2) pair,
+    without computing the bases.
+
+    Pairs whose systems have the same shape are counted together, in stacks
+    of at most SYSTEM_CELLS system entries (one system if it is larger), each
+    stack's singular values in one call. An empty generator set, (0, n, n)
+    as on the trivial algebra, counts every n2 x n1 matrix.
+    """
+    pairs = [(np.asarray(m1, dtype=complex), np.asarray(m2, dtype=complex))
+             for m1, m2 in pairs]
+    by_shape: dict[tuple, list[int]] = {}
+    for i, (m1, m2) in enumerate(pairs):
+        by_shape.setdefault((m1.shape, m2.shape), []).append(i)
+    counts = [0] * len(pairs)
+    for (shape1, shape2), idx in by_shape.items():
+        cells = shape1[0] * (shape1[1] * shape2[1]) ** 2
+        step = max(1, SYSTEM_CELLS // max(1, cells))
+        for start in range(0, len(idx), step):
+            part = idx[start:start + step]
+            found = nullity(sylvester_system(np.stack([pairs[i][0] for i in part]),
+                                             np.stack([pairs[i][1] for i in part])))
+            for i, n in zip(part, found.tolist()):
+                counts[i] = n
+    return counts
+
+
 def hom_space_dim(mats1, mats2) -> int:
     """len(module_hom_basis(mats1, mats2)), without computing the basis."""
-    return nullity(sylvester_system(np.asarray(mats1, dtype=complex),
-                                    np.asarray(mats2, dtype=complex)))
+    return hom_space_dims([(mats1, mats2)])[0]
 
 
 def check_commutant(mats, comm) -> None:

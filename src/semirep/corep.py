@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import (DEFAULT_SEED, TOL_DEGENERATE, TOL_VERIFY, as_int,
                       char_sort_key, check_commutant, decompose, hom_space_dim,
-                      max_abs, module_hom_basis)
+                      hom_space_dims, max_abs, module_hom_basis)
 from .errors import (OracleDisagreement, OrbitResolutionFailure,
                      PeterWeylMismatch, ValidationError)
 from .groups import FiniteGroup, GroupAction
@@ -53,6 +53,12 @@ class Corep:
         slices = np.moveaxis(self.entries, 2, 0)[self.parent.generators()]
         slices.flags.writeable = False
         return slices
+
+    @cached_property
+    def self_mor_dim(self) -> int:
+        """mor_dim(self, self), computed once per corep; 1 exactly when the
+        corep is irreducible."""
+        return mor_dim(self, self)
 
 
 def verify_corep(u: Corep) -> dict:
@@ -102,15 +108,18 @@ def intertwiner_basis(u: Corep, w: Corep) -> list[np.ndarray]:
     return module_hom_basis(u.coeff_slices, w.coeff_slices)
 
 
-def mor_dim(u: Corep, w: Corep) -> int:
-    """dim Mor(u, w), computed twice (characters and nullspace), must agree."""
-    via_char = _char_mor_dim(u, w)
-    _common_parent(u, w)
-    via_null = hom_space_dim(u.coeff_slices, w.coeff_slices)
+def _agreed(via_char: int, via_null: int) -> int:
     if via_char != via_null:
         raise OracleDisagreement(
             f"mor_dim mismatch: characters give {via_char}, nullspace gives {via_null}")
     return via_char
+
+
+def mor_dim(u: Corep, w: Corep) -> int:
+    """dim Mor(u, w), computed twice (characters and nullspace), must agree."""
+    via_char = _char_mor_dim(u, w)
+    _common_parent(u, w)
+    return _agreed(via_char, hom_space_dim(u.coeff_slices, w.coeff_slices))
 
 
 # -- conjugates ----------------------------------------------------------------
@@ -205,17 +214,29 @@ def act(r: int, u: Corep, alpha: list[QAutomorphism], lam: FiniteGroup) -> Corep
 
 def irr_action(h: HopfData, lam: FiniteGroup, alpha: list[QAutomorphism],
                seed: int = DEFAULT_SEED) -> GroupAction:
-    """The permutation action of Lambda on the canonical list irr_enumerate(h)."""
+    """The permutation action of Lambda on the canonical list irr_enumerate(h).
+
+    Each moved irrep r . x_i is matched against every irrep y_j of its
+    dimension by both routes of mor_dim, all candidates at once: the
+    characters are paired through one Gram product and the hom spaces counted
+    in one batch. The checks then run in (r, i, j) order, so the first failure
+    is the one pair-by-pair mor_dim calls would raise.
+    """
     irreps = irr_enumerate(h, seed)
     n = len(irreps)
+    rows = [(r, i) for r in lam.elements() for i in range(n)]
+    moved = [act(r, irreps[i], alpha, lam) for r, i in rows]
+    same_dim = [[j for j, y in enumerate(irreps) if y.dim == m.dim] for m in moved]
+    pairings = h.pair_forms(np.array([m.char_vec() for m in moved])) \
+        @ np.array([y.char_vec() for y in irreps]).T
+    counts = iter(hom_space_dims([(m.coeff_slices, irreps[j].coeff_slices)
+                                  for m, js in zip(moved, same_dim) for j in js]))
     perm = np.zeros((lam.order, n), dtype=int)
-    for r in lam.elements():
-        for i, x in enumerate(irreps):
-            moved = act(r, x, alpha, lam)
-            matches = [j for j, y in enumerate(irreps)
-                       if y.dim == moved.dim and mor_dim(moved, y) >= 1]
-            if len(matches) != 1:
-                raise OrbitResolutionFailure(
-                    f"r={r} moves irrep {i} to {len(matches)} candidates")
-            perm[r, i] = matches[0]
+    for row, (r, i) in enumerate(rows):
+        matches = [j for j in same_dim[row]
+                   if _agreed(as_int(pairings[row, j]), next(counts)) >= 1]
+        if len(matches) != 1:
+            raise OrbitResolutionFailure(
+                f"r={r} moves irrep {i} to {len(matches)} candidates")
+        perm[r, i] = matches[0]
     return GroupAction(lam, perm)

@@ -125,7 +125,12 @@ class HopfData:
 
     def pair(self, x, y) -> complex:
         """The Haar pairing h(x^* y), through the cached Gram matrix."""
-        return complex(np.conj(x) @ self.gram() @ y)
+        return complex(self.pair_forms(x) @ y)
+
+    def pair_forms(self, x):
+        """The linear forms y -> h(x^* y) of a coefficient vector, or of each
+        row of a stack, in one Gram product: pair(x, y) = pair_forms(x) @ y."""
+        return np.conj(x) @ self.gram()
 
     # -- derived structure -----------------------------------------------------
 

@@ -66,7 +66,7 @@ class RepParameter(GRParameter):
 
     def validate(self, inst: SemidirectInstance):
         super().validate(inst)
-        if mor_dim(self.u, self.u) != 1:
+        if self.u.self_mor_dim != 1:
             raise ValidationError("parameter requires an irreducible u")
 
 
@@ -247,7 +247,8 @@ def classify(inst: SemidirectInstance, seed: int = DEFAULT_SEED) -> list[Classif
     if total != top.dim:
         raise CompletenessFailure(
             f"classification is incomplete: sum dim^2 = {total} != {top.dim}")
-    gram = np.array([[h.pair(a.character, b.character) for b in out] for a in out])
+    chars = np.array([w.character for w in out])
+    gram = h.pair_forms(chars) @ chars.T
     if max_abs(gram - np.eye(len(out))) > TOL_ACCEPT:
         raise GramFailure("character Gram matrix of classified irreps is not identity")
     return out
@@ -268,8 +269,11 @@ def conjugation_pairing(inst: SemidirectInstance, w: ClassifiedIrr,
     top = inst.top
     pbar = conjugate_parameter(top, w.parameter)
     chi = induce(top, csr_corep(top, pbar)).result.char_vec()
-    for cand in candidates:
-        if as_int(top.product.pair(cand.character, chi)) == 1:
+    h = top.product
+    chars = np.array([c.character for c in candidates]).reshape(-1, h.dim)
+    pairings = h.pair_forms(chars) @ chi
+    for cand, pairing in zip(candidates, pairings):
+        if as_int(pairing) == 1:
             return cand.label
     raise OracleDisagreement(f"conjugate of {w.label} matches no classified irrep")
 
@@ -494,7 +498,10 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionT
 
     Per entry and coset triple run `incidence`: its character pairing,
     proj_mor_dim(q1.v, red.v) on the moved v1 and the reduced v, and the
-    comparison of the two. Per entry run the characters and modules routes.
+    comparison of the two. Per entry run the characters and modules routes:
+    the character pairings of all w1 with one chi2 . chi3 are one product
+    against the Haar forms of the classified characters, and
+    module_fusion_cube counts the module homs in one batch per w2.
     Everything else is built once per distinct input and shared (see
     _FusionTables): the CSR corep of each classified parameter (taken from
     classify), coset transversals, meets, restricted characters, moved
@@ -508,15 +515,16 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionT
     k = len(classified)
     tables = _FusionTables(top, classified)
     modules = module_fusion_cube([w.induced for w in classified])
+    forms = h.pair_forms(np.array([w.character for w in classified]))
     cube = np.zeros((k, k, k), dtype=int)
     evaluated = dict.fromkeys(FUSION_ROUTES, 0)
     for i2, w2 in enumerate(classified):
         for i3, w3 in enumerate(classified):
-            chi_t = h.product(w2.character, w3.character)
+            pairings = forms @ h.product(w2.character, w3.character)
             for i1, w1 in enumerate(classified):
                 found = {
                     "formula": fusion_entry(top, w1, w2, w3, tables),
-                    "characters": as_int(h.pair(w1.character, chi_t)),
+                    "characters": as_int(pairings[i1]),
                     "modules": int(modules[i1, i2, i3]),
                 }
                 for route in found:

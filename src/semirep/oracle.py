@@ -8,7 +8,8 @@ layer an independent cross-check for the classification and fusion
 pipelines. Every system here stacks only the slices of the f_a that generate
 A^ (Corep.coeff_slices, certified by HopfData.generators): a map commutes
 with the whole module action exactly when it commutes with the generators'
-action, so the counts are those over all d slices.
+action, so the counts are those over all d slices. The module-route fusion
+cube counts its k^3 hom spaces in k batches, one per w2 (_linalg.hom_space_dims).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import (DEFAULT_SEED, compress_stack, decompose, hom_space_dim,
-                      module_hom_basis)
+                      hom_space_dims, module_hom_basis)
 from .corep import Corep, regular_corep, tensor
 from .errors import PeterWeylMismatch
 from .hopf import HopfData
@@ -28,14 +29,17 @@ def module_hom_dim(u: Corep, w: Corep) -> int:
 
 
 def module_fusion_cube(coreps: list[Corep]) -> np.ndarray:
-    """N[i1, i2, i3] = module_hom_dim(w_i1, w_i2 (x) w_i3) over all triples."""
+    """N[i1, i2, i3] = module_hom_dim(w_i1, w_i2 (x) w_i3) over all triples.
+
+    For each w2, the k tensors w2 (x) w3 are built and all k^2 systems
+    (w1, w2 (x) w3) are counted together, so at most k tensors are held.
+    """
     k = len(coreps)
     cube = np.zeros((k, k, k), dtype=int)
     for i2, w2 in enumerate(coreps):
-        for i3, w3 in enumerate(coreps):
-            t = tensor(w2, w3)
-            for i1, w1 in enumerate(coreps):
-                cube[i1, i2, i3] = module_hom_dim(w1, t)
+        tensors = [tensor(w2, w3).coeff_slices for w3 in coreps]
+        counts = hom_space_dims([(w1.coeff_slices, t) for t in tensors for w1 in coreps])
+        cube[:, i2, :] = np.reshape(counts, (k, k)).T
     return cube
 
 

@@ -7,8 +7,9 @@ Hopf algebra, the dense conjugation isomorphism that act_corep is checked agains
 and einsum references of the batched group-relation checks and corep
 contractions, the two-step translate-then-restrict reference of a moved
 parameter, the module-hom systems over all d coefficient slices that the
-generator-slice systems are checked against, and fusion entries and
-incidence numbers over fresh tables."""
+generator-slice systems are checked against, fusion entries and
+incidence numbers over fresh tables, and the algebraic identities every
+fusion cube satisfies."""
 
 import itertools
 
@@ -427,3 +428,24 @@ def standalone_entry(inst, w1, w2, w3) -> int:
 def standalone_incidence(inst, params, reps) -> int:
     """incidence over fresh, empty tables."""
     return incidence(inst, params, reps, tables=_FusionTables(inst, ()))
+
+
+def check_fusion_identities(n: np.ndarray, dims: np.ndarray, bar: np.ndarray) -> None:
+    """Assert the identities of a fusion cube N[w1][w2][w3] = N_{w2 w3}^{w1},
+    given each irrep's dimension and the index bar[w] of its conjugate:
+    - Frobenius reciprocity: N[w1][w2][w3] = N[w2][w1][conj(w3)];
+    - the dimension identity: sum_w1 N[w1][w2][w3] dim w1 = dim w2 dim w3;
+    - a unique unit t with N[:][t][:] the identity, and N[t][w][conj(w)] = 1.
+    """
+    k = len(dims)
+    assert n.shape == (k, k, k) and (n >= 0).all()
+    assert np.array_equal(bar[bar], np.arange(k))
+
+    assert np.array_equal(n, n.transpose(1, 0, 2)[:, :, bar])
+    assert np.array_equal(np.einsum("abc,a->bc", n, dims), np.outer(dims, dims))
+
+    units = [t for t in range(k) if np.array_equal(n[:, t, :], np.eye(k, dtype=int))]
+    assert len(units) == 1
+    t = units[0]
+    assert dims[t] == 1 and bar[t] == t
+    assert all(n[t, i, bar[i]] == 1 for i in range(k))

@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from semirep import _linalg
 from semirep.corep import (Corep, act, conjugate, intertwiner_basis,
                            irr_action, irr_decompose, irr_enumerate, mor_dim,
                            regular_corep, tensor, verify_corep)
+from semirep.errors import (IntegerRecoveryError, OracleDisagreement,
+                            OrbitResolutionFailure)
 from semirep.groups import GroupAction, cyclic_group, symmetric_group
 from semirep.hopf import (action_from_group_hom, function_algebra, group_algebra)
 
@@ -202,6 +205,73 @@ def test_irr_action_conjugation_on_dual_s3():
     from semirep.groups import orbits
     sizes = sorted(len(o) for o in orbits(action))
     assert sizes == [1, 1, 2, 2]
+
+
+def _pairwise_irr_action(h, lam, alpha):
+    """irr_action by one mor_dim per candidate pair, in (r, i, j) order: the
+    reference for its result and for which failure it raises first."""
+    irreps = irr_enumerate(h)
+    perm = np.zeros((lam.order, len(irreps)), dtype=int)
+    for r in lam.elements():
+        for i, x in enumerate(irreps):
+            moved = act(r, x, alpha, lam)
+            matches = [j for j, y in enumerate(irreps)
+                       if y.dim == moved.dim and mor_dim(moved, y) >= 1]
+            if len(matches) != 1:
+                raise OrbitResolutionFailure(
+                    f"r={r} moves irrep {i} to {len(matches)} candidates")
+            perm[r, i] = matches[0]
+    return perm
+
+
+@pytest.mark.parametrize("name", "abcdefgh")
+def test_irr_action_equals_pairwise_reference(name, request):
+    inst = request.getfixturevalue(f"inst_{name}")
+    action = irr_action(inst.base, inst.lam_full, inst.alpha)
+    assert np.array_equal(action.perm,
+                          _pairwise_irr_action(inst.base, inst.lam_full, inst.alpha))
+
+
+def _conjugation_on_c_s3():
+    """C(S3), irreps of dims 1, 1, 2, with Z2 acting by conjugation."""
+    s3, z2 = symmetric_group(3), cyclic_group(2)
+    h = function_algebra(s3)
+    t12 = sorted(itertools.permutations(range(3))).index((1, 0, 2))
+    conj_perm = np.array([s3.mul(s3.mul(t12, x), t12) for x in s3.elements()])
+    autos = action_from_group_hom(h, z2, [np.arange(6), conj_perm], "function")
+    assert [u.dim for u in irr_enumerate(h)] == [1, 1, 2]
+    return h, z2, autos
+
+
+def _first_failure(fn, *args):
+    with pytest.raises((OracleDisagreement, OrbitResolutionFailure)) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("duplicate,want", [(0, OrbitResolutionFailure),
+                                            (2, OracleDisagreement)])
+def test_irr_action_raises_the_pairwise_first_failure(duplicate, want, monkeypatch):
+    """With a duplicated irrep and a nullspace count forced wrong on the
+    2-dim pairs, the batched matching raises the failure, and the message,
+    that pair-by-pair mor_dim calls in (r, i, j) order raise first: the
+    duplicated 1-dim irrep fails its orbit before any 2-dim pair is checked,
+    and a 2-dim pair disagrees before its orbit is resolved."""
+    h, z2, autos = _conjugation_on_c_s3()
+    irreps = irr_enumerate(h)
+    h._cache[("irr_enumerate", _linalg.DEFAULT_SEED)] = irreps + [irreps[duplicate]]
+    count = _linalg.nullity
+    monkeypatch.setattr(_linalg, "nullity", lambda m: count(m) + (m.shape[-1] == 4))
+    got = _first_failure(irr_action, h, z2, autos)
+    assert got == _first_failure(_pairwise_irr_action, h, z2, autos)
+    assert got[0] is want
+
+
+def test_irr_action_raises_on_a_non_integer_pairing():
+    h, z2, autos = _conjugation_on_c_s3()
+    h._cache["gram"] = h.gram() / 2
+    with pytest.raises(IntegerRecoveryError, match="is not within"):
+        irr_action(h, z2, autos)
 
 
 def test_oracle_module_route_matches_mor_dim():

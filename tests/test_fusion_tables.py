@@ -47,14 +47,19 @@ def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypat
     reductions = spy(monkeypatch, mackey, "reduce_grp")
     bases = spy(monkeypatch, mackey, "intertwiner_basis")
     csrs = spy(monkeypatch, mackey, "csr_corep")
-    module_homs = spy(monkeypatch, oracle, "module_hom_dim")
+    module_homs = spy(monkeypatch, oracle, "hom_space_dims")
 
     table = fusion(inst_d, cl)
 
-    # one incidence per (entry, coset triple); one module-hom count per entry
+    # one incidence per (entry, coset triple); one module-hom count per
+    # entry, each of the k^3 systems (w1, w2 (x) w3) counted exactly once
     assert cosets ** 3 == k ** 3 == 1728
     assert len(incidences) == cosets ** 3
-    assert len(module_homs) == k ** 3
+    systems = [pair for (pairs,), _ in module_homs for pair in pairs]
+    assert len(systems) == k ** 3
+    assert len({(id(m1), id(m2)) for m1, m2 in systems}) == k ** 3
+    assert {id(m1) for m1, _ in systems} == {id(w.induced.coeff_slices) for w in cl}
+    assert len({id(m2) for _, m2 in systems}) == k ** 2
     assert table.evaluated == {"formula": k ** 3, "characters": k ** 3,
                                "modules": k ** 3}
     assert table.agreement() == "3/3 methods agree"

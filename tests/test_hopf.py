@@ -241,23 +241,27 @@ def _dense_verify_axioms(h: HopfData) -> dict:
     eye = np.eye(d)
     mult, comult = dense(h, "mult"), dense(h, "comult")
 
-    assoc = np.einsum("ijm,mkl->ijkl", mult, mult) \
-        - np.einsum("jkm,iml->ijkl", mult, mult)
+    # the d^5 contractions run as BLAS tensordots over m, then a transpose
+    # to ijkl
+    assoc = np.tensordot(mult, mult, axes=(2, 0)) \
+        - np.tensordot(mult, mult, axes=(2, 1)).transpose(2, 0, 1, 3)
     res["associativity"] = max_abs(assoc)
     res["unit"] = max(
         max_abs(np.einsum("i,ijk->jk", h.unit, mult) - eye),
         max_abs(np.einsum("j,ijk->ik", h.unit, mult) - eye))
 
-    coassoc = np.einsum("iml,mjk->ijkl", comult, comult) \
-        - np.einsum("ijm,mkl->ijkl", comult, comult)
+    coassoc = np.tensordot(comult, comult, axes=(1, 0)).transpose(0, 2, 3, 1) \
+        - np.tensordot(comult, comult, axes=(2, 0))
     res["coassociativity"] = max_abs(coassoc)
     res["counit"] = max(
         max_abs(np.einsum("ijk,j->ik", comult, h.counit) - eye),
         max_abs(np.einsum("ijk,k->ij", comult, h.counit) - eye))
 
-    lhs = np.einsum("ijk,kpq->ijpq", mult, comult)
-    rhs = np.einsum("iab,jcd,acp,bdq->ijpq", comult, comult, mult, mult,
-                    optimize=True)
+    lhs = np.tensordot(mult, comult, axes=(2, 0))
+    # sum over a, then d, then (b, c): [i,b,c,p] and [j,c,b,q] -> [i,p,j,q]
+    rhs = np.tensordot(np.tensordot(comult, mult, axes=(1, 0)),
+                       np.tensordot(comult, mult, axes=(2, 1)),
+                       axes=([1, 2], [2, 1])).transpose(0, 2, 1, 3)
     res["comult_multiplicative"] = max_abs(lhs - rhs)
     res["comult_unital"] = max_abs(np.einsum("i,ijk->jk", h.unit, comult)
                                    - np.outer(h.unit, h.unit))
@@ -266,10 +270,11 @@ def _dense_verify_axioms(h: HopfData) -> dict:
 
     res["star_involutive"] = max_abs(h.star @ np.conj(h.star) - eye)
     lhs = np.einsum("ijk,pk->ijp", np.conj(mult), h.star)
-    rhs = np.einsum("bj,ai,bap->ijp", h.star, h.star, mult)
+    rhs = np.tensordot(h.star, np.tensordot(h.star, mult, axes=(0, 0)), axes=(0, 1))
     res["star_antimultiplicative"] = max_abs(lhs - rhs)
     lhs = np.einsum("ki,kpq->ipq", h.star, comult)
-    rhs = np.einsum("ijk,pj,qk->ipq", np.conj(comult), h.star, h.star)
+    rhs = np.tensordot(np.tensordot(np.conj(comult), h.star, axes=(1, 1)), h.star,
+                       axes=(1, 1))
     res["comult_star"] = max_abs(lhs - rhs)
 
     left = np.einsum("ijk,lj,lkp->ip", comult, h.antipode, mult, optimize=True)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from semirep._linalg import (hom_space_dim, module_hom_basis, nullity, nullspace,
-                             sylvester_system)
+from semirep import _linalg
+from semirep._linalg import (hom_space_dim, hom_space_dims, module_hom_basis, nullity,
+                             nullspace, sylvester_system)
 
 
 def kron_system(mats1, mats2):
@@ -73,11 +74,14 @@ def test_nullity_of_empty_matrices(shape):
 
 
 def test_nullity_on_the_module_cube_of_e(inst_e):
-    """The 729 Sylvester systems of E's module-route fusion cube."""
+    """The 729 Sylvester systems of E's module-route fusion cube, counted one
+    by one and in batches."""
     from semirep.corep import tensor
     from semirep.mackey import classify
+    from semirep.oracle import module_fusion_cube
     coreps = [w.induced for w in classify(inst_e)]
     assert len(coreps) ** 3 == 729
+    pairs, counts = [], []
     for w2 in coreps:
         for w3 in coreps:
             t = tensor(w2, w3).coeff_slices
@@ -86,3 +90,63 @@ def test_nullity_on_the_module_cube_of_e(inst_e):
                 count = len(nullspace(system))
                 assert nullity(system) == count
                 assert hom_space_dim(w1.coeff_slices, t) == count
+                pairs.append((w1.coeff_slices, t))
+                counts.append(count)
+    assert hom_space_dims(pairs) == counts
+    k = len(coreps)
+    cube = np.array(counts).reshape(k, k, k).transpose(2, 0, 1)
+    assert np.array_equal(module_fusion_cube(coreps), cube)
+
+
+def _mixed_pairs(rng):
+    """Generator-slice families of several shapes, empty ones included, some
+    with a nonzero hom space (mats2 holds a copy of mats1)."""
+    pairs = []
+    for s, n1, n2 in [(2, 1, 1), (3, 2, 3), (0, 2, 3), (2, 1, 1), (1, 3, 2),
+                      (0, 2, 3), (3, 2, 3), (2, 2, 4), (0, 1, 1), (2, 2, 4)]:
+        mats1 = np.stack(random_family(rng, s, n1)) if s else np.zeros((0, n1, n1))
+        mats2 = np.stack(random_family(rng, s, n2)) if s else np.zeros((0, n2, n2))
+        if s and n2 >= n1:
+            mats2[:, :n1, :n1] = mats1
+            mats2[:, :n1, n1:] = 0
+            mats2[:, n1:, :n1] = 0
+        pairs.append((mats1, mats2))
+    return pairs
+
+
+@pytest.mark.parametrize("cells", [1, 7, _linalg.SYSTEM_CELLS])
+def test_batched_counts_equal_one_by_one(cells, monkeypatch):
+    """Every batch size, from one system per call up, gives the one-by-one
+    counts, in the order of the pairs."""
+    pairs = _mixed_pairs(np.random.default_rng(3))
+    want = [int(nullity(sylvester_system(m1.astype(complex), m2.astype(complex))))
+            for m1, m2 in pairs]
+    assert want[2] == 6 and want[8] == 1 and want[1] == 1
+    calls = []
+    monkeypatch.setattr(_linalg, "SYSTEM_CELLS", cells)
+    monkeypatch.setattr(_linalg, "nullity", lambda m: calls.append(m.shape) or nullity(m))
+    assert hom_space_dims(pairs) == want
+    assert [hom_space_dim(m1, m2) for m1, m2 in pairs] == want
+    for shape in calls[:-len(pairs)]:
+        assert shape[0] == 1 or shape[0] * shape[1] * shape[2] <= cells
+
+
+@pytest.mark.parametrize("rows,cols", [(11, 1), (44, 4), (64, 16), (256, 64)])
+def test_stacked_singular_values_equal_one_matrix_calls(rows, cols):
+    rng = np.random.default_rng(rows + cols)
+    stack = rng.standard_normal((5, rows, cols)) + 1j * rng.standard_normal((5, rows, cols))
+    stack[1] = stack[0]  # a repeated matrix and a rank-deficient one
+    stack[2, :, -1] = stack[2, :, 0]
+    together = np.linalg.svd(stack, compute_uv=False)
+    for mat, s in zip(stack, together):
+        assert np.array_equal(s, np.linalg.svd(mat, compute_uv=False))
+
+
+def test_stacked_sylvester_systems_equal_single_ones():
+    rng = np.random.default_rng(8)
+    mats1 = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
+    mats2 = rng.standard_normal((4, 3, 3, 3)) + 1j * rng.standard_normal((4, 3, 3, 3))
+    together = sylvester_system(mats1, mats2)
+    assert together.shape == (4, 3 * 3 * 2, 3 * 2)
+    for m1, m2, system in zip(mats1, mats2, together):
+        assert system.tobytes() == sylvester_system(m1, m2).tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semirep import cli
+from semirep import cli, corep, mackey
 from semirep._linalg import max_abs
 from semirep.cohomology import cocycle_inverse, cocycle_product
 from semirep.corep import Corep, irr_action, irr_enumerate, mor_dim, verify_corep
@@ -15,7 +15,7 @@ from semirep.mackey import (GRParameter, RepParameter, act_base, classify,
                             move_rep, param_mor_dim, reduce_grp, stabilizer_of_class)
 from semirep.projective import ProjectiveRep, irreducible_projreps
 
-from helpers import (proj_direct_sum, restrict_param, standalone_incidence,
+from helpers import (proj_direct_sum, restrict_param, spy, standalone_incidence,
                      translate_param, trivial_rep, trivial_subgroup)
 
 
@@ -278,6 +278,26 @@ def build_grp_roundtrip(inst, rng, mult=2):
                           cocycle_product(v1.cocycle, v0.cocycle))
     v = chars[int(rng.integers(0, len(chars)))]
     return GRParameter(u, v_big, v, full), u0, v0, v1, v
+
+
+def test_validate_decides_irreducibility_once_per_corep(inst_a, inst_c, monkeypatch):
+    """A second validate with the same u runs no further mor_dim; a
+    reducible u still fails with the same message."""
+    logs = spy(monkeypatch, corep, "mor_dim"), spy(monkeypatch, mackey, "mor_dim")
+    for inst in (inst_a, inst_c):
+        for w in classify(inst):
+            p = w.parameter
+            fresh = RepParameter(Corep(p.u.parent, p.u.entries), p.V, p.v, p.lambda0)
+            before = sum(map(len, logs))
+            fresh.validate(inst)
+            assert sum(map(len, logs)) == before + 1 and fresh.u.self_mor_dim == 1
+            fresh.validate(inst)
+            RepParameter(fresh.u, p.V, p.v, p.lambda0).validate(inst)
+            assert sum(map(len, logs)) == before + 1
+    g = build_grp_roundtrip(inst_a, np.random.default_rng(21), mult=2)[0]
+    with pytest.raises(ValidationError, match="^parameter requires an irreducible u$"):
+        RepParameter(g.u, g.V, g.v, g.lambda0).validate(inst_a)
+    assert g.u.self_mor_dim == 4  # u = 1_2 (x) u0
 
 
 def test_reduce_grp_identity_case(inst_a):

@@ -2,8 +2,9 @@
 
 Random (base, action) pairs from a family of small groups; each instance must
 classify completely, produce its full fusion cube with all three routes
-agreeing, satisfy the dimension identity, and reproduce sampled cube entries
-through standalone fusion_entry calls.
+agreeing, satisfy Frobenius reciprocity, the dimension identity and the unit
+under the conjugation pairing, and reproduce sampled cube entries through
+standalone fusion_entry calls.
 """
 
 import zlib
@@ -15,10 +16,10 @@ from semirep.groups import (automorphisms, cyclic_group, dihedral_group,
                             direct_product, quaternion_group, symmetric_group)
 from semirep.hopf import (action_from_group_hom, function_algebra,
                           group_algebra, verify_axioms)
-from semirep.mackey import classify, fusion
+from semirep.mackey import classify, conjugation_pairing, fusion
 from semirep.semidirect import build
 
-from helpers import standalone_entry
+from helpers import check_fusion_identities, standalone_entry
 
 BASES = {
     "Z4": cyclic_group(4),
@@ -66,13 +67,13 @@ def test_random_instance_pipeline(label, alg, hom, kind):
     assert verify_axioms(inst.product)["pass"]
     cl = classify(inst)
     assert sum(w.dim ** 2 for w in cl) == inst.dim
-    # the full cube, three-way; then the dimension identity
-    # dim w2 * dim w3 = sum_w1 N[w1][w2][w3] * dim w1
+    # the full cube, three-way; then Frobenius reciprocity, the dimension
+    # identity and the unit, with each irrep's conjugate from `conj`'s pairing
     table = fusion(inst, cl)
     assert table.agreement() == "3/3 methods agree"
-    dims = np.array([w.dim for w in cl])
-    assert np.array_equal(np.einsum("abc,a->bc", table.coefficients, dims),
-                          np.outer(dims, dims))
+    labels = [w.label for w in cl]
+    bar = np.array([labels.index(conjugation_pairing(inst, w, cl)) for w in cl])
+    check_fusion_identities(table.coefficients, np.array([w.dim for w in cl]), bar)
     # sampled entries again, each from a standalone fusion_entry
     local = np.random.default_rng(zlib.crc32(label.encode()))
     for _ in range(3):

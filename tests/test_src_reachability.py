@@ -18,6 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "semirep"
 ACCEPTANCE = "acceptance reference (tests/test_acceptance.py)"
 BENCHMARK = "benchmark input (perfbench/inputs.py)"
 PAIR_REFERENCE = "reference that tests compare `pair` against"
+TRACED = "one-pair module-hom count that perfbench/tracer.py wraps"
 
 KEEP = {
     ("corpus", "instance"): ACCEPTANCE,
@@ -35,6 +36,7 @@ KEEP = {
     ("groups", "quaternion_group"): BENCHMARK,
     ("groups", "symmetric_group"): BENCHMARK,
     ("hopf", "HopfData.haar_vec"): PAIR_REFERENCE,
+    ("oracle", "module_hom_dim"): TRACED,
 }
 
 
