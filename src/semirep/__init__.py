@@ -16,9 +16,9 @@ from .groups import (FiniteGroup, GroupAction, Subgroup, all_subgroups,
                      conjugate_intersection, conjugate_subgroup, cyclic_group,
                      direct_product, full_subgroup, left_cosets, orbit, orbits,
                      stabilizer, symmetric_group)
-from .hopf import (HopfData, QAutomorphism, action_from_group_hom,
-                   function_algebra, group_algebra, haar_solve, is_kac,
-                   product_algebra, verify_axioms)
+from .hopf import (HopfData, action_from_group_hom, function_algebra,
+                   group_algebra, haar_solve, is_kac, product_algebra,
+                   verify_axioms)
 from .induction import (InducedRep, ind_mor_dim, induce, induced_character,
                         mackey_irreducible)
 from .mackey import (ClassifiedIrr, FusionTable, GRParameter, RepParameter,

@@ -19,7 +19,7 @@ from ._linalg import (DEFAULT_SEED, TOL_DEGENERATE, TOL_VERIFY, as_int,
 from .errors import (OracleDisagreement, OrbitResolutionFailure,
                      PeterWeylMismatch, ValidationError)
 from .groups import FiniteGroup, GroupAction
-from .hopf import HopfData, QAutomorphism
+from .hopf import HopfData
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +206,12 @@ def irr_enumerate(h: HopfData, seed: int = DEFAULT_SEED) -> list[Corep]:
 
 # -- the action of Lambda on coreps and on Irr ----------------------------------
 
-def act(r: int, u: Corep, alpha: list[QAutomorphism], lam: FiniteGroup) -> Corep:
-    """r . u = (id (x) alpha*_{r^{-1}})(u)."""
-    m = alpha[lam.inverse(r)].matrix
-    return Corep(u.parent, np.einsum("pc,ijc->ijp", m, u.entries))
+def act(r: int, u: Corep, alpha: np.ndarray, lam: FiniteGroup) -> Corep:
+    """r . u = (id (x) alpha*_{r^{-1}})(u), alpha the stack of the alpha*_r."""
+    return Corep(u.parent, np.einsum("pc,ijc->ijp", alpha[lam.inverse(r)], u.entries))
 
 
-def irr_action(h: HopfData, lam: FiniteGroup, alpha: list[QAutomorphism],
+def irr_action(h: HopfData, lam: FiniteGroup, alpha: np.ndarray,
                seed: int = DEFAULT_SEED) -> GroupAction:
     """The permutation action of Lambda on the canonical list irr_enumerate(h).
 

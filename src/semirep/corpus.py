@@ -86,14 +86,10 @@ def build_instance(spec: dict) -> SemidirectInstance:
     """Assemble a SemidirectInstance from the file-schema dictionary."""
     lam = FiniteGroup(_table(spec, "lambda"))
     kind = spec["kind"]
-    if kind == "function_algebra":
-        base_group = FiniteGroup(_table(spec, "base"))
-        base = function_algebra(base_group)
-        autos = action_from_group_hom(base, lam, spec["action"], "function")
-    elif kind == "group_algebra":
-        base_group = FiniteGroup(_table(spec, "base"))
-        base = group_algebra(base_group)
-        autos = action_from_group_hom(base, lam, spec["action"], "group")
+    if kind in ("function_algebra", "group_algebra"):
+        algebra = function_algebra if kind == "function_algebra" else group_algebra
+        base = algebra(FiniteGroup(_table(spec, "base")))
+        alpha = action_from_group_hom(base, lam, spec["action"], "permutation")
     elif kind == "raw_hopf":
         try:
             raw = {k: _raw_tensor(spec["base"][k], k, rank) for k, rank in RANKS.items()}
@@ -107,10 +103,10 @@ def build_instance(spec: dict) -> SemidirectInstance:
         if not report["pass"]:
             raise ValidationError(
                 f"raw Hopf data fails axioms (max residual {report['max']:.2e})")
-        autos = action_from_group_hom(base, lam, action, "matrix")
+        alpha = action_from_group_hom(base, lam, action, "matrix")
     else:
         raise ParseError(f"unknown instance kind {kind!r}")
-    return build(base, lam, autos)
+    return build(base, lam, alpha)
 
 
 def instance(name: str) -> SemidirectInstance:

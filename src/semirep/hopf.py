@@ -9,11 +9,14 @@ vectors. Each identity of verify_axioms compares two joins of the nonzeros of
 two tensors (_join), both streamed in blocks of increasing leading output
 index; _residual reduces the keys whose leading index both sides have
 finished, so a check holds a block of each side at a time at every d.
-automorphism_residuals checks all automorphisms of an action in one such pass,
-their stacked matrices carrying the leading letter r. The identities with a
-unit, counit or Haar vector, HopfData.gram and the dual algebra's left
-multiplications contract one 3-tensor with one vector (_contract_vec). So no
-d^3 tensor is densified and no d^4 array built. HopfData.generators picks and
+An action of a finite group Lambda is one array: action_from_group_hom returns
+the read-only (|Lambda|, d, d) stack of the matrices of alpha*_r, indexed by
+Lambda's elements, and every layer indexes it. automorphism_residuals checks
+all of them in one such pass, the stack carrying the leading letter r. The
+identities with a unit, counit or Haar vector, HopfData.gram and the dual
+algebra's left multiplications contract one 3-tensor with one vector
+(_contract_vec). So no d^3 tensor is densified and no d^4 array built.
+HopfData.generators picks and
 certifies the dual basis elements that generate the dual algebra, whose
 slices are all that module-hom systems need.
 
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,17 +143,6 @@ class HopfData:
             self._cache["gram"] = self.star.T @ _contract_vec(self.mult, self.haar, 2,
                                                               self.dim)
         return self._cache["gram"]
-
-
-@dataclass(frozen=True)
-class QAutomorphism:
-    """A unital *-algebra automorphism intertwining the comultiplication."""
-
-    parent: HopfData
-    matrix: np.ndarray = field(repr=False)
-
-    def __call__(self, x):
-        return self.matrix @ x
 
 
 def _nonzeros(arr) -> tuple[np.ndarray, np.ndarray]:
@@ -494,21 +485,23 @@ def automorphism_residuals(h: HopfData, mats: np.ndarray) -> np.ndarray:
         _join("rki,kpq->ripq", a, comult, size), shape))
 
 
-def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
-                          kind: str) -> list[QAutomorphism]:
-    """Build the antihomomorphism r -> alpha*_r from per-element base maps.
+def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom, kind: str) -> np.ndarray:
+    """The antihomomorphism r -> alpha*_r as one read-only (|Lambda|, d, d)
+    array, slice r the matrix of alpha*_r, built from per-element maps.
 
-    kind 'function': hom[r] is a permutation g -> alpha_r(g) of the base group,
-    r -> alpha_r a homomorphism into Aut(G); the pullback is used.
-    kind 'group': hom[r] is an automorphism beta_r of Gamma for the group
-    algebra; alpha*_r sends lambda_gamma to lambda_{beta_{r^{-1}}(gamma)}.
+    kind 'permutation': hom[r] permutes the basis of C(G) or C[Gamma] as
+    alpha_r permutes G or Gamma, r -> alpha_r a homomorphism into the group's
+    automorphisms; alpha*_r is the pullback, moving basis vector g to
+    hom[r^{-1}](g).
     kind 'matrix': hom[r] is the matrix of alpha*_r itself.
+    Each alpha*_r must be a Hopf *-automorphism fixing the Haar state, and
+    alpha*_(rs) = alpha*_s alpha*_r; the first r, or (r, s) in row-major
+    order, that fails raises.
     """
     d = h.dim
-    if kind in ("function", "group"):
-        # Both constructors use the same pullback formula: alpha*_r moves basis
-        # vector g to hom[r^{-1}](g) (hom[r^{-1}] = (hom[r])^{-1} when hom is a
-        # homomorphism, which the antihomomorphism check below enforces).
+    if kind == "permutation":
+        # hom[r^{-1}] = (hom[r])^{-1} when hom is a homomorphism, which the
+        # antihomomorphism check below enforces
         try:
             perms = [int_array(p) for p in hom]
         except (TypeError, ValueError) as exc:
@@ -518,31 +511,35 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom,
         for r, p in enumerate(perms):
             if p.shape != (d,) or not np.array_equal(np.sort(p), np.arange(d)):
                 raise NotAutomorphism(f"action entry {r} does not permute 0..{d - 1}")
-        mats = [np.eye(d, dtype=complex)[:, perms[lam.inverse(r)]] for r in lam.elements()]
+        mats = np.stack([np.eye(d, dtype=complex)[:, perms[r]] for r in lam.inv])
     elif kind == "matrix":
         mats = [np.asarray(m, dtype=complex) for m in hom]
         if len(mats) != lam.order:
             raise NotAutomorphism("need one matrix per acting group element")
         if any(m.shape != (d, d) for m in mats):
             raise NotAutomorphism(f"action matrices must be {d} x {d}")
+        mats = np.stack(mats)
     else:
         raise ValidationError(f"unknown action kind {kind!r}")
 
-    for r, res in enumerate(automorphism_residuals(h, np.stack(mats))):
-        if res > TOL_VERIFY:
-            raise NotAutomorphism(f"alpha*_{r} fails the automorphism check ({res:.2e})")
-    for r in lam.elements():
-        for s in lam.elements():
-            res = max_abs(mats[lam.mul(r, s)] - mats[s] @ mats[r])
-            if res > TOL_VERIFY:
-                raise NotAntihomomorphism(
-                    f"alpha*_(rs) != alpha*_s alpha*_r at ({r}, {s}) ({res:.2e})")
-    # Haar invariance under every alpha*_s (uniqueness of the Haar state)
-    for r, m in enumerate(mats):
-        res = max_abs(h.haar @ m - h.haar)
-        if res > TOL_VERIFY:
-            raise NotAutomorphism(f"haar not invariant under alpha*_{r} ({res:.2e})")
-    return [QAutomorphism(h, m) for m in mats]
+    # each check's first failure, if any, is where argmax finds its first True
+    res = automorphism_residuals(h, mats)
+    r = np.argmax(res > TOL_VERIFY)
+    if res[r] > TOL_VERIFY:
+        raise NotAutomorphism(f"alpha*_{r} fails the automorphism check ({res[r]:.2e})")
+    # res[r, s] = |alpha*_(rs) - alpha*_s alpha*_r|
+    res = np.abs(mats[lam.mult] - mats[None] @ mats[:, None]).max(axis=(2, 3))
+    r, s = np.unravel_index(np.argmax(res > TOL_VERIFY), res.shape)
+    if res[r, s] > TOL_VERIFY:
+        raise NotAntihomomorphism(
+            f"alpha*_(rs) != alpha*_s alpha*_r at ({r}, {s}) ({res[r, s]:.2e})")
+    # Haar invariance under every alpha*_r (uniqueness of the Haar state)
+    res = max_abs_each(h.haar @ mats - h.haar)
+    r = np.argmax(res > TOL_VERIFY)
+    if res[r] > TOL_VERIFY:
+        raise NotAutomorphism(f"haar not invariant under alpha*_{r} ({res[r]:.2e})")
+    mats.flags.writeable = False
+    return mats
 
 
 def _close(left: np.ndarray, span: np.ndarray, cand: np.ndarray):

@@ -28,10 +28,9 @@ from .groups import (Subgroup, conjugate_intersection, left_cosets, orbits,
                      stabilizer)
 from .induction import induce
 from .oracle import module_fusion_cube
-from .projective import (ProjectiveRep, cocycle_of, contragredient,
-                         irreducible_projreps, ordinary_rep, proj_mor_dim,
-                         pullback, rescale, tensor as proj_tensor,
-                         transitional_map)
+from .projective import (ProjectiveRep, contragredient, irreducible_projreps,
+                         ordinary_rep, proj_mor_dim, projective_rep, pullback,
+                         rescale, tensor as proj_tensor, transitional_map)
 from .semidirect import (SemidirectInstance, act_corep, check_covariant,
                          join_covariant, restrict_corep)
 
@@ -110,7 +109,7 @@ def covariant_projective(inst: SemidirectInstance, u: Corep,
         if max_abs(t @ t.conj().T - np.eye(u.dim)) > TOL_VERIFY:
             raise NotStabilized(f"intertwiner for r0 = {r0} is not unitary")
         mats[local] = t
-    v = ProjectiveRep(sub.group, mats, cocycle_of(sub.group, mats))
+    v = projective_rep(sub.group, mats)
     ok, res, _ = check_covariant(inst.principal(sub), u, v)
     if not ok:
         raise NotCovariant(f"constructed V fails covariance ({res:.2e})")

@@ -9,7 +9,8 @@ or a coefficient vector between principal subgroups (restriction, the
 translation r . U, zero extension) indexes its block axis by the local
 indices that `Subgroup.to_local` gives. The covariance law of a pair
 (U_G, U_Lambda) is checked for every element of Lambda0 in one array
-expression over the stacked automorphism matrices `alpha_mats`.
+expression over the stacked automorphism matrices `alpha_mats`, the slices
+of the action `alpha` (hopf.action_from_group_hom) at Lambda0's elements.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ._linalg import TOL_VERIFY, max_abs
 from .corep import Corep
 from .errors import NotCovariant, ValidationError
 from .groups import FiniteGroup, Subgroup, conjugate_subgroup, full_subgroup
-from .hopf import HopfData, QAutomorphism, product_algebra, verify_axioms
+from .hopf import HopfData, product_algebra, verify_axioms
 from .projective import ProjectiveRep, ordinary_rep
 
 
@@ -35,15 +36,15 @@ class SemidirectInstance:
     """
 
     def __init__(self, base: HopfData, lam_full: FiniteGroup,
-                 alpha: list[QAutomorphism], subgroup: Subgroup,
+                 alpha: np.ndarray, subgroup: Subgroup,
                  top: "SemidirectInstance | None" = None):
         self.base = base
         self.lam_full = lam_full
-        self.alpha = alpha  # indexed by *global* Lambda elements
+        self.alpha = alpha  # (|Lambda|, d, d), indexed by *global* Lambda elements
         self.subgroup = subgroup
         self.lam = subgroup.group
         # alpha_mats[r_local] is the matrix of alpha*_r, r = subgroup element
-        self.alpha_mats = np.stack([alpha[p].matrix for p in subgroup.elements])
+        self.alpha_mats = alpha[list(subgroup.elements)]
         # G x| {e} is G itself, so it shares the base's cached artifacts
         self.product = (base if self.lam.order == 1
                         else product_algebra(base, self.lam, self.alpha_mats))
@@ -82,7 +83,7 @@ class SemidirectInstance:
 
 
 def build(base: HopfData, lam: FiniteGroup,
-          alpha: list[QAutomorphism]) -> SemidirectInstance:
+          alpha: np.ndarray) -> SemidirectInstance:
     """Assemble G x| Lambda and verify all Hopf axioms."""
     return SemidirectInstance(base, lam, alpha, full_subgroup(lam))
 
@@ -166,7 +167,7 @@ def act_corep(inst: SemidirectInstance, r: int, u: Corep) -> Corep:
     idx = own.to_local(lam.conjugate(rinv, moved.elements))
     n = u.dim
     blocks = u.entries.reshape(n, n, own.order, top.base.dim)[:, :, idx]
-    entries = blocks @ top.alpha[rinv].matrix.T
+    entries = blocks @ top.alpha[rinv].T
     return Corep(top.principal(moved).product, entries.reshape(n, n, -1))
 
 

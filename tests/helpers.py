@@ -23,7 +23,7 @@ from semirep.errors import (CocycleMismatch, NonUnitaryExtraction, NotProjective
                             NotScalarRelated, ValidationError)
 from semirep.groups import (FiniteGroup, Subgroup, conjugate_subgroup, left_cosets,
                             symmetric_group)
-from semirep.hopf import HopfData, QAutomorphism
+from semirep.hopf import HopfData
 from semirep.mackey import _FusionTables, act_base, fusion_entry, incidence
 from semirep.projective import ProjectiveRep, pullback
 
@@ -118,9 +118,9 @@ def proj_direct_sum(v1: ProjectiveRep, v2: ProjectiveRep) -> ProjectiveRep:
     return ProjectiveRep(v1.group, mats, v1.cocycle)
 
 
-def trivial_action(h: HopfData, lam: FiniteGroup) -> list[QAutomorphism]:
-    eye = np.eye(h.dim, dtype=complex)
-    return [QAutomorphism(h, eye.copy()) for _ in lam.elements()]
+def trivial_action(h: HopfData, lam: FiniteGroup) -> np.ndarray:
+    """The stack of alpha*_r = id, one per element of lam."""
+    return np.broadcast_to(np.eye(h.dim, dtype=complex), (lam.order, h.dim, h.dim))
 
 
 def embed_base_corep(inst, u: Corep) -> Corep:
@@ -158,7 +158,7 @@ def conjugation_iso(inst, sub: Subgroup, r: int) -> np.ndarray:
     top = inst.top
     target = conjugate_subgroup(sub, r)
     d = top.base.dim
-    m_r = top.alpha[r].matrix
+    m_r = top.alpha[r]
     mat = np.zeros((sub.order * d, target.order * d), dtype=complex)
     for s_local, s in enumerate(sub.elements):
         t_local = target.to_local(top.lam_full.conjugate(r, s))
@@ -268,7 +268,7 @@ def _loop_check_covariant(inst, ug: Corep, ul: ProjectiveRep):
     worst, witness = 0.0, None
     for r_local in inst.lam.elements():
         f = ul.mats[r_local]
-        m = inst.alpha[inst.subgroup.elements[r_local]].matrix
+        m = inst.alpha[inst.subgroup.elements[r_local]]
         lhs = np.einsum("ik,kjc->ijc", f, ug.entries)
         rhs = np.einsum("kj,ikc->ijc", f, ug.entries) @ m.T
         res = np.abs(lhs - rhs)

@@ -163,7 +163,7 @@ def inversion_action_z3():
     z3, z2 = cyclic_group(3), cyclic_group(2)
     h = function_algebra(z3)
     return h, z2, action_from_group_hom(h, z2, [np.array([0, 1, 2]),
-                                                np.array([0, 2, 1])], "function")
+                                                np.array([0, 2, 1])], "permutation")
 
 
 def test_act_identity_and_law():
@@ -198,7 +198,7 @@ def test_irr_action_conjugation_on_dual_s3():
     perms = sorted(itertools.permutations(range(3)))
     t12 = perms.index((1, 0, 2))
     conj_perm = np.array([s3.mul(s3.mul(t12, x), t12) for x in s3.elements()])
-    autos = action_from_group_hom(h, z2, [np.arange(6), conj_perm], "group")
+    autos = action_from_group_hom(h, z2, [np.arange(6), conj_perm], "permutation")
     action = irr_action(h, z2, autos)
     assert isinstance(action, GroupAction)
     # orbit sizes on the six group-likes: two fixed points, two 2-orbits
@@ -238,7 +238,7 @@ def _conjugation_on_c_s3():
     h = function_algebra(s3)
     t12 = sorted(itertools.permutations(range(3))).index((1, 0, 2))
     conj_perm = np.array([s3.mul(s3.mul(t12, x), t12) for x in s3.elements()])
-    autos = action_from_group_hom(h, z2, [np.arange(6), conj_perm], "function")
+    autos = action_from_group_hom(h, z2, [np.arange(6), conj_perm], "permutation")
     assert [u.dim for u in irr_enumerate(h)] == [1, 1, 2]
     return h, z2, autos
 

@@ -101,18 +101,18 @@ def test_action_inversion_on_z3():
     z2 = cyclic_group(2)
     h = function_algebra(z3)
     hom = [np.array([0, 1, 2]), np.array([0, 2, 1])]
-    autos = action_from_group_hom(h, z2, hom, kind="function")
-    assert max(automorphism_residuals(h, np.stack([a.matrix for a in autos]))) < 1e-12
+    alpha = action_from_group_hom(h, z2, hom, kind="permutation")
+    assert max(automorphism_residuals(h, alpha)) < 1e-12
     # alpha*_1(delta_g) = delta_{-g}
     vec = np.zeros(3)
     vec[1] = 1.0
-    assert np.allclose(autos[1](vec), np.array([0, 0, 1.0]))
+    assert np.allclose(alpha[1] @ vec, np.array([0, 0, 1.0]))
 
 
 def test_action_trivial():
     h = function_algebra(cyclic_group(3))
-    autos = trivial_action(h, cyclic_group(2))
-    assert all(np.allclose(a.matrix, np.eye(3)) for a in autos)
+    alpha = trivial_action(h, cyclic_group(2))
+    assert alpha.shape == (2, 3, 3) and np.array_equal(alpha, np.stack([np.eye(3)] * 2))
 
 
 def conj_by_transposition_perm():
@@ -128,10 +128,9 @@ def test_action_conjugation_on_group_algebra():
     z2 = cyclic_group(2)
     h = group_algebra(s3)
     hom = [np.arange(6), conj_by_transposition_perm()]
-    autos = action_from_group_hom(h, z2, hom, kind="group")
-    assert max(automorphism_residuals(h, np.stack([a.matrix for a in autos]))) < 1e-12
-    for a in autos:
-        assert np.max(np.abs(h.haar @ a.matrix - h.haar)) < 1e-12
+    alpha = action_from_group_hom(h, z2, hom, kind="permutation")
+    assert max(automorphism_residuals(h, alpha)) < 1e-12
+    assert np.max(np.abs(h.haar @ alpha - h.haar)) < 1e-12
 
 
 def test_action_rejects_non_automorphism():
@@ -139,8 +138,8 @@ def test_action_rejects_non_automorphism():
     z2 = cyclic_group(2)
     h = function_algebra(z3)
     hom = [np.array([0, 1, 2]), np.array([1, 0, 2])]  # not an automorphism of Z3
-    with pytest.raises((NotAutomorphism, NotAntihomomorphism)):
-        action_from_group_hom(h, z2, hom, kind="function")
+    with pytest.raises(NotAutomorphism, match=r"^alpha\*_1 fails the automorphism check"):
+        action_from_group_hom(h, z2, hom, kind="permutation")
 
 
 def test_action_rejects_non_homomorphism():
@@ -149,11 +148,55 @@ def test_action_rejects_non_homomorphism():
     h = function_algebra(z4)
     # both entries are automorphisms but r -> alpha_r is not a homomorphism
     hom = [np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3])]
-    autos = action_from_group_hom(h, z2, hom, kind="function")  # trivial: fine
-    assert len(autos) == 2
+    alpha = action_from_group_hom(h, z2, hom, kind="permutation")  # trivial: fine
+    assert alpha.shape == (2, 4, 4)
     bad = [np.array([0, 3, 2, 1]), np.array([0, 1, 2, 3])]  # alpha_e = inversion
-    with pytest.raises((NotAutomorphism, NotAntihomomorphism)):
-        action_from_group_hom(h, z2, bad, kind="function")
+    with pytest.raises(NotAntihomomorphism, match=r"at \(0, 0\) \(1\.00e\+00\)$"):
+        action_from_group_hom(h, z2, bad, kind="permutation")
+
+
+def _loop_antihomomorphism_failure(lam, mats):
+    """The message of the first (r, s), row-major, with alpha*_(rs) !=
+    alpha*_s alpha*_r, checked one pair at a time; None if there is none."""
+    for r in lam.elements():
+        for s in lam.elements():
+            res = max_abs(mats[lam.mul(r, s)] - mats[s] @ mats[r])
+            if res > TOL_VERIFY:
+                return f"alpha*_(rs) != alpha*_s alpha*_r at ({r}, {s}) ({res:.2e})"
+    return None
+
+
+def test_action_stack_and_antihomomorphism_witness(inst_g):
+    """G's S3 acts on C(Z2 x Z2) by all six automorphisms. The action is one
+    read-only stack that every principal instance slices. Reassigning the
+    automorphisms to the elements of S3 by a bijection fixing the identity
+    gives genuine automorphisms; when the map is not a homomorphism, the
+    first failing (r, s) in row-major order is the one a loop finds."""
+    from semirep.corpus import instance_spec
+    lam, h = inst_g.lam_full, inst_g.base
+    perms = np.array(instance_spec("G")["action"])
+    alpha = action_from_group_hom(h, lam, perms, kind="permutation")
+    eye = np.eye(h.dim)
+    assert np.array_equal(alpha, np.stack([eye[:, perms[lam.inverse(r)]]
+                                           for r in lam.elements()]))
+    assert np.array_equal(inst_g.alpha, alpha) and not alpha.flags.writeable
+    with pytest.raises(ValueError):
+        alpha[0, 0, 0] = 1
+    for sub in all_subgroups(lam):
+        assert np.array_equal(inst_g.principal(sub).alpha_mats, alpha[list(sub.elements)])
+    witnesses = set()
+    for rest in itertools.permutations(range(1, lam.order)):
+        hom = perms[[0, *rest]]
+        mats = np.stack([eye[:, hom[lam.inverse(r)]] for r in lam.elements()])
+        expected = _loop_antihomomorphism_failure(lam, mats)
+        if expected is None:
+            assert np.array_equal(action_from_group_hom(h, lam, hom, "permutation"), mats)
+            continue
+        with pytest.raises(NotAntihomomorphism) as err:
+            action_from_group_hom(h, lam, hom, kind="permutation")
+        assert str(err.value) == expected
+        witnesses.add(expected.split(" at ")[1].split(" (")[0])
+    assert len(witnesses) > 1, witnesses
 
 
 def test_dual_algebra_associative_and_blocks():
@@ -567,9 +610,9 @@ def _action_instance(case, request):
         return instance("F")
     if case == "raw_hopf matrix":  # Z2 conjugating by a transposition, as matrices
         z2 = cyclic_group(2)
-        return _raw_hopf_instance(z2, [a.matrix for a in action_from_group_hom(
+        return _raw_hopf_instance(z2, action_from_group_hom(
             group_algebra(symmetric_group(3)), z2,
-            [np.arange(6), conj_by_transposition_perm()], kind="group")])
+            [np.arange(6), conj_by_transposition_perm()], kind="permutation"))
     if case == "rung":
         return request.getfixturevalue("rung_instance")
     return request.getfixturevalue(f"inst_{case.lower()}")
@@ -585,7 +628,7 @@ def test_automorphism_residual_equals_dense_reference(case, join_terms, request,
     inst = _action_instance(case, request)
     monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
     assert len(inst.alpha) == inst.lam_full.order > 1
-    mats = np.stack([a.matrix for a in inst.alpha])
+    mats = inst.alpha
     got = automorphism_residuals(inst.base, mats)
     assert got.shape == (len(mats),)
     for r, m in enumerate(mats):
@@ -602,13 +645,13 @@ def test_corrupted_action_matrix_raises(case, join_terms, request, monkeypatch):
     monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
     h, d = inst.base, inst.base.dim
     rng = np.random.default_rng(13)
-    clean = automorphism_residuals(h, np.stack([a.matrix for a in inst.alpha]))
+    clean = automorphism_residuals(h, inst.alpha)
     for r in inst.lam_full.elements():
         dense = 0.05 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         single = np.zeros((d, d), dtype=complex)
         single[tuple(rng.integers(d, size=2))] = 0.05
         for noise in (dense, single):
-            mats = [a.matrix.copy() for a in inst.alpha]
+            mats = inst.alpha.copy()
             mats[r] += noise
             got = automorphism_residuals(h, np.stack(mats))
             res, ref = got[r], _dense_automorphism_residual(h, mats[r])

@@ -73,7 +73,7 @@ def test_induced_character_from_trivial_subgroup_form(inst_a):
     e_local = inst_a.subgroup.to_local(lam.identity)
     for r in lam.elements():
         expected[e_local * d:(e_local + 1) * d] += \
-            inst_a.alpha[lam.inverse(r)].matrix @ base_chi
+            inst_a.alpha[lam.inverse(r)] @ base_chi
     assert np.max(np.abs(chi - expected)) < 1e-12
 
 
