@@ -86,13 +86,13 @@ def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return vh[_rank(s, rtol):].conj()
 
 
-def nullity(mats: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """len(nullspace(mat, rtol)) for each matrix of a (..., m, n) stack, from
-    the singular values alone, all taken in one call."""
+def nullity(mats: np.ndarray) -> np.ndarray:
+    """len(nullspace(mat)) for each matrix of a (..., m, n) stack, from the
+    singular values alone, all taken in one call."""
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[-2] == 0 or mats.shape[-1] == 0:
         return np.full(mats.shape[:-2], mats.shape[-1])
-    return mats.shape[-1] - _rank(np.linalg.svd(mats, compute_uv=False), rtol)
+    return mats.shape[-1] - _rank(np.linalg.svd(mats, compute_uv=False), RANK_RTOL)
 
 
 def new_directions(comp: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -177,7 +177,8 @@ def hom_space_dims(pairs) -> list[int]:
 
 def hom_space_dim(mats1, mats2) -> int:
     """len(module_hom_basis(mats1, mats2)), without computing the basis."""
-    return hom_space_dims([(mats1, mats2)])[0]
+    return int(nullity(sylvester_system(np.asarray(mats1, dtype=complex),
+                                        np.asarray(mats2, dtype=complex))))
 
 
 def check_commutant(mats, comm) -> None:

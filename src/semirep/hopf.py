@@ -6,9 +6,10 @@ HopfData.from_dense keeps those of the dense arrays an instance file gives.
 Only this module reads mult, comult and star: other modules go through
 HopfData.product, coproduct and star_vec, which take stacks of coefficient
 vectors. Each identity of verify_axioms compares two joins of the nonzeros of
-two tensors (_join), both streamed in blocks of increasing leading output
-index; _residual reduces the keys whose leading index both sides have
-finished, so a check holds a block of each side at a time at every d.
+two tensors (_join); _residual evaluates both sides on one split of the
+leading output indices into windows of at most JOIN_TERMS term pairs
+(_windows) and reduces each window by itself, so a check holds one window of
+each side at a time at every d.
 An action of a finite group Lambda is one array: action_from_group_hom returns
 the read-only (|Lambda|, d, d) stack of the matrices of alpha*_r, indexed by
 Lambda's elements, and every layer indexes it. automorphism_residuals checks
@@ -152,8 +153,8 @@ def _nonzeros(arr) -> tuple[np.ndarray, np.ndarray]:
     return idx, flat[idx]
 
 
-# Term pairs in one block of a streamed join; a block's temporaries take about
-# 100 bytes a pair.
+# Term pairs in one window of leading output indices (or one leading index, if
+# it has more); a window's temporaries take about 100 bytes a pair.
 JOIN_TERMS = 1 << 14
 
 
@@ -179,19 +180,17 @@ def _sum_duplicates(keys, vals):
 
 
 def _join(subscripts: str, a, b, size):
-    """Two-operand einsum of sparse operands (raveled keys, values), streamed
-    in blocks of increasing leading output index.
+    """Two-operand einsum of sparse operands (raveled keys, values), evaluated
+    a window of leading output indices at a time.
 
     Letters range over size[letter]. The operands are matched on every letter
     they share, and a shared letter the output lacks is summed. The operand
-    holding the output's first letter drives: its entries, ordered by their
-    output letters, are taken in consecutive blocks of at most JOIN_TERMS term
-    pairs, cut only where the leading index changes (a leading index with
-    more pairs is a block of its own). Each entry meets exactly its run of
-    entries of the other operand, sorted by shared key, and each product
-    keeps the subscripts' operand order. Yields (cut, keys, vals) per block:
-    sorted unique output keys raveled over size with their summed values,
-    every key with leading index below cut being complete.
+    holding the output's first letter drives: its entries are ordered by their
+    output letters, and each meets exactly its run of entries of the other
+    operand, sorted by shared key; each product keeps the subscripts' operand
+    order. Returns (pairs, block): pairs[x] is the number of term pairs of
+    leading output index x, and block(lo, hi) the sorted unique output keys
+    raveled over size with leading index in [lo, hi), with their summed values.
     """
     ins, out = subscripts.split("->")
     sa, sb = ins.split(",")
@@ -209,35 +208,40 @@ def _join(subscripts: str, a, b, size):
     skb, pb, vb = skb[order], pb[order], b[1][order]
     rank = np.argsort(pa, kind="stable")
     pa, ska, va = pa[rank], ska[rank], a[1][rank]
-    lo = np.searchsorted(skb, ska, "left")
-    counts = np.searchsorted(skb, ska, "right") - lo
-    ends = np.cumsum(counts)
-    shift = lo - ends + counts  # pair p of entry e meets entry p + shift[e] of b
-    lead = pa // place[out[0]]
-    stops = np.append(np.flatnonzero(np.diff(lead)) + 1, len(pa))
-    done = ends[stops - 1]  # pairs formed up to each stop
-    start = nxt = 0
-    while start < len(pa):
-        before = ends[start] - counts[start]
-        nxt = max(int(np.searchsorted(done, before + JOIN_TERMS, "right")) - 1, nxt)
-        stop = stops[nxt]
-        nxt += 1
+    meet = np.searchsorted(skb, ska, "left")
+    counts = np.searchsorted(skb, ska, "right") - meet
+    done = np.concatenate([[0], np.cumsum(counts)])  # pairs formed before each entry
+    shift = meet - done[:-1]  # pair p of entry e meets entry p + shift[e] of b
+    first = np.searchsorted(pa // place[out[0]], np.arange(size[out[0]] + 1))
+
+    def block(lo: int, hi: int):
+        start, stop = first[lo], first[hi]
         runs = counts[start:stop]
-        pos = np.arange(before, ends[stop - 1]) + np.repeat(shift[start:stop], runs)
+        pos = np.arange(done[start], done[stop]) + np.repeat(shift[start:stop], runs)
         x, y = np.repeat(va[start:stop], runs), vb[pos]
-        keys, vals = _sum_duplicates(np.repeat(pa[start:stop], runs) + pb[pos],
-                                     y * x if flip else x * y)
-        yield (lead[stop] if stop < len(pa) else size[out[0]]), keys, vals
-        start = stop
+        return _sum_duplicates(np.repeat(pa[start:stop], runs) + pb[pos],
+                               y * x if flip else x * y)
+
+    return np.diff(done[first]), block
+
+
+def _windows(pairs):
+    """Consecutive windows [lo, hi) covering the leading indices of pairs, each
+    as long as it can be with at most JOIN_TERMS term pairs, or one index."""
+    ends = np.cumsum(pairs)
+    lo = 0
+    while lo < len(pairs):
+        before = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, before + JOIN_TERMS, "right")), lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def _contract(subscripts: str, a, b, size):
-    """_join's blocks as one sparse operand (sorted unique keys)."""
-    blocks = list(_join(subscripts, a, b, size))
-    if len(blocks) == 1:
-        return blocks[0][1:]
-    return (np.concatenate([k for _, k, _ in blocks] + [np.zeros(0, dtype=np.int64)]),
-            np.concatenate([v for _, _, v in blocks] + [np.zeros(0, dtype=complex)]))
+    """_join's blocks over its windows as one sparse operand (sorted unique keys)."""
+    pairs, block = _join(subscripts, a, b, size)
+    keys, vals = zip(*(block(lo, hi) for lo, hi in _windows(pairs)))
+    return np.concatenate(keys), np.concatenate(vals)
 
 
 def _contract_vec(t, vec, axis: int, d: int) -> np.ndarray:
@@ -252,36 +256,18 @@ def _contract_vec(t, vec, axis: int, d: int) -> np.ndarray:
 
 def _residual(lhs, rhs, shape) -> np.ndarray:
     """max |lhs - rhs| per leading index, over the union of the supports of
-    two streams of _join blocks whose output has the given shape.
+    two _join results (pairs, block) whose output has the given shape.
 
-    The streams run in lockstep: the side whose cut is lower takes its next
-    block, and the keys whose leading index lies below both cuts, complete on
-    both sides, are reduced together and dropped. So the side that moves has
-    nothing held, and only the other side's last block is kept. A key on one
-    side counts with its full value; a key on both sums -lhs + rhs, which is
-    rhs - lhs exactly, as in the dense difference.
+    Both sides are evaluated on the windows of their summed pairs, and each
+    window is reduced by itself. A key on one side counts with its full
+    value; a key on both sums -lhs + rhs, which is rhs - lhs exactly, as in
+    the dense difference.
     """
-    n, lead = shape[0], math.prod(shape[1:])
-    worst = np.zeros(n)
-    streams = [iter(lhs), iter(rhs)]
-    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
-    held, cuts = [empty, empty], [0, 0]
-    while (low := min(cuts)) < n:
-        side = cuts.index(low)
-        block = next(streams[side], None)
-        if block is None:
-            cuts[side] = n
-        else:
-            cuts[side], keys, vals = block
-            held[side] = keys, vals
-        if min(cuts) == low:
-            continue
-        below = []
-        for s, (keys, vals) in enumerate(held):
-            at = np.searchsorted(keys, min(cuts) * lead)
-            below.append((keys[:at], vals[:at]))
-            held[s] = keys[at:], vals[at:]
-        (kl, vl), (kr, vr) = below
+    (pl, left), (pr, right) = lhs, rhs
+    lead = math.prod(shape[1:])
+    worst = np.zeros(shape[0])
+    for lo, hi in _windows(pl + pr):
+        (kl, vl), (kr, vr) = left(lo, hi), right(lo, hi)
         keys, diff = _sum_duplicates(np.concatenate([kl, kr]), np.concatenate([-vl, vr]))
         keys //= lead
         at = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -332,7 +318,8 @@ def verify_axioms(h: HopfData) -> dict:
         _join("ikp,qk->ipq", _contract("ijk,pj->ikp", conj_c, s, size), s, size), (d,) * 3)
 
     # antipode axiom m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
-    a, target = _nonzeros(h.antipode), [(d, *_nonzeros(np.outer(h.counit, h.unit)))]
+    a, target = _nonzeros(h.antipode), _join("i,p->ip", _nonzeros(h.counit),
+                                             _nonzeros(h.unit), size)
     res["antipode"] = max(
         worst(_join("ikl,lkp->ip", _contract("ijk,lj->ikl", c, a, size), m, size), target,
               (d, d)),
@@ -465,8 +452,8 @@ def automorphism_residuals(h: HopfData, mats: np.ndarray) -> np.ndarray:
     """For each matrix mats[r] of a stack, its residual as a unital
     *-algebra automorphism of h intertwining the comultiplication.
 
-    The identities of every r stream together: the stacked nonzeros carry the
-    letter r, ranging over len(mats), which leads each output.
+    The identities of every r are joined together: the stacked nonzeros
+    carry the letter r, ranging over len(mats), which leads each output.
     """
     d, n = h.dim, len(mats)
     size, shape = defaultdict(lambda: d, r=n), (n, d, d, d)

@@ -19,7 +19,6 @@ from .semidirect import (SemidirectInstance, act_corep, extend, instance_of_core
 
 @dataclass(frozen=True, eq=False)
 class InducedRep:
-    source: Corep
     result: Corep
     isometry: np.ndarray = field(repr=False)  # columns embed K into l2(Lambda) (x) H
 
@@ -89,7 +88,7 @@ def induce(inst: SemidirectInstance, u: Corep) -> InducedRep:
     if not report["pass"]:
         raise CovarianceFailure(
             f"induced corep fails verification (max {report['max']:.2e})")
-    return InducedRep(source=u, result=result, isometry=isometry)
+    return InducedRep(result=result, isometry=isometry)
 
 
 def induced_character(inst: SemidirectInstance, u: Corep) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, TOL_VERIFY, as_int,
                       first_entry_phase, kron_stack, max_abs, max_abs_each)
 from .cohomology import cocycle_inverse, cocycle_product
-from .corep import (Corep, act, compress, conjugate, intertwiner_basis,
-                    irr_action, irr_enumerate, mor_dim, tensor as corep_tensor)
+from .corep import (Corep, act, conjugate, intertwiner_basis, irr_action, irr_enumerate,
+                    mor_dim, tensor as corep_tensor)
 from .errors import (CompletenessFailure, GramFailure, IntegerRecoveryError,
                      NonIntegerCoefficient, NonUnitaryExtraction, NotCovariant,
                      NotStabilized, OracleDisagreement, GaugeFailure, ValidationError)
@@ -318,7 +318,9 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
     red_chi = csr_corep(inst, result).char_vec()
     if big is None:
         big = csr_corep(inst, g)
-    blk_chi = compress(big, np.kron(np.eye(g.v.dim), cols)).char_vec()
+    # the character of the block q^* big q is the trace of big against q q^*
+    q = np.kron(np.eye(g.v.dim), cols)
+    blk_chi = np.tensordot(np.conj(q) @ q.T, big.entries, 2)
     if max_abs(red_chi - blk_chi) > TOL_ACCEPT:
         raise OracleDisagreement("reduced CSR does not match the isotypic block")
     return result

@@ -414,8 +414,8 @@ def test_single_entry_corruption_matches_dense_reference(name, inst_a):
 
 @pytest.mark.parametrize("name", ["mult", "comult", "star"])
 def test_sliced_contractions_match_dense_reference(name, inst_c, monkeypatch):
-    """With blocks of a few term pairs, every join streams in many blocks, and
-    entries that sum into one output key still meet in one block."""
+    """With windows of a few term pairs, every join is evaluated in many
+    windows, and entries that sum into one output key still meet in one."""
     monkeypatch.setattr(hopf, "JOIN_TERMS", 7)
     bad = _corrupted(inst_c.product, name)
     rep, ref = verify_axioms(bad), _dense_verify_axioms(bad)
@@ -429,25 +429,30 @@ def _sparse(arr):
     return idx, flat[idx]
 
 
-def _check_stream(blocks, shape):
-    """The keys of a _join stream, after checking its blocks: cuts increase
-    to shape[0], and each block's keys are sorted, unique, above all earlier
-    keys and of leading index between the previous cut and its own."""
-    lead, last, keys = int(np.prod(shape[1:])), 0, [np.zeros(0, dtype=np.int64)]
-    for cut, k, _ in blocks:
-        assert last < cut <= shape[0]
-        assert np.all(np.diff(k) > 0) and np.all(k >= last * lead) and np.all(k < cut * lead)
-        last = cut
-        keys.append(k)
-    assert last == shape[0] or not len(blocks)
-    return np.concatenate(keys)
+def _check_windows(pairs, windows):
+    """Windows cover the leading indices of pairs in order, each holding at
+    most JOIN_TERMS term pairs or a single leading index."""
+    assert windows[0][0] == 0 and windows[-1][1] == len(pairs)
+    assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+    assert all(hi == lo + 1 or pairs[lo:hi].sum() <= hopf.JOIN_TERMS for lo, hi in windows)
 
 
-def _dense_of_stream(blocks, shape):
-    got = np.zeros(int(np.prod(shape)), dtype=complex)
-    got[_check_stream(blocks, shape)] = np.concatenate(
-        [v for _, _, v in blocks] + [np.zeros(0, dtype=complex)])
+def _dense_of_blocks(block, windows, shape):
+    """The dense output of a _join, after checking that each block's keys are
+    sorted, unique and of leading index inside its window."""
+    lead, got = int(np.prod(shape[1:])), np.zeros(int(np.prod(shape)), dtype=complex)
+    for lo, hi in windows:
+        keys, vals = block(lo, hi)
+        assert np.all(np.diff(keys) > 0) and np.all(keys >= lo * lead)
+        assert np.all(keys < hi * lead)
+        got[keys] = vals
     return got.reshape(shape)
+
+
+def _random_split(n, rng):
+    cuts = np.unique(rng.integers(0, n + 1, size=3))
+    bounds = [0, *cuts[(cuts > 0) & (cuts < n)].tolist(), n]
+    return list(zip(bounds, bounds[1:]))
 
 
 @pytest.mark.parametrize("subscripts", ["ijm,mkl->ijkl", "iml,mjk->ijkl", "ki,kpq->ipq",
@@ -456,7 +461,9 @@ def _dense_of_stream(blocks, shape):
 @pytest.mark.parametrize("join_terms", [1, 5, 1 << 18])
 def test_join_matches_einsum(subscripts, join_terms, monkeypatch):
     """Every letter ranges over 4 but r over 6; the operands are swapped
-    where the output's first letter is the second operand's."""
+    where the output's first letter is the second operand's. pairs counts
+    the term pairs of each leading index, and the blocks over _windows or
+    over any other split of the leading indices give the einsum."""
     monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
     size = {c: 6 if c == "r" else 4 for c in "abcdijklmpqr"}
     rng = np.random.default_rng(len(subscripts) + join_terms)
@@ -464,57 +471,106 @@ def test_join_matches_einsum(subscripts, join_terms, monkeypatch):
     shapes = [[size[c] for c in s] for s in (sa, sb)]
     a, b = (rng.standard_normal(sh) * (rng.random(sh) < 0.4) + 0j for sh in shapes)
     shape = tuple(size[c] for c in out)
-    blocks = list(hopf._join(subscripts, _sparse(a), _sparse(b), size))
-    if join_terms == 1:  # then no block holds the terms of two leading indices
-        assert all(len(np.unique(k // np.prod(shape[1:]))) <= 1 for _, k, _ in blocks)
-    got = _dense_of_stream(blocks, shape)
-    assert max_abs(got - np.einsum(subscripts, a, b)) <= 1e-12
+    pairs, block = hopf._join(subscripts, _sparse(a), _sparse(b), size)
+    assert np.array_equal(pairs, np.einsum(f"{sa},{sb}->{out[0]}", a != 0, b != 0,
+                                           dtype=int))
+    windows = list(hopf._windows(pairs))
+    _check_windows(pairs, windows)
+    want = np.einsum(subscripts, a, b)
+    for split in (windows, _random_split(shape[0], rng)):
+        assert max_abs(_dense_of_blocks(block, split, shape) - want) <= 1e-12
 
 
 def test_leading_index_larger_than_a_block(monkeypatch):
-    """The terms of one leading index form one block however many they are."""
+    """The terms of one leading index form one window however many they are;
+    a leading index without terms joins a window only while it fits."""
     monkeypatch.setattr(hopf, "JOIN_TERMS", 2)
     size = {c: 3 for c in "ijk"}
     a = np.zeros((3, 3)) + 0j
     a[0] = [1, 2, 3]  # leading index 0 meets all of b: 9 term pairs
     a[2, 1] = 4
     b = np.arange(1, 10).reshape(3, 3) + 0j
-    blocks = list(hopf._join("ij,jk->ik", _sparse(a), _sparse(b), size))
-    assert [cut for cut, _, _ in blocks] == [2, 3]  # leading index 1 has no terms
-    assert list(blocks[0][1]) == [0, 1, 2]
-    assert max_abs(_dense_of_stream(blocks, (3, 3)) - a @ b) == 0
+    pairs, block = hopf._join("ij,jk->ik", _sparse(a), _sparse(b), size)
+    assert list(pairs) == [9, 0, 3]
+    windows = list(hopf._windows(pairs))
+    assert windows == [(0, 1), (1, 2), (2, 3)]
+    assert list(block(0, 1)[0]) == [0, 1, 2] and not len(block(1, 2)[0])
+    assert max_abs(_dense_of_blocks(block, windows, (3, 3)) - a @ b) == 0
+    monkeypatch.setattr(hopf, "JOIN_TERMS", 4)
+    assert list(hopf._windows(np.array([3, 0, 9, 1, 1, 0]))) == [(0, 2), (2, 3), (3, 6)]
 
 
-def _stream(*blocks):
-    return [(cut, np.array(keys, dtype=np.int64), np.array(vals, dtype=complex))
-            for cut, keys, vals in blocks]
+def _given(n, lead, keys=(), vals=()):
+    """A _join result (pairs, block) of leading size n holding the given
+    sorted unique keys, one term pair each."""
+    keys, vals = np.array(keys, dtype=np.int64), np.array(vals, dtype=complex)
+
+    def block(lo, hi):
+        at = slice(*np.searchsorted(keys, [lo * lead, hi * lead]))
+        return keys[at], vals[at]
+    return np.bincount(keys // lead, minlength=n), block
 
 
-def test_residual_covers_both_supports():
+def test_residual_covers_both_supports(monkeypatch):
     """Keys on one side only count with their full value, from either side;
-    the residual is the worst per leading index (here key // 4)."""
-    one = _stream((2, [1, 5], [1.0, 3.0]))
-    other = _stream((2, [1, 2], [1.0, 2.0]))
-    for lhs, rhs in ((one, other), (other, one)):
-        assert list(hopf._residual(lhs, rhs, (2, 4))) == [2.0, 3.0]
-    split = _stream((1, [1], [1.5]), (2, [5], [3.0]))
-    assert list(hopf._residual(split, iter(other), (2, 4))) == [2.0, 3.0]
-    assert list(hopf._residual([], [], (2, 4))) == [0.0, 0.0]
+    the residual is the worst per leading index (here key // 4), whatever
+    the windows."""
+    one, other = _given(2, 4, [1, 5], [1.0, 3.0]), _given(2, 4, [1, 2], [1.0, 2.0])
+    for join_terms in (1, 3, 1 << 14):
+        monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
+        for lhs, rhs in ((one, other), (other, one)):
+            assert list(hopf._residual(lhs, rhs, (2, 4))) == [2.0, 3.0]
+        assert list(hopf._residual(_given(2, 4), _given(2, 4), (2, 4))) == [0.0, 0.0]
 
 
-def test_residual_streams_in_lockstep():
-    """Blocks of either side may end anywhere between leading indices; a side
-    with no terms counts the other with its full values, and disjoint
-    supports keep both."""
-    lhs = _stream((1, [0, 2], [1.0, 5.0]), (2, [], []), (4, [9, 12, 14], [2.0, 1.0, 7.0]))
-    rhs = _stream((3, [0, 4, 9], [1.5, 6.0, 2.0]), (4, [12], [1.0]))
-    assert list(hopf._residual(lhs, rhs, (4, 4))) == [5.0, 6.0, 0.0, 7.0]
-    assert list(hopf._residual(rhs, lhs, (4, 4))) == [5.0, 6.0, 0.0, 7.0]
-    assert list(hopf._residual(lhs, [], (4, 4))) == [5.0, 0.0, 2.0, 7.0]
-    assert list(hopf._residual([], rhs, (4, 4))) == [1.5, 6.0, 2.0, 1.0]
-    disjoint = _stream((4, [1, 13], [-4.0, 0.5j]))
-    assert list(hopf._residual(lhs, disjoint, (4, 4))) == [5.0, 0.0, 2.0, 7.0]
-    assert list(hopf._residual(disjoint, rhs, (4, 4))) == [4.0, 6.0, 2.0, 1.0]
+def test_residual_covers_disjoint_leading_indices(monkeypatch):
+    """A side with no terms counts the other with its full values, and
+    supports that share no key, or no leading index, keep both."""
+    lhs = _given(4, 4, [0, 2, 9, 12, 14], [1.0, 5.0, 2.0, 1.0, 7.0])
+    rhs = _given(4, 4, [0, 4, 9, 12], [1.5, 6.0, 2.0, 1.0])
+    empty, disjoint = _given(4, 4), _given(4, 4, [1, 13], [-4.0, 0.5j])
+    rows_02, rows_13 = _given(4, 4, [1, 10], [3.0, 2.0]), _given(4, 4, [4, 15], [1.0, 6.0])
+    cases = [(lhs, rhs, [5.0, 6.0, 0.0, 7.0]), (rhs, lhs, [5.0, 6.0, 0.0, 7.0]),
+             (lhs, empty, [5.0, 0.0, 2.0, 7.0]), (empty, rhs, [1.5, 6.0, 2.0, 1.0]),
+             (lhs, disjoint, [5.0, 0.0, 2.0, 7.0]), (disjoint, rhs, [4.0, 6.0, 2.0, 1.0]),
+             (rows_02, rows_13, [3.0, 1.0, 2.0, 6.0])]
+    for join_terms in (1, 3, 1 << 14):
+        monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
+        for left, right, want in cases:
+            assert list(hopf._residual(left, right, (4, 4))) == want
+
+
+def test_both_sides_of_every_identity_see_the_same_windows(inst_c, monkeypatch):
+    """Every block of every join, _contract's included, holds at most
+    JOIN_TERMS term pairs or one leading index, and the two sides of each
+    identity are evaluated on one sequence of windows."""
+    monkeypatch.setattr(hopf, "JOIN_TERMS", 7)
+    join, residual, calls = hopf._join, hopf._residual, []
+
+    def spy_join(*args):
+        pairs, block = join(*args)
+
+        def spy_block(lo, hi):
+            assert hi == lo + 1 or pairs[lo:hi].sum() <= hopf.JOIN_TERMS
+            spy_block.seen.append((lo, hi))
+            return block(lo, hi)
+        spy_block.seen = []
+        return pairs, spy_block
+
+    def spy_residual(lhs, rhs, shape):
+        # the antipode's target side serves two identities
+        before = len(lhs[1].seen), len(rhs[1].seen)
+        worst = residual(lhs, rhs, shape)
+        calls.append((lhs[1].seen[before[0]:], rhs[1].seen[before[1]:], lhs[0] + rhs[0]))
+        return worst
+    monkeypatch.setattr(hopf, "_join", spy_join)
+    monkeypatch.setattr(hopf, "_residual", spy_residual)
+    assert verify_axioms(inst_c.product)["pass"]
+    assert max(automorphism_residuals(inst_c.base, inst_c.alpha)) < TOL_VERIFY
+    assert len(calls) == 9  # seven axiom identities, two automorphism identities
+    for left, right, pairs in calls:
+        assert left == right and len(left) > 1
+        _check_windows(pairs, left)
 
 
 def _traced_peak(fn):
@@ -527,8 +583,8 @@ def _traced_peak(fn):
 
 
 def test_rung_verification_builds_no_d4_array(s4_rung):
-    """At dim 48 one complex d^4 array is 81 MiB; the streamed residuals hold
-    a block of each side at a time."""
+    """At dim 48 one complex d^4 array is 81 MiB; the residuals hold one
+    window of each side at a time."""
     rep, peak = _traced_peak(lambda: verify_axioms(fresh(s4_rung)))
     assert rep["pass"]
     assert peak < 8 * 2 ** 20, peak
@@ -618,8 +674,8 @@ def _action_instance(case, request):
     return request.getfixturevalue(f"inst_{case.lower()}")
 
 
-# 1 << 18 term pairs exceed every join of these instances, so each streams in
-# one block; with 7, each leading index is a block of its own.
+# 1 << 18 term pairs exceed every join of these instances, so each identity is
+# one window; with 7, each leading index is a window of its own.
 @pytest.mark.parametrize("join_terms", [1 << 18, 7])
 @pytest.mark.parametrize("case", [*"ABCDEFG", "raw_hopf matrix", "rung"])
 def test_automorphism_residual_equals_dense_reference(case, join_terms, request,
