@@ -331,34 +331,37 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
 class _FusionTables:
     """The artifacts of one fusion run, each built once per distinct input.
 
+    Each moved u, V and v, tensor factor, moved parameter and GRP is interned
+    as it is built: `pool` maps a content key, taken once at creation, to the
+    first object with that content, and the run goes on with that object.
+      corep           (id(parent), shape, entries bytes)
+      projective rep  (id(group), shape, mats bytes, cocycle bytes)
+      parameter       (type, id(u), id(V), id(v), Lambda0)
+    Parents and groups are matched by identity, never by ==. The pool keeps
+    every interned object alive, so no id in a key is recycled within a run.
+
+    The tables hash by identity, which on interned objects is equal content.
     A table's key is exactly what its artifact reads:
       csrs         parameter -> its CSR corep (the classified ones from classify)
       transversals Lambda0 -> its left coset representatives
       meets        (Lambda_i, r_i) -> cap r_i Lambda_i r_i^{-1}
       chars        (p, r, meet) -> character of r . CSR(p) on G x| meet
-      moved_uV     (u, V, Lambda0, r, meet) -> the moved u and V
       moved        (p, r, meet) -> r . p restricted to meet
-      u_tensors    (moved u2, moved u3) -> u2 (x) u3
-      V_tensors    (moved V2, moved V3) -> V2 (x) V3
+      tensors      (moved x2, moved x3) -> x2 (x) x3, for x = u, V, v
       grps         (p2, r2, p3, r3, meet) -> the GRP, its CSR and chi2 . chi3
       isotypic     (moved u1, GRP u) -> intertwiner_basis(u1, GRP u)
       reductions   (GRP, moved u1, moved V1) -> reduce_grp's result
-    Keys hold parameters, coreps and projective reps themselves (they hash by
-    identity), so a key keeps its objects alive and no id can be recycled
-    within a run. All parameters of one orbit share u and V (classify), so
-    their moved u and V, and everything keyed by those, are shared too.
     """
 
     def __init__(self, inst: SemidirectInstance, classified):
         self.top = inst.top
+        self.pool: dict = {}
         self.csrs = {w.parameter: w.csr for w in classified}
         self.transversals: dict = {}
         self.meets: dict = {}
         self.chars: dict = {}
-        self.moved_uV: dict = {}
         self.moved: dict = {}
-        self.u_tensors: dict = {}
-        self.V_tensors: dict = {}
+        self.tensors: dict = {}
         self.grps: dict = {}
         self.isotypic: dict = {}
         self.reductions: dict = {}
@@ -368,6 +371,16 @@ class _FusionTables:
         if key not in table:
             table[key] = build()
         return table[key]
+
+    def _intern(self, x):
+        """The run's one object with the content of x, just built."""
+        if isinstance(x, Corep):
+            key = (id(x.parent), x.entries.shape, x.entries.tobytes())
+        elif isinstance(x, ProjectiveRep):
+            key = (id(x.group), x.mats.shape, x.mats.tobytes(), x.cocycle.values.tobytes())
+        else:
+            key = (type(x), id(x.u), id(x.V), id(x.v), x.lambda0.elements)
+        return self.pool.setdefault(key, x)
 
     def transversal(self, sub: Subgroup) -> list[int]:
         """The left coset representatives of sub."""
@@ -390,14 +403,19 @@ class _FusionTables:
         return self._once(self.chars, (p, r, meet.elements), build)
 
     def moved_param(self, p: RepParameter, r: int, meet: Subgroup) -> RepParameter:
-        """r . p, restricted to meet; only its v is moved per parameter."""
+        """r . p, restricted to meet."""
         def build():
-            u, V = self._once(
-                self.moved_uV, (p.u, p.V, p.lambda0.elements, r, meet.elements),
-                lambda: (act_base(self.top, r, p.u),
-                         move_rep(self.top, r, p.lambda0, meet, p.V)))
-            return type(p)(u, V, move_rep(self.top, r, p.lambda0, meet, p.v), meet)
+            u, V, v = (self._intern(x) for x in (
+                act_base(self.top, r, p.u), move_rep(self.top, r, p.lambda0, meet, p.V),
+                move_rep(self.top, r, p.lambda0, meet, p.v)))
+            return self._intern(type(p)(u, V, v, meet))
         return self._once(self.moved, (p, r, meet.elements), build)
+
+    def tensor(self, x2, x3):
+        """x2 (x) x3 of two moved coreps or projective reps."""
+        product = corep_tensor if isinstance(x2, Corep) else proj_tensor
+        return self._once(self.tensors, (x2, x3),
+                          lambda: self._intern(product(x2, x3)))
 
     def grp(self, p2: RepParameter, r2: int, p3: RepParameter, r3: int,
             meet: Subgroup) -> tuple[GRParameter, Corep, np.ndarray]:
@@ -405,13 +423,11 @@ class _FusionTables:
         corep, and the product of their restricted characters on G x| meet."""
         def build():
             q2, q3 = self.moved_param(p2, r2, meet), self.moved_param(p3, r3, meet)
-            g = GRParameter(
-                self._once(self.u_tensors, (q2.u, q3.u), lambda: corep_tensor(q2.u, q3.u)),
-                self._once(self.V_tensors, (q2.V, q3.V), lambda: proj_tensor(q2.V, q3.V)),
-                proj_tensor(q2.v, q3.v), meet)
+            g = self._intern(GRParameter(self.tensor(q2.u, q3.u), self.tensor(q2.V, q3.V),
+                                         self.tensor(q2.v, q3.v), meet))
             chi23 = self.top.principal(meet).product.product(
                 self.character(p2, r2, meet), self.character(p3, r3, meet))
-            return g, csr_corep(self.top, g), chi23
+            return g, self.csr(g), chi23
         return self._once(self.grps, (p2, r2, p3, r3, meet.elements), build)
 
     def reduction(self, g: GRParameter, big: Corep, q1: RepParameter):
@@ -504,12 +520,13 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionT
     against the Haar forms of the classified characters, and
     module_fusion_cube counts the module homs in one batch per w2.
     Everything else is built once per distinct input and shared (see
-    _FusionTables): the CSR corep of each classified parameter (taken from
-    classify), coset transversals, meets, restricted characters, moved
-    parameters (their u and V once per (u, V, r, meet)), the tensor factors
-    u2 (x) u3 and V2 (x) V3, each GRP with its CSR and chi2 . chi3, each
-    isotypic basis per (moved u1, GRP u), and each GRP reduction,
-    with all of its checks, per (GRP, moved u1, moved V1).
+    _FusionTables), and the inputs are interned content, so objects built
+    twice with equal arrays count as one input: the CSR corep of each
+    classified parameter (taken from classify), coset transversals, meets,
+    restricted characters, moved parameters, the tensor factors of each GRP,
+    each GRP with its CSR and chi2 . chi3, each isotypic basis per (moved
+    u1, GRP u), and each GRP reduction, with all of its checks, per (GRP,
+    moved u1, moved V1).
     """
     top = inst.top
     h = top.product

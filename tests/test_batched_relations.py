@@ -301,19 +301,22 @@ def test_grp_factor_failure_matches_reference(inst_f, scale, message):
 # -- how often each check runs -----------------------------------------------------
 
 # Call counts of `semirep fuse instances/instance_d.json --seed 7`. Batching
-# the checks dropped and added none; fusion runs each once per distinct input:
+# the checks dropped and added none; fusion runs each once per input that is
+# distinct by content (see test_fusion_tables):
 # - classify: cocycle_of 42, check_covariant 42, intertwiner_basis 12,
 #   verify_corep 12.
-# - 144 distinct GRPs (12 x 12 parameter pairs, one coset each) build one CSR
-#   each: cocycle_of +144, check_covariant +144.
-# - 216 isotypic bases, one per (moved u1, u2 (x) u3): 6 x 36.
-# - 864 reductions, one per (GRP, moved u1, moved V1): 144 x 6. The 144 with
+# - 12 distinct GRPs (6 characters u2 (x) u3 times 2 v's) build one CSR
+#   each: cocycle_of +12, check_covariant +12.
+# - 36 isotypic bases, one per (moved u1, u2 (x) u3): 6 x 6.
+# - 72 reductions, one per (GRP, moved u1, moved V1): 12 x 6. The 12 with
 #   a non-empty isotypic block each run verify +1, validate (check_covariant
 #   +1) and the CSR of the result (cocycle_of +1, check_covariant +1).
-# Before the reduction was shared, every one of the 1,728 (entry, coset
-# triple) pairs reduced once (474, 762, 288, 1740, 12).
-FUSE_D_CALLS = {"cocycle_of": 330, "check_covariant": 474, "ProjectiveRep.verify": 144,
-                "intertwiner_basis": 228, "verify_corep": 12}
+# While inputs were told apart by object identity there were 144 GRPs, 216
+# bases and 864 reductions (330, 474, 144, 228, 12); before the reduction
+# was shared, every one of the 1,728 (entry, coset triple) pairs reduced
+# once (474, 762, 288, 1740, 12).
+FUSE_D_CALLS = {"cocycle_of": 66, "check_covariant": 78, "ProjectiveRep.verify": 12,
+                "intertwiner_basis": 48, "verify_corep": 12}
 
 
 def test_fuse_d_runs_every_check_and_one_transversal_per_subgroup(monkeypatch):

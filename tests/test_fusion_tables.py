@@ -1,8 +1,9 @@
 """Fusion builds each shared artifact once per run and still runs every route.
 
 The counting test wraps the functions `fusion` reaches through module
-globals, so it sees exactly the calls a traced run sees. The keys it expects
-are derived here from the definitions, not read from the tables.
+globals, so it sees exactly the calls a traced run sees. The inputs it
+expects are rebuilt here from their definitions and told apart by the bytes
+of their arrays, never read from the tables.
 """
 
 from itertools import product
@@ -11,32 +12,55 @@ import numpy as np
 import pytest
 
 from semirep import cli, mackey, oracle
+from semirep.cohomology import Cochain2, trivial_cochain2
+from semirep.corep import Corep, tensor as corep_tensor
 from semirep.corpus import INSTANCES
 from semirep.errors import NonIntegerCoefficient, OracleDisagreement
-from semirep.groups import (all_subgroups, conjugate_intersection, conjugate_subgroup,
-                            left_cosets)
-from semirep.mackey import (FusionTable, GRParameter, RepParameter, _FusionTables,
-                            classify, fusion)
+from semirep.groups import (FiniteGroup, Subgroup, all_subgroups, conjugate_intersection,
+                            conjugate_subgroup, left_cosets)
+from semirep.mackey import (FusionTable, GRParameter, RepParameter, _FusionTables, act_base,
+                            classify, fusion, move_rep)
+from semirep.projective import ProjectiveRep, tensor as proj_tensor
 
-from helpers import restrict_param, spy, standalone_entry, translate_param
+from helpers import fresh, restrict_param, spy, standalone_entry, translate_param
 
 
-def _distinct_inputs(cl):
-    """The distinct (GRP, moved u1, moved V1) inputs of the reduction, and
-    the distinct (moved u1, GRP u) inputs of its isotypic basis, over every
-    entry and coset triple. A GRP is fixed by (p2, r2, p3, r3, meet), its u
-    by the moved u2 and u3, and a moved u and V by (u, V, Lambda0, r, meet)."""
-    reductions, isotypic = set(), set()
+def _content(x):
+    """The arrays of a corep or projective rep, as bytes."""
+    if isinstance(x, Corep):
+        return x.entries.shape, x.entries.tobytes()
+    return x.mats.shape, x.mats.tobytes(), x.cocycle.values.tobytes()
+
+
+def _distinct_inputs(inst, cl):
+    """The content-distinct GRPs, (GRP, moved u1, moved V1) inputs of the
+    reduction and (moved u1, GRP u) inputs of its isotypic basis, over every
+    entry and coset triple. Each object is rebuilt here from its definition
+    and compared by the bytes of its arrays, with the meet standing for its
+    group: r . p on a meet is (r . u, r . V, r . v), and a GRP is
+    (u2 (x) u3, V2 (x) V3, v2 (x) v3) of moved p2, p3."""
+    moved = {}
+
+    def move(p, r, meet):
+        if (id(p), r, meet) not in moved:
+            sub = Subgroup(inst.lam_full, meet)
+            moved[id(p), r, meet] = (act_base(inst, r, p.u),
+                                     *(move_rep(inst, r, p.lambda0, sub, x) for x in (p.V, p.v)))
+        return moved[id(p), r, meet]
+
+    grps, reductions, isotypic = set(), set(), set()
     for w1, w2, w3 in product(cl, repeat=3):
         params = [w.parameter for w in (w1, w2, w3)]
         subs = [p.lambda0 for p in params]
         for reps in product(*([z for z, _ in left_cosets(s)] for s in subs)):
             meet = conjugate_intersection(subs, list(reps)).elements
-            uv1, uv2, uv3 = ((p.u, p.V, p.lambda0.elements, r, meet)
-                             for p, r in zip(params, reps))
-            reductions.add(((params[1], reps[1], params[2], reps[2], meet), uv1))
-            isotypic.add((uv1, uv2, uv3))
-    return len(reductions), len(isotypic)
+            (u1, V1, _), q2, q3 = (move(p, r, meet) for p, r in zip(params, reps))
+            grp = (meet, *(_content(f(x2, x3))
+                           for f, x2, x3 in zip((corep_tensor, proj_tensor, proj_tensor), q2, q3)))
+            grps.add(grp)
+            reductions.add((grp, _content(u1), _content(V1)))
+            isotypic.add((_content(u1), grp[1]))
+    return len(grps), len(reductions), len(isotypic)
 
 
 def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypatch):
@@ -64,23 +88,27 @@ def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypat
                                "modules": k ** 3}
     assert table.agreement() == "3/3 methods agree"
 
-    # one GRP reduction per distinct (GRP, moved u1, moved V1), and one
-    # isotypic basis per distinct (moved u1, GRP u)
-    want_reductions, want_bases = _distinct_inputs(cl)
-    assert (want_reductions, want_bases) == (864, 216)
+    # one GRP reduction per content-distinct (GRP, moved u1, moved V1), and
+    # one isotypic basis per content-distinct (moved u1, GRP u). On D each
+    # of the 12 parameters has one coset, its u is one of the 6 characters of
+    # the base, its V the same one-dimensional rep and its v one of 2: so
+    # 6 x 2 GRPs (u2 (x) u3 is again a character), 12 x 6 reductions and
+    # 6 x 6 bases. Told apart by object identity they were 144, 864 and 216.
+    want_grps, want_reductions, want_bases = _distinct_inputs(inst_d, cl)
+    assert (want_grps, want_reductions, want_bases) == (12, 72, 36)
     assert len(reductions) == want_reductions
     assert len({tuple(map(id, args[1:4])) for args, _ in reductions}) == want_reductions
     assert len(bases) == want_bases
     assert len({tuple(map(id, args)) for args, _ in bases}) == want_bases
 
-    # csr_corep: once per distinct GRP, once per non-empty reduction, and
-    # never for a classified parameter
+    # csr_corep: once per content-distinct GRP, once per non-empty
+    # reduction, and never for a classified parameter
     classified_params = {w.parameter for w in cl}
     params = [args[1] for args, _ in csrs]
     assert not classified_params.intersection(params)
     grps = [p for p in params if not isinstance(p, RepParameter)]
     assert all(isinstance(p, GRParameter) for p in grps)
-    assert len({id(p) for p in grps}) == len(grps)
+    assert len({id(p) for p in grps}) == len(grps) == want_grps
     nonempty = sum(1 for _, red in reductions if red is not None)
     assert len(params) - len(grps) == nonempty
     assert len(params) <= len(grps) + nonempty
@@ -127,6 +155,41 @@ def test_moved_params_match_translate_then_restrict(inst_g, inst_h):
                     uv = shared.setdefault(key, (q.u, q.V))
                     assert uv[0] is q.u and uv[1] is q.V
         assert reused
+
+
+def test_interning_keeps_parents_groups_and_cocycles_apart(inst_f):
+    """Equal arrays are one object only over the same parent algebra or group
+    object and with the same cocycle. F's 4-dimensional irreducible has a V
+    in a nontrivial cocycle class, so V's mats with the all-ones cocycle are
+    a different rep."""
+    cl = classify(inst_f)
+    tables = _FusionTables(inst_f, cl)
+    p = next(w.parameter for w in cl if w.parameter.V.dim == 2)
+    u, V = p.u, p.V
+    twin = FiniteGroup(V.group.mult.copy())
+    built = {
+        "u": Corep(u.parent, u.entries.copy()),
+        "u over an equal parent": Corep(fresh(u.parent), u.entries.copy()),
+        "V": ProjectiveRep(V.group, V.mats.copy(), V.cocycle),
+        "V over an equal group": ProjectiveRep(twin, V.mats.copy(),
+                                               Cochain2(twin, V.cocycle.values)),
+        "V with another cocycle": ProjectiveRep(V.group, V.mats.copy(),
+                                                trivial_cochain2(V.group)),
+    }
+    for name, x in built.items():
+        assert tables._intern(x) is x, name
+    assert tables._intern(Corep(u.parent, u.entries.copy())) is built["u"]
+    assert tables._intern(ProjectiveRep(V.group, V.mats.copy(), Cochain2(
+        V.group, V.cocycle.values.copy()))) is built["V"]
+    squares = [tables.tensor(x, x) for x in built.values()]
+    assert len({id(x) for x in squares}) == len(built)
+
+    u, V, W = built["u"], built["V"], built["V with another cocycle"]
+    g = tables._intern(GRParameter(u, V, V, p.lambda0))
+    assert tables._intern(GRParameter(u, V, V, p.lambda0)) is g
+    for other in (RepParameter(u, V, V, p.lambda0), GRParameter(u, W, V, p.lambda0),
+                  GRParameter(u, V, W, p.lambda0)):
+        assert tables._intern(other) is other
 
 
 def test_non_integer_total_raises_non_integer_coefficient(inst_a, monkeypatch):
