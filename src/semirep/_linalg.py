@@ -270,12 +270,11 @@ def char_sort_key(dim: int, chi: np.ndarray):
 
 
 def first_entry_phase(mat: np.ndarray):
-    """Phase of the first row-major entry above TOL_NONZERO, or None."""
+    """Phase of the first row-major entry above TOL_NONZERO."""
     flat = mat.reshape(-1)
     for entry in flat:
         if abs(entry) > TOL_NONZERO:
             return entry / abs(entry)
-    return None
 
 
 def max_abs(arr) -> float:

@@ -149,8 +149,12 @@ def _parse_param_spec(text: str) -> dict:
         if not chunk:
             continue
         key, _, val = chunk.partition(":")
+        key = key.strip()
+        if key not in ("x", "v") or key in out:
+            raise ParseError(f"--param {text!r}: {'repeated' if key in out else 'unknown'} "
+                             f"key {key!r}; expected 'x:IDX,v:IDX'")
         try:
-            out[key.strip()] = int(val)
+            out[key] = int(val)
         except ValueError as exc:
             raise ParseError(f"--param {text!r}: expected 'x:IDX,v:IDX'") from exc
     return out

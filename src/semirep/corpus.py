@@ -62,10 +62,17 @@ def instance_spec(name: str) -> dict:
 
 
 def _table(spec: dict, key: str) -> np.ndarray:
+    """The multiplication table under key; its "order", when given, must be
+    the table's number of rows."""
     try:
-        return int_array(spec[key]["table"])
+        table = int_array(spec[key]["table"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{key!r} needs an integer multiplication table") from exc
+    rows = len(table) if table.ndim else 0
+    order = spec[key].get("order", rows)
+    if type(order) is not int or order != rows:
+        raise ParseError(f"{key!r} has order {order!r}, but its table has {rows} rows")
+    return table
 
 
 def _raw_tensor(obj, name: str, rank: int) -> np.ndarray:

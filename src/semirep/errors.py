@@ -65,10 +65,6 @@ class NotStabilized(ValidationError):
     pass
 
 
-class GaugeFailure(ValidationError):
-    pass
-
-
 class NonUnitaryExtraction(ValidationError):
     pass
 

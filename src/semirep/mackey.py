@@ -21,9 +21,9 @@ from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, TOL_VERIFY, as_int,
 from .cohomology import cocycle_inverse, cocycle_product
 from .corep import (Corep, act, conjugate, intertwiner_basis, irr_action, irr_enumerate,
                     mor_dim, tensor as corep_tensor)
-from .errors import (CompletenessFailure, GramFailure, IntegerRecoveryError,
-                     NonIntegerCoefficient, NonUnitaryExtraction, NotCovariant,
-                     NotStabilized, OracleDisagreement, GaugeFailure, ValidationError)
+from .errors import (CompletenessFailure, GramFailure, NonIntegerCoefficient,
+                     NonUnitaryExtraction, NotCovariant, NotStabilized,
+                     OracleDisagreement, ValidationError)
 from .groups import (Subgroup, conjugate_intersection, left_cosets, orbits,
                      stabilizer)
 from .induction import induce
@@ -102,10 +102,7 @@ def covariant_projective(inst: SemidirectInstance, u: Corep,
                 f"r0 = {r0} does not stabilize the irrep: Mor(r0 . u, u) = 0")
         t = basis[0]
         t = t * np.sqrt(u.dim) / np.linalg.norm(t)
-        phase = first_entry_phase(t)
-        if phase is None:
-            raise GaugeFailure("no matrix entry above the gauge threshold")
-        t = t * np.conj(phase)
+        t = t * np.conj(first_entry_phase(t))
         if max_abs(t @ t.conj().T - np.eye(u.dim)) > TOL_VERIFY:
             raise NotStabilized(f"intertwiner for r0 = {r0} is not unitary")
         mats[local] = t
@@ -331,9 +328,9 @@ def reduce_grp(inst: SemidirectInstance, g: GRParameter, u0: Corep,
 class _FusionTables:
     """The artifacts of one fusion run, each built once per distinct input.
 
-    Each moved u, V and v, tensor factor, moved parameter and GRP is interned
-    as it is built: `pool` maps a content key, taken once at creation, to the
-    first object with that content, and the run goes on with that object.
+    Each moved u, V and v, tensor factor and GRP is interned as it is built:
+    `pool` maps a content key, taken once at creation, to the first object
+    with that content, and the run goes on with that object.
       corep           (id(parent), shape, entries bytes)
       projective rep  (id(group), shape, mats bytes, cocycle bytes)
       parameter       (type, id(u), id(V), id(v), Lambda0)
@@ -342,13 +339,12 @@ class _FusionTables:
 
     The tables hash by identity, which on interned objects is equal content.
     A table's key is exactly what its artifact reads:
-      csrs         parameter -> its CSR corep (the classified ones from classify)
+      csrs         parameter or GRP -> its CSR (classified ones from classify)
       transversals Lambda0 -> its left coset representatives
-      meets        (Lambda_i, r_i) -> cap r_i Lambda_i r_i^{-1}
-      chars        (p, r, meet) -> character of r . CSR(p) on G x| meet
-      moved        (p, r, meet) -> r . p restricted to meet
+      triples      (Lambda_i) -> (reps, cap r_i Lambda_i r_i^{-1}) per coset triple
+      moved        (p, r, meet) -> r . p on meet, chi of r . CSR(p) on G x| meet
       tensors      (moved x2, moved x3) -> x2 (x) x3, for x = u, V, v
-      grps         (p2, r2, p3, r3, meet) -> the GRP, its CSR and chi2 . chi3
+      grps         (p2, r2, p3, r3, meet) -> the GRP and chi2 . chi3
       isotypic     (moved u1, GRP u) -> intertwiner_basis(u1, GRP u)
       reductions   (GRP, moved u1, moved V1) -> reduce_grp's result
     """
@@ -358,8 +354,7 @@ class _FusionTables:
         self.pool: dict = {}
         self.csrs = {w.parameter: w.csr for w in classified}
         self.transversals: dict = {}
-        self.meets: dict = {}
-        self.chars: dict = {}
+        self.triples: dict = {}
         self.moved: dict = {}
         self.tensors: dict = {}
         self.grps: dict = {}
@@ -387,28 +382,25 @@ class _FusionTables:
         return self._once(self.transversals, sub.elements,
                           lambda: [z for z, _ in left_cosets(sub)])
 
-    def meet(self, subs: list[Subgroup], reps: tuple[int, ...]) -> Subgroup:
-        """cap r_i Lambda_i r_i^{-1}."""
-        return self._once(self.meets, (tuple(s.elements for s in subs), reps),
-                          lambda: conjugate_intersection(subs, list(reps)))
+    def coset_triples(self, subs: list[Subgroup]) -> list[tuple[tuple[int, ...], Subgroup]]:
+        """(reps, cap r_i Lambda_i r_i^{-1}) for each triple of coset reps of subs."""
+        return self._once(self.triples, tuple(s.elements for s in subs), lambda: [
+            (reps, conjugate_intersection(subs, list(reps)))
+            for reps in itertools.product(*map(self.transversal, subs))])
 
     def csr(self, p: GRParameter) -> Corep:
         return self._once(self.csrs, p, lambda: csr_corep(self.top, p))
 
-    def character(self, p: RepParameter, r: int, meet: Subgroup) -> np.ndarray:
-        """Character of r . CSR(p), restricted to G x| meet."""
-        def build():
-            moved = act_corep(self.top, r, self.csr(p))
-            return restrict_corep(self.top, moved, meet).char_vec()
-        return self._once(self.chars, (p, r, meet.elements), build)
-
-    def moved_param(self, p: RepParameter, r: int, meet: Subgroup) -> RepParameter:
-        """r . p, restricted to meet."""
+    def moved_param(self, p: RepParameter, r: int,
+                    meet: Subgroup) -> tuple[RepParameter, np.ndarray]:
+        """r . p restricted to meet, and the character of r . CSR(p) on
+        G x| meet, taken from the moved CSR and not from the moved p."""
         def build():
             u, V, v = (self._intern(x) for x in (
                 act_base(self.top, r, p.u), move_rep(self.top, r, p.lambda0, meet, p.V),
                 move_rep(self.top, r, p.lambda0, meet, p.v)))
-            return self._intern(type(p)(u, V, v, meet))
+            restricted = restrict_corep(self.top, act_corep(self.top, r, self.csr(p)), meet)
+            return type(p)(u, V, v, meet), restricted.char_vec()
         return self._once(self.moved, (p, r, meet.elements), build)
 
     def tensor(self, x2, x3):
@@ -418,43 +410,40 @@ class _FusionTables:
                           lambda: self._intern(product(x2, x3)))
 
     def grp(self, p2: RepParameter, r2: int, p3: RepParameter, r3: int,
-            meet: Subgroup) -> tuple[GRParameter, Corep, np.ndarray]:
-        """The GRP (u2 (x) u3, V2 (x) V3, v2 (x) v3) of moved p2, p3, its CSR
-        corep, and the product of their restricted characters on G x| meet."""
+            meet: Subgroup) -> tuple[GRParameter, np.ndarray]:
+        """The GRP (u2 (x) u3, V2 (x) V3, v2 (x) v3) of moved p2, p3 and chi2 . chi3
+        on G x| meet; builds the GRP's CSR, the one check a GRP gets."""
         def build():
-            q2, q3 = self.moved_param(p2, r2, meet), self.moved_param(p3, r3, meet)
+            q2, chi2 = self.moved_param(p2, r2, meet)
+            q3, chi3 = self.moved_param(p3, r3, meet)
             g = self._intern(GRParameter(self.tensor(q2.u, q3.u), self.tensor(q2.V, q3.V),
                                          self.tensor(q2.v, q3.v), meet))
-            chi23 = self.top.principal(meet).product.product(
-                self.character(p2, r2, meet), self.character(p3, r3, meet))
-            return g, self.csr(g), chi23
+            self.csr(g)
+            return g, self.top.principal(meet).product.product(chi2, chi3)
         return self._once(self.grps, (p2, r2, p3, r3, meet.elements), build)
 
-    def reduction(self, g: GRParameter, big: Corep, q1: RepParameter):
-        """reduce_grp of g along (q1.u, q1.V); q1.v is not read."""
+    def reduction(self, g: GRParameter, q1: RepParameter):
+        """reduce_grp of g along (q1.u, q1.V), with g's CSR from csrs; q1.v is not read."""
         def build():
             basis = self._once(self.isotypic, (q1.u, g.u),
                                lambda: intertwiner_basis(q1.u, g.u))
-            return reduce_grp(self.top, g, q1.u, q1.V, basis, big)
+            return reduce_grp(self.top, g, q1.u, q1.V, basis, self.csrs[g])
         return self._once(self.reductions, (g, q1.u, q1.V), build)
 
 
-def incidence(inst: SemidirectInstance, params, reps, *,
+def incidence(inst: SemidirectInstance, params, reps, meet: Subgroup, *,
               tables: _FusionTables) -> int:
-    """The incidence number of three parameters at coset representatives.
+    """The incidence number of three parameters at coset representatives
+    reps with meet cap r_i Lambda_i r_i^{-1}.
 
-    Computed by the character route over G x| (cap r_i Lambda_i r_i^{-1}) and
-    re-derived through the GRP-reduction route; both must agree exactly.
-    Artifacts come from, and go to, the fusion run's tables.
+    Computed by the character route over G x| meet and re-derived through
+    the GRP-reduction route; both must agree exactly. Artifacts come from,
+    and go to, the fusion run's tables.
     """
-    top = inst.top
-    meet = tables.meet([p.lambda0 for p in params], tuple(reps))
-    h0 = top.principal(meet).product
-    grp, big, chi23 = tables.grp(params[1], reps[1], params[2], reps[2], meet)
-    m_char = as_int(h0.pair(tables.character(params[0], reps[0], meet), chi23))
-
-    q1 = tables.moved_param(params[0], reps[0], meet)
-    red = tables.reduction(grp, big, q1)
+    q1, chi1 = tables.moved_param(params[0], reps[0], meet)
+    grp, chi23 = tables.grp(params[1], reps[1], params[2], reps[2], meet)
+    m_char = as_int(inst.top.principal(meet).product.pair(chi1, chi23))
+    red = tables.reduction(grp, q1)
     m_proj = 0 if red is None else proj_mor_dim(q1.v, red.v)
     if m_proj != m_char:
         raise OracleDisagreement(
@@ -490,19 +479,17 @@ class FusionTable:
 
 def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
                  w3: ClassifiedIrr, tables: _FusionTables) -> int:
-    """N_{w2,w3}^{w1} by the triple coset sum of incidence numbers, over the
-    fusion run's tables."""
-    top = inst.top
+    """N_{w2,w3}^{w1} = sum of m |meet| / |Lambda| over the coset triples of
+    incidence m, summed in integers over the fusion run's tables; raises
+    NonIntegerCoefficient unless |Lambda| divides the sum."""
     params = (w1.parameter, w2.parameter, w3.parameter)
-    subs = [p.lambda0 for p in params]
-    total = 0.0
-    for reps in itertools.product(*(tables.transversal(s) for s in subs)):
-        m = incidence(top, params, reps, tables=tables)
-        total += m * tables.meet(subs, reps).order / top.lam_full.order
-    try:
-        return as_int(total, tol=TOL_ACCEPT)
-    except IntegerRecoveryError as exc:
-        raise NonIntegerCoefficient(str(exc)) from exc
+    total = sum(incidence(inst, params, reps, meet, tables=tables) * meet.order
+                for reps, meet in tables.coset_triples([p.lambda0 for p in params]))
+    entry, rest = divmod(total, inst.top.lam_full.order)
+    if rest:
+        raise NonIntegerCoefficient(
+            f"coset sum {total} is not a multiple of |Lambda| = {inst.top.lam_full.order}")
+    return entry
 
 
 def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionTable:
@@ -519,14 +506,8 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionT
     the character pairings of all w1 with one chi2 . chi3 are one product
     against the Haar forms of the classified characters, and
     module_fusion_cube counts the module homs in one batch per w2.
-    Everything else is built once per distinct input and shared (see
-    _FusionTables), and the inputs are interned content, so objects built
-    twice with equal arrays count as one input: the CSR corep of each
-    classified parameter (taken from classify), coset transversals, meets,
-    restricted characters, moved parameters, the tensor factors of each GRP,
-    each GRP with its CSR and chi2 . chi3, each isotypic basis per (moved
-    u1, GRP u), and each GRP reduction, with all of its checks, per (GRP,
-    moved u1, moved V1).
+    Everything else is built once per distinct input, by content, and
+    shared through the run's tables; _FusionTables lists them.
     """
     top = inst.top
     h = top.product

@@ -21,8 +21,8 @@ from semirep.cohomology import Cochain1, Cochain2, trivial_cochain2
 from semirep.corep import Corep, intertwiner_basis, regular_corep, tensor
 from semirep.errors import (CocycleMismatch, NonUnitaryExtraction, NotProjective,
                             NotScalarRelated, ValidationError)
-from semirep.groups import (FiniteGroup, Subgroup, conjugate_subgroup, left_cosets,
-                            symmetric_group)
+from semirep.groups import (FiniteGroup, Subgroup, conjugate_intersection,
+                            conjugate_subgroup, left_cosets, symmetric_group)
 from semirep.hopf import HopfData
 from semirep.mackey import _FusionTables, act_base, fusion_entry, incidence
 from semirep.projective import ProjectiveRep, pullback
@@ -426,8 +426,9 @@ def standalone_entry(inst, w1, w2, w3) -> int:
 
 
 def standalone_incidence(inst, params, reps) -> int:
-    """incidence over fresh, empty tables."""
-    return incidence(inst, params, reps, tables=_FusionTables(inst, ()))
+    """incidence at the meet cap r_i Lambda_i r_i^{-1}, over fresh, empty tables."""
+    meet = conjugate_intersection([p.lambda0 for p in params], list(reps))
+    return incidence(inst, params, reps, meet, tables=_FusionTables(inst, ()))
 
 
 def check_fusion_identities(n: np.ndarray, dims: np.ndarray, bar: np.ndarray) -> None:

@@ -74,6 +74,9 @@ MALFORMED_FILES = {  # name -> (document, text the error line must contain)
         [0, 1, 2], [1, 2, 0], [2, 0, 2.9]]}), "integer multiplication table"),
     "action_entry_fractional": (dict(SPEC_A, action=[[0, 1, 2], [0, 2.9, 1]]),
                                 "integer permutations"),
+    "base_order_wrong": (dict(SPEC_A, base=dict(SPEC_A["base"], order=5)), "order 5"),
+    "lambda_order_wrong": (dict(SPEC_A, **{"lambda": dict(SPEC_A["lambda"], order=7)}),
+                           "order 7"),
     "seed_not_integer": (dict(SPEC_A, seed="x"), "seed"),
     "seed_fractional": (dict(SPEC_A, seed=7.5), "seed"),
     "raw_hopf_without_unit": (dict(RAW_TRIVIAL, base={
@@ -107,6 +110,8 @@ def test_malformed_file_exits_1(name, tmp_path):
     ("0,5", "x:1,v:0", "--subgroup"),
     ("0", "x", "--param"),
     ("0", "x:a,v:0", "--param"),
+    ("0", "x:1,v:0,w:2", "--param"),
+    ("0", "x:1,x:0,v:0", "--param"),
 ])
 def test_malformed_induce_arguments_exit_1(subgroup, param, needle):
     code, _, err = run_cli("induce", str(INSTANCES / "instance_a.json"),

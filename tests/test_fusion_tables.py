@@ -114,6 +114,37 @@ def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypat
     assert len(params) <= len(grps) + nonempty
 
 
+def test_fusion_meets_on_a_nonabelian_lambda(inst_g, inst_h, monkeypatch):
+    """On G and H (Lambda = S3) the stabilizers have several cosets and the
+    meets are proper subgroups. One fusion run intersects once per distinct
+    (Lambda_1, Lambda_2, Lambda_3, reps), takes one transversal per distinct
+    Lambda0, and hands each incidence the meet of its own reps."""
+    for inst in (inst_g, inst_h):
+        cl = classify(inst)
+        with monkeypatch.context() as patch:
+            meets = spy(patch, mackey, "conjugate_intersection")
+            transversals = spy(patch, mackey, "left_cosets")
+            incidences = spy(patch, mackey, "incidence")
+            fusion(inst, cl)
+
+        stabilizers = [w.parameter.lambda0 for w in cl]
+        triples = {(tuple(s.elements for s in subs), reps)
+                   for subs in product(stabilizers, repeat=3)
+                   for reps in product(*([z for z, _ in left_cosets(s)] for s in subs))}
+        keys = [(tuple(s.elements for s in subs), tuple(reps)) for (subs, reps), _ in meets]
+        assert len(keys) == len(set(keys)) and set(keys) == triples
+        subs = [sub.elements for (sub,), _ in transversals]
+        assert len(subs) == len(set(subs)) == len({s.elements for s in stabilizers})
+
+        assert len(incidences) == sum(len(left_cosets(s)) for s in stabilizers) ** 3
+        proper = 0
+        for (_, params, reps, meet), _ in incidences:
+            want = conjugate_intersection([p.lambda0 for p in params], list(reps))
+            assert meet.parent is want.parent and meet.elements == want.elements
+            proper += meet.order < min(p.lambda0.order for p in params)
+        assert proper
+
+
 def test_fusion_cube_equals_standalone_entries(inst_b, inst_c, inst_g):
     """Every entry from fresh tables equals the cube from one run's shared
     tables; G has a nonabelian Lambda, nontrivial coset representatives and
@@ -142,7 +173,7 @@ def test_moved_params_match_translate_then_restrict(inst_g, inst_h):
             for r in inst.lam_full.elements():
                 target = conjugate_subgroup(p.lambda0, r)
                 for meet in (s for s in subgroups if s.is_subset_of(target)):
-                    q = tables.moved_param(p, r, meet)
+                    q, _ = tables.moved_param(p, r, meet)
                     ref = restrict_param(translate_param(inst, r, p), meet)
                     assert type(q) is type(ref) and q.lambda0 == ref.lambda0
                     assert np.array_equal(q.u.entries, ref.u.entries)
@@ -193,12 +224,12 @@ def test_interning_keeps_parents_groups_and_cocycles_apart(inst_f):
 
 
 def test_non_integer_total_raises_non_integer_coefficient(inst_a, monkeypatch):
-    """A first incidence of 1/2 and zeros after it put the coset sum strictly
-    between 0 and 1/2."""
+    """A first incidence of 1/2 and zeros after it make the coset sum
+    |meet| / 2, which |Lambda| = 2 does not divide."""
     cl = classify(inst_a)
     values = iter([0.5])
     monkeypatch.setattr(mackey, "incidence", lambda *args, **kwargs: next(values, 0))
-    with pytest.raises(NonIntegerCoefficient, match="not within"):
+    with pytest.raises(NonIntegerCoefficient, match="not a multiple"):
         standalone_entry(inst_a, cl[0], cl[0], cl[0])
 
 
