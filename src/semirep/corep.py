@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (DEFAULT_SEED, TOL_DEGENERATE, TOL_VERIFY, as_int,
-                      char_sort_key, check_commutant, decompose, hom_space_dim,
-                      hom_space_dims, max_abs, module_hom_basis)
+                      char_sort_key, check_commutant, compress_stack, decompose,
+                      hom_space_dim, hom_space_dims, max_abs, module_hom_basis)
 from .errors import (OracleDisagreement, OrbitResolutionFailure,
                      PeterWeylMismatch, ValidationError)
 from .groups import FiniteGroup, GroupAction
@@ -150,9 +150,10 @@ def conjugate(u: Corep) -> Corep:
 # -- decomposition and enumeration ---------------------------------------------
 
 def compress(u: Corep, q: np.ndarray) -> Corep:
-    """The corep q^* u q on the range of an isometry q (columns orthonormal)."""
-    entries = np.einsum("ia,ijc,jb->abc", np.conj(q), u.entries, q)
-    return Corep(u.parent, entries)
+    """The corep q^* u q on the range of an isometry q (columns orthonormal),
+    compressed slice by slice."""
+    slices = compress_stack(np.moveaxis(u.entries, 2, 0), q)
+    return Corep(u.parent, np.moveaxis(slices, 0, 2))
 
 
 def irr_decompose(u: Corep, comm, seed: int = DEFAULT_SEED) -> list[tuple[Corep, int]]:

@@ -57,10 +57,6 @@ class CovarianceFailure(ValidationError):
     pass
 
 
-class ProjectionNotInvariant(ValidationError):
-    pass
-
-
 class NotStabilized(ValidationError):
     pass
 

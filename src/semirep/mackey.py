@@ -158,8 +158,7 @@ def param_mor_dim(inst: SemidirectInstance, p1: RepParameter, p2: RepParameter) 
     else:
         t = intertwiner_basis(p1.u, p2.u)[0]
         t = t * np.sqrt(p1.u.dim) / np.linalg.norm(t)
-        moved = ProjectiveRep(p1.lambda0.group,
-                              np.einsum("ia,rab,jb->rij", t, p1.V.mats, np.conj(t)),
+        moved = ProjectiveRep(p1.lambda0.group, t @ p1.V.mats @ t.conj().T,
                               p1.V.cocycle)
         b = transitional_map(moved, p2.V)
         value = proj_mor_dim(p1.v, rescale(b, p2.v))
@@ -333,7 +332,8 @@ class _FusionTables:
     with that content, and the run goes on with that object.
       corep           (id(parent), shape, entries bytes)
       projective rep  (id(group), shape, mats bytes, cocycle bytes)
-      parameter       (type, id(u), id(V), id(v), Lambda0)
+      GRP             (id(u), id(V), id(v), Lambda0)
+    GRPs are the only parameters interned, so their key needs no type.
     Parents and groups are matched by identity, never by ==. The pool keeps
     every interned object alive, so no id in a key is recycled within a run.
 
@@ -374,7 +374,7 @@ class _FusionTables:
         elif isinstance(x, ProjectiveRep):
             key = (id(x.group), x.mats.shape, x.mats.tobytes(), x.cocycle.values.tobytes())
         else:
-            key = (type(x), id(x.u), id(x.V), id(x.v), x.lambda0.elements)
+            key = (id(x.u), id(x.V), id(x.v), x.lambda0.elements)
         return self.pool.setdefault(key, x)
 
     def transversal(self, sub: Subgroup) -> list[int]:

@@ -3,9 +3,10 @@ and direct-sum representations, the trivial action, the trivial subgroup, base
 coreps viewed over G x| {e}, conjugation instances C(K) x| lam, a HopfData
 with empty caches), dense copies of a HopfData's tensors and the dense
 structure constants of its dual algebra, the (co)commutativity tests of a
-Hopf algebra, the dense conjugation isomorphism that act_corep is checked against, element-by-element
-and einsum references of the batched group-relation checks and corep
-contractions, the two-step translate-then-restrict reference of a moved
+Hopf algebra, the dense conjugation isomorphism that act_corep is checked
+against, the l2(Lambda) (x) H construction that every induced corep is
+checked against, element-by-element and einsum references of the batched
+group-relation checks and corep contractions, the two-step translate-then-restrict reference of a moved
 parameter, the module-hom systems over all d coefficient slices that the
 generator-slice systems are checked against, fusion entries and
 incidence numbers over fresh tables, and the algebraic identities every
@@ -16,16 +17,19 @@ import itertools
 import numpy as np
 
 from semirep._linalg import (TOL_ACCEPT, TOL_VERIFY, check_commutant, compress_stack,
-                             decompose, hom_space_dim, max_abs, module_hom_basis)
+                             decompose, hom_space_dim, max_abs, max_abs_each,
+                             module_hom_basis)
 from semirep.cohomology import Cochain1, Cochain2, trivial_cochain2
-from semirep.corep import Corep, intertwiner_basis, regular_corep, tensor
-from semirep.errors import (CocycleMismatch, NonUnitaryExtraction, NotProjective,
-                            NotScalarRelated, ValidationError)
+from semirep.corep import (Corep, compress, intertwiner_basis, regular_corep, tensor,
+                           verify_corep)
+from semirep.errors import (CocycleMismatch, CovarianceFailure, NonUnitaryExtraction,
+                            NotProjective, NotScalarRelated, ValidationError)
 from semirep.groups import (FiniteGroup, Subgroup, conjugate_intersection,
                             conjugate_subgroup, left_cosets, symmetric_group)
 from semirep.hopf import HopfData
 from semirep.mackey import _FusionTables, act_base, fusion_entry, incidence
-from semirep.projective import ProjectiveRep, pullback
+from semirep.projective import ProjectiveRep, ordinary_rep, pullback
+from semirep.semidirect import instance_of_corep, join_covariant, split_covariant
 
 
 def spy(monkeypatch, module, name):
@@ -316,7 +320,9 @@ def _loop_grp_factor(g, u0: Corep, v0: ProjectiveRep):
 
 
 def _loop_coset_isometry(top, sub: Subgroup, ul: ProjectiveRep) -> np.ndarray:
-    """The orthonormal coset basis of K that induce builds from U_Lambda."""
+    """The orthonormal basis of K = range(pi), one column block per right
+    coset Lambda0 s: block s holds U_Lambda(r0) / sqrt|Lambda0| in row block
+    r0 s."""
     lam = top.lam_full
     n = ul.dim
     nl = lam.order
@@ -330,6 +336,71 @@ def _loop_coset_isometry(top, sub: Subgroup, ul: ProjectiveRep) -> np.ndarray:
                 vec[t * n:(t + 1) * n] += ul.mats[r0_local][:, a]
             cols.append(vec / np.sqrt(sub.order))
     return np.array(cols).T
+
+
+# -- an induced corep through l2(Lambda) (x) H -----------------------------------
+
+def reference_induce(inst, u: Corep) -> Corep:
+    """Ind(U) as the compression of a corep on l2(Lambda) (x) H to its
+    covariant subspace K, the reference that induction.induce is checked
+    against.
+
+    W~_Lambda is the right-regular representation of Lambda on l2(Lambda)
+    tensored with id_H, W~_G = sum_s e_{s,s} (x) (id (x) alpha*_s)(U_G), and
+    pi = |Lambda0|^{-1} sum_{r0, s} e_{r0 s, s} (x) U_Lambda(r0) projects onto
+    K. pi must be a projection commuting with every W~_Lambda(s) and with
+    W~_G, and the coset basis of K must be orthonormal and lie in range(pi);
+    the joined corep (W~_G, W~_Lambda) is then compressed to that basis.
+    """
+    top = inst.top
+    sub_inst = instance_of_corep(inst, u)
+    sub = sub_inst.subgroup
+    lam = top.lam_full
+    n = u.dim
+    nl = lam.order
+    ug, ul = split_covariant(sub_inst, u)
+
+    span = np.arange(nl)
+    # W~_Lambda(s): delta_r (x) xi -> delta_{r s^{-1}} (x) xi; shift[s, t, r] = [ts = r]
+    shift = lam.mult.T[:, :, None] == span
+    wl = ordinary_rep(lam, np.einsum("str,ij->stirj", shift, np.eye(n)).reshape(
+        nl, nl * n, nl * n))
+
+    wg_entries = np.zeros((nl, n, nl, n, top.base.dim), dtype=complex)
+    wg_entries[span, :, span] = ug.entries @ top.alpha_mats.transpose(0, 2, 1)[:, None]
+    wg = Corep(top.base, wg_entries.reshape(nl * n, nl * n, -1))
+
+    # r0 -> r0 s is injective, so every block of pi is set at most once
+    r0 = np.array(sub.elements)[:, None]
+    pi = np.zeros((nl, n, nl, n), dtype=complex)
+    pi[lam.mult[r0, span], :, span] = ul.mats[:, None]
+    pi = pi.reshape(nl * n, nl * n) / sub.order
+
+    res = max_abs(pi @ pi - pi)
+    if res > TOL_VERIFY:
+        raise ValidationError(f"pi is not a projection (residual {res:.2e})")
+    comm = max_abs_each(pi @ wl.mats - wl.mats @ pi)
+    bad = np.flatnonzero(comm > TOL_VERIFY)
+    if len(bad):
+        raise ValidationError(
+            f"pi does not commute with W~_Lambda({bad[0]}) ({comm[bad[0]]:.2e})")
+    res = max_abs(np.einsum("ik,kjc->ijc", pi, wg.entries)
+                  - np.einsum("ikc,kj->ijc", wg.entries, pi))
+    if res > TOL_VERIFY:
+        raise ValidationError(f"pi does not commute with W~_G ({res:.2e})")
+
+    isometry = _loop_coset_isometry(top, sub, ul)
+    if max_abs(isometry.conj().T @ isometry - np.eye(isometry.shape[1])) > TOL_VERIFY:
+        raise ValidationError("coset basis of K is not orthonormal")
+    if max_abs(pi @ isometry - isometry) > TOL_VERIFY:
+        raise ValidationError("coset basis does not lie in range(pi)")
+
+    result = compress(join_covariant(top, wg, wl), isometry)
+    report = verify_corep(result)
+    if not report["pass"]:
+        raise CovarianceFailure(
+            f"induced corep fails verification (max {report['max']:.2e})")
+    return result
 
 
 # -- a moved parameter in two steps --------------------------------------------

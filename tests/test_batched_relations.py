@@ -4,7 +4,8 @@ The library checks each relation between elements of Lambda0 (the cocycle
 law, projectivity, covariance, the factor extraction of a GRP) over the whole
 multiplication table in one array expression, and contracts coreps with mult
 in two fixed steps. Here every such check that runs while classifying and
-fusing A-H is repeated by its loop or einsum reference from helpers.py:
+fusing A-H is repeated by its loop or einsum reference from helpers.py, and
+every induced corep by its l2(Lambda) (x) H construction there:
 values must agree to 1e-12, witnesses exactly, and an input that fails must
 raise the same exception with the same message. Corrupted inputs reach every
 error branch, and a counter test on `fuse` D pins how often each check runs.
@@ -29,14 +30,13 @@ from semirep.groups import cyclic_group, symmetric_group
 from semirep.mackey import GRParameter, _FusionTables, classify, fusion, reduce_grp
 from semirep.projective import (ProjectiveRep, cocycle_of, irreducible_projreps,
                                 regular_twisted_rep, transitional_map)
-from semirep.semidirect import (check_covariant, instance_of_corep, join_covariant,
-                                split_covariant)
+from semirep.semidirect import check_covariant, join_covariant
 
 from helpers import (_einsum_corep_tensor, _einsum_verify_corep,
                      _loop_check_covariant, _loop_coboundary, _loop_cocycle_of,
-                     _loop_coset_isometry, _loop_grp_factor, _loop_is_cocycle,
-                     _loop_join_covariant_entries, _loop_proj_tensor_mats,
-                     _loop_regular_twisted_mats, _loop_transitional_map, _loop_verify)
+                     _loop_grp_factor, _loop_is_cocycle, _loop_join_covariant_entries,
+                     _loop_proj_tensor_mats, _loop_regular_twisted_mats,
+                     _loop_transitional_map, _loop_verify, reference_induce)
 
 TOL = 1e-12
 
@@ -101,12 +101,6 @@ def _cmp_grp(out, ref):
     return _close(out.v.mats, want)
 
 
-def _ref_isometry(inst, u):
-    sub_inst = instance_of_corep(inst, u)
-    _, ul = split_covariant(sub_inst, u)
-    return _loop_coset_isometry(inst.top, sub_inst.subgroup, ul)
-
-
 MIRRORED = {  # name -> (function, reference, comparison of their results)
     "cocycle_of": (cocycle_of, _loop_cocycle_of,
                    lambda out, ref: _close(out.values, ref.values)),
@@ -121,8 +115,8 @@ MIRRORED = {  # name -> (function, reference, comparison of their results)
                      lambda out, ref: _close(out.entries, ref)),
     "verify_corep": (corep.verify_corep, _einsum_verify_corep, _cmp_report),
     "reduce_grp": (reduce_grp, _ref_grp, _cmp_grp),
-    "induce": (induction.induce, _ref_isometry,
-               lambda out, ref: _close(out.isometry, ref)),
+    "induce": (induction.induce, reference_induce,
+               lambda out, ref: _close(out.result.entries, ref.entries)),
 }
 
 

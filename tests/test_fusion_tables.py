@@ -15,7 +15,7 @@ from semirep import cli, mackey, oracle
 from semirep.cohomology import Cochain2, trivial_cochain2
 from semirep.corep import Corep, tensor as corep_tensor
 from semirep.corpus import INSTANCES
-from semirep.errors import NonIntegerCoefficient, OracleDisagreement
+from semirep.errors import IntegerRecoveryError, NonIntegerCoefficient, OracleDisagreement
 from semirep.groups import (FiniteGroup, Subgroup, all_subgroups, conjugate_intersection,
                             conjugate_subgroup, left_cosets)
 from semirep.mackey import (FusionTable, GRParameter, RepParameter, _FusionTables, act_base,
@@ -218,8 +218,7 @@ def test_interning_keeps_parents_groups_and_cocycles_apart(inst_f):
     u, V, W = built["u"], built["V"], built["V with another cocycle"]
     g = tables._intern(GRParameter(u, V, V, p.lambda0))
     assert tables._intern(GRParameter(u, V, V, p.lambda0)) is g
-    for other in (RepParameter(u, V, V, p.lambda0), GRParameter(u, W, V, p.lambda0),
-                  GRParameter(u, V, W, p.lambda0)):
+    for other in (GRParameter(u, W, V, p.lambda0), GRParameter(u, V, W, p.lambda0)):
         assert tables._intern(other) is other
 
 
@@ -234,14 +233,20 @@ def test_non_integer_total_raises_non_integer_coefficient(inst_a, monkeypatch):
 
 
 def test_unrelated_fault_in_fusion_entry_is_not_an_oracle_disagreement(inst_a, monkeypatch):
+    """An integer-recovery failure inside the formula route reaches the caller
+    as itself, in the exit-1 family: nothing turns it into the exit-2
+    NonIntegerCoefficient, which only a coset sum that |Lambda| does not
+    divide may raise."""
     cl = classify(inst_a)
+    fault = IntegerRecoveryError("value (0.5+0j) is not within 0.1 of an integer")
 
     def broken(*args, **kwargs):
-        raise RuntimeError("not an integer-recovery failure")
+        raise fault
 
     monkeypatch.setattr(mackey, "as_int", broken)
-    with pytest.raises(RuntimeError, match="not an integer-recovery"):
+    with pytest.raises(IntegerRecoveryError) as info:
         standalone_entry(inst_a, cl[0], cl[0], cl[0])
+    assert info.value is fault
 
 
 def test_agreement_requires_every_route_on_every_entry(inst_a):
