@@ -29,6 +29,6 @@ from .projective import (ProjectiveRep, cocycle_of, contragredient,
                          irreducible_projreps, proj_mor_dim, projective_rep,
                          rescale, transitional_map)
 from .semidirect import (SemidirectInstance, act_corep, build, check_covariant,
-                         extend, join_covariant, restrict_corep, split_covariant)
+                         extend, join_covariant, restrict_corep)
 
 __version__ = "0.1.0"

@@ -176,9 +176,8 @@ def hom_space_dims(pairs) -> list[int]:
 
 
 def hom_space_dim(mats1, mats2) -> int:
-    """len(module_hom_basis(mats1, mats2)), without computing the basis."""
-    return int(nullity(sylvester_system(np.asarray(mats1, dtype=complex),
-                                        np.asarray(mats2, dtype=complex))))
+    """hom_space_dims for the one pair (mats1, mats2)."""
+    return hom_space_dims([(mats1, mats2)])[0]
 
 
 def check_commutant(mats, comm) -> None:
@@ -277,14 +276,19 @@ def first_entry_phase(mat: np.ndarray):
             return entry / abs(entry)
 
 
+def nan_as_inf(worst):
+    """Residuals with NaN read as inf, so that a NaN fails every check (NaN > tol is False)."""
+    return np.where(np.isnan(worst), np.inf, worst)
+
+
 def max_abs(arr) -> float:
     arr = np.asarray(arr)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(nan_as_inf(np.max(np.abs(arr)))) if arr.size else 0.0
 
 
 def max_abs_each(arr: np.ndarray) -> np.ndarray:
     """max_abs(arr[r]) for every r along the first axis at once."""
-    return np.abs(arr).reshape(len(arr), -1).max(axis=1)
+    return nan_as_inf(np.abs(arr).reshape(len(arr), -1).max(axis=1))
 
 
 def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

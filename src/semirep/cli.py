@@ -263,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@np.errstate(all="ignore")  # no warnings: every non-finite residual fails its check
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

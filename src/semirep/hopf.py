@@ -40,7 +40,7 @@ from collections import defaultdict
 import numpy as np
 
 from ._linalg import (RANK_RTOL, TOL_BUILD, TOL_DEGENERATE, TOL_VERIFY, int_array,
-                      max_abs, max_abs_each, new_directions, nullspace)
+                      max_abs, max_abs_each, nan_as_inf, new_directions, nullspace)
 from .errors import (NoUniqueHaar, NotAntihomomorphism, NotAutomorphism,
                      ParseError, ValidationError)
 from .groups import FiniteGroup
@@ -272,7 +272,7 @@ def _residual(lhs, rhs, shape) -> np.ndarray:
         keys //= lead
         at = np.flatnonzero(np.diff(keys, prepend=-1))
         worst[keys[at]] = np.maximum.reduceat(np.abs(diff), at)
-    return worst
+    return nan_as_inf(worst)
 
 
 def verify_axioms(h: HopfData) -> dict:
@@ -336,7 +336,7 @@ def verify_axioms(h: HopfData) -> dict:
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     res["haar_positivity"] = max(0.0, float(-eigs.min()))
 
-    res["max"] = max(v for k, v in res.items() if k != "max") if res else 0.0
+    res["max"] = max_abs(list(res.values()))
     res["pass"] = res["max"] < TOL_VERIFY
     return res
 

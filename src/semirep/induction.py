@@ -16,9 +16,8 @@ from .corep import Corep, mor_dim, verify_corep
 from .errors import (CovarianceFailure, FormulaMismatch, OracleDisagreement,
                      ValidationError)
 from .groups import Subgroup, conjugate_intersection, left_cosets
-from .projective import ordinary_rep
 from .semidirect import (SemidirectInstance, act_corep, extend, instance_of_corep,
-                         join_covariant, restrict_corep, split_covariant)
+                         join_covariant, restrict_corep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,35 +28,36 @@ class InducedRep:
 def induce(inst: SemidirectInstance, u: Corep) -> InducedRep:
     """Induce a corep U of G x| Lambda0 up to G x| Lambda, in closed form.
 
-    One copy of U's space per right coset Lambda0 s_j, s_j the inverse of
-    the j-th left coset representative. With (U_G, U_Lambda) the covariant
-    pair of U, the G part is block-diagonal with block j equal to
-    (id (x) alpha*_{s_j})(U_G), and Ind(t)[j, k] = U_Lambda(s_j t s_k^{-1})
-    when that element lies in Lambda0, 0 otherwise. ordinary_rep on Ind
-    replaces the check that the projection onto the covariant subspace of
-    l2(Lambda) (x) H commutes with Lambda, join_covariant's covariance check
-    the one that it commutes with the G part; verify_corep certifies the result.
+    One copy of U's space per right coset Lambda0 s_j, s_j the inverse of the
+    j-th left coset representative. U_G is U's block at the identity, U_Lambda
+    its blocks contracted with the base counit. The G part is block-diagonal,
+    block j being (id (x) alpha*_{s_j})(U_G), and Ind(t)[j, k] is
+    U_Lambda(s_j t s_k^{-1}) when that lies in Lambda0, 0 otherwise.
+    join_covariant certifies these monomial matrices as a representation (its
+    law contains U_Lambda's: Ind's block on the coset Lambda0 is U_Lambda up to
+    an inner automorphism) and the pair as covariant; verify_corep the result.
     """
     top = inst.top
     sub_inst = instance_of_corep(inst, u)
     sub = sub_inst.subgroup
     lam = top.lam_full
     n = u.dim
-    ug, ul = split_covariant(sub_inst, u)
+    blocks = u.entries.reshape(n, n, sub.order, top.base.dim)
+    ul_mats = np.einsum("ijrc,c->rij", blocks, top.base.counit)
     right = lam.inv[[rep for rep, _ in left_cosets(sub)]]
     m = len(right)
 
     g_blocks = np.zeros((m, n, m, n, top.base.dim), dtype=complex)
     g_blocks[np.arange(m), :, np.arange(m)] = \
-        ug.entries @ top.alpha[right].transpose(0, 2, 1)[:, None]
+        blocks[:, :, sub.group.identity] @ top.alpha[right].transpose(0, 2, 1)[:, None]
     # moved[t, j, k] = s_j t s_k^{-1}
     moved = lam.mult[lam.mult[right].T[:, :, None], lam.inv[right]]
     t, j, k = np.nonzero(np.isin(moved, sub.elements))
     lam_mats = np.zeros((lam.order, m, n, m, n), dtype=complex)
-    lam_mats[t, j, :, k] = ul.mats[sub.to_local(moved[t, j, k])]
+    lam_mats[t, j, :, k] = ul_mats[sub.to_local(moved[t, j, k])]
 
     result = join_covariant(top, Corep(top.base, g_blocks.reshape(m * n, m * n, -1)),
-                            ordinary_rep(lam, lam_mats.reshape(lam.order, m * n, m * n)))
+                            lam_mats.reshape(lam.order, m * n, m * n))
     report = verify_corep(result)
     if not report["pass"]:
         raise CovarianceFailure(

@@ -29,8 +29,8 @@ from .groups import (Subgroup, conjugate_intersection, left_cosets, orbits,
 from .induction import induce
 from .oracle import module_fusion_cube
 from .projective import (ProjectiveRep, contragredient, irreducible_projreps,
-                         ordinary_rep, proj_mor_dim, projective_rep, pullback,
-                         rescale, tensor as proj_tensor, transitional_map)
+                         proj_mor_dim, projective_rep, pullback, rescale,
+                         tensor as proj_tensor, transitional_map)
 from .semidirect import (SemidirectInstance, act_corep, check_covariant,
                          join_covariant, restrict_corep)
 
@@ -129,8 +129,8 @@ def move_rep(inst: SemidirectInstance, r: int, sub: Subgroup, meet: Subgroup,
 def csr_corep(inst: SemidirectInstance, p: GRParameter) -> Corep:
     """The corep of G x| Lambda0 packaged by a (generalized) parameter.
 
-    The Lambda0 part v (x) V goes through `ordinary_rep`, which re-extracts its
-    cocycle and requires it to be trivial. For a GRP this is the only check of
+    join_covariant certifies the Lambda0 part v (x) V as an ordinary
+    representation from its matrices. For a GRP this is the only check of
     that: `_FusionTables.grp` never validates the GRPs it builds, and builds
     the CSR of each distinct GRP once.
     """
@@ -140,8 +140,7 @@ def csr_corep(inst: SemidirectInstance, p: GRParameter) -> Corep:
     ug_entries = np.einsum("ab,ijc->aibjc", eye, p.u.entries).reshape(
         nv * nu, nv * nu, inst.base.dim)
     ug = Corep(inst.base, ug_entries)
-    ul = ordinary_rep(sub_inst.lam, kron_stack(p.v.mats, p.V.mats))
-    return join_covariant(sub_inst, ug, ul)
+    return join_covariant(sub_inst, ug, kron_stack(p.v.mats, p.V.mats))
 
 
 def param_mor_dim(inst: SemidirectInstance, p1: RepParameter, p2: RepParameter) -> int:

@@ -85,11 +85,12 @@ def projective_rep(group: FiniteGroup, mats) -> ProjectiveRep:
 
 
 def ordinary_rep(group: FiniteGroup, mats) -> ProjectiveRep:
-    """An honest (cocycle-free) representation; projectivity residual must vanish."""
-    rep = projective_rep(group, mats)
-    if max_abs(rep.cocycle.values - 1.0) > TOL_ACCEPT:
-        raise NotProjective("matrices form a projective, not ordinary, representation")
-    return ProjectiveRep(group, rep.mats, trivial_cochain2(group))
+    """An honest representation, V(e) = 1, unitarity and V(r)V(s) = V(rs) verified."""
+    rep = ProjectiveRep(group, mats, trivial_cochain2(group))
+    worst = rep.verify()
+    if worst > TOL_ACCEPT:
+        raise NotProjective(f"matrices are not an ordinary representation ({worst:.2e})")
+    return rep
 
 
 def rescale(b: Cochain1, v: ProjectiveRep) -> ProjectiveRep:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import TOL_VERIFY, max_abs
+from ._linalg import TOL_VERIFY
 from .corep import Corep
 from .errors import NotCovariant, ValidationError
 from .groups import FiniteGroup, Subgroup, conjugate_subgroup, full_subgroup
@@ -102,15 +102,6 @@ def restrict_corep(inst: SemidirectInstance, u: Corep, sub: Subgroup) -> Corep:
 
 # -- covariant pairs -------------------------------------------------------------
 
-def split_covariant(inst: SemidirectInstance, u: Corep) -> tuple[Corep, ProjectiveRep]:
-    """U -> (U_G, U_Lambda) via the counits of the two factors."""
-    blocks = u.entries.reshape(u.dim, u.dim, inst.lam.order, inst.base.dim)
-    ug = Corep(inst.base, blocks[:, :, inst.lam.identity].copy())
-    mats = np.einsum("ijrc,c->rij", blocks, inst.base.counit)
-    ul = ordinary_rep(inst.lam, mats)
-    return ug, ul
-
-
 def check_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep):
     """Residual of sum_k f_ik(r) u_kj = sum_k f_kj(r) alpha*_r(u_ik), with witness.
 
@@ -126,10 +117,10 @@ def check_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep):
     return worst <= TOL_VERIFY, worst, witness if worst > 0 else None
 
 
-def join_covariant(inst: SemidirectInstance, ug: Corep, ul: ProjectiveRep) -> Corep:
-    """U = (U_G)_12 (U_Lambda)_13 for a covariant pair; U_ij = sum_k u_ik (x) f_kj."""
-    if max_abs(ul.cocycle.values - 1.0) > TOL_VERIFY:
-        raise NotCovariant("the Lambda part must be an ordinary representation")
+def join_covariant(inst: SemidirectInstance, ug: Corep, mats) -> Corep:
+    """U = (U_G)_12 (U_Lambda)_13, U_ij = sum_k u_ik (x) f_kj, once ordinary_rep
+    certifies mats as the representation U_Lambda and check_covariant the pair."""
+    ul = ordinary_rep(inst.lam, mats)
     ok, worst, witness = check_covariant(inst, ug, ul)
     if not ok:
         raise NotCovariant(f"covariance residual {worst:.2e} at (r, i, j) = {witness}")

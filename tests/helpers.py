@@ -4,13 +4,14 @@ coreps viewed over G x| {e}, conjugation instances C(K) x| lam, a HopfData
 with empty caches), dense copies of a HopfData's tensors and the dense
 structure constants of its dual algebra, the (co)commutativity tests of a
 Hopf algebra, the dense conjugation isomorphism that act_corep is checked
-against, the l2(Lambda) (x) H construction that every induced corep is
-checked against, element-by-element and einsum references of the batched
-group-relation checks and corep contractions, the two-step translate-then-restrict reference of a moved
-parameter, the module-hom systems over all d coefficient slices that the
-generator-slice systems are checked against, fusion entries and
-incidence numbers over fresh tables, and the algebraic identities every
-fusion cube satisfies."""
+against, the split of a corep into its covariant pair, the
+l2(Lambda) (x) H construction that every induced corep is checked against,
+element-by-element and einsum references of the batched group-relation
+checks and corep contractions, the two-step translate-then-restrict
+reference of a moved parameter, the module-hom systems over all d
+coefficient slices that the generator-slice systems are checked against,
+fusion entries and incidence numbers over fresh tables, and the algebraic
+identities every fusion cube satisfies."""
 
 import itertools
 
@@ -29,7 +30,7 @@ from semirep.groups import (FiniteGroup, Subgroup, conjugate_intersection,
 from semirep.hopf import HopfData
 from semirep.mackey import _FusionTables, act_base, fusion_entry, incidence
 from semirep.projective import ProjectiveRep, ordinary_rep, pullback
-from semirep.semidirect import instance_of_corep, join_covariant, split_covariant
+from semirep.semidirect import instance_of_corep, join_covariant
 
 
 def spy(monkeypatch, module, name):
@@ -283,13 +284,12 @@ def _loop_check_covariant(inst, ug: Corep, ul: ProjectiveRep):
     return worst <= TOL_VERIFY, worst, witness
 
 
-def _loop_join_covariant_entries(inst, ug: Corep, ul: ProjectiveRep) -> np.ndarray:
+def _loop_join_covariant_entries(inst, ug: Corep, mats) -> np.ndarray:
     """The entries join_covariant builds for a covariant pair."""
     n = ug.dim
     entries = np.zeros((n, n, inst.lam.order, inst.base.dim), dtype=complex)
     for r_local in inst.lam.elements():
-        entries[:, :, r_local, :] = np.einsum("ikc,kj->ijc", ug.entries,
-                                              ul.mats[r_local])
+        entries[:, :, r_local, :] = np.einsum("ikc,kj->ijc", ug.entries, mats[r_local])
     return entries.reshape(n, n, inst.dim)
 
 
@@ -339,6 +339,15 @@ def _loop_coset_isometry(top, sub: Subgroup, ul: ProjectiveRep) -> np.ndarray:
 
 
 # -- an induced corep through l2(Lambda) (x) H -----------------------------------
+
+def split_covariant(inst, u: Corep) -> tuple[Corep, ProjectiveRep]:
+    """U -> (U_G, U_Lambda) via the counits of the two factors, U_Lambda
+    certified as an ordinary representation."""
+    blocks = u.entries.reshape(u.dim, u.dim, inst.lam.order, inst.base.dim)
+    ug = Corep(inst.base, blocks[:, :, inst.lam.identity].copy())
+    mats = np.einsum("ijrc,c->rij", blocks, inst.base.counit)
+    return ug, ordinary_rep(inst.lam, mats)
+
 
 def reference_induce(inst, u: Corep) -> Corep:
     """Ind(U) as the compression of a corep on l2(Lambda) (x) H to its
@@ -395,7 +404,7 @@ def reference_induce(inst, u: Corep) -> Corep:
     if max_abs(pi @ isometry - isometry) > TOL_VERIFY:
         raise ValidationError("coset basis does not lie in range(pi)")
 
-    result = compress(join_covariant(top, wg, wl), isometry)
+    result = compress(join_covariant(top, wg, wl.mats), isometry)
     report = verify_corep(result)
     if not report["pass"]:
         raise CovarianceFailure(

@@ -36,7 +36,8 @@ from helpers import (_einsum_corep_tensor, _einsum_verify_corep,
                      _loop_check_covariant, _loop_coboundary, _loop_cocycle_of,
                      _loop_grp_factor, _loop_is_cocycle, _loop_join_covariant_entries,
                      _loop_proj_tensor_mats, _loop_regular_twisted_mats,
-                     _loop_transitional_map, _loop_verify, reference_induce)
+                     _loop_transitional_map, _loop_verify, reference_induce,
+                     trivial_rep)
 
 TOL = 1e-12
 
@@ -260,17 +261,31 @@ def _f_parameters(inst_f):
 
 
 def test_covariance_break_matches_reference_witness(inst_f):
+    """The identity representation of Lambda0 is ordinary, but the inner
+    action of F moves the two-dimensional u, so the pair is not covariant."""
     _, p, _ = _f_parameters(inst_f)
     sub = inst_f.principal(p.lambda0)
-    mats = p.V.mats.copy()
-    mats[1, 0, 1] += 0.25
-    broken = ProjectiveRep(p.V.group, mats, trivial_cochain2(p.V.group))
-    out, ref = check_covariant(sub, p.u, broken), _loop_check_covariant(sub, p.u, broken)
+    ident = trivial_rep(p.V.group, p.u.dim)
+    out, ref = check_covariant(sub, p.u, ident), _loop_check_covariant(sub, p.u, ident)
     assert _cmp_witnessed(out, ref) is None
-    assert not out[0] and out[2][0] == 1
+    assert not out[0] and out[2] is not None
     with pytest.raises(NotCovariant) as info:
-        join_covariant(sub, p.u, broken)
+        join_covariant(sub, p.u, ident.mats)
     assert str(info.value) == f"covariance residual {ref[1]:.2e} at (r, i, j) = {ref[2]}"
+
+
+def test_join_covariant_rejects_a_projective_lambda_part(inst_f):
+    """F's two-dimensional V is covariant with u but genuinely projective:
+    its cocycle is far from 1. Labelled with the trivial cocycle, its
+    matrices are still rejected, since join_covariant certifies them, not
+    the label."""
+    _, p, _ = _f_parameters(inst_f)
+    sub = inst_f.principal(p.lambda0)
+    labelled = ProjectiveRep(p.V.group, p.V.mats, trivial_cochain2(p.V.group))
+    assert max_abs(p.V.cocycle.values - 1.0) > 1.0
+    assert check_covariant(sub, p.u, labelled)[0]
+    with pytest.raises(NotProjective, match="not an ordinary representation"):
+        join_covariant(sub, p.u, labelled.mats)
 
 
 @pytest.mark.parametrize("scale, message", [
@@ -297,19 +312,23 @@ def test_grp_factor_failure_matches_reference(inst_f, scale, message):
 # Call counts of `semirep fuse instances/instance_d.json --seed 7`. Batching
 # the checks dropped and added none; fusion runs each once per input that is
 # distinct by content (see test_fusion_tables):
-# - classify: cocycle_of 42, check_covariant 42, intertwiner_basis 12,
-#   verify_corep 12.
+# - classify: cocycle_of 6 (covariant_projective), check_covariant 42,
+#   intertwiner_basis 12, verify_corep 12, and 24 joins (12 CSRs, 12
+#   induced coreps), each certifying its Lambda part: verify +24.
 # - 12 distinct GRPs (6 characters u2 (x) u3 times 2 v's) build one CSR
-#   each: cocycle_of +12, check_covariant +12.
+#   each: verify +12, check_covariant +12.
 # - 36 isotypic bases, one per (moved u1, u2 (x) u3): 6 x 6.
 # - 72 reductions, one per (GRP, moved u1, moved V1): 12 x 6. The 12 with
 #   a non-empty isotypic block each run verify +1, validate (check_covariant
-#   +1) and the CSR of the result (cocycle_of +1, check_covariant +1).
+#   +1) and the CSR of the result (verify +1, check_covariant +1).
+# So verify runs 60 times: 48 joins and 12 reductions. While the joins
+# re-extracted their cocycle, cocycle_of ran 66 times and verify 12.
 # While inputs were told apart by object identity there were 144 GRPs, 216
-# bases and 864 reductions (330, 474, 144, 228, 12); before the reduction
-# was shared, every one of the 1,728 (entry, coset triple) pairs reduced
-# once (474, 762, 288, 1740, 12).
-FUSE_D_CALLS = {"cocycle_of": 66, "check_covariant": 78, "ProjectiveRep.verify": 12,
+# bases and 864 reductions (330, 474, 144, 228, 12, in the order below, with
+# the joins extracting cocycles); before the reduction was shared, every one
+# of the 1,728 (entry, coset triple) pairs reduced once (474, 762, 288,
+# 1740, 12).
+FUSE_D_CALLS = {"cocycle_of": 6, "check_covariant": 78, "ProjectiveRep.verify": 60,
                 "intertwiner_basis": 48, "verify_corep": 12}
 
 

@@ -3,10 +3,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from semirep import cli, hopf
 from semirep.corpus import INSTANCES, instance_spec
+from semirep.groups import cyclic_group
+
+from helpers import TENSORS, dense
 
 
 def run_cli(*args):
@@ -64,6 +68,13 @@ RAW_TRIVIAL = {  # C of the trivial group as raw tensors
     "lambda": {"order": 1, "table": [[0]]},
     "action": [[[1.0]]],
 }
+C_Z4 = hopf.function_algebra(cyclic_group(4))
+RAW_Z4_HUGE_ACTION = {  # finite entries whose residuals overflow to inf and NaN
+    "kind": "raw_hopf",
+    "base": {name: dense(C_Z4, name).real.tolist() for name in TENSORS},
+    "lambda": {"order": 2, "table": [[0, 1], [1, 0]]},
+    "action": [np.eye(4).tolist(), [[1e308, 1e308, -1e308, -1e308]] * 4],
+}
 MALFORMED_FILES = {  # name -> (document, text the error line must contain)
     "top_level_number": (5, "JSON object"),
     "action_not_a_list": (dict(SPEC_A, action=5), "action"),
@@ -87,6 +98,7 @@ MALFORMED_FILES = {  # name -> (document, text the error line must contain)
                      "mult has a non-finite entry"),
     "raw_hopf_infinite_action": (dict(RAW_TRIVIAL, action=[[[float("inf")]]]),
                                  "action matrix has a non-finite entry"),
+    "raw_hopf_huge_action": (RAW_Z4_HUGE_ACTION, "alpha*_1 fails the automorphism check"),
 }
 
 

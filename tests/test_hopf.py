@@ -717,6 +717,29 @@ def test_corrupted_action_matrix_raises(case, join_terms, request, monkeypatch):
                 action_from_group_hom(h, inst.lam_full, mats, kind="matrix")
 
 
+def test_overflowing_action_residual_is_infinite():
+    """Finite entries near the float limit make the residuals of alpha*_1
+    overflow; each part that reaches NaN reads as inf, so the check fails at
+    r = 1 although its unit residual alone is 1.0."""
+    h = function_algebra(cyclic_group(4))
+    huge = np.array([[1e308, 1e308, -1e308, -1e308]] * 4)
+    with np.errstate(all="ignore"):
+        got = automorphism_residuals(h, np.stack([np.eye(4), huge]))
+    assert got.tolist() == [0.0, np.inf]
+
+
+def test_nan_haar_state_fails_the_axioms():
+    """No residual of verify_axioms is dropped for being NaN: a Haar vector
+    with a NaN entry fails, where a max over the report kept 0.0."""
+    h = function_algebra(cyclic_group(2))
+    haar = h.haar.copy()
+    haar[0] = np.nan
+    with np.errstate(all="ignore"):
+        report = verify_axioms(HopfData(h.mult, h.unit, h.comult, h.counit,
+                                        h.antipode, h.star, haar))
+    assert report["max"] == np.inf and not report["pass"]
+
+
 @pytest.mark.parametrize("case", [*"ABCDEF", "raw_hopf base", "rung"])
 def test_gram_equals_dense_reference(case, request, rung_instance):
     """On the product algebra and on the base of each instance."""

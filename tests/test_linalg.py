@@ -150,3 +150,11 @@ def test_stacked_sylvester_systems_equal_single_ones():
     assert together.shape == (4, 3 * 3 * 2, 3 * 2)
     for m1, m2, system in zip(mats1, mats2, together):
         assert system.tobytes() == sylvester_system(m1, m2).tobytes()
+
+
+def test_nan_residual_reads_as_inf():
+    """NaN > tol is False, so a NaN residual would pass its check."""
+    arr = np.array([[1.0, np.nan], [2.0, -3.0]])
+    assert _linalg.max_abs(arr) == np.inf
+    assert _linalg.max_abs_each(arr).tolist() == [np.inf, 3.0]
+    assert _linalg.max_abs(np.zeros(0)) == 0.0

@@ -11,12 +11,11 @@ from semirep.hopf import (function_algebra, haar_solve, is_kac, product_algebra,
 from semirep.oracle import oracle_irr_dims
 from semirep.projective import ordinary_rep
 from semirep.semidirect import (act_corep, build, check_covariant, extend,
-                                instance_of_corep, join_covariant, restrict_corep,
-                                split_covariant)
+                                instance_of_corep, join_covariant, restrict_corep)
 
 from helpers import (TENSORS, conjugation_iso, dense, embed_base_corep,
-                     is_cocommutative, is_commutative, trivial_action, trivial_rep,
-                     trivial_subgroup)
+                     is_cocommutative, is_commutative, split_covariant, trivial_action,
+                     trivial_rep, trivial_subgroup)
 
 
 def test_build_axioms_all_instances(inst_a, inst_b, inst_c, inst_d):
@@ -105,7 +104,7 @@ def test_split_join_roundtrip(inst_a, inst_c):
     for inst in (inst_a, inst_c):
         for u in irr_enumerate(inst.product):
             ug, ul = split_covariant(inst, u)
-            back = join_covariant(inst, ug, ul)
+            back = join_covariant(inst, ug, ul.mats)
             assert np.max(np.abs(back.entries - u.entries)) < 1e-12
             ug2, ul2 = split_covariant(inst, back)
             assert np.max(np.abs(ug2.entries - ug.entries)) < 1e-12
@@ -127,7 +126,7 @@ def test_join_covariant_positive_case(inst_a):
     ul = ordinary_rep(inst_a.lam, swap)
     ok, worst, _ = check_covariant(inst_a, ug, ul)
     assert ok, worst
-    joined = join_covariant(inst_a, ug, ul)
+    joined = join_covariant(inst_a, ug, ul.mats)
     assert verify_corep(joined)["pass"]
 
 
@@ -140,7 +139,7 @@ def test_covariance_negative_case(inst_a):
     ok, worst, witness = check_covariant(inst_a, omega, sign)
     assert not ok and worst > 0.5 and witness is not None
     with pytest.raises(NotCovariant):
-        join_covariant(inst_a, omega, sign)
+        join_covariant(inst_a, omega, sign.mats)
 
 
 def test_trivial_lambda_part_with_trivial_action_covariant(inst_d):
