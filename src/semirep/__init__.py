@@ -14,16 +14,16 @@ from .corep import (Corep, conjugate, intertwiner_basis, irr_action,
 from .corpus import build_instance, instance, instance_spec
 from .groups import (FiniteGroup, GroupAction, Subgroup, all_subgroups,
                      conjugate_intersection, conjugate_subgroup, cyclic_group,
-                     direct_product, full_subgroup, left_cosets, orbit, orbits,
-                     stabilizer, symmetric_group)
+                     direct_product, full_subgroup, generated, left_cosets, orbit,
+                     orbits, stabilizer, symmetric_group)
 from .hopf import (HopfData, action_from_group_hom, function_algebra,
                    group_algebra, haar_solve, is_kac, product_algebra,
                    verify_axioms)
 from .induction import (InducedRep, ind_mor_dim, induce, induced_character,
                         mackey_irreducible)
-from .mackey import (ClassifiedIrr, FusionTable, GRParameter, RepParameter,
-                     classify, conjugate_parameter, covariant_projective,
-                     csr_corep, fusion, incidence, param_mor_dim, reduce_grp)
+from .mackey import (ClassifiedIrr, FusionTable, GRParameter, RepParameter, classify,
+                     conjugate_parameter, covariant_projective, csr_corep, fusion,
+                     incidence, param_mor_dim, parameters, reduce_grp)
 from .oracle import module_hom_dim, oracle_irr_dims
 from .projective import (ProjectiveRep, cocycle_of, contragredient,
                          irreducible_projreps, proj_mor_dim, projective_rep,

@@ -48,12 +48,12 @@ INT_ROUND_TOL = 0.1
 DEFAULT_SEED = 7
 
 
-def as_int(value, tol: float = INT_ROUND_TOL) -> int:
+def as_int(value) -> int:
     """Round a float/complex known to be an integer, failing loudly otherwise."""
     x = complex(value)
     n = int(round(x.real))
-    if abs(x.real - n) > tol or abs(x.imag) > tol:
-        raise IntegerRecoveryError(f"value {x} is not within {tol} of an integer")
+    if abs(x.real - n) > INT_ROUND_TOL or abs(x.imag) > INT_ROUND_TOL:
+        raise IntegerRecoveryError(f"value {x} is not within {INT_ROUND_TOL} of an integer")
     return n
 
 

@@ -23,16 +23,13 @@ import sys
 import numpy as np
 
 from . import _linalg
-from .corep import irr_enumerate, mor_dim
+from .corep import irr_enumerate
 from .corpus import build_instance, read_spec
 from .errors import OracleDisagreement, ParseError, SemirepError, ValidationError
 from .groups import Subgroup
 from .induction import induce, mackey_irreducible
-from .mackey import (RepParameter, classify, conjugation_pairing,
-                     covariant_projective, csr_corep, fusion)
+from .mackey import classify, conjugation_pairing, csr_corep, fusion, parameters
 from .oracle import module_fusion_cube, oracle_irr_dims
-from .projective import irreducible_projreps
-from .cohomology import cocycle_inverse
 from .semidirect import SemidirectInstance
 
 
@@ -174,16 +171,12 @@ def cmd_induce(inst, spec, args):
     xs = irr_enumerate(inst.base, args.seed)
     if not 0 <= psec.get("x", -1) < len(xs):
         raise ParseError(f"--param x must be in 0..{len(xs) - 1}")
-    u = xs[psec["x"]]
-    v_cov = covariant_projective(inst, u, sub)  # NotStabilized unless sub fixes [u]
-    vs = irreducible_projreps(sub.group, cocycle_inverse(v_cov.cocycle), args.seed)
-    if not 0 <= psec.get("v", -1) < len(vs):
-        raise ParseError(f"--param v must be in 0..{len(vs) - 1}")
-    p = RepParameter(u, v_cov, vs[psec["v"]], sub)
-    p.validate(inst)
-    csr = csr_corep(inst, p)
+    params = parameters(inst, xs[psec["x"]], sub, args.seed)
+    if not 0 <= psec.get("v", -1) < len(params):
+        raise ParseError(f"--param v must be in 0..{len(params) - 1}")
+    csr = csr_corep(inst, params[psec["v"]])
     ind = induce(inst, csr)
-    irreducible = mor_dim(ind.result, ind.result) == 1
+    irreducible = ind.result.self_mor_dim == 1
     mackey = mackey_irreducible(inst, csr)
     if mackey != irreducible:
         raise OracleDisagreement("Mackey criterion disagrees with direct mor_dim")

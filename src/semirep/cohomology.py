@@ -49,9 +49,9 @@ class Cochain2:
             raise ValidationError("2-cochain needs an n x n table")
         # one pass over the table, then the row and column of the identity
         e = self.group.identity
-        if np.abs(np.abs(vals) - 1.0).max() > TOL_BUILD:
+        if max_abs(np.abs(vals) - 1.0) > TOL_BUILD:
             raise ValidationError("2-cochain values must be unit modulus")
-        if np.abs(np.concatenate((vals[e], vals[:, e])) - 1.0).max() > TOL_BUILD:
+        if max_abs(np.concatenate((vals[e], vals[:, e])) - 1.0) > TOL_BUILD:
             raise ValidationError("2-cochain must be normalized: w(e,.) = w(.,e) = 1")
 
     def __call__(self, r: int, s: int) -> complex:

@@ -183,8 +183,8 @@ def regular_corep(h: HopfData) -> tuple[Corep, np.ndarray]:
     hmat = np.conj(b).T @ gram
     # Delta(f_j) coefficients: dj[j, p, q]
     dj = h.coproduct(b.T)
-    u = Corep(h, np.einsum("ip,jpq->ijq", hmat, dj))
-    comm = np.einsum("iq,jbq->bij", hmat, dj)
+    u = Corep(h, (hmat @ dj).transpose(1, 0, 2))
+    comm = (dj @ hmat.T).transpose(1, 2, 0)
     check_commutant(u.coeff_slices, comm)
     return u, comm
 

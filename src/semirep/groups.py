@@ -260,28 +260,31 @@ class Subgroup:
 
     def generators(self) -> list[int]:
         """A small (greedy) generating set, identity omitted."""
-        e = self.parent.identity
-        if self.order == 1:
-            return []
         chosen: list[int] = []
-        span = {e}
+        span = {self.parent.identity}
         for cand in self.elements:
             if cand in span:
                 continue
             chosen.append(cand)
-            frontier = set(span) | {cand}
-            while True:
-                new = {self.parent.mul(a, b) for a in frontier for b in frontier}
-                if new <= frontier:
-                    break
-                frontier |= new
-            span = frontier
+            span = generated(self.parent, span | {cand})
             if len(span) == self.order:
                 break
         return chosen
 
     def __repr__(self):
         return f"Subgroup({list(self.elements)})"
+
+
+def generated(g: FiniteGroup, elems) -> set[int]:
+    """The elements of the subgroup of g generated by elems: the closure of
+    elems and the identity under products. In a finite group that closure
+    already holds every inverse (a^{-1} is a power of a)."""
+    span = set(elems) | {g.identity}
+    while True:
+        new = {g.mul(a, b) for a in span for b in span}
+        if new <= span:
+            return span
+        span |= new
 
 
 def full_subgroup(g: FiniteGroup) -> Subgroup:
@@ -380,12 +383,7 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
         for extra in g.elements():
             if extra in base:
                 continue
-            span = set(base) | {extra}
-            while True:
-                new = {g.mul(a, b) for a in span for b in span} | {g.inverse(a) for a in span}
-                if new <= span:
-                    break
-                span |= new
+            span = generated(g, base | {extra})
             key = tuple(sorted(span))
             if key not in found:
                 found.add(key)

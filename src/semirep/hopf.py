@@ -327,14 +327,14 @@ def verify_axioms(h: HopfData) -> dict:
               (d, d)))
 
     # Haar state: normalized, invariant, positive
-    res["haar_unital"] = abs(complex(h.haar @ h.unit) - 1.0)
+    res["haar_unital"] = max_abs(h.haar @ h.unit - 1.0)
     res["haar_invariance"] = max(
         max_abs(_contract_vec(c, h.haar, 1, d) - np.outer(h.haar, h.unit)),
         max_abs(_contract_vec(c, h.haar, 2, d) - np.outer(h.haar, h.unit)))
     gram = h.gram()
     res["haar_hermitian"] = max_abs(gram - gram.conj().T)
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-    res["haar_positivity"] = max(0.0, float(-eigs.min()))
+    res["haar_positivity"] = max_abs(np.minimum(eigs.min(), 0.0))
 
     res["max"] = max_abs(list(res.values()))
     res["pass"] = res["max"] < TOL_VERIFY

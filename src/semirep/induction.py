@@ -68,26 +68,21 @@ def induce(inst: SemidirectInstance, u: Corep) -> InducedRep:
 def induced_character(inst: SemidirectInstance, u: Corep) -> np.ndarray:
     """Character of Ind(U), by the averaged sum over all of Lambda.
 
-    Both the |Lambda0|^{-1}-weighted full sum and the coset-representative sum
-    are evaluated and must agree to TOL_BUILD.
+    One pass translates U by each r; the |Lambda0|^{-1}-weighted sum over all
+    r and the sum over the left coset representatives must agree to TOL_BUILD.
     """
     top = inst.top
-    sub_inst = instance_of_corep(inst, u)
-    sub = sub_inst.subgroup
-    lam = top.lam_full
-
+    sub = instance_of_corep(inst, u).subgroup
+    reps = {rep for rep, _ in left_cosets(sub)}
     full = np.zeros(top.dim, dtype=complex)
-    for r in lam.elements():
-        moved = act_corep(top, r, u)
-        target = instance_of_corep(top, moved)
-        full += extend(top, target, moved.char_vec())
-    full /= sub.order
-
     coset = np.zeros(top.dim, dtype=complex)
-    for rep, _ in left_cosets(sub):
-        moved = act_corep(top, rep, u)
-        target = instance_of_corep(top, moved)
-        coset += extend(top, target, moved.char_vec())
+    for r in top.lam_full.elements():
+        moved = act_corep(top, r, u)
+        chi = extend(top, instance_of_corep(top, moved), moved.char_vec())
+        full += chi
+        if r in reps:
+            coset += chi
+    full /= sub.order
 
     if max_abs(full - coset) > TOL_BUILD:
         raise FormulaMismatch(
@@ -137,7 +132,7 @@ def mackey_irreducible(inst: SemidirectInstance, u: Corep) -> bool:
     top = inst.top
     lam = top.lam_full
     sub = instance_of_corep(inst, u).subgroup
-    if mor_dim(u, u) != 1:
+    if u.self_mor_dim != 1:
         raise ValidationError("Mackey criterion requires an irreducible input")
     sub_set = set(sub.elements)
     translates = {r: act_corep(top, r, u) for r in lam.elements()}

@@ -19,7 +19,7 @@ import numpy as np
 from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, TOL_VERIFY, as_int,
                       first_entry_phase, kron_stack, max_abs, max_abs_each)
 from .cohomology import cocycle_inverse, cocycle_product
-from .corep import (Corep, act, conjugate, intertwiner_basis, irr_action, irr_enumerate,
+from .corep import (Corep, conjugate, intertwiner_basis, irr_action, irr_enumerate,
                     mor_dim, tensor as corep_tensor)
 from .errors import (CompletenessFailure, GramFailure, NonIntegerCoefficient,
                      NonUnitaryExtraction, NotCovariant, NotStabilized,
@@ -69,17 +69,12 @@ class RepParameter(GRParameter):
             raise ValidationError("parameter requires an irreducible u")
 
 
-def act_base(inst: SemidirectInstance, r: int, u: Corep) -> Corep:
-    """The base-level translate r . u = (id (x) alpha*_{r^{-1}})(u)."""
-    return act(r, u, inst.top.alpha, inst.top.lam_full)
-
-
 def stabilizer_of_class(inst: SemidirectInstance, u: Corep) -> Subgroup:
     """The r with Mor(r . u, u) != 0, by one mor_dim each: an independent
     route to the stabilizers that classify reads off irr_action."""
     lam = inst.top.lam_full
     elems = tuple(r for r in lam.elements()
-                  if mor_dim(act_base(inst, r, u), u) >= 1)
+                  if mor_dim(act_corep(inst, r, u), u) >= 1)
     return Subgroup(lam, elems)
 
 
@@ -96,7 +91,7 @@ def covariant_projective(inst: SemidirectInstance, u: Corep,
         if r0 == lam.identity:
             mats[local] = np.eye(u.dim)
             continue
-        basis = intertwiner_basis(act_base(inst, r0, u), u)
+        basis = intertwiner_basis(act_corep(inst, r0, u), u)
         if not basis:
             raise NotStabilized(
                 f"r0 = {r0} does not stabilize the irrep: Mor(r0 . u, u) = 0")
@@ -111,6 +106,19 @@ def covariant_projective(inst: SemidirectInstance, u: Corep,
     if not ok:
         raise NotCovariant(f"constructed V fails covariance ({res:.2e})")
     return v
+
+
+def parameters(inst: SemidirectInstance, u: Corep, sub: Subgroup,
+               seed: int) -> list[RepParameter]:
+    """Every parameter (u, V, v) over sub, validated: V = covariant_projective
+    (NotStabilized unless sub fixes [u]) and one v per irreducible projective
+    rep of sub with the opposite cocycle, in irreducible_projreps' order."""
+    cov = covariant_projective(inst, u, sub)
+    out = [RepParameter(u, cov, v, sub)
+           for v in irreducible_projreps(sub.group, cocycle_inverse(cov.cocycle), seed)]
+    for p in out:
+        p.validate(inst)
+    return out
 
 
 # -- moving parameters around ----------------------------------------------------
@@ -218,14 +226,9 @@ def classify(inst: SemidirectInstance, seed: int = DEFAULT_SEED) -> list[Classif
     out: list[ClassifiedIrr] = []
     for orb in orbits(action):
         x = min(orb)
-        u = xs[x]
-        sub = stabilizer(action, x)
-        v_big = covariant_projective(top, u, sub)
-        vs = irreducible_projreps(sub.group, cocycle_inverse(v_big.cocycle), seed)
-        trivial_class = any(w.dim == 1 for w in vs)
-        for v in vs:
-            p = RepParameter(u, v_big, v, sub)
-            p.validate(top)
+        params = parameters(top, xs[x], stabilizer(action, x), seed)
+        trivial_class = any(p.v.dim == 1 for p in params)
+        for p in params:
             csr = csr_corep(top, p)
             ind = induce(top, csr)
             chi = ind.result.char_vec()
@@ -396,7 +399,7 @@ class _FusionTables:
         G x| meet, taken from the moved CSR and not from the moved p."""
         def build():
             u, V, v = (self._intern(x) for x in (
-                act_base(self.top, r, p.u), move_rep(self.top, r, p.lambda0, meet, p.V),
+                act_corep(self.top, r, p.u), move_rep(self.top, r, p.lambda0, meet, p.V),
                 move_rep(self.top, r, p.lambda0, meet, p.v)))
             restricted = restrict_corep(self.top, act_corep(self.top, r, self.csr(p)), meet)
             return type(p)(u, V, v, meet), restricted.char_vec()

@@ -146,8 +146,8 @@ def instance_of_corep(inst: SemidirectInstance, u: Corep) -> SemidirectInstance:
 def act_corep(inst: SemidirectInstance, r: int, u: Corep) -> Corep:
     """r . U = (id (x) alpha*_{r^{-1}} (x) Adj*_{r^{-1}})(U).
 
-    U is a corep of G x| Lambda0 (where Lambda0 = inst_of(u).subgroup); the
-    result is a corep of G x| r Lambda0 r^{-1}.
+    U is a corep of G x| Lambda0 (where Lambda0 = inst_of(u).subgroup), a base
+    corep being one of G x| {e}; the result is a corep of G x| r Lambda0 r^{-1}.
     """
     top = inst.top
     lam = top.lam_full

@@ -28,9 +28,9 @@ from semirep.errors import (CocycleMismatch, CovarianceFailure, NonUnitaryExtrac
 from semirep.groups import (FiniteGroup, Subgroup, conjugate_intersection,
                             conjugate_subgroup, left_cosets, symmetric_group)
 from semirep.hopf import HopfData
-from semirep.mackey import _FusionTables, act_base, fusion_entry, incidence
+from semirep.mackey import _FusionTables, fusion_entry, incidence
 from semirep.projective import ProjectiveRep, ordinary_rep, pullback
-from semirep.semidirect import instance_of_corep, join_covariant
+from semirep.semidirect import act_corep, instance_of_corep, join_covariant
 
 
 def spy(monkeypatch, module, name):
@@ -419,7 +419,7 @@ def translate_param(inst, r: int, p):
     lam = inst.top.lam_full
     sub_to = conjugate_subgroup(p.lambda0, r)
     idx = p.lambda0.to_local(lam.conjugate(lam.inverse(r), sub_to.elements))
-    return type(p)(act_base(inst, r, p.u), pullback(p.V, idx, sub_to.group),
+    return type(p)(act_corep(inst, r, p.u), pullback(p.V, idx, sub_to.group),
                    pullback(p.v, idx, sub_to.group), sub_to)
 
 

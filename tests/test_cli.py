@@ -255,11 +255,14 @@ def test_induce_on_trivial_subgroup_selects_generators_twice(name, request,
 
 
 def test_induce_rejects_non_stabilizing_subgroup():
+    """Building the parameters stops at covariant_projective's NotStabilized,
+    before any v is indexed, and its message is the one stderr line."""
     path = str(INSTANCES / "instance_a.json")
     # x:0 is a nontrivial character of Z3 (canonical order); the full Z2 moves it
-    code, _, err = run_cli("induce", path, "--subgroup", "0,1", "--param", "x:0,v:0")
+    code, out, err = run_cli("induce", path, "--subgroup", "0,1", "--param", "x:0,v:0")
     assert code == 1
-    assert "stabilize" in err
+    assert out == ""
+    assert err == "error: r0 = 1 does not stabilize the irrep: Mor(r0 . u, u) = 0\n"
 
 
 def test_conj_command():

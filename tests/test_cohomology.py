@@ -139,3 +139,10 @@ def test_trivial_cochain2_is_built_once_per_group():
     mats = np.stack([np.eye(2, dtype=complex)] * 4)
     assert ordinary_rep(g, mats).cocycle is omega
     assert trivial_cochain2(klein_group()) is not omega
+
+
+def test_cochain2_with_a_nan_value_is_not_unit_modulus():
+    """A NaN in the table fails the modulus check; a raw max over the table
+    compared NaN > TOL_BUILD, which is False, and accepted it."""
+    with pytest.raises(ValidationError, match="2-cochain values must be unit modulus"):
+        Cochain2(cyclic_group(2), np.array([[1, 1], [1, np.nan]]))

@@ -18,9 +18,10 @@ from semirep.corpus import INSTANCES
 from semirep.errors import IntegerRecoveryError, NonIntegerCoefficient, OracleDisagreement
 from semirep.groups import (FiniteGroup, Subgroup, all_subgroups, conjugate_intersection,
                             conjugate_subgroup, left_cosets)
-from semirep.mackey import (FusionTable, GRParameter, RepParameter, _FusionTables, act_base,
-                            classify, fusion, move_rep)
+from semirep.mackey import (FusionTable, GRParameter, RepParameter, _FusionTables, classify,
+                            fusion, move_rep)
 from semirep.projective import ProjectiveRep, tensor as proj_tensor
+from semirep.semidirect import act_corep
 
 from helpers import fresh, restrict_param, spy, standalone_entry, translate_param
 
@@ -44,7 +45,7 @@ def _distinct_inputs(inst, cl):
     def move(p, r, meet):
         if (id(p), r, meet) not in moved:
             sub = Subgroup(inst.lam_full, meet)
-            moved[id(p), r, meet] = (act_base(inst, r, p.u),
+            moved[id(p), r, meet] = (act_corep(inst, r, p.u),
                                      *(move_rep(inst, r, p.lambda0, sub, x) for x in (p.V, p.v)))
         return moved[id(p), r, meet]
 

@@ -1,8 +1,9 @@
-"""Structured CLI output pinned across commits.
+"""CLI output pinned across commits, in both formats.
 
-tests/golden holds the structured output of check, irr, conj and oracle on
-A-D, of oracle on E and F (whose regular modules are the largest split), of
-fuse on A-F (D's 1,728-entry cube shares the most GRP reductions between
+tests/golden holds the structured output (<cmd>_<x>.json) and the default
+human output (<cmd>_<x>.txt) of check, irr, conj and oracle on A-D, of
+oracle on E and F (whose regular modules are the largest split), of fuse on
+A-F (D's 1,728-entry cube shares the most GRP reductions between
 entries, E has nontrivial isotropy, and F has a cocycle of nontrivial class,
 which interning projective reps by content must keep apart), of induce
 (--subgroup 0 --param x:1,v:0) on A-C, and of irr, conj, oracle, fuse and
@@ -41,3 +42,11 @@ def test_structured_output_matches_golden(cmd, name, capsys):
                  *extra_args(cmd, name)])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{cmd}_{name}.json").read_text()
+
+
+@pytest.mark.parametrize("cmd,name", CASES)
+def test_human_output_matches_golden(cmd, name, capsys):
+    """The default format, with no --format flag."""
+    path = INSTANCES / f"instance_{name}.json"
+    assert main([cmd, str(path), "--seed", "7", *extra_args(cmd, name)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{cmd}_{name}.txt").read_text()

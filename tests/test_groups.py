@@ -6,10 +6,11 @@ import pytest
 from semirep.errors import NotAGroup, ValidationError
 from semirep.groups import (FiniteGroup, GroupAction, Subgroup, all_subgroups,
                             conjugate_intersection, conjugate_subgroup,
-                            cyclic_group, direct_product, full_subgroup,
+                            cyclic_group, direct_product, full_subgroup, generated,
                             left_cosets, orbit, orbits, stabilizer)
 
 from helpers import trivial_subgroup
+from test_random_instances import BASES
 
 # Independent oracle: compose permutation tuples directly.
 PERMS3 = sorted(itertools.permutations(range(3)))
@@ -228,3 +229,28 @@ def test_subgroup_table_belongs_to_its_parent():
         z2z2 = direct_product(cyclic_group(2), cyclic_group(2))
         assert np.array_equal(Subgroup(z2z2, everything).group.mult, klein)
         del z2z2
+
+
+def _closure(g, elems):
+    """The closure of elems and the identity under products and inverses."""
+    span = set(elems) | {g.identity}
+    while True:
+        new = {g.mul(a, b) for a in span for b in span} | {g.inverse(a) for a in span}
+        if new <= span:
+            return span
+        span |= new
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_generated_is_the_closure_under_products_and_inverses(name):
+    """On every pair of elements; all_subgroups is every subset closed under
+    both, in (order, elements) order; each subgroup's generators generate it."""
+    g = BASES[name]
+    for pair in itertools.combinations_with_replacement(g.elements(), 2):
+        assert generated(g, pair) == _closure(g, pair)
+    closed = [e for n in range(1, g.order + 1)
+              for e in itertools.combinations(g.elements(), n) if _closure(g, e) == set(e)]
+    subgroups = all_subgroups(g)
+    assert [s.elements for s in subgroups] == sorted(closed, key=lambda e: (len(e), e))
+    for s in subgroups:
+        assert generated(g, s.generators()) == set(s.elements)

@@ -730,7 +730,9 @@ def test_overflowing_action_residual_is_infinite():
 
 def test_nan_haar_state_fails_the_axioms():
     """No residual of verify_axioms is dropped for being NaN: a Haar vector
-    with a NaN entry fails, where a max over the report kept 0.0."""
+    with a NaN entry fails, where a max over the report kept 0.0, and each
+    Haar residual reads inf, where Python's abs kept haar_unital at nan and
+    max(0.0, nan) turned haar_positivity into 0.0."""
     h = function_algebra(cyclic_group(2))
     haar = h.haar.copy()
     haar[0] = np.nan
@@ -738,6 +740,8 @@ def test_nan_haar_state_fails_the_axioms():
         report = verify_axioms(HopfData(h.mult, h.unit, h.comult, h.counit,
                                         h.antipode, h.star, haar))
     assert report["max"] == np.inf and not report["pass"]
+    for key in ("haar_unital", "haar_invariance", "haar_hermitian", "haar_positivity"):
+        assert report[key] == np.inf, key
 
 
 @pytest.mark.parametrize("case", [*"ABCDEF", "raw_hopf base", "rung"])

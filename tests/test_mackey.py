@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from semirep import cli, corep, mackey
-from semirep._linalg import max_abs
+from semirep._linalg import DEFAULT_SEED, max_abs
 from semirep.cohomology import cocycle_inverse, cocycle_product
 from semirep.corep import Corep, irr_action, irr_enumerate, mor_dim, verify_corep
 from semirep.corpus import INSTANCES, instance
 from semirep.errors import CompletenessFailure, NotStabilized, ValidationError
 from semirep.groups import all_subgroups, full_subgroup, stabilizer
 from semirep.induction import induce, mackey_irreducible
-from semirep.mackey import (GRParameter, RepParameter, act_base, classify,
+from semirep.mackey import (GRParameter, RepParameter, classify,
                             conjugate_parameter, conjugation_pairing,
                             covariant_projective, csr_corep, fusion,
                             move_rep, param_mor_dim, reduce_grp, stabilizer_of_class)
 from semirep.projective import ProjectiveRep, irreducible_projreps
+from semirep.semidirect import act_corep
 
 from helpers import (proj_direct_sum, restrict_param, spy, standalone_incidence,
                      translate_param, trivial_rep, trivial_subgroup)
@@ -50,7 +51,7 @@ def test_covariant_projective_trivial_char(inst_a):
 def test_covariant_projective_b_scalars(inst_b):
     # chi_{11} is swap-fixed; its V is scalar with coboundary-trivial cocycle
     fixed = [u for u in irr_enumerate(inst_b.base)
-             if mor_dim(act_base(inst_b, 1, u), u) == 1]
+             if mor_dim(act_corep(inst_b, 1, u), u) == 1]
     for u in fixed:
         v = covariant_projective(inst_b, u, full_subgroup(inst_b.lam_full))
         assert v.dim == 1
@@ -121,7 +122,7 @@ def test_csr_irreducible_iff_v_irreducible(inst_a):
 def test_param_mor_dim_cases(inst_b):
     full = full_subgroup(inst_b.lam_full)
     fixed = [u for u in irr_enumerate(inst_b.base)
-             if mor_dim(act_base(inst_b, 1, u), u) == 1]
+             if mor_dim(act_corep(inst_b, 1, u), u) == 1]
     u1, u2 = fixed
     v1 = covariant_projective(inst_b, u1, full)
     v2 = covariant_projective(inst_b, u2, full)
@@ -187,6 +188,26 @@ def test_classify_translation_invariance(inst_c):
 def test_classify_cocycle_flags(inst_a, inst_e):
     assert all(w.cocycle_trivial for w in classified(inst_a))
     assert all(w.cocycle_trivial for w in classified(inst_e))
+
+
+@pytest.mark.parametrize("name", "ABCDEFGH")
+def test_parameters_over_each_stabilizer_reproduce_classify(name, request):
+    """classify's parameters, in order, are those of parameters(u, Lambda0)
+    over each orbit representative u, with Lambda0 from stabilizer_of_class."""
+    inst = request.getfixturevalue(f"inst_{name.lower()}")
+    cl = classified(inst)
+    xs = irr_enumerate(inst.base)
+    rebuilt = [q for x in dict.fromkeys(w.orbit_rep for w in cl)
+               for q in mackey.parameters(inst, xs[x], stabilizer_of_class(inst, xs[x]),
+                                          DEFAULT_SEED)]
+    assert len(rebuilt) == len(cl)
+    for w, q in zip(cl, rebuilt):
+        p = w.parameter
+        assert type(q) is RepParameter and q.u is p.u
+        assert q.lambda0.elements == p.lambda0.elements
+        for x, y in ((p.V, q.V), (p.v, q.v)):
+            assert np.array_equal(x.mats, y.mats)
+            assert np.array_equal(x.cocycle.values, y.cocycle.values)
 
 
 def test_duplicate_parameter_fails_completeness(inst_a, monkeypatch, capsys):
