@@ -5,11 +5,16 @@ HopfData.from_dense keeps those of the dense arrays an instance file gives.
 
 Only this module reads mult, comult and star: other modules go through
 HopfData.product, coproduct and star_vec, which take stacks of coefficient
-vectors. Each identity of verify_axioms compares two joins of the nonzeros of
-two tensors (_join); _residual evaluates both sides on one split of the
-leading output indices into windows of at most JOIN_TERMS term pairs
+vectors. Each identity of verify_axioms but one compares two joins of the
+nonzeros of two tensors (_join); _residual evaluates both sides on one split
+of the leading output indices into windows of at most JOIN_TERMS term pairs
 (_windows) and reduces each window by itself, so a check holds one window of
-each side at a time at every d.
+each side at a time at every d. The exception is coassociativity where comult
+is a table (_dual_table), f_a f_b one f_k or 0 in the dual algebra A^. The
+middle nucleus {y : (x y) z = x (y z) for all x, z} of an algebra is a unital
+subalgebra, so the associator vanishes on A^ once it does for y in a
+generating set (Light's test): _table_associator takes y in
+HopfData.generators() only.
 An action of a finite group Lambda is one array: action_from_group_hom returns
 the read-only (|Lambda|, d, d) stack of the matrices of alpha*_r, indexed by
 Lambda's elements, and every layer indexes it. automorphism_residuals checks
@@ -19,7 +24,8 @@ algebra's left multiplications contract one 3-tensor with one vector
 (_contract_vec). So no d^3 tensor is densified and no d^4 array built.
 HopfData.generators picks and
 certifies the dual basis elements that generate the dual algebra, whose
-slices are all that module-hom systems need.
+slices are all that module-hom systems need: on a table by a closure of
+indices (_table_generators), otherwise by generating_subset's float spans.
 
 Conventions for a HopfData of dimension d with basis e_0..e_{d-1}:
   - mult[i, j, k]:    e_i e_j = sum_k mult[i, j, k] e_k
@@ -79,14 +85,18 @@ class HopfData:
 
     def generators(self) -> np.ndarray:
         """Indices a, increasing, whose dual basis elements f_a generate the
-        dual algebra A^ as a unital algebra: generating_subset over all
-        indices, so certified, and read-only.
+        dual algebra A^ as a unital algebra, greedy by index, certified and
+        read-only: where comult is a table (_dual_table), _table_generators'
+        exact closure, and otherwise generating_subset over all indices. The
+        two choose the same set on a table.
 
         A linear map commutes with the image of A^ exactly when it commutes
         with the images of these f_a, so module homs need only their slices.
         """
         if "generators" not in self._cache:
-            gens = generating_subset(self, range(self.dim))
+            table = _dual_table(self)
+            gens = (generating_subset(self, range(self.dim)) if table is None
+                    else _table_generators(self, table))
             gens.flags.writeable = False
             self._cache["generators"] = gens
         return self._cache["generators"]
@@ -291,10 +301,14 @@ def verify_axioms(h: HopfData) -> dict:
     res["unit"] = max(max_abs(_contract_vec(m, h.unit, 0, d) - eye),
                       max_abs(_contract_vec(m, h.unit, 1, d) - eye))
 
-    res["coassociativity"] = worst(_join("iml,mjk->ijkl", c, c, size),
-                                   _join("ijm,mkl->ijkl", c, c, size), (d,) * 4)
-    res["counit"] = max(max_abs(_contract_vec(c, h.counit, 1, d) - eye),
-                        max_abs(_contract_vec(c, h.counit, 2, d) - eye))
+    table = _dual_table(h)
+    if table is None:
+        res["coassociativity"] = worst(_join("iml,mjk->ijkl", c, c, size),
+                                       _join("ijm,mkl->ijkl", c, c, size), (d,) * 4)
+        res["counit"] = _counit_residual(h)
+    else:  # _dual_table found the counit identity exact
+        res["coassociativity"] = _table_associator(table, h.generators())
+        res["counit"] = 0.0
 
     # Delta is a unital algebra morphism: Delta(e_i e_j) = Delta(e_i) Delta(e_j),
     # the right side as sum_{b,c} [sum_a D(i,a,b) m(a,c,p)] [sum_d D(j,c,d) m(b,d,q)]
@@ -339,6 +353,77 @@ def verify_axioms(h: HopfData) -> dict:
     res["max"] = max_abs(list(res.values()))
     res["pass"] = res["max"] < TOL_VERIFY
     return res
+
+
+def _counit_residual(h: HopfData) -> float:
+    """max |(eps (x) id) Delta - id| and |(id (x) eps) Delta - id|."""
+    d, eye = h.dim, np.eye(h.dim)
+    return max(max_abs(_contract_vec(h.comult, h.counit, 1, d) - eye),
+               max_abs(_contract_vec(h.comult, h.counit, 2, d) - eye))
+
+
+def _dual_table(h: HopfData):
+    """The product of the dual algebra A^ as an int (d + 1, d + 1) table,
+    f_a f_b = f_T[a, b], the index d standing for 0 (so T[d, :] = T[:, d] = d);
+    or None unless comult is such a table: every nonzero exactly 1, no two
+    sharing (a, b), and the counit identity exact, so that the counit is the
+    unit of A^. Cached on h.
+    """
+    if "dual_table" not in h._cache:
+        d = h.dim
+        k, ab = np.divmod(h.comult[0], d * d)
+        table = np.full((d + 1) * (d + 1), d)
+        # a repeated (a, b) is written twice, and leaves fewer than len(ab) set
+        table[ab + ab // d] = k
+        exact = (bool(np.all(h.comult[1] == 1))
+                 and np.count_nonzero(table != d) == len(ab)
+                 and _counit_residual(h) == 0.0)
+        h._cache["dual_table"] = table.reshape(d + 1, d + 1) if exact else None
+    return h._cache["dual_table"]
+
+
+def _table_generators(h: HopfData, table: np.ndarray) -> np.ndarray:
+    """generating_subset(h, range(h.dim)) on a _dual_table, exactly.
+
+    The kept f_a's words of length >= 1 are basis elements f_s, their
+    indices S closed semi-naively under T[g, s] for kept g; the subalgebra
+    they generate is span(eps, f_S), eps the counit. A further f_a lies in
+    it iff a is in S or a is the only index outside S where eps is nonzero;
+    the first index that does not joins. The set is certified, with no rank
+    cutoff, when no index is left: |S| = d, or |S| = d - 1 and eps is
+    nonzero on the missing index.
+    """
+    d = h.dim
+    reached = np.zeros(d + 1, dtype=bool)
+    reached[d] = True  # T's 0
+    on_counit = np.append(h.counit != 0, False)
+    gens: list[int] = []
+    while True:
+        outside = ~reached
+        if np.count_nonzero(outside & on_counit) == 1:
+            outside &= ~on_counit
+        a = int(outside.argmax())
+        if not outside[a]:
+            return np.array(gens, dtype=int)
+        gens.append(a)
+        fresh = np.append(table[a, reached], a)
+        while len(fresh):
+            mark = np.zeros(d + 1, dtype=bool)
+            mark[fresh] = True
+            mark &= ~reached
+            reached |= mark
+            fresh = table[np.array(gens)[:, None], np.flatnonzero(mark)].reshape(-1)
+
+
+def _table_associator(table: np.ndarray, gens) -> float:
+    """Coassociativity's residual on a _dual_table, y over the generators
+    gens of A^: 1.0 if (f_x f_y) f_z != f_x (f_y f_z) for some x, y, z, else
+    0.0. Each side is one f_k or 0, so this is the dense residual."""
+    d = len(table) - 1
+    every = np.arange(d)
+    left = table[table[:d, gens][:, :, None], every]
+    right = table[every[:, None, None], table[gens, :d]]
+    return float(not np.array_equal(left, right))
 
 
 # haar_solve assembles the 2 d invariance rows of this many indices i at a time.

@@ -15,6 +15,8 @@ of the action `alpha` (hopf.action_from_group_hom) at Lambda0's elements.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ._linalg import TOL_VERIFY
@@ -65,6 +67,11 @@ class SemidirectInstance:
         return self.product.dim
 
     # -- principal subgroups ----------------------------------------------------
+
+    @cached_property
+    def over_identity(self) -> "SemidirectInstance":
+        """The instance over {e}, whose product is the base itself."""
+        return self.principal(Subgroup(self.lam_full, (self.lam_full.identity,)))
 
     def principal(self, sub: Subgroup) -> "SemidirectInstance":
         """The (cached) instance over a subgroup, given in global coordinates."""
@@ -136,7 +143,7 @@ def instance_of_corep(inst: SemidirectInstance, u: Corep) -> SemidirectInstance:
     of the base is one of G x| {e}, built if not yet cached."""
     top = inst.top
     if u.parent is top.base:
-        return top.principal(Subgroup(top.lam_full, (top.lam_full.identity,)))
+        return top.over_identity
     for cand in top._principal_cache.values():
         if cand.product is u.parent:
             return cand

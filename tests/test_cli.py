@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,9 +9,9 @@ import pytest
 
 from semirep import cli, hopf
 from semirep.corpus import INSTANCES, instance_spec
-from semirep.groups import cyclic_group
+from semirep.groups import cyclic_group, symmetric_group
 
-from helpers import TENSORS, dense
+from helpers import TENSORS, conjugation_spec, dense, spy
 
 
 def run_cli(*args):
@@ -238,20 +239,17 @@ def test_induce_command():
 def test_induce_on_trivial_subgroup_selects_generators_twice(name, request,
                                                                monkeypatch, capsys):
     """Only the base and the product select dual-algebra generators: the
-    instance over {e} is the base itself, so it shares the base's."""
-    calls = []
-    real = hopf.generating_subset
-
-    def spy(h, candidates):
-        calls.append(h.dim)
-        return real(h, candidates)
-
-    monkeypatch.setattr(hopf, "generating_subset", spy)
+    instance over {e} is the base itself, so it shares the base's. Both
+    comults are tables, so both select on the table, never through the
+    float spans of generating_subset."""
+    inst = request.getfixturevalue(f"inst_{name}")
+    floats = spy(monkeypatch, hopf, "generating_subset")
+    tables = spy(monkeypatch, hopf, "_table_generators")
     path = str(INSTANCES / f"instance_{name}.json")
     assert cli.main(["induce", path, "--subgroup", "0", "--param", "x:1,v:0"]) == 0
     capsys.readouterr()
-    inst = request.getfixturevalue(f"inst_{name}")
-    assert sorted(calls) == sorted([inst.base.dim, inst.dim])
+    assert floats == []
+    assert sorted(h.dim for (h, _), _ in tables) == sorted([inst.base.dim, inst.dim])
 
 
 def test_induce_rejects_non_stabilizing_subgroup():
@@ -311,6 +309,38 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_command_imports_numpy_ma():
+    """Plain np.unique imports numpy.ma, about 22 ms of a job's start-up; no
+    command on A-H may leave it loaded."""
+    argvs = [[cmd, str(INSTANCES / f"instance_{name}.json"), *extra]
+             for name in "abcdefgh"
+             for cmd, extra in (("check", ()), ("irr", ()), ("conj", ()), ("fuse", ()),
+                                ("oracle", ()),
+                                ("induce", ("--subgroup", "0", "--param", "x:0,v:0")))]
+    probe = ("import contextlib, io, json, sys, semirep.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    rcs = [semirep.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(rcs, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{[0] * len(argvs)} False"
+
+
+def test_check_at_dim_720_is_exact(tmp_path, capsys):
+    """C(S5) x| S3, S3 permuting {0, 1, 2} by conjugation: its comult is a
+    table, so coassociativity is certified on the dual algebra's generators,
+    and every residual is exactly 0."""
+    perms = sorted(itertools.permutations(range(3)))
+    spec = tmp_path / "s5_s3.json"
+    spec.write_text(json.dumps(conjugation_spec(5, range(120), symmetric_group(3),
+                                                lambda r: (*perms[r], 3, 4))))
+    assert cli.main(["check", str(spec), "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dim"] == 720 and doc["pass"]
+    assert set(doc["residuals"].values()) == {0.0}
 
 
 def test_irr_imports_no_numpy_random():

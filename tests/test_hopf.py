@@ -11,11 +11,13 @@ from semirep.errors import (NotAntihomomorphism, NotAutomorphism, NoUniqueHaar,
                             OracleDisagreement)
 from semirep.groups import Subgroup, all_subgroups, cyclic_group, symmetric_group
 from semirep.hopf import (HopfData, action_from_group_hom, automorphism_residuals,
-                          function_algebra, group_algebra, haar_solve, is_kac,
-                          verify_axioms)
+                          function_algebra, generating_subset, group_algebra, haar_solve,
+                          is_kac, verify_axioms)
+from semirep.semidirect import build
 
 from helpers import (TENSORS, conjugation_spec, dense, dual_algebra, fresh,
-                     is_cocommutative, is_commutative, trivial_action)
+                     is_cocommutative, is_commutative, spy, trivial_action)
+from test_random_instances import ALL as SWEEP_FAMILY
 
 
 def test_function_algebra_trivial_group():
@@ -543,7 +545,9 @@ def test_residual_covers_disjoint_leading_indices(monkeypatch):
 def test_both_sides_of_every_identity_see_the_same_windows(inst_c, monkeypatch):
     """Every block of every join, _contract's included, holds at most
     JOIN_TERMS term pairs or one leading index, and the two sides of each
-    identity are evaluated on one sequence of windows."""
+    identity are evaluated on one sequence of windows. C's comult is a table,
+    so its coassociativity is certified on the table with no join; a dense
+    perturbation of comult is no table and joins for all seven identities."""
     monkeypatch.setattr(hopf, "JOIN_TERMS", 7)
     join, residual, calls = hopf._join, hopf._residual, []
 
@@ -567,10 +571,108 @@ def test_both_sides_of_every_identity_see_the_same_windows(inst_c, monkeypatch):
     monkeypatch.setattr(hopf, "_residual", spy_residual)
     assert verify_axioms(inst_c.product)["pass"]
     assert max(automorphism_residuals(inst_c.base, inst_c.alpha)) < TOL_VERIFY
-    assert len(calls) == 9  # seven axiom identities, two automorphism identities
+    # six axiom identities besides coassociativity, two automorphism identities
+    assert len(calls) == 8
+    assert not verify_axioms(_corrupted(inst_c.product, "comult"))["pass"]
+    assert len(calls) == 15  # all seven axiom identities
     for left, right, pairs in calls:
         assert left == right and len(left) > 1
         _check_windows(pairs, left)
+
+
+# -- the table certificate of coassociativity --------------------------------------
+
+def _table_generators_like_reference(h: HopfData) -> HopfData:
+    """h with empty caches, after checking that its comult is a table and
+    that its exact generators are generating_subset's float choice."""
+    h = fresh(h)
+    assert hopf._dual_table(h) is not None
+    assert np.array_equal(h.generators(), generating_subset(h, range(h.dim)))
+    return h
+
+
+@pytest.mark.parametrize("case", [*(f"{name} {part}" for name in "ABCDEFGH"
+                                    for part in ("base", "product")),
+                                  "rung", "E principals"])
+def test_table_certificate_matches_references(case, request, s4_rung):
+    """The residuals of the rung and of E's principals, already compared with
+    the dense reference above, are not compared again."""
+    if case == "rung":
+        _table_generators_like_reference(s4_rung)
+    elif case == "E principals":
+        inst = request.getfixturevalue("inst_e")
+        for sub in all_subgroups(inst.lam_full):
+            _table_generators_like_reference(inst.principal(sub).product)
+    else:
+        name, part = case.split()
+        h = _table_generators_like_reference(
+            getattr(request.getfixturevalue(f"inst_{name.lower()}"), part))
+        assert verify_axioms(h) == _dense_verify_axioms(h)
+
+
+@pytest.mark.parametrize("label,alg,hom", SWEEP_FAMILY, ids=[s[0] for s in SWEEP_FAMILY])
+def test_table_certificate_on_the_sweep_family(label, alg, hom):
+    z2 = cyclic_group(2)
+    inst = build(alg, z2, action_from_group_hom(alg, z2, hom, "permutation"))
+    for h in (alg, inst.product):
+        h = _table_generators_like_reference(h)
+        assert verify_axioms(h) == _dense_verify_axioms(h)
+
+
+@pytest.mark.parametrize("name", "AG")
+def test_moved_entry_outside_the_generator_rows_fails_coassociativity(name, request):
+    """Moving f_a f_b = f_k to another f_k', for a row a outside the
+    generators and a, b not the unit's index, keeps comult a table with the
+    counit identity and the same generators. The table is no longer
+    associative, so some y among the generators sees it (Light's test)."""
+    h = request.getfixturevalue(f"inst_{name.lower()}").product
+    d, gens = h.dim, h.generators()
+    (unit,) = np.flatnonzero(h.counit)
+    keys = h.comult[0]
+    k, a, b = np.unravel_index(keys, (d, d, d))
+    movable = np.flatnonzero(~np.isin(a, gens) & (a != unit) & (b != unit))
+    rng = np.random.default_rng(7)
+    for at in rng.choice(movable, size=3, replace=False):
+        moved = keys.copy()
+        moved[at] = np.ravel_multi_index(((k[at] + rng.integers(1, d)) % d, a[at], b[at]),
+                                         (d, d, d))
+        bad = HopfData(h.mult, h.unit, (np.sort(moved), h.comult[1]), h.counit,
+                       h.antipode, h.star, h.haar)
+        assert hopf._dual_table(bad) is not None
+        assert np.array_equal(bad.generators(), gens)
+        rep, ref = verify_axioms(bad), _dense_verify_axioms(bad)
+        assert rep["coassociativity"] == ref["coassociativity"] == 1.0
+        for key in rep:
+            assert abs(rep[key] - ref[key]) <= 1e-12, (key, rep[key], ref[key])
+        assert not rep["pass"]
+
+
+@pytest.mark.parametrize("flaw", ["values of one half", "a shared (a, b)", "counit"])
+def test_coassociativity_joins_unless_comult_is_a_table(flaw, inst_a, monkeypatch):
+    """comult with nonzeros other than 1 or two of them at one (a, b), or a
+    counit whose identity fails, is no table: coassociativity joins, and
+    every residual equals the dense reference."""
+    h = inst_a.product
+    tensors = {name: getattr(h, name) for name in TENSORS}
+    keys, vals = h.comult
+    if flaw == "values of one half":
+        tensors["comult"] = (keys, vals / 2)
+    elif flaw == "a shared (a, b)":
+        # f_a f_b = f_k + f_(k + 1) for the first nonzero (k, a, b)
+        shared = (keys[0] + h.dim ** 2) % h.dim ** 3
+        tensors["comult"] = (np.sort(np.append(keys, shared)), np.append(vals, 1))
+    else:
+        tensors["counit"] = h.counit / 2
+    bad = HopfData(**tensors)
+    certified = spy(monkeypatch, hopf, "_table_associator")
+    joins = spy(monkeypatch, hopf, "_join")
+    rep, ref = verify_axioms(bad), _dense_verify_axioms(bad)
+    assert hopf._dual_table(bad) is None and certified == []
+    assert [args[0] for args, _ in joins if args[1] is args[2] is bad.comult] == [
+        "iml,mjk->ijkl", "ijm,mkl->ijkl"]
+    for key in rep:
+        assert abs(rep[key] - ref[key]) <= 1e-12, (key, rep[key], ref[key])
+    assert not rep["pass"]
 
 
 def _traced_peak(fn):
