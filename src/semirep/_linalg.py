@@ -57,6 +57,21 @@ def as_int(value) -> int:
     return n
 
 
+def as_ints(values) -> np.ndarray:
+    """as_int on every entry of an array, as one int array of its shape.
+
+    The test is as_int's, entry by entry, with the same INT_ROUND_TOL; a
+    failing entry (NaN and inf included) is handed to as_int, so the first
+    one in index order raises exactly what as_int raises for it.
+    """
+    x = np.asarray(values)
+    n = np.round(x.real)
+    ok = (np.abs(x.real - n) <= INT_ROUND_TOL) & (np.abs(x.imag) <= INT_ROUND_TOL)
+    if not ok.all():
+        as_int(x.reshape(-1)[np.argmin(ok.reshape(-1))])
+    return n.astype(int)
+
+
 def int_array(data) -> np.ndarray:
     """Read outside integer data (tables, permutations) without truncating.
 

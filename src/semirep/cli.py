@@ -52,7 +52,9 @@ def _jsonable(obj):
     if isinstance(obj, (float, np.floating)):
         return _round_float(obj)
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        # tolist already gives plain int and bool; only float and complex entries
+        # need rounding
+        return obj.tolist() if obj.dtype.kind in "biu" else _jsonable(obj.tolist())
     return obj
 
 

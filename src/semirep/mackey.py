@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, TOL_VERIFY, as_int,
+from ._linalg import (DEFAULT_SEED, TOL_ACCEPT, TOL_VERIFY, as_int, as_ints,
                       first_entry_phase, kron_stack, max_abs, max_abs_each)
 from .cohomology import cocycle_inverse, cocycle_product
 from .corep import (Corep, conjugate, intertwiner_basis, irr_action, irr_enumerate,
@@ -346,9 +346,14 @@ class _FusionTables:
       triples      (Lambda_i) -> (reps, cap r_i Lambda_i r_i^{-1}) per coset triple
       moved        (p, r, meet) -> r . p on meet, chi of r . CSR(p) on G x| meet
       tensors      (moved x2, moved x3) -> x2 (x) x3, for x = u, V, v
+      forms        (p1s, r, meet) -> the Haar forms of the stacked characters of
+                   each r . p1 on G x| meet
       grps         (p2, r2, p3, r3, meet) -> the GRP and chi2 . chi3
       isotypic     (moved u1, GRP u) -> intertwiner_basis(u1, GRP u)
       reductions   (GRP, moved u1, moved V1) -> reduce_grp's result
+      counts       (GRP, p1s, r, meet) -> proj_mor_dim(v1, reduced v), or 0,
+                   for each moved p1
+    p1s is a tuple of parameters over one Lambda_1, in the caller's order.
     """
 
     def __init__(self, inst: SemidirectInstance, classified):
@@ -359,9 +364,11 @@ class _FusionTables:
         self.triples: dict = {}
         self.moved: dict = {}
         self.tensors: dict = {}
+        self.forms: dict = {}
         self.grps: dict = {}
         self.isotypic: dict = {}
         self.reductions: dict = {}
+        self.counts: dict = {}
 
     @staticmethod
     def _once(table: dict, key, build):
@@ -405,6 +412,14 @@ class _FusionTables:
             return type(p)(u, V, v, meet), restricted.char_vec()
         return self._once(self.moved, (p, r, meet.elements), build)
 
+    def moved_forms(self, p1s: tuple, r: int, meet: Subgroup) -> np.ndarray:
+        """The Haar forms of the stacked characters of r . p on meet, p in p1s:
+        row i @ chi is the pairing on G x| meet of the i-th one with chi."""
+        def build():
+            chis = np.array([self.moved_param(p, r, meet)[1] for p in p1s])
+            return self.top.principal(meet).product.pair_forms(chis)
+        return self._once(self.forms, (p1s, r, meet.elements), build)
+
     def tensor(self, x2, x3):
         """x2 (x) x3 of two moved coreps or projective reps."""
         product = corep_tensor if isinstance(x2, Corep) else proj_tensor
@@ -432,25 +447,71 @@ class _FusionTables:
             return reduce_grp(self.top, g, q1.u, q1.V, basis, self.csrs[g])
         return self._once(self.reductions, (g, q1.u, q1.V), build)
 
+    def reduction_counts(self, g: GRParameter, p1s: tuple, r: int,
+                         meet: Subgroup) -> np.ndarray:
+        """The reduction route's incidence of g with each q1 = r . p1 on meet,
+        p1 in p1s: proj_mor_dim(q1.v, reduced v), or 0 when reduction(g, q1)
+        is empty."""
+        def build():
+            counts = []
+            for p1 in p1s:
+                q1 = self.moved_param(p1, r, meet)[0]
+                red = self.reduction(g, q1)
+                counts.append(0 if red is None else proj_mor_dim(q1.v, red.v))
+            return np.array(counts)
+        return self._once(self.counts, (g, p1s, r, meet.elements), build)
+
+
+def _incidence_column(tables: _FusionTables, p1s: tuple, p2: RepParameter,
+                      p3: RepParameter, reps, meet: Subgroup, name) -> np.ndarray:
+    """The incidence numbers of (p1, p2, p3) at coset representatives reps,
+    with meet cap r_i Lambda_i r_i^{-1}, for every p1 of p1s (one Lambda_1).
+
+    The character route pairs every moved chi1 with chi2 . chi3 in one
+    product of Haar forms; the reduction route counts proj_mor_dim(v1,
+    reduced v) once per GRP and moved p1. Both must agree on every entry;
+    name(i) names the i-th entry in the error.
+    """
+    forms = tables.moved_forms(p1s, reps[0], meet)
+    grp, chi23 = tables.grp(p2, reps[1], p3, reps[2], meet)
+    m_char = as_ints(forms @ chi23)
+    m_proj = tables.reduction_counts(grp, p1s, reps[0], meet)
+    bad = np.flatnonzero(m_char != m_proj)
+    if len(bad):
+        i = bad[0]
+        raise OracleDisagreement(
+            f"incidence routes disagree on {name(i)} at coset reps {tuple(reps)}: "
+            f"characters {m_char[i]}, reduction {m_proj[i]}")
+    return m_char
+
+
+def _formula_column(tables: _FusionTables, p1s: tuple, p2: RepParameter,
+                    p3: RepParameter, name) -> np.ndarray:
+    """N_{p2,p3}^{p1} = sum of m |meet| / |Lambda| over the coset triples of
+    incidence m, for every p1 of p1s (one Lambda_1), summed in integers;
+    raises NonIntegerCoefficient unless |Lambda| divides every sum."""
+    total = 0
+    for reps, meet in tables.coset_triples([p1s[0].lambda0, p2.lambda0, p3.lambda0]):
+        total = total + _incidence_column(tables, p1s, p2, p3, reps, meet, name) * meet.order
+    order = tables.top.lam_full.order
+    entries, rest = np.divmod(total, order)
+    bad = np.flatnonzero(rest)
+    if len(bad):
+        raise NonIntegerCoefficient(
+            f"coset sum {total[bad[0]]} of {name(bad[0])} is not a multiple of "
+            f"|Lambda| = {order}")
+    return entries
+
 
 def incidence(inst: SemidirectInstance, params, reps, meet: Subgroup, *,
               tables: _FusionTables) -> int:
     """The incidence number of three parameters at coset representatives
-    reps with meet cap r_i Lambda_i r_i^{-1}.
-
-    Computed by the character route over G x| meet and re-derived through
-    the GRP-reduction route; both must agree exactly. Artifacts come from,
-    and go to, the fusion run's tables.
-    """
-    q1, chi1 = tables.moved_param(params[0], reps[0], meet)
-    grp, chi23 = tables.grp(params[1], reps[1], params[2], reps[2], meet)
-    m_char = as_int(inst.top.principal(meet).product.pair(chi1, chi23))
-    red = tables.reduction(grp, q1)
-    m_proj = 0 if red is None else proj_mor_dim(q1.v, red.v)
-    if m_proj != m_char:
-        raise OracleDisagreement(
-            f"incidence routes disagree: characters {m_char}, reduction {m_proj}")
-    return m_char
+    reps with meet cap r_i Lambda_i r_i^{-1}: the one-entry case of the
+    column kernel, so both routes run and must agree exactly. Artifacts come
+    from, and go to, the fusion run's tables."""
+    p1, p2, p3 = params
+    return int(_incidence_column(tables, (p1,), p2, p3, reps, meet,
+                                 lambda _: "the given parameters")[0])
 
 
 FUSION_ROUTES = ("formula", "characters", "modules")
@@ -481,17 +542,10 @@ class FusionTable:
 
 def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
                  w3: ClassifiedIrr, tables: _FusionTables) -> int:
-    """N_{w2,w3}^{w1} = sum of m |meet| / |Lambda| over the coset triples of
-    incidence m, summed in integers over the fusion run's tables; raises
-    NonIntegerCoefficient unless |Lambda| divides the sum."""
-    params = (w1.parameter, w2.parameter, w3.parameter)
-    total = sum(incidence(inst, params, reps, meet, tables=tables) * meet.order
-                for reps, meet in tables.coset_triples([p.lambda0 for p in params]))
-    entry, rest = divmod(total, inst.top.lam_full.order)
-    if rest:
-        raise NonIntegerCoefficient(
-            f"coset sum {total} is not a multiple of |Lambda| = {inst.top.lam_full.order}")
-    return entry
+    """N_{w2,w3}^{w1} by the coset-sum formula over the fusion run's tables:
+    the one-entry case of the column kernel that fusion runs."""
+    return int(_formula_column(tables, (w1.parameter,), w2.parameter, w3.parameter,
+                               lambda _: f"N[{w1.label}][{w2.label}][{w3.label}]")[0])
 
 
 def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionTable:
@@ -502,14 +556,16 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionT
     homs; any disagreement raises. No route is skipped or sampled, and the
     table records how many entries each route evaluated.
 
-    Per entry and coset triple run `incidence`: its character pairing,
-    proj_mor_dim(q1.v, red.v) on the moved v1 and the reduced v, and the
-    comparison of the two. Per entry run the characters and modules routes:
-    the character pairings of all w1 with one chi2 . chi3 are one product
-    against the Haar forms of the classified characters, and
-    module_fusion_cube counts the module homs in one batch per w2.
-    Everything else is built once per distinct input, by content, and
-    shared through the run's tables; _FusionTables lists them.
+    The cube is filled by columns: for each (w2, w3), the w1 are taken in
+    groups that share a stabilizer Lambda_1. A group's formula column walks
+    the coset triples of (Lambda_1, Lambda_2, Lambda_3) once; at each triple
+    _incidence_column gets the character route's incidence of every w1 in
+    one product and compares it, entry by entry, with the reduction route's.
+    The characters route pairs chi2 . chi3 with the Haar forms of all
+    classified characters in one product, and module_fusion_cube counts the
+    module homs in one batch per w2. The three routes are then compared on
+    the whole column. Everything else is built once per distinct input, by
+    content, and shared through the run's tables; _FusionTables lists them.
     """
     top = inst.top
     h = top.product
@@ -517,23 +573,33 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionT
     tables = _FusionTables(top, classified)
     modules = module_fusion_cube([w.induced for w in classified])
     forms = h.pair_forms(np.array([w.character for w in classified]))
+    by_stabilizer: dict = {}
+    for i1, w1 in enumerate(classified):
+        by_stabilizer.setdefault(w1.parameter.lambda0.elements, []).append(i1)
+    groups = [(idx, tuple(classified[i].parameter for i in idx))
+              for idx in by_stabilizer.values()]
     cube = np.zeros((k, k, k), dtype=int)
     evaluated = dict.fromkeys(FUSION_ROUTES, 0)
     for i2, w2 in enumerate(classified):
         for i3, w3 in enumerate(classified):
-            pairings = forms @ h.product(w2.character, w3.character)
-            for i1, w1 in enumerate(classified):
-                found = {
-                    "formula": fusion_entry(top, w1, w2, w3, tables),
-                    "characters": as_int(pairings[i1]),
-                    "modules": int(modules[i1, i2, i3]),
-                }
-                for route in found:
-                    evaluated[route] += 1
-                if len(set(found.values())) != 1:
-                    raise OracleDisagreement(
-                        f"fusion N[{w1.label}][{w2.label}][{w3.label}]: formula "
-                        f"{found['formula']}, characters {found['characters']}, "
-                        f"modules {found['modules']}")
-                cube[i1, i2, i3] = found["formula"]
+            formula = np.zeros(k, dtype=int)
+            for idx, p1s in groups:
+                column = _formula_column(
+                    tables, p1s, w2.parameter, w3.parameter,
+                    lambda i: f"N[{classified[idx[i]].label}][{w2.label}][{w3.label}]")
+                formula[idx] = column
+                evaluated["formula"] += len(column)
+            found = {"formula": formula,
+                     "characters": as_ints(forms @ h.product(w2.character, w3.character)),
+                     "modules": modules[:, i2, i3]}
+            evaluated["characters"] += len(found["characters"])
+            evaluated["modules"] += len(found["modules"])
+            bad = np.flatnonzero((formula != found["characters"]) | (formula != found["modules"]))
+            if len(bad):
+                i1 = bad[0]
+                raise OracleDisagreement(
+                    f"fusion N[{classified[i1].label}][{w2.label}][{w3.label}]: formula "
+                    f"{formula[i1]}, characters {found['characters'][i1]}, "
+                    f"modules {found['modules'][i1]}")
+            cube[:, i2, i3] = formula
     return FusionTable(irreps=list(classified), coefficients=cube, evaluated=evaluated)

@@ -158,15 +158,20 @@ def act_corep(inst: SemidirectInstance, r: int, u: Corep) -> Corep:
     """
     top = inst.top
     lam = top.lam_full
-    own = instance_of_corep(inst, u).subgroup
-    moved = conjugate_subgroup(own, r)
-    # block s of the result is block r^{-1} s r of U, moved by alpha*_{r^{-1}}
+    own = instance_of_corep(inst, u)
     rinv = lam.inverse(r)
-    idx = own.to_local(lam.conjugate(rinv, moved.elements))
     n = u.dim
-    blocks = u.entries.reshape(n, n, own.order, top.base.dim)[:, :, idx]
+    if own is top.over_identity:
+        # conjugation fixes {e}: the one block stays where it is
+        moved, blocks = own, u.entries.reshape(n, n, 1, top.base.dim)
+    else:
+        # block s of the result is block r^{-1} s r of U
+        moved = top.principal(conjugate_subgroup(own.subgroup, r))
+        idx = own.subgroup.to_local(lam.conjugate(rinv, moved.subgroup.elements))
+        blocks = u.entries.reshape(n, n, own.subgroup.order, top.base.dim)[:, :, idx]
+    # each block moved by alpha*_{r^{-1}}
     entries = blocks @ top.alpha[rinv].T
-    return Corep(top.principal(moved).product, entries.reshape(n, n, -1))
+    return Corep(moved.product, entries.reshape(n, n, -1))
 
 
 def extend(inst: SemidirectInstance, sub_inst: SemidirectInstance,

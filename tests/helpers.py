@@ -1,7 +1,7 @@
 """A call-logging spy, and small objects that only the tests build (trivial
 and direct-sum representations, the trivial action, the trivial subgroup, base
-coreps viewed over G x| {e}, conjugation instances C(K) x| lam, a HopfData
-with empty caches), dense copies of a HopfData's tensors and the dense
+coreps viewed over G x| {e}, conjugation instances C(K) x| lam, C(Heis3) x| Z3^2
+and the inner action of Z2^2 on Q8, a HopfData with empty caches), dense copies of a HopfData's tensors and the dense
 structure constants of its dual algebra, the (co)commutativity tests of a
 Hopf algebra, the dense conjugation isomorphism that act_corep is checked
 against, the split of a corep into its covariant pair, the
@@ -26,7 +26,8 @@ from semirep.corep import (Corep, compress, intertwiner_basis, regular_corep, te
 from semirep.errors import (CocycleMismatch, CovarianceFailure, NonUnitaryExtraction,
                             NotProjective, NotScalarRelated, ValidationError)
 from semirep.groups import (FiniteGroup, Subgroup, conjugate_intersection,
-                            conjugate_subgroup, left_cosets, symmetric_group)
+                            conjugate_subgroup, cyclic_group, direct_product, left_cosets,
+                            quaternion_group, symmetric_group)
 from semirep.hopf import HopfData
 from semirep.mackey import _FusionTables, fusion_entry, incidence
 from semirep.projective import ProjectiveRep, ordinary_rep, pullback
@@ -151,6 +152,42 @@ def conjugation_spec(n, base, lam, embed):
             "base": {"order": k.order, "table": k.group.mult.tolist()},
             "lambda": {"order": lam.order, "table": lam.mult.tolist()},
             "action": act}
+
+
+def heisenberg_spec():
+    """C(Heis3) x| Z3^2: (a, b, c)(a', b', c') = (a + a', b + b', c + c' + ab')
+    mod 3 on index 9a + 3b + c, and (i, j), index 3i + j, acts by
+    conjugation with (i, j, 0). Conjugation by a central element is trivial,
+    so (i, j) -> conjugation by (i, j, 0) is a homomorphism."""
+    triples = list(itertools.product(range(3), repeat=3))
+
+    def mul(x, y):
+        return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3, (x[2] + y[2] + x[0] * y[1]) % 3)
+
+    def inv(x):
+        return next(y for y in triples if mul(x, y) == (0, 0, 0))
+
+    pairs = list(itertools.product(range(3), repeat=2))
+    return {"name": "C(Heis3) x| Z3^2, by conjugation with (i, j, 0)",
+            "kind": "function_algebra",
+            "base": {"order": 27, "table": [[triples.index(mul(x, y)) for y in triples]
+                                            for x in triples]},
+            "lambda": {"order": 9, "table": [[pairs.index(((i + k) % 3, (j + m) % 3))
+                                              for k, m in pairs] for i, j in pairs]},
+            "action": [[triples.index(mul(mul((i, j, 0), g), inv((i, j, 0))))
+                        for g in triples] for i, j in pairs]}
+
+
+def q8_inner_action():
+    """Z2 x Z2 -> Inn(Q8), (a, b) -> conjugation with i^a j^b; the element
+    (a, b) of direct_product is packed as 2 a + b."""
+    q8 = quaternion_group()
+    i, j = 2, 4  # quaternion_group lists 1, -1, i, -i, j, -j, k, -k
+    hom = []
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        s = q8.mul(i if a else q8.identity, j if b else q8.identity)
+        hom.append([q8.mul(q8.mul(s, g), q8.inverse(s)) for g in q8.elements()])
+    return q8, direct_product(cyclic_group(2), cyclic_group(2)), hom
 
 
 def conjugation_iso(inst, sub: Subgroup, r: int) -> np.ndarray:

@@ -353,3 +353,15 @@ def test_irr_imports_no_numpy_random():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_jsonable_hands_int_and_bool_arrays_to_tolist():
+    """Integer and bool arrays are already plain JSON after tolist; float and
+    complex arrays are still rounded entry by entry, -0.0 read as 0.0."""
+    cube = np.arange(24).reshape(2, 3, 4) - 5
+    doc = cli._jsonable({"cube": cube, "flags": np.array([True, False]),
+                         "floats": np.array([-0.0, 1 / 3]), "phases": np.array([1j, -1 + 0j])})
+    assert doc == {"cube": cube.tolist(), "flags": [True, False],
+                   "floats": [0.0, round(1 / 3, 12)], "phases": [[0.0, 1.0], [-1.0, 0.0]]}
+    assert {type(x) for plane in doc["cube"] for row in plane for x in row} == {int}
+    assert {type(x) for x in doc["flags"]} == {bool}

@@ -6,6 +6,7 @@ expects are rebuilt here from their definitions and told apart by the bytes
 of their arrays, never read from the tables.
 """
 
+import re
 from itertools import product
 
 import numpy as np
@@ -18,12 +19,14 @@ from semirep.corpus import INSTANCES
 from semirep.errors import IntegerRecoveryError, NonIntegerCoefficient, OracleDisagreement
 from semirep.groups import (FiniteGroup, Subgroup, all_subgroups, conjugate_intersection,
                             conjugate_subgroup, left_cosets)
+from semirep.hopf import action_from_group_hom, function_algebra, group_algebra
 from semirep.mackey import (FusionTable, GRParameter, RepParameter, _FusionTables, classify,
                             fusion, move_rep)
 from semirep.projective import ProjectiveRep, tensor as proj_tensor
-from semirep.semidirect import act_corep
+from semirep.semidirect import act_corep, build
 
-from helpers import fresh, restrict_param, spy, standalone_entry, translate_param
+from helpers import (fresh, q8_inner_action, restrict_param, spy, standalone_entry,
+                     translate_param)
 
 
 def _content(x):
@@ -68,7 +71,7 @@ def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypat
     cl = classify(inst_d)
     k = len(cl)
     cosets = sum(len(left_cosets(w.parameter.lambda0)) for w in cl)
-    incidences = spy(monkeypatch, mackey, "incidence")
+    columns = spy(monkeypatch, mackey, "_incidence_column")
     reductions = spy(monkeypatch, mackey, "reduce_grp")
     bases = spy(monkeypatch, mackey, "intertwiner_basis")
     csrs = spy(monkeypatch, mackey, "csr_corep")
@@ -76,10 +79,16 @@ def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypat
 
     table = fusion(inst_d, cl)
 
-    # one incidence per (entry, coset triple); one module-hom count per
-    # entry, each of the k^3 systems (w1, w2 (x) w3) counted exactly once
+    # one comparison of the two incidence routes per (entry, coset triple),
+    # each returned incidence being one comparison; on D every stabilizer is
+    # Lambda with one coset, so each (w2, w3) is one column of all k w1 at
+    # one coset triple. One module-hom count per entry, each of the k^3
+    # systems (w1, w2 (x) w3) counted exactly once
     assert cosets ** 3 == k ** 3 == 1728
-    assert len(incidences) == cosets ** 3
+    assert sum(len(m) for _, m in columns) == cosets ** 3
+    assert len(columns) == k ** 2 and all(len(m) == k for _, m in columns)
+    assert len({(id(p1), id(p2), id(p3))
+                for (_, p1s, p2, p3, _, _, _), _ in columns for p1 in p1s}) == k ** 3
     systems = [pair for (pairs,), _ in module_homs for pair in pairs]
     assert len(systems) == k ** 3
     assert len({(id(m1), id(m2)) for m1, m2 in systems}) == k ** 3
@@ -119,13 +128,13 @@ def test_fusion_meets_on_a_nonabelian_lambda(inst_g, inst_h, monkeypatch):
     """On G and H (Lambda = S3) the stabilizers have several cosets and the
     meets are proper subgroups. One fusion run intersects once per distinct
     (Lambda_1, Lambda_2, Lambda_3, reps), takes one transversal per distinct
-    Lambda0, and hands each incidence the meet of its own reps."""
+    Lambda0, and hands each column of incidences the meet of its own reps."""
     for inst in (inst_g, inst_h):
         cl = classify(inst)
         with monkeypatch.context() as patch:
             meets = spy(patch, mackey, "conjugate_intersection")
             transversals = spy(patch, mackey, "left_cosets")
-            incidences = spy(patch, mackey, "incidence")
+            columns = spy(patch, mackey, "_incidence_column")
             fusion(inst, cl)
 
         stabilizers = [w.parameter.lambda0 for w in cl]
@@ -137,27 +146,95 @@ def test_fusion_meets_on_a_nonabelian_lambda(inst_g, inst_h, monkeypatch):
         subs = [sub.elements for (sub,), _ in transversals]
         assert len(subs) == len(set(subs)) == len({s.elements for s in stabilizers})
 
-        assert len(incidences) == sum(len(left_cosets(s)) for s in stabilizers) ** 3
+        # one comparison of the two incidence routes per (entry, coset
+        # triple): each returned incidence is one, and no pair comes twice
+        compared = [(id(p1), id(p2), id(p3), tuple(reps))
+                    for (_, p1s, p2, p3, reps, _, _), _ in columns for p1 in p1s]
+        assert sum(len(m) for _, m in columns) == len(compared)
+        assert len(compared) == len(set(compared)) \
+            == sum(len(left_cosets(s)) for s in stabilizers) ** 3
         proper = 0
-        for (_, params, reps, meet), _ in incidences:
+        for (_, p1s, p2, p3, reps, meet, _), _ in columns:
+            assert len({p.lambda0.elements for p in p1s}) == 1
+            params = (p1s[0], p2, p3)
             want = conjugate_intersection([p.lambda0 for p in params], list(reps))
             assert meet.parent is want.parent and meet.elements == want.elements
             proper += meet.order < min(p.lambda0.order for p in params)
         assert proper
 
 
-def test_fusion_cube_equals_standalone_entries(inst_b, inst_c, inst_g):
-    """Every entry from fresh tables equals the cube from one run's shared
-    tables; G has a nonabelian Lambda, nontrivial coset representatives and
-    meets."""
-    for inst in (inst_b, inst_c, inst_g):
-        cl = classify(inst)
-        cube = fusion(inst, cl).coefficients
-        k = len(cl)
-        standalone = np.zeros((k, k, k), dtype=int)
-        for i1, i2, i3 in product(range(k), repeat=3):
-            standalone[i1, i2, i3] = standalone_entry(inst, cl[i1], cl[i2], cl[i3])
-        assert np.array_equal(cube, standalone)
+def _assert_cube_equals_standalone_entries(inst):
+    cl = classify(inst)
+    cube = fusion(inst, cl).coefficients
+    k = len(cl)
+    standalone = np.zeros((k, k, k), dtype=int)
+    for i1, i2, i3 in product(range(k), repeat=3):
+        standalone[i1, i2, i3] = standalone_entry(inst, cl[i1], cl[i2], cl[i3])
+    assert np.array_equal(cube, standalone)
+
+
+def test_fusion_cube_equals_standalone_entries(inst_a, inst_b, inst_c, inst_d, inst_e,
+                                               inst_f, inst_g, inst_h):
+    """Every entry from fresh tables, one entry at a time, equals the cube
+    that fusion fills by columns from one run's shared tables. G and H have
+    a nonabelian Lambda, several stabilizers, nontrivial coset
+    representatives and meets; F has a parameter of nontrivial class."""
+    for inst in (inst_a, inst_b, inst_c, inst_d, inst_e, inst_f, inst_g, inst_h):
+        _assert_cube_equals_standalone_entries(inst)
+
+
+@pytest.mark.parametrize("kind", ["C(Q8)", "C[Q8]"])
+def test_q8_family_cube_equals_standalone_entries(kind):
+    """The same on C(Q8) and C[Q8] x| Z2^2, where Z2^2 acts by inner
+    automorphisms: on C(Q8) every stabilizer is Lambda and one parameter
+    has nontrivial class; on C[Q8] the stabilizers are Lambda and its three
+    subgroups of order 2."""
+    q8, lam, hom = q8_inner_action()
+    alg = function_algebra(q8) if kind == "C(Q8)" else group_algebra(q8)
+    _assert_cube_equals_standalone_entries(
+        build(alg, lam, action_from_group_hom(alg, lam, hom, "permutation")))
+
+
+def test_shifted_reduction_count_names_its_entry(inst_d, monkeypatch):
+    """One reduction count shifted by 1, that of the target's moved parameter:
+    D has one coset triple and the (W0, W0) column comes first, so the
+    comparison fails there, on the target's entry."""
+    cl = classify(inst_d)
+    target = cl[5]
+    real = _FusionTables.reduction_counts
+
+    def shifted(self, g, p1s, r, meet):
+        counts = real(self, g, p1s, r, meet).copy()
+        counts[[i for i, p in enumerate(p1s) if p is target.parameter]] += 1
+        return counts
+
+    monkeypatch.setattr(_FusionTables, "reduction_counts", shifted)
+    with pytest.raises(OracleDisagreement,
+                       match=rf"incidence routes disagree on N\[{target.label}\]\[W0\]\[W0\]"):
+        fusion(inst_d, cl)
+
+
+def test_shifted_character_pairing_names_its_entry(inst_d, monkeypatch):
+    """chi2 . chi3 moved by a vector that the Haar form of the target's moved
+    character takes to 1 and every other form of its column to 0: exactly
+    the target's character pairing is shifted, and the comparison fails on
+    its entry in the first column."""
+    cl = classify(inst_d)
+    target = 5
+    real = _FusionTables.grp
+
+    def shifted(self, p2, r2, p3, r3, meet):
+        g, chi23 = real(self, p2, r2, p3, r3, meet)
+        p1s = tuple(w.parameter for w in cl)
+        forms = self.moved_forms(p1s, inst_d.lam_full.identity, meet)
+        unit = np.zeros(len(p1s))
+        unit[target] = 1
+        return g, chi23 + np.linalg.pinv(forms) @ unit
+
+    monkeypatch.setattr(_FusionTables, "grp", shifted)
+    with pytest.raises(OracleDisagreement,
+                       match=rf"incidence routes disagree on N\[{cl[target].label}\]\[W0\]\[W0\]"):
+        fusion(inst_d, cl)
 
 
 def test_moved_params_match_translate_then_restrict(inst_g, inst_h):
@@ -224,13 +301,22 @@ def test_interning_keeps_parents_groups_and_cocycles_apart(inst_f):
 
 
 def test_non_integer_total_raises_non_integer_coefficient(inst_a, monkeypatch):
-    """A first incidence of 1/2 and zeros after it make the coset sum
-    |meet| / 2, which |Lambda| = 2 does not divide."""
+    """A's 2-dimensional irreducible has stabilizer {e}, so its entry with
+    itself sums over 8 coset triples, each of meet {e}. An incidence of 1 at
+    the first triple and 0 after it makes the coset sum 1, which
+    |Lambda| = 2 does not divide; the error names the entry."""
     cl = classify(inst_a)
-    values = iter([0.5])
-    monkeypatch.setattr(mackey, "incidence", lambda *args, **kwargs: next(values, 0))
-    with pytest.raises(NonIntegerCoefficient, match="not a multiple"):
-        standalone_entry(inst_a, cl[0], cl[0], cl[0])
+    two = next(w for w in cl if w.dim == 2)
+    values = iter([1])
+
+    def first_one(tables, p1s, *rest):
+        return np.full(len(p1s), next(values, 0))
+
+    monkeypatch.setattr(mackey, "_incidence_column", first_one)
+    label = f"N[{two.label}][{two.label}][{two.label}]"
+    with pytest.raises(NonIntegerCoefficient, match=rf"coset sum 1 of {re.escape(label)} is "
+                                                    r"not a multiple of \|Lambda\| = 2"):
+        standalone_entry(inst_a, two, two, two)
 
 
 def test_unrelated_fault_in_fusion_entry_is_not_an_oracle_disagreement(inst_a, monkeypatch):
@@ -244,7 +330,7 @@ def test_unrelated_fault_in_fusion_entry_is_not_an_oracle_disagreement(inst_a, m
     def broken(*args, **kwargs):
         raise fault
 
-    monkeypatch.setattr(mackey, "as_int", broken)
+    monkeypatch.setattr(mackey, "as_ints", broken)
     with pytest.raises(IntegerRecoveryError) as info:
         standalone_entry(inst_a, cl[0], cl[0], cl[0])
     assert info.value is fault

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from semirep import _linalg
-from semirep._linalg import (hom_space_dim, hom_space_dims, module_hom_basis, nullity,
-                             nullspace, sylvester_system)
+from semirep._linalg import (INT_ROUND_TOL, as_int, as_ints, hom_space_dim, hom_space_dims,
+                             module_hom_basis, nullity, nullspace, sylvester_system)
 
 
 def kron_system(mats1, mats2):
@@ -158,3 +158,40 @@ def test_nan_residual_reads_as_inf():
     assert _linalg.max_abs(arr) == np.inf
     assert _linalg.max_abs_each(arr).tolist() == [np.inf, 3.0]
     assert _linalg.max_abs(np.zeros(0)) == 0.0
+
+
+# integers, near-integers on either side, values just inside and just outside
+# the tolerance, halves, complex values with a small and a large imaginary
+# part, NaN and inf
+INT_CASES = [0, -3, 7.0, 2 - 1e-12, -4 + 1e-9, 5 + 0.09, 5 - 0.0999, 3.1, 2.9, 0.5, 2.5,
+             -1.5, 4 + INT_ROUND_TOL * (1 + 1e-9), 1 + 0.05j, 1 + 0.1j, -2 + 0.2j,
+             3 - 0.3j, 0.4 + 0.4j, np.nan, complex(np.nan, 0), np.inf, -np.inf]
+
+
+def _outcome(fn, value):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return int(fn(value))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("value", INT_CASES)
+def test_as_ints_matches_as_int_on_each_value(value):
+    assert _outcome(lambda x: as_ints(np.array([x]))[0], value) == _outcome(as_int, value)
+    assert _outcome(lambda x: as_ints(np.array([[x]], dtype=complex))[0, 0], value) \
+        == _outcome(as_int, complex(value))
+
+
+def test_as_ints_keeps_shape_and_raises_for_the_first_failure():
+    good = [v for v in INT_CASES if not isinstance(_outcome(as_int, v), tuple)]
+    arr = np.array(good * 2, dtype=complex).reshape(2, -1)
+    got = as_ints(arr)
+    assert got.dtype.kind == "i" and got.shape == arr.shape
+    assert got.tolist() == [[as_int(v) for v in row] for row in arr]
+    # two failures: row-major order decides which one is reported
+    arr[1, 0], arr[0, -1] = 0.5, 1 + 0.2j
+    with pytest.raises(Exception) as info:
+        as_ints(arr)
+    assert (type(info.value), str(info.value)) == _outcome(as_int, 1 + 0.2j)

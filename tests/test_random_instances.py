@@ -21,7 +21,7 @@ from semirep.hopf import (action_from_group_hom, function_algebra,
 from semirep.mackey import classify, conjugation_pairing, fusion
 from semirep.semidirect import build
 
-from helpers import check_fusion_identities, standalone_entry
+from helpers import check_fusion_identities, q8_inner_action, standalone_entry
 
 BASES = {
     "Z4": cyclic_group(4),
@@ -85,18 +85,6 @@ def test_random_instance_pipeline(label, alg, hom):
     for _ in range(3):
         i1, i2, i3 = (int(i) for i in local.integers(0, len(cl), 3))
         assert standalone_entry(inst, cl[i1], cl[i2], cl[i3]) == table.entry(i1, i2, i3)
-
-
-def q8_inner_action():
-    """Z2 x Z2 -> Inn(Q8), (a, b) -> conjugation with i^a j^b; the element
-    (a, b) of direct_product is packed as 2 a + b."""
-    q8 = quaternion_group()
-    i, j = 2, 4  # quaternion_group lists 1, -1, i, -i, j, -j, k, -k
-    hom = []
-    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        s = q8.mul(i if a else q8.identity, j if b else q8.identity)
-        hom.append([q8.mul(q8.mul(s, g), q8.inverse(s)) for g in q8.elements()])
-    return q8, direct_product(cyclic_group(2), cyclic_group(2)), hom
 
 
 @pytest.mark.parametrize("kind", ["function", "group"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semirep import semidirect
 from semirep.corep import Corep, act, irr_enumerate, mor_dim, verify_corep
 from semirep.corpus import instance
 from semirep.errors import NotCovariant
@@ -14,7 +15,7 @@ from semirep.semidirect import (act_corep, build, check_covariant, extend,
                                 instance_of_corep, join_covariant, restrict_corep)
 
 from helpers import (TENSORS, conjugation_iso, dense, embed_base_corep,
-                     is_cocommutative, is_commutative, split_covariant, trivial_action,
+                     is_cocommutative, is_commutative, split_covariant, spy, trivial_action,
                      trivial_rep, trivial_subgroup)
 
 
@@ -191,6 +192,21 @@ def test_base_corep_resolves_on_a_fresh_instance():
         ref = act(r, u, inst.alpha, inst.lam_full)
         assert moved.parent is ref.parent
         assert np.max(np.abs(moved.entries - ref.entries)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", "abcdefgh")
+def test_base_corep_translates_without_subgroup_bookkeeping(name, request, monkeypatch):
+    """Conjugation fixes {e}, so translating a base corep conjugates no
+    subgroup; the result is a base corep and agrees with corep.act."""
+    inst = request.getfixturevalue(f"inst_{name}")
+    conjugated = spy(monkeypatch, semidirect, "conjugate_subgroup")
+    for u in irr_enumerate(inst.base):
+        for r in inst.lam_full.elements():
+            moved = act_corep(inst, r, u)
+            ref = act(r, u, inst.alpha, inst.lam_full)
+            assert moved.parent is inst.base
+            assert np.max(np.abs(moved.entries - ref.entries)) <= 1e-12
+    assert conjugated == []
 
 
 def test_act_corep_inside_subgroup_is_equivalent(inst_c):
