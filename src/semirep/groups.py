@@ -292,8 +292,9 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
 
 
 def conjugate_subgroup(h: Subgroup, r: int) -> Subgroup:
-    """rHr^{-1} as a Subgroup of the same parent."""
-    return Subgroup(h.parent, tuple(h.parent.conjugate(r, h.elements)))
+    """rHr^{-1} as a Subgroup of the same parent: h itself when r normalizes it."""
+    elements = tuple(sorted(h.parent.conjugate(r, h.elements).tolist()))
+    return h if elements == h.elements else Subgroup(h.parent, elements)
 
 
 def conjugate_intersection(subgroups: list[Subgroup], reps: list[int]) -> Subgroup:

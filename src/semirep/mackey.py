@@ -353,7 +353,12 @@ class _FusionTables:
       reductions   (GRP, moved u1, moved V1) -> reduce_grp's result
       counts       (GRP, p1s, r, meet) -> proj_mor_dim(v1, reduced v), or 0,
                    for each moved p1
-    p1s is a tuple of parameters over one Lambda_1, in the caller's order.
+      columns      group -> ((p2, p3), N_{p2,p3}^{p1} for each p1 of the group)
+                   of the last column asked for
+    p1s is a tuple of parameters over one Lambda_1, in the caller's order. The
+    classified parameters are split into groups, one per stabilizer Lambda_1:
+    `groups` lists them, `place` maps each parameter to (its group, its
+    position there), and `labels` to the label that errors name it by.
     """
 
     def __init__(self, inst: SemidirectInstance, classified):
@@ -369,6 +374,14 @@ class _FusionTables:
         self.isotypic: dict = {}
         self.reductions: dict = {}
         self.counts: dict = {}
+        self.columns: dict = {}
+        self.labels = {w.parameter: w.label for w in classified}
+        by_stabilizer: dict = {}
+        for p in self.labels:
+            by_stabilizer.setdefault(p.lambda0.elements, []).append(p)
+        self.groups = [tuple(group) for group in by_stabilizer.values()]
+        self.place = {p: (i, j) for i, group in enumerate(self.groups)
+                      for j, p in enumerate(group)}
 
     @staticmethod
     def _once(table: dict, key, build):
@@ -462,15 +475,20 @@ class _FusionTables:
         return self._once(self.counts, (g, p1s, r, meet.elements), build)
 
 
-def _incidence_column(tables: _FusionTables, p1s: tuple, p2: RepParameter,
-                      p3: RepParameter, reps, meet: Subgroup, name) -> np.ndarray:
+def _entry_name(tables: _FusionTables, p1, p2, p3) -> str:
+    return "N" + "".join(f"[{tables.labels[p]}]" for p in (p1, p2, p3))
+
+
+def incidence(tables: _FusionTables, p1s: tuple, p2: RepParameter, p3: RepParameter,
+              reps, meet: Subgroup) -> np.ndarray:
     """The incidence numbers of (p1, p2, p3) at coset representatives reps,
     with meet cap r_i Lambda_i r_i^{-1}, for every p1 of p1s (one Lambda_1).
 
     The character route pairs every moved chi1 with chi2 . chi3 in one
     product of Haar forms; the reduction route counts proj_mor_dim(v1,
-    reduced v) once per GRP and moved p1. Both must agree on every entry;
-    name(i) names the i-th entry in the error.
+    reduced v) once per GRP and moved p1. Both must agree on every entry.
+    Artifacts come from, and go to, the fusion run's tables, whose labels
+    name the entries.
     """
     forms = tables.moved_forms(p1s, reps[0], meet)
     grp, chi23 = tables.grp(p2, reps[1], p3, reps[2], meet)
@@ -480,38 +498,28 @@ def _incidence_column(tables: _FusionTables, p1s: tuple, p2: RepParameter,
     if len(bad):
         i = bad[0]
         raise OracleDisagreement(
-            f"incidence routes disagree on {name(i)} at coset reps {tuple(reps)}: "
-            f"characters {m_char[i]}, reduction {m_proj[i]}")
+            f"incidence routes disagree on {_entry_name(tables, p1s[i], p2, p3)} at "
+            f"coset reps {tuple(reps)}: characters {m_char[i]}, reduction {m_proj[i]}")
     return m_char
 
 
 def _formula_column(tables: _FusionTables, p1s: tuple, p2: RepParameter,
-                    p3: RepParameter, name) -> np.ndarray:
+                    p3: RepParameter) -> np.ndarray:
     """N_{p2,p3}^{p1} = sum of m |meet| / |Lambda| over the coset triples of
     incidence m, for every p1 of p1s (one Lambda_1), summed in integers;
     raises NonIntegerCoefficient unless |Lambda| divides every sum."""
     total = 0
     for reps, meet in tables.coset_triples([p1s[0].lambda0, p2.lambda0, p3.lambda0]):
-        total = total + _incidence_column(tables, p1s, p2, p3, reps, meet, name) * meet.order
+        total = total + incidence(tables, p1s, p2, p3, reps, meet) * meet.order
     order = tables.top.lam_full.order
     entries, rest = np.divmod(total, order)
     bad = np.flatnonzero(rest)
     if len(bad):
+        i = bad[0]
         raise NonIntegerCoefficient(
-            f"coset sum {total[bad[0]]} of {name(bad[0])} is not a multiple of "
-            f"|Lambda| = {order}")
+            f"coset sum {total[i]} of {_entry_name(tables, p1s[i], p2, p3)} is not a "
+            f"multiple of |Lambda| = {order}")
     return entries
-
-
-def incidence(inst: SemidirectInstance, params, reps, meet: Subgroup, *,
-              tables: _FusionTables) -> int:
-    """The incidence number of three parameters at coset representatives
-    reps with meet cap r_i Lambda_i r_i^{-1}: the one-entry case of the
-    column kernel, so both routes run and must agree exactly. Artifacts come
-    from, and go to, the fusion run's tables."""
-    p1, p2, p3 = params
-    return int(_incidence_column(tables, (p1,), p2, p3, reps, meet,
-                                 lambda _: "the given parameters")[0])
 
 
 FUSION_ROUTES = ("formula", "characters", "modules")
@@ -540,12 +548,22 @@ class FusionTable:
         return f"{len(FUSION_ROUTES)}/{len(FUSION_ROUTES)} methods agree"
 
 
-def fusion_entry(inst: SemidirectInstance, w1: ClassifiedIrr, w2: ClassifiedIrr,
-                 w3: ClassifiedIrr, tables: _FusionTables) -> int:
-    """N_{w2,w3}^{w1} by the coset-sum formula over the fusion run's tables:
-    the one-entry case of the column kernel that fusion runs."""
-    return int(_formula_column(tables, (w1.parameter,), w2.parameter, w3.parameter,
-                               lambda _: f"N[{w1.label}][{w2.label}][{w3.label}]")[0])
+def fusion_entry(w1: ClassifiedIrr, w2: ClassifiedIrr, w3: ClassifiedIrr,
+                 tables: _FusionTables) -> int:
+    """N_{w2,w3}^{w1} by the coset-sum formula over the fusion run's tables.
+
+    The formula runs by columns: the first entry asked for over a given
+    (w2, w3) and stabilizer group of w1 evaluates that group's whole column
+    in _formula_column, and the other entries of the column are read from
+    it, so a caller that asks column by column evaluates each column once.
+    """
+    group, pos = tables.place[w1.parameter]
+    pair = (w2.parameter, w3.parameter)
+    last = tables.columns.get(group)
+    if last is None or last[0] != pair:
+        last = tables.columns[group] = (pair, _formula_column(
+            tables, tables.groups[group], *pair).tolist())
+    return last[1][pos]
 
 
 def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionTable:
@@ -556,16 +574,17 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionT
     homs; any disagreement raises. No route is skipped or sampled, and the
     table records how many entries each route evaluated.
 
-    The cube is filled by columns: for each (w2, w3), the w1 are taken in
-    groups that share a stabilizer Lambda_1. A group's formula column walks
-    the coset triples of (Lambda_1, Lambda_2, Lambda_3) once; at each triple
-    _incidence_column gets the character route's incidence of every w1 in
-    one product and compares it, entry by entry, with the reduction route's.
-    The characters route pairs chi2 . chi3 with the Haar forms of all
-    classified characters in one product, and module_fusion_cube counts the
-    module homs in one batch per w2. The three routes are then compared on
-    the whole column. Everything else is built once per distinct input, by
-    content, and shared through the run's tables; _FusionTables lists them.
+    The cube is filled one (w2, w3) column at a time. Its formula entries
+    come from fusion_entry, which evaluates the w1 that share a stabilizer
+    Lambda_1 together: their column walks the coset triples of (Lambda_1,
+    Lambda_2, Lambda_3) once, and at each triple `incidence` gets the
+    character route's incidence of every such w1 in one product and compares
+    it, entry by entry, with the reduction route's. The characters route
+    pairs chi2 . chi3 with the Haar forms of all classified characters in one
+    product, and module_fusion_cube counts the module homs in one batch per
+    w2. The three routes are then compared on the whole column. Everything
+    else is built once per distinct input, by content, and shared through
+    the run's tables; _FusionTables lists them.
     """
     top = inst.top
     h = top.product
@@ -573,27 +592,18 @@ def fusion(inst: SemidirectInstance, classified: list[ClassifiedIrr]) -> FusionT
     tables = _FusionTables(top, classified)
     modules = module_fusion_cube([w.induced for w in classified])
     forms = h.pair_forms(np.array([w.character for w in classified]))
-    by_stabilizer: dict = {}
-    for i1, w1 in enumerate(classified):
-        by_stabilizer.setdefault(w1.parameter.lambda0.elements, []).append(i1)
-    groups = [(idx, tuple(classified[i].parameter for i in idx))
-              for idx in by_stabilizer.values()]
     cube = np.zeros((k, k, k), dtype=int)
     evaluated = dict.fromkeys(FUSION_ROUTES, 0)
     for i2, w2 in enumerate(classified):
         for i3, w3 in enumerate(classified):
-            formula = np.zeros(k, dtype=int)
-            for idx, p1s in groups:
-                column = _formula_column(
-                    tables, p1s, w2.parameter, w3.parameter,
-                    lambda i: f"N[{classified[idx[i]].label}][{w2.label}][{w3.label}]")
-                formula[idx] = column
-                evaluated["formula"] += len(column)
-            found = {"formula": formula,
-                     "characters": as_ints(forms @ h.product(w2.character, w3.character)),
-                     "modules": modules[:, i2, i3]}
-            evaluated["characters"] += len(found["characters"])
-            evaluated["modules"] += len(found["modules"])
+            found = {
+                "formula": np.array([fusion_entry(w1, w2, w3, tables) for w1 in classified]),
+                "characters": as_ints(forms @ h.product(w2.character, w3.character)),
+                "modules": modules[:, i2, i3],
+            }
+            for route, column in found.items():
+                evaluated[route] += len(column)
+            formula = found["formula"]
             bad = np.flatnonzero((formula != found["characters"]) | (formula != found["modules"]))
             if len(bad):
                 i1 = bad[0]

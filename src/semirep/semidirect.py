@@ -158,20 +158,16 @@ def act_corep(inst: SemidirectInstance, r: int, u: Corep) -> Corep:
     """
     top = inst.top
     lam = top.lam_full
-    own = instance_of_corep(inst, u)
-    rinv = lam.inverse(r)
+    own = instance_of_corep(inst, u).subgroup
+    moved = conjugate_subgroup(own, r)
+    # block s of the result is block r^{-1} s r of U, moved by alpha*_{r^{-1}};
+    # moved.elements sorts the r h r^{-1}, so the blocks of own's h come in
+    # the order that sorts their conjugates
+    idx = np.argsort(lam.conjugate(r, own.elements))
     n = u.dim
-    if own is top.over_identity:
-        # conjugation fixes {e}: the one block stays where it is
-        moved, blocks = own, u.entries.reshape(n, n, 1, top.base.dim)
-    else:
-        # block s of the result is block r^{-1} s r of U
-        moved = top.principal(conjugate_subgroup(own.subgroup, r))
-        idx = own.subgroup.to_local(lam.conjugate(rinv, moved.subgroup.elements))
-        blocks = u.entries.reshape(n, n, own.subgroup.order, top.base.dim)[:, :, idx]
-    # each block moved by alpha*_{r^{-1}}
-    entries = blocks @ top.alpha[rinv].T
-    return Corep(moved.product, entries.reshape(n, n, -1))
+    blocks = u.entries.reshape(n, n, own.order, top.base.dim)[:, :, idx]
+    entries = blocks @ top.alpha[lam.inverse(r)].T
+    return Corep(top.principal(moved).product, entries.reshape(n, n, -1))
 
 
 def extend(inst: SemidirectInstance, sub_inst: SemidirectInstance,

@@ -538,14 +538,16 @@ def all_slice_oracle_irr_dims(h: HopfData, seed: int) -> list[int]:
 # -- fusion entries outside a fusion run ------------------------------------------
 
 def standalone_entry(inst, w1, w2, w3) -> int:
-    """fusion_entry over fresh tables that hold only the three classified CSRs."""
-    return fusion_entry(inst, w1, w2, w3, _FusionTables(inst, (w1, w2, w3)))
+    """fusion_entry over fresh tables that hold only the three classified irreps."""
+    return fusion_entry(w1, w2, w3, _FusionTables(inst, (w1, w2, w3)))
 
 
-def standalone_incidence(inst, params, reps) -> int:
-    """incidence at the meet cap r_i Lambda_i r_i^{-1}, over fresh, empty tables."""
-    meet = conjugate_intersection([p.lambda0 for p in params], list(reps))
-    return incidence(inst, params, reps, meet, tables=_FusionTables(inst, ()))
+def standalone_incidence(inst, ws, reps) -> int:
+    """incidence of three classified irreps at the meet cap r_i Lambda_i r_i^{-1},
+    over fresh tables that hold only those irreps."""
+    p1, p2, p3 = (w.parameter for w in ws)
+    meet = conjugate_intersection([p.lambda0 for p in (p1, p2, p3)], list(reps))
+    return int(incidence(_FusionTables(inst, ws), (p1,), p2, p3, reps, meet)[0])
 
 
 def check_fusion_identities(n: np.ndarray, dims: np.ndarray, bar: np.ndarray) -> None:

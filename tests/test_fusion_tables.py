@@ -71,7 +71,8 @@ def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypat
     cl = classify(inst_d)
     k = len(cl)
     cosets = sum(len(left_cosets(w.parameter.lambda0)) for w in cl)
-    columns = spy(monkeypatch, mackey, "_incidence_column")
+    columns = spy(monkeypatch, mackey, "incidence")
+    entries = spy(monkeypatch, mackey, "fusion_entry")
     reductions = spy(monkeypatch, mackey, "reduce_grp")
     bases = spy(monkeypatch, mackey, "intertwiner_basis")
     csrs = spy(monkeypatch, mackey, "csr_corep")
@@ -79,16 +80,20 @@ def test_fusion_runs_every_route_and_builds_each_artifact_once(inst_d, monkeypat
 
     table = fusion(inst_d, cl)
 
-    # one comparison of the two incidence routes per (entry, coset triple),
-    # each returned incidence being one comparison; on D every stabilizer is
-    # Lambda with one coset, so each (w2, w3) is one column of all k w1 at
-    # one coset triple. One module-hom count per entry, each of the k^3
-    # systems (w1, w2 (x) w3) counted exactly once
+    # every entry goes through fusion_entry once, and the formula route reads
+    # it from its column. One comparison of the two incidence routes per
+    # (entry, coset triple), each returned incidence being one comparison;
+    # on D every stabilizer is Lambda with one coset, so each (w2, w3) is one
+    # column of all k w1 at one coset triple. One module-hom count per entry,
+    # each of the k^3 systems (w1, w2 (x) w3) counted exactly once
+    assert len(entries) == len({tuple(map(id, args[:3])) for args, _ in entries}) == k ** 3
+    assert table.coefficients.tolist() == np.reshape(
+        [n for _, n in entries], (k, k, k)).transpose(2, 0, 1).tolist()
     assert cosets ** 3 == k ** 3 == 1728
     assert sum(len(m) for _, m in columns) == cosets ** 3
     assert len(columns) == k ** 2 and all(len(m) == k for _, m in columns)
     assert len({(id(p1), id(p2), id(p3))
-                for (_, p1s, p2, p3, _, _, _), _ in columns for p1 in p1s}) == k ** 3
+                for (_, p1s, p2, p3, _, _), _ in columns for p1 in p1s}) == k ** 3
     systems = [pair for (pairs,), _ in module_homs for pair in pairs]
     assert len(systems) == k ** 3
     assert len({(id(m1), id(m2)) for m1, m2 in systems}) == k ** 3
@@ -134,7 +139,7 @@ def test_fusion_meets_on_a_nonabelian_lambda(inst_g, inst_h, monkeypatch):
         with monkeypatch.context() as patch:
             meets = spy(patch, mackey, "conjugate_intersection")
             transversals = spy(patch, mackey, "left_cosets")
-            columns = spy(patch, mackey, "_incidence_column")
+            columns = spy(patch, mackey, "incidence")
             fusion(inst, cl)
 
         stabilizers = [w.parameter.lambda0 for w in cl]
@@ -149,12 +154,12 @@ def test_fusion_meets_on_a_nonabelian_lambda(inst_g, inst_h, monkeypatch):
         # one comparison of the two incidence routes per (entry, coset
         # triple): each returned incidence is one, and no pair comes twice
         compared = [(id(p1), id(p2), id(p3), tuple(reps))
-                    for (_, p1s, p2, p3, reps, _, _), _ in columns for p1 in p1s]
+                    for (_, p1s, p2, p3, reps, _), _ in columns for p1 in p1s]
         assert sum(len(m) for _, m in columns) == len(compared)
         assert len(compared) == len(set(compared)) \
             == sum(len(left_cosets(s)) for s in stabilizers) ** 3
         proper = 0
-        for (_, p1s, p2, p3, reps, meet, _), _ in columns:
+        for (_, p1s, p2, p3, reps, meet), _ in columns:
             assert len({p.lambda0.elements for p in p1s}) == 1
             params = (p1s[0], p2, p3)
             want = conjugate_intersection([p.lambda0 for p in params], list(reps))
@@ -312,7 +317,7 @@ def test_non_integer_total_raises_non_integer_coefficient(inst_a, monkeypatch):
     def first_one(tables, p1s, *rest):
         return np.full(len(p1s), next(values, 0))
 
-    monkeypatch.setattr(mackey, "_incidence_column", first_one)
+    monkeypatch.setattr(mackey, "incidence", first_one)
     label = f"N[{two.label}][{two.label}][{two.label}]"
     with pytest.raises(NonIntegerCoefficient, match=rf"coset sum 1 of {re.escape(label)} is "
                                                     r"not a multiple of \|Lambda\| = 2"):

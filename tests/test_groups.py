@@ -125,6 +125,19 @@ def test_conjugate_subgroup_whole_group_and_order():
         assert conjugate_subgroup(h, r).order == h.order
 
 
+def test_conjugate_subgroup_is_the_subgroup_itself_when_r_normalizes_it():
+    g = FiniteGroup(s3_table())
+    a3 = Subgroup(g, (idx((0, 1, 2)), idx((1, 2, 0)), idx((2, 0, 1))))
+    h = Subgroup(g, (idx((0, 1, 2)), idx((1, 0, 2))))
+    for sub in (trivial_subgroup(g), a3, full_subgroup(g), h):
+        for r in g.elements():
+            conj = conjugate_subgroup(sub, r)
+            fixed = set(conj.elements) == set(sub.elements)
+            assert (conj is sub) == fixed
+            assert conj.elements == tuple(sorted(g.conjugate(r, sub.elements).tolist()))
+    assert any(conjugate_subgroup(h, r) is not h for r in g.elements())
+
+
 def test_conjugate_intersection():
     g = FiniteGroup(s3_table())
     h = Subgroup(g, (idx((0, 1, 2)), idx((1, 0, 2))))

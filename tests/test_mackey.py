@@ -393,8 +393,7 @@ def test_incidence_full_subgroups_is_plain_mor(inst_d):
     cl = classified(inst_d)
     w1, w2, w3 = cl[0], cl[1], cl[2]
     e = inst_d.lam_full.identity
-    m = standalone_incidence(inst_d, (w1.parameter, w2.parameter, w3.parameter),
-                             (e, e, e))
+    m = standalone_incidence(inst_d, (w1, w2, w3), (e, e, e))
     from semirep.corep import tensor
     direct = mor_dim(w1.csr, tensor(w2.csr, w3.csr))
     assert m == direct
@@ -407,13 +406,12 @@ def test_incidence_coset_invariance(inst_a, inst_c):
         lam = inst.lam_full
         for _ in range(5):
             ws = [cl[int(i)] for i in rng.integers(0, len(cl), 3)]
-            params = tuple(w.parameter for w in ws)
             reps = tuple(int(r) for r in rng.integers(0, lam.order, 3))
-            base = standalone_incidence(inst, params, reps)
-            shifted = tuple(
-                lam.mul(r, p.lambda0.elements[int(rng.integers(p.lambda0.order))])
-                for r, p in zip(reps, params))
-            assert standalone_incidence(inst, params, shifted) == base
+            base = standalone_incidence(inst, ws, reps)
+            subs = [w.parameter.lambda0 for w in ws]
+            shifted = tuple(lam.mul(r, s.elements[int(rng.integers(s.order))])
+                            for r, s in zip(reps, subs))
+            assert standalone_incidence(inst, ws, shifted) == base
 
 
 def test_incidence_2dim_triple_instance_a(inst_a):
@@ -424,7 +422,7 @@ def test_incidence_2dim_triple_instance_a(inst_a):
     for z1, _ in [(r, None) for r in lam.elements()]:
         for z2 in lam.elements():
             for z3 in lam.elements():
-                m = standalone_incidence(inst_a, (two.parameter,) * 3, (z1, z2, z3))
+                m = standalone_incidence(inst_a, (two,) * 3, (z1, z2, z3))
                 total += m / 2.0  # [Lambda : {e}] = 2
     assert abs(total - 1.0) < 1e-9
 

@@ -195,9 +195,10 @@ def test_base_corep_resolves_on_a_fresh_instance():
 
 
 @pytest.mark.parametrize("name", "abcdefgh")
-def test_base_corep_translates_without_subgroup_bookkeeping(name, request, monkeypatch):
-    """Conjugation fixes {e}, so translating a base corep conjugates no
-    subgroup; the result is a base corep and agrees with corep.act."""
+def test_base_corep_translates_onto_the_base(name, request, monkeypatch):
+    """Conjugation fixes {e}, so translating a base corep builds no new
+    subgroup: conjugate_subgroup hands back the {e} it was given, the result
+    is a base corep, and it agrees with corep.act."""
     inst = request.getfixturevalue(f"inst_{name}")
     conjugated = spy(monkeypatch, semidirect, "conjugate_subgroup")
     for u in irr_enumerate(inst.base):
@@ -206,7 +207,8 @@ def test_base_corep_translates_without_subgroup_bookkeeping(name, request, monke
             ref = act(r, u, inst.alpha, inst.lam_full)
             assert moved.parent is inst.base
             assert np.max(np.abs(moved.entries - ref.entries)) <= 1e-12
-    assert conjugated == []
+    assert conjugated and all(out is sub for (sub, _), out in conjugated)
+    assert {out.elements for _, out in conjugated} == {(inst.lam_full.identity,)}
 
 
 def test_act_corep_inside_subgroup_is_equivalent(inst_c):
@@ -222,8 +224,8 @@ def test_act_corep_inside_subgroup_is_equivalent(inst_c):
 
 @pytest.mark.parametrize("name", "abcdefgh")
 def test_act_corep_matches_dense_conjugation_iso(name, request):
-    """Indexing the block axis by Subgroup.to_local gives what the dense
-    pullback along alpha*_{r^{-1}} (x) Adj*_{r^{-1}} gives, on every principal
+    """Taking the blocks in the order that sorts the conjugates r h r^{-1}
+    gives what the dense pullback along alpha*_{r^{-1}} (x) Adj*_{r^{-1}} gives, on every principal
     subgroup and every r (G and H have a nonabelian Lambda)."""
     inst = request.getfixturevalue(f"inst_{name}")
     lam = inst.lam_full

@@ -19,7 +19,6 @@ ACCEPTANCE = "acceptance reference (tests/test_acceptance.py)"
 BENCHMARK = "benchmark input (perfbench/inputs.py)"
 PAIR_REFERENCE = "reference that tests compare `pair` against"
 TRACED = "one-pair module-hom count that perfbench/tracer.py wraps"
-ONE_ENTRY = "one-entry case of fusion's column kernel, which perfbench/tracer.py wraps"
 
 KEEP = {
     ("corpus", "instance"): ACCEPTANCE,
@@ -28,8 +27,6 @@ KEEP = {
     ("hopf", "is_kac"): ACCEPTANCE,
     ("induction", "ind_mor_dim"): ACCEPTANCE,
     ("induction", "induced_character"): ACCEPTANCE,
-    ("mackey", "fusion_entry"): ONE_ENTRY,
-    ("mackey", "incidence"): ONE_ENTRY,
     ("mackey", "param_mor_dim"): ACCEPTANCE,
     ("mackey", "stabilizer_of_class"): ACCEPTANCE,
     ("groups", "automorphisms"): BENCHMARK,
