@@ -12,14 +12,16 @@ Callers stack only the slices of a corep's generators
 (corep.Corep.coeff_slices): the slices are the images of the dual basis
 elements f_a under an algebra map, and a matrix commutes with every image
 exactly when it commutes with the images of generators of the algebra. So
-each system has len(HopfData.generators()) row blocks instead of d, with the
-same nullspace. The largest module split, the regular one, never builds that
-system: its commutant is known in closed form (corep.regular_corep), and
-only the small pieces it splits into are solved for.
+each system has len(HopfData.generators()) row blocks, fewer than d where
+comult is a table, with the same nullspace. The largest module split, the
+regular one, never builds that system: its commutant is known in closed form
+(corep.regular_corep), and only the small pieces it splits into are solved
+for.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
 
 import numpy as np
@@ -38,7 +40,7 @@ TOL_NONZERO = 1e-8
 TOL_DEGENERATE = 1e-10
 
 # Relative cutoff below which a singular value counts as zero, for every
-# nullspace, nullity and span rank.
+# nullspace and nullity.
 RANK_RTOL = 1e-9
 # Largest number of system entries (rows x columns, summed over the stack) that
 # hom_space_dims hands one SVD call; a single larger system goes alone.
@@ -49,12 +51,13 @@ DEFAULT_SEED = 7
 
 
 def as_int(value) -> int:
-    """Round a float/complex known to be an integer, failing loudly otherwise."""
+    """Round a float/complex known to be an integer, failing loudly otherwise
+    (NaN and inf included)."""
     x = complex(value)
-    n = int(round(x.real))
-    if abs(x.real - n) > INT_ROUND_TOL or abs(x.imag) > INT_ROUND_TOL:
+    if not (cmath.isfinite(x) and abs(x.real - round(x.real)) <= INT_ROUND_TOL
+            and abs(x.imag) <= INT_ROUND_TOL):
         raise IntegerRecoveryError(f"value {x} is not within {INT_ROUND_TOL} of an integer")
-    return n
+    return int(round(x.real))
 
 
 def as_ints(values) -> np.ndarray:
@@ -108,24 +111,6 @@ def nullity(mats: np.ndarray) -> np.ndarray:
     if mats.shape[-2] == 0 or mats.shape[-1] == 0:
         return np.full(mats.shape[:-2], mats.shape[-1])
     return mats.shape[-1] - _rank(np.linalg.svd(mats, compute_uv=False), RANK_RTOL)
-
-
-def new_directions(comp: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning comp @ span(cand): the part of span(cand)
-    outside a subspace, comp being the orthogonal projector onto the
-    subspace's complement.
-
-    A column whose projection is at most RANK_RTOL times its own length lies
-    in the subspace and is dropped; the rank of the rest, each scaled by its
-    column's length, is read from their singular values with RANK_RTOL.
-    """
-    resid = comp @ cand
-    norms = np.linalg.norm(cand, axis=0)
-    keep = np.linalg.norm(resid, axis=0) > RANK_RTOL * norms
-    if not keep.any():
-        return resid[:, keep]
-    u, s, _ = np.linalg.svd(resid[:, keep] / norms[keep], full_matrices=False)
-    return u[:, :_rank(s, RANK_RTOL)]
 
 
 def sylvester_system(mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:

@@ -59,6 +59,7 @@ def _jsonable(obj):
 
 
 def emit(doc: dict, fmt: str, human_lines):
+    """Print doc as JSON, or the human lines, an iterable read only here."""
     if fmt == "structured":
         print(json.dumps(_jsonable(doc), indent=2, sort_keys=False))
     else:
@@ -128,17 +129,21 @@ def cmd_fuse(inst, spec, args):
            "dims": [w.dim for w in cl],
            "cube": table.coefficients,
            "agreement": table.agreement()}
-    lines = [f"instance: {doc['name']}", "fusion cube N[w1][w2][w3]:"]
-    for i2, w2 in enumerate(cl):
-        for i3, w3 in enumerate(cl):
-            terms = []
-            for i1, w1 in enumerate(cl):
-                n = table.entry(i1, i2, i3)
-                if n:
-                    terms.append(f"{n if n > 1 else ''}{w1.label}")
-            lines.append(f"  {w2.label} x {w3.label} = {' + '.join(terms)}")
-    lines.append(f"oracle agreement: {doc['agreement']}")
-    emit(doc, args.format, lines)
+
+    def lines():  # k^2 lines of k entries each, built only when printed
+        yield f"instance: {doc['name']}"
+        yield "fusion cube N[w1][w2][w3]:"
+        for i2, w2 in enumerate(cl):
+            for i3, w3 in enumerate(cl):
+                terms = []
+                for i1, w1 in enumerate(cl):
+                    n = table.entry(i1, i2, i3)
+                    if n:
+                        terms.append(f"{n if n > 1 else ''}{w1.label}")
+                yield f"  {w2.label} x {w3.label} = {' + '.join(terms)}"
+        yield f"oracle agreement: {doc['agreement']}"
+
+    emit(doc, args.format, lines())
     return 0
 
 

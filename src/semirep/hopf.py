@@ -19,13 +19,12 @@ An action of a finite group Lambda is one array: action_from_group_hom returns
 the read-only (|Lambda|, d, d) stack of the matrices of alpha*_r, indexed by
 Lambda's elements, and every layer indexes it. automorphism_residuals checks
 all of them in one such pass, the stack carrying the leading letter r. The
-identities with a unit, counit or Haar vector, HopfData.gram and the dual
-algebra's left multiplications contract one 3-tensor with one vector
-(_contract_vec). So no d^3 tensor is densified and no d^4 array built.
-HopfData.generators picks and
-certifies the dual basis elements that generate the dual algebra, whose
-slices are all that module-hom systems need: on a table by a closure of
-indices (_table_generators), otherwise by generating_subset's float spans.
+identities with a unit, counit or Haar vector and HopfData.gram contract one
+3-tensor with one vector (_contract_vec). So no d^3 tensor is densified and
+no d^4 array built. HopfData.generators picks the dual basis elements that
+generate the dual algebra, whose slices are all that module-hom systems need:
+on a table by an exact closure of indices (_table_generators), otherwise all
+of them.
 
 Conventions for a HopfData of dimension d with basis e_0..e_{d-1}:
   - mult[i, j, k]:    e_i e_j = sum_k mult[i, j, k] e_k
@@ -45,8 +44,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from ._linalg import (RANK_RTOL, TOL_BUILD, TOL_DEGENERATE, TOL_VERIFY, int_array,
-                      max_abs, max_abs_each, nan_as_inf, new_directions, nullspace)
+from ._linalg import (TOL_BUILD, TOL_DEGENERATE, TOL_VERIFY, int_array, max_abs,
+                      max_abs_each, nan_as_inf, nullspace)
 from .errors import (NoUniqueHaar, NotAntihomomorphism, NotAutomorphism,
                      ParseError, ValidationError)
 from .groups import FiniteGroup
@@ -84,19 +83,17 @@ class HopfData:
         return cls(**tensors)
 
     def generators(self) -> np.ndarray:
-        """Indices a, increasing, whose dual basis elements f_a generate the
-        dual algebra A^ as a unital algebra, greedy by index, certified and
-        read-only: where comult is a table (_dual_table), _table_generators'
-        exact closure, and otherwise generating_subset over all indices. The
-        two choose the same set on a table.
+        """Indices a, increasing and read-only, whose dual basis elements f_a
+        generate the dual algebra A^ as a unital algebra: where comult is a
+        table (_dual_table), _table_generators' exact closure, greedy by
+        index; otherwise every index, since the whole dual basis spans A^.
 
         A linear map commutes with the image of A^ exactly when it commutes
         with the images of these f_a, so module homs need only their slices.
         """
         if "generators" not in self._cache:
             table = _dual_table(self)
-            gens = (generating_subset(self, range(self.dim)) if table is None
-                    else _table_generators(self, table))
+            gens = np.arange(self.dim) if table is None else _table_generators(self, table)
             gens.flags.writeable = False
             self._cache["generators"] = gens
         return self._cache["generators"]
@@ -305,10 +302,9 @@ def verify_axioms(h: HopfData) -> dict:
     if table is None:
         res["coassociativity"] = worst(_join("iml,mjk->ijkl", c, c, size),
                                        _join("ijm,mkl->ijkl", c, c, size), (d,) * 4)
-        res["counit"] = _counit_residual(h)
-    else:  # _dual_table found the counit identity exact
+    else:
         res["coassociativity"] = _table_associator(table, h.generators())
-        res["counit"] = 0.0
+    res["counit"] = _counit_residual(h)
 
     # Delta is a unital algebra morphism: Delta(e_i e_j) = Delta(e_i) Delta(e_j),
     # the right side as sum_{b,c} [sum_a D(i,a,b) m(a,c,p)] [sum_d D(j,c,d) m(b,d,q)]
@@ -383,7 +379,9 @@ def _dual_table(h: HopfData):
 
 
 def _table_generators(h: HopfData, table: np.ndarray) -> np.ndarray:
-    """generating_subset(h, range(h.dim)) on a _dual_table, exactly.
+    """The indices a, increasing, of a greedy pass over the dual basis on a
+    _dual_table: f_a joins unless it lies in the subalgebra of A^ that the
+    kept ones generate. Exact: every step is on integer indices.
 
     The kept f_a's words of length >= 1 are basis elements f_s, their
     indices S closed semi-naively under T[g, s] for kept g; the subalgebra
@@ -612,54 +610,3 @@ def action_from_group_hom(h: HopfData, lam: FiniteGroup, hom, kind: str) -> np.n
         raise NotAutomorphism(f"haar not invariant under alpha*_{r} ({res[r]:.2e})")
     mats.flags.writeable = False
     return mats
-
-
-def _close(left: np.ndarray, span: np.ndarray, cand: np.ndarray):
-    """Orthonormal basis of the smallest space containing span and cand that
-    every matrix in the stack left maps into itself, with the orthogonal
-    projector onto its complement.
-
-    Semi-naive: every product of such a matrix with a vector of span must
-    already lie in span + span(cand), so only the vectors each round adds
-    are multiplied.
-    """
-    while True:
-        comp = np.eye(len(span)) - span @ span.conj().T
-        fresh = new_directions(comp, cand)
-        if not fresh.shape[1]:
-            return span, comp
-        span = np.hstack([span, fresh])
-        cand = (left @ fresh).transpose(1, 0, 2).reshape(len(span), -1)
-
-
-def generating_subset(h: HopfData, candidates) -> np.ndarray:
-    """The candidate indices a, in their order, that a greedy pass keeps:
-    f_a joins unless it lies in the subalgebra of A^ the kept ones generate.
-    Raises ValidationError unless the kept f_a generate A^.
-
-    The subalgebra is the span of the kept f_a's words, closed semi-naively
-    from the unit of A^ (the counit) under the left multiplications by the
-    kept f_a, coeffs(f_a phi) = comult[:, a, :] @ coeffs(phi), each built when
-    a is kept; f_a lies in it iff the projector onto the span's complement
-    annihilates e_a. The set is certified when the span reaches h.dim.
-    """
-    d = h.dim
-    eye = np.eye(d)
-    cands = np.array(candidates, dtype=int)
-    left = np.zeros((0, d, d), dtype=complex)
-    span, comp = _close(left, np.zeros((d, 0)), h.counit[:, None])
-    gens = []
-    while span.shape[1] < d:
-        outside = np.flatnonzero(np.linalg.norm(comp[:, cands], axis=0) > RANK_RTOL)
-        if not len(outside):
-            break
-        gens.append(int(cands[outside[0]]))
-        # candidates passed over lie in the subalgebra, which only grows
-        cands = cands[outside[0] + 1:]
-        left = np.concatenate([left, _contract_vec(h.comult, eye[gens[-1]], 1, d)[None]])
-        span, comp = _close(left, span, left[-1] @ span)
-    if span.shape[1] < d:
-        raise ValidationError(
-            f"dual basis elements {gens} generate a subalgebra of dimension "
-            f"{span.shape[1]} < {d}")
-    return np.array(gens, dtype=int)

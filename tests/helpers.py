@@ -1,28 +1,32 @@
 """A call-logging spy, and small objects that only the tests build (trivial
 and direct-sum representations, the trivial action, the trivial subgroup, base
 coreps viewed over G x| {e}, conjugation instances C(K) x| lam, C(Heis3) x| Z3^2
-and the inner action of Z2^2 on Q8, a HopfData with empty caches), dense copies of a HopfData's tensors and the dense
-structure constants of its dual algebra, the (co)commutativity tests of a
-Hopf algebra, the dense conjugation isomorphism that act_corep is checked
-against, the split of a corep into its covariant pair, the
-l2(Lambda) (x) H construction that every induced corep is checked against,
-element-by-element and einsum references of the batched group-relation
-checks and corep contractions, the two-step translate-then-restrict
-reference of a moved parameter, the module-hom systems over all d
-coefficient slices that the generator-slice systems are checked against,
-fusion entries and incidence numbers over fresh tables, and the algebraic
-identities every fusion cube satisfies."""
+and the inner action of Z2^2 on Q8, a HopfData with empty caches), dense
+copies of a HopfData's tensors and the dense structure constants of its dual
+algebra, the float generating-set reference that the exact
+HopfData.generators() is checked against, raw_hopf documents, among them the
+shipped instances on a rescaled basis, whose comult is no table, the
+(co)commutativity tests of a Hopf algebra, the dense conjugation isomorphism
+that act_corep is checked against, the split of a corep into its covariant
+pair, the l2(Lambda) (x) H construction that every induced corep is checked
+against, element-by-element and einsum references of the batched
+group-relation checks and corep contractions, the two-step
+translate-then-restrict reference of a moved parameter, the module-hom
+systems over all d coefficient slices that the generator-slice systems are
+checked against, fusion entries and incidence numbers over fresh tables, and
+the algebraic identities every fusion cube satisfies."""
 
 import itertools
 
 import numpy as np
 
-from semirep._linalg import (TOL_ACCEPT, TOL_VERIFY, check_commutant, compress_stack,
-                             decompose, hom_space_dim, max_abs, max_abs_each,
-                             module_hom_basis)
+from semirep._linalg import (RANK_RTOL, TOL_ACCEPT, TOL_VERIFY, check_commutant,
+                             compress_stack, decompose, hom_space_dim, max_abs,
+                             max_abs_each, module_hom_basis)
 from semirep.cohomology import Cochain1, Cochain2, trivial_cochain2
 from semirep.corep import (Corep, compress, intertwiner_basis, regular_corep, tensor,
                            verify_corep)
+from semirep.corpus import build_instance, instance_spec
 from semirep.errors import (CocycleMismatch, CovarianceFailure, NonUnitaryExtraction,
                             NotProjective, NotScalarRelated, ValidationError)
 from semirep.groups import (FiniteGroup, Subgroup, conjugate_intersection,
@@ -77,6 +81,89 @@ def dual_algebra(h: HopfData):
     # phi^*(x) = conj(phi(S(x)^*)): f_a^*(e_k) = conj((star @ conj(antipode))[a, k])
     star_hat = (np.conj(h.star) @ h.antipode).T
     return mult_hat, star_hat
+
+
+def _orthonormal_span(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the columns of vectors, the rank read
+    from their singular values with RANK_RTOL."""
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    return u[:, :np.count_nonzero(s > RANK_RTOL * max(1.0, s[0]))]
+
+
+def generating_subset(h: HopfData, candidates) -> np.ndarray:
+    """The float reference of HopfData.generators(): the candidate indices
+    a, in their order, that a greedy pass keeps, f_a joining unless it lies
+    in the subalgebra of A^ the kept ones generate. Raises ValidationError
+    unless the kept f_a generate A^.
+
+    The subalgebra is the span of the kept f_a's words, closed in floating
+    point from the unit of A^ (the counit) under the left multiplications by
+    the kept f_a, coeffs(f_a phi) = mult_hat[a].T @ coeffs(phi); f_a lies in
+    it iff e_a's component outside the span is at most RANK_RTOL.
+    """
+    d = h.dim
+    lefts = dual_algebra(h)[0].transpose(0, 2, 1)
+    span = _orthonormal_span(h.counit[:, None])
+    gens: list[int] = []
+    for a in candidates:
+        if span.shape[1] == d:
+            break
+        if np.linalg.norm(np.eye(d)[a] - span @ np.conj(span[a])) <= RANK_RTOL:
+            continue
+        gens.append(int(a))
+        while True:
+            grown = _orthonormal_span(np.hstack([span, *(lefts[gens] @ span)]))
+            if grown.shape[1] == span.shape[1]:
+                break
+            span = grown
+    if span.shape[1] < d:
+        raise ValidationError(
+            f"dual basis elements {gens} generate a subalgebra of dimension "
+            f"{span.shape[1]} < {d}")
+    return np.array(gens, dtype=int)
+
+
+def complexify(arr) -> list:
+    """An array as nested lists with [re, im] pairs, as raw_hopf files hold it."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def raw_spec_from(h: HopfData, lam_table, action_mats, name="raw") -> dict:
+    """The raw_hopf document of h with Lambda's table and the matrices of alpha*_r."""
+    return {
+        "name": name,
+        "kind": "raw_hopf",
+        "base": {t: complexify(dense(h, t)) for t in TENSORS},
+        "lambda": {"order": len(lam_table), "table": lam_table},
+        "action": [complexify(m) for m in action_mats],
+    }
+
+
+def rescaled_spec(name: str) -> dict:
+    """The shipped instance `name` as a raw_hopf document on the basis
+    e'_i = s_i e_i of its base, s_i = 2 on odd i and 1 on even i.
+
+    Coefficient vectors change as x' = D^-1 x, D = diag(s), so
+    mult'[i, j, k] = mult[i, j, k] s_i s_j / s_k, comult'[i, j, k] =
+    comult[i, j, k] s_i / (s_j s_k), unit' = D^-1 unit, counit' = D counit,
+    haar' = D haar, and antipode, star and every alpha*_r become D^-1 M D.
+    Some nonzero of comult' is not 1, so comult' is no table.
+    """
+    spec = instance_spec(name)
+    inst = build_instance(spec)
+    h = inst.base
+    s = np.where(np.arange(h.dim) % 2, 2.0, 1.0)
+    similar = s / s[:, None]  # (D^-1 M D)[i, j] = M[i, j] s_j / s_i
+    rescaled = HopfData.from_dense(
+        mult=dense(h, "mult") * s[:, None, None] * s[:, None] / s,
+        unit=h.unit / s,
+        comult=dense(h, "comult") * s[:, None, None] / s[:, None] / s,
+        counit=h.counit * s, antipode=h.antipode * similar, star=h.star * similar,
+        haar=h.haar * s)
+    out = raw_spec_from(rescaled, spec["lambda"]["table"], inst.alpha * similar,
+                        name=f"{spec['name']}, rescaled by 2 on odd indices")
+    return dict(out, seed=spec["seed"])
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from semirep import cli, hopf
+from semirep import cli, hopf, mackey
 from semirep.corpus import INSTANCES, instance_spec
 from semirep.groups import cyclic_group, symmetric_group
 
@@ -197,6 +197,18 @@ def test_fuse_instance_a_agreement():
     assert "3/3 methods agree" in out
 
 
+def test_structured_fuse_builds_no_human_lines(monkeypatch, capsys):
+    """The human cube lines read FusionTable.entry once per entry; the
+    structured format prints the cube itself and never builds them."""
+    entries = spy(monkeypatch, mackey.FusionTable, "entry")
+    path = str(INSTANCES / "instance_d.json")
+    assert cli.main(["fuse", path, "--format", "structured"]) == 0
+    assert entries == []
+    assert cli.main(["fuse", path]) == 0
+    capsys.readouterr()
+    assert len(entries) == 12 ** 3
+
+
 def test_structured_output_deterministic():
     path = str(INSTANCES / "instance_b.json")
     outs = set()
@@ -240,15 +252,12 @@ def test_induce_on_trivial_subgroup_selects_generators_twice(name, request,
                                                                monkeypatch, capsys):
     """Only the base and the product select dual-algebra generators: the
     instance over {e} is the base itself, so it shares the base's. Both
-    comults are tables, so both select on the table, never through the
-    float spans of generating_subset."""
+    comults are tables, so both select by the exact closure."""
     inst = request.getfixturevalue(f"inst_{name}")
-    floats = spy(monkeypatch, hopf, "generating_subset")
     tables = spy(monkeypatch, hopf, "_table_generators")
     path = str(INSTANCES / f"instance_{name}.json")
     assert cli.main(["induce", path, "--subgroup", "0", "--param", "x:1,v:0"]) == 0
     capsys.readouterr()
-    assert floats == []
     assert sorted(h.dim for (h, _), _ in tables) == sorted([inst.base.dim, inst.dim])
 
 

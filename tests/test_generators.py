@@ -14,12 +14,12 @@ from semirep import _linalg, corep
 from semirep.corep import irr_enumerate, mor_dim
 from semirep.errors import ValidationError
 from semirep.groups import cyclic_group
-from semirep.hopf import function_algebra, generating_subset
+from semirep.hopf import function_algebra
 from semirep.mackey import classify
 from semirep.oracle import module_fusion_cube, oracle_irr_dims
 
 from helpers import (all_slice_module_fusion_cube, all_slice_mor_dim,
-                     all_slice_oracle_irr_dims, dense, fresh, spy)
+                     all_slice_oracle_irr_dims, dense, fresh, generating_subset, spy)
 
 CASES = [*"ABCDEFGH", "rung"]
 

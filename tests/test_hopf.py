@@ -11,12 +11,13 @@ from semirep.errors import (NotAntihomomorphism, NotAutomorphism, NoUniqueHaar,
                             OracleDisagreement)
 from semirep.groups import Subgroup, all_subgroups, cyclic_group, symmetric_group
 from semirep.hopf import (HopfData, action_from_group_hom, automorphism_residuals,
-                          function_algebra, generating_subset, group_algebra, haar_solve,
-                          is_kac, verify_axioms)
+                          function_algebra, group_algebra, haar_solve, is_kac,
+                          verify_axioms)
 from semirep.semidirect import build
 
 from helpers import (TENSORS, conjugation_spec, dense, dual_algebra, fresh,
-                     is_cocommutative, is_commutative, spy, trivial_action)
+                     generating_subset, is_cocommutative, is_commutative, spy,
+                     trivial_action)
 from test_random_instances import ALL as SWEEP_FAMILY
 
 

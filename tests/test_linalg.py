@@ -4,6 +4,7 @@ import pytest
 from semirep import _linalg
 from semirep._linalg import (INT_ROUND_TOL, as_int, as_ints, hom_space_dim, hom_space_dims,
                              module_hom_basis, nullity, nullspace, sylvester_system)
+from semirep.errors import IntegerRecoveryError
 
 
 def kron_system(mats1, mats2):
@@ -165,7 +166,10 @@ def test_nan_residual_reads_as_inf():
 # part, NaN and inf
 INT_CASES = [0, -3, 7.0, 2 - 1e-12, -4 + 1e-9, 5 + 0.09, 5 - 0.0999, 3.1, 2.9, 0.5, 2.5,
              -1.5, 4 + INT_ROUND_TOL * (1 + 1e-9), 1 + 0.05j, 1 + 0.1j, -2 + 0.2j,
-             3 - 0.3j, 0.4 + 0.4j, np.nan, complex(np.nan, 0), np.inf, -np.inf]
+             3 - 0.3j, 0.4 + 0.4j]
+NON_FINITE = [np.nan, complex(np.nan, 0), complex(1, np.nan), np.inf, -np.inf,
+              complex(1, np.inf)]
+INT_CASES += NON_FINITE
 
 
 def _outcome(fn, value):
@@ -182,6 +186,18 @@ def test_as_ints_matches_as_int_on_each_value(value):
     assert _outcome(lambda x: as_ints(np.array([x]))[0], value) == _outcome(as_int, value)
     assert _outcome(lambda x: as_ints(np.array([[x]], dtype=complex))[0, 0], value) \
         == _outcome(as_int, complex(value))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_values_raise_integer_recovery_error(value):
+    """A NaN or inf part is no integer: as_int and as_ints raise the error
+    that cli.main turns into exit code 1, not ValueError or OverflowError."""
+    message = f"value {complex(value)} is not within {INT_ROUND_TOL} of an integer"
+    for fn in (as_int, lambda x: as_ints(np.array([x]))):
+        with pytest.raises(IntegerRecoveryError) as info:
+            fn(value)
+        assert str(info.value) == message
 
 
 def test_as_ints_keeps_shape_and_raises_for_the_first_failure():

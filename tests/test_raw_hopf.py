@@ -11,30 +11,7 @@ from semirep.groups import cyclic_group
 from semirep.hopf import function_algebra
 from semirep.mackey import classify
 
-from helpers import dense
-
-
-def complexify(arr):
-    arr = np.asarray(arr, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
-def raw_spec_from(h, lam_table, action_mats, name="raw"):
-    return {
-        "name": name,
-        "kind": "raw_hopf",
-        "base": {
-            "mult": complexify(dense(h, "mult")),
-            "unit": complexify(h.unit),
-            "comult": complexify(dense(h, "comult")),
-            "counit": complexify(h.counit),
-            "antipode": complexify(h.antipode),
-            "star": complexify(h.star),
-            "haar": complexify(h.haar),
-        },
-        "lambda": {"order": len(lam_table), "table": lam_table},
-        "action": [complexify(m) for m in action_mats],
-    }
+from helpers import complexify, dense, raw_spec_from
 
 
 def test_raw_hopf_roundtrip_instance_a(tmp_path):
