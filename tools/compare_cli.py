@@ -1,6 +1,6 @@
 """Compare the command line of two semirep source trees, byte for byte.
 
-    python3 tools/compare_cli.py OLD_SRC NEW_SRC [--jobs N]
+    python3 tools/compare_cli.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are `src` directories, for instance this checkout's and
 that of an unpacked parent commit (`git archive`). Each case runs
@@ -8,8 +8,9 @@ that of an unpacked parent commit (`git archive`). Each case runs
 check, irr, fuse, conj, oracle and induce (with the golden cases' arguments,
 tests/test_golden.py) on the shipped instances A-H and on the same instances
 on a rescaled basis (tests/helpers.rescaled_spec, whose comult is no table),
-in both formats and with seeds 7 and 3. The rescaled files are written by
-this checkout's tests/helpers into a temporary directory.
+in both formats and with seeds 7 and 3, two processes at a time. The
+rescaled files are written by this checkout's tests/helpers into a
+temporary directory.
 
 Prints every case whose stdout, stderr or exit code differ, then the counts
 of differing cases and of cases that exit nonzero on NEW_SRC; exits 1 if any
@@ -38,6 +39,7 @@ NAMES = "abcdefgh"
 COMMANDS = ("check", "irr", "fuse", "conj", "oracle", "induce")
 FORMATS = ("human", "structured")
 SEEDS = (7, 3)
+JOBS = 2
 
 
 def cases(tmp: Path):
@@ -72,12 +74,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src")
     ap.add_argument("new_src")
-    ap.add_argument("--jobs", type=int, default=2, help="processes at a time (default 2)")
     args = ap.parse_args(argv)
     srcs = [str(Path(s).resolve()) for s in (args.old_src, args.new_src)]
     with tempfile.TemporaryDirectory() as tmp:
         todo = list(cases(Path(tmp)))
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             outs = list(pool.map(lambda job: run(*job),
                                  [(src, argv, tmp) for _, argv in todo for src in srcs]))
     differ = 0
