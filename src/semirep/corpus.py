@@ -15,7 +15,7 @@ Instance files are JSON documents:
     }
 
 read_spec is the one reader of this format: the command line and
-instance_spec both go through it. The shipped instances A-H exist only as the
+instance_spec both go through it. The shipped instances A-I exist only as the
 files instances/instance_<x>.json, listed in the README's table.
 """
 
@@ -54,7 +54,7 @@ def read_spec(path) -> dict:
 
 
 def instance_spec(name: str) -> dict:
-    """The document of the shipped instance `name` (A-H, any case)."""
+    """The document of the shipped instance `name` (A-I, any case)."""
     path = INSTANCES / f"instance_{name.lower()}.json"
     if path not in INSTANCES.glob("instance_*.json"):
         raise KeyError(f"unknown instance {name!r}")

@@ -5,26 +5,25 @@ HopfData.from_dense keeps those of the dense arrays an instance file gives.
 
 Only this module reads mult, comult and star: other modules go through
 HopfData.product, coproduct and star_vec, which take stacks of coefficient
-vectors. Each identity of verify_axioms but one compares two joins of the
+vectors. Where mult and comult are tables (_tables), each side of an identity
+is one basis element or 0, and verify_axioms compares indices, the dense
+residual exactly; coassociativity only for y in HopfData.generators(), as the
+middle nucleus {y : (x y) z = x (y z) for all x, z} of the dual algebra is a
+unital subalgebra (Light's test). Other identities compare two joins of the
 nonzeros of two tensors (_join); _residual evaluates both sides on one split
 of the leading output indices into windows of at most JOIN_TERMS term pairs
 (_windows) and reduces each window by itself, so a check holds one window of
-each side at a time at every d. The exception is coassociativity where comult
-is a table (_dual_table), f_a f_b one f_k or 0 in the dual algebra A^. The
-middle nucleus {y : (x y) z = x (y z) for all x, z} of an algebra is a unital
-subalgebra, so the associator vanishes on A^ once it does for y in a
-generating set (Light's test): _table_associator takes y in
-HopfData.generators() only.
+each side at a time at every d.
 An action of a finite group Lambda is one array: action_from_group_hom returns
 the read-only (|Lambda|, d, d) stack of the matrices of alpha*_r, indexed by
 Lambda's elements, and every layer indexes it. automorphism_residuals checks
-all of them in one such pass, the stack carrying the leading letter r. The
-identities with a unit, counit or Haar vector and HopfData.gram contract one
-3-tensor with one vector (_contract_vec). So no d^3 tensor is densified and
-no d^4 array built. HopfData.generators picks the dual basis elements that
-generate the dual algebra, whose slices are all that module-hom systems need:
-on a table by an exact closure of indices (_table_generators), otherwise all
-of them.
+all of them in one such pass (by indices for permutations on tables), the
+stack carrying the leading letter r. The identities with a unit, counit or
+Haar vector and HopfData.gram contract one 3-tensor with one vector
+(_contract_vec). So no d^3 tensor is densified and no d^4 array built.
+HopfData.generators picks the dual basis elements that generate the dual
+algebra, whose slices are all that module-hom systems need: on a table by an
+exact closure of indices (_table_generators), otherwise all of them.
 
 Conventions for a HopfData of dimension d with basis e_0..e_{d-1}:
   - mult[i, j, k]:    e_i e_j = sum_k mult[i, j, k] e_k
@@ -40,7 +39,7 @@ Conventions for a HopfData of dimension d with basis e_0..e_{d-1}:
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 import numpy as np
 
@@ -289,12 +288,15 @@ def verify_axioms(h: HopfData) -> dict:
     eye = np.eye(d)
     m, c, s = h.mult, h.comult, _nonzeros(h.star)
     size = defaultdict(lambda: d)
+    t = _tables(h)
+    tm, sigma, tau = (None, None, None) if t is None else (t.mult, t.star, t.antipode)
 
     def worst(lhs, rhs, shape) -> float:
         return float(_residual(lhs, rhs, shape).max())
 
-    res["associativity"] = worst(_join("ijm,mkl->ijkl", m, m, size),
-                                 _join("jkm,iml->ijkl", m, m, size), (d,) * 4)
+    res["associativity"] = (_table_associativity(tm) if tm is not None else
+                            worst(_join("ijm,mkl->ijkl", m, m, size),
+                                  _join("jkm,iml->ijkl", m, m, size), (d,) * 4))
     res["unit"] = max(max_abs(_contract_vec(m, h.unit, 0, d) - eye),
                       max_abs(_contract_vec(m, h.unit, 1, d) - eye))
 
@@ -318,23 +320,31 @@ def verify_axioms(h: HopfData) -> dict:
 
     # star: antilinear involutive antiautomorphism, Delta a *-morphism
     res["star_involutive"] = max_abs(h.star @ np.conj(h.star) - eye)
-    conj_m, conj_c = (m[0], np.conj(m[1])), (c[0], np.conj(c[1]))
-    res["star_antimultiplicative"] = worst(
-        _join("ijk,pk->ijp", conj_m, s, size),  # coeffs of (e_i e_j)^*
-        _join("jap,ai->ijp", _contract("bj,bap->jap", s, m, size), s, size),  # e_j^* e_i^*
-        (d,) * 3)
-    res["comult_star"] = worst(
-        _join("ki,kpq->ipq", s, c, size),  # Delta(e_i^*)
-        _join("ikp,qk->ipq", _contract("ijk,pj->ikp", conj_c, s, size), s, size), (d,) * 3)
+    if sigma is not None:  # sigma(T[i, j]) = T[sigma j, sigma i]; on T^ unswapped
+        res["star_antimultiplicative"] = float(_moved(sigma, tm, swap=True))
+        res["comult_star"] = float(_moved(sigma, t.comult))
+    else:
+        conj_m, conj_c = (m[0], np.conj(m[1])), (c[0], np.conj(c[1]))
+        res["star_antimultiplicative"] = worst(
+            _join("ijk,pk->ijp", conj_m, s, size),  # coeffs of (e_i e_j)^*
+            _join("jap,ai->ijp", _contract("bj,bap->jap", s, m, size), s, size),  # e_j^* e_i^*
+            (d,) * 3)
+        res["comult_star"] = worst(
+            _join("ki,kpq->ipq", s, c, size),  # Delta(e_i^*)
+            _join("ikp,qk->ipq", _contract("ijk,pj->ikp", conj_c, s, size), s, size),
+            (d,) * 3)
 
     # antipode axiom m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
-    a, target = _nonzeros(h.antipode), _join("i,p->ip", _nonzeros(h.counit),
-                                             _nonzeros(h.unit), size)
-    res["antipode"] = max(
-        worst(_join("ikl,lkp->ip", _contract("ijk,lj->ikl", c, a, size), m, size), target,
-              (d, d)),
-        worst(_join("ijl,jlp->ip", _contract("ijk,lk->ijl", c, a, size), m, size), target,
-              (d, d)))
+    if tau is not None:
+        res["antipode"] = _table_antipode(t, np.outer(h.counit.real, h.unit.real))
+    else:
+        a, target = _nonzeros(h.antipode), _join("i,p->ip", _nonzeros(h.counit),
+                                                 _nonzeros(h.unit), size)
+        res["antipode"] = max(
+            worst(_join("ikl,lkp->ip", _contract("ijk,lj->ikl", c, a, size), m, size),
+                  target, (d, d)),
+            worst(_join("ijl,jlp->ip", _contract("ijk,lk->ijl", c, a, size), m, size),
+                  target, (d, d)))
 
     # Haar state: normalized, invariant, positive
     res["haar_unital"] = max_abs(h.haar @ h.unit - 1.0)
@@ -358,23 +368,28 @@ def _counit_residual(h: HopfData) -> float:
                max_abs(_contract_vec(h.comult, h.counit, 2, d) - eye))
 
 
+def _index_table(pair, out, vals, d: int):
+    """The int (d + 1, d + 1) table T[a, b] = out[n] at pair[n] = a d + b,
+    the index d standing for 0 (so T[d, :] = T[:, d] = d); or None unless
+    every value is exactly 1 and no two nonzeros share a pair."""
+    table = np.full((d + 1) * (d + 1), d)
+    # a repeated pair is written twice, and leaves fewer than len(pair) set
+    table[pair + pair // d] = out
+    if np.all(vals == 1) and np.count_nonzero(table != d) == len(pair):
+        return table.reshape(d + 1, d + 1)
+    return None
+
+
 def _dual_table(h: HopfData):
-    """The product of the dual algebra A^ as an int (d + 1, d + 1) table,
-    f_a f_b = f_T[a, b], the index d standing for 0 (so T[d, :] = T[:, d] = d);
-    or None unless comult is such a table: every nonzero exactly 1, no two
-    sharing (a, b), and the counit identity exact, so that the counit is the
-    unit of A^. Cached on h.
+    """The product of the dual algebra A^ as an _index_table, f_a f_b =
+    f_T[a, b]; or None unless comult is such a table and the counit identity
+    is exact, so that the counit is the unit of A^. Cached on h.
     """
     if "dual_table" not in h._cache:
-        d = h.dim
-        k, ab = np.divmod(h.comult[0], d * d)
-        table = np.full((d + 1) * (d + 1), d)
-        # a repeated (a, b) is written twice, and leaves fewer than len(ab) set
-        table[ab + ab // d] = k
-        exact = (bool(np.all(h.comult[1] == 1))
-                 and np.count_nonzero(table != d) == len(ab)
-                 and _counit_residual(h) == 0.0)
-        h._cache["dual_table"] = table.reshape(d + 1, d + 1) if exact else None
+        k, ab = np.divmod(h.comult[0], h.dim * h.dim)
+        table = _index_table(ab, k, h.comult[1], h.dim)
+        exact = table is not None and _counit_residual(h) == 0.0
+        h._cache["dual_table"] = table if exact else None
     return h._cache["dual_table"]
 
 
@@ -422,6 +437,73 @@ def _table_associator(table: np.ndarray, gens) -> float:
     left = table[table[:d, gens][:, :, None], every]
     right = table[every[:, None, None], table[gens, :d]]
     return float(not np.array_equal(left, right))
+
+
+_Tables = namedtuple("_Tables", "mult comult star antipode")
+
+
+def _tables(h: HopfData):
+    """Cached: None unless mult (e_i e_j = e_T[i, j]) and comult are tables;
+    else those, and star and antipode as _permutations (or None), the
+    antipode only with unit and counit exactly 0/1."""
+    if "tables" not in h._cache:
+        d, tc = h.dim, _dual_table(h)
+        ij, k = np.divmod(h.mult[0], d)
+        tm = None if tc is None else _index_table(ij, k, h.mult[1], d)
+        unital = all(np.all((v == 0) | (v == 1)) for v in (h.unit, h.counit))
+        h._cache["tables"] = None if tm is None else _Tables(
+            tm, tc, _permutations(h.star), _permutations(h.antipode) if unital else None)
+    return h._cache["tables"]
+
+
+def _permutations(mats):
+    """p with mats[..., p[..., i], i] = 1, and p[..., d] = d appended, if
+    every matrix of mats is exactly a 0/1 permutation matrix; else None."""
+    d = mats.shape[-1]
+    p = np.argmax(mats != 0, axis=-2)
+    every = np.arange(d)
+    if not (np.array_equal(mats, every[:, None] == p[..., None, :])
+            and np.all(np.sort(p, axis=-1) == every)):
+        return None
+    return np.concatenate([p, np.full((*p.shape[:-1], 1), d)], axis=-1)
+
+
+def _moved(p, table, swap: bool = False):
+    """Whether p[T[a, b]] != T[p a, p b] (T[p b, p a] with swap) for some a,
+    b: for a permutation p from _permutations, or each row of a stack."""
+    image = table[p[..., :, None], p[..., None, :]]
+    if swap:
+        image = np.swapaxes(image, -1, -2)
+    return (p[..., table] != image).any(axis=(-2, -1))
+
+
+def _table_associativity(tm: np.ndarray) -> float:
+    """Associativity's residual on mult's table, 1.0 or 0.0: for each e_i e_j
+    = e_k (JOIN_TERMS // d at a time), e_k e_l against e_i (e_j e_l) and e_l
+    e_k against (e_l e_i) e_j for every l; with e_i e_j = 0 = e_j e_l both
+    sides are 0."""
+    d = len(tm) - 1
+    i, j = np.nonzero(tm[:d, :d] != d)
+    k = tm[i, j]
+    step = max(JOIN_TERMS // d, 1)
+    for lo in range(0, len(k), step):
+        a, b, c = i[lo:lo + step], j[lo:lo + step], k[lo:lo + step]
+        if not (np.array_equal(tm[c, :d], tm[a[:, None], tm[b, :d]])
+                and np.array_equal(tm[:d, c], tm[tm[:d, a], b])):
+            return 1.0
+    return 0.0
+
+
+def _table_antipode(t: _Tables, target: np.ndarray) -> float:
+    """The antipode's residual: m(S (x) id)Delta(e_i) counts on e_p the (a,
+    b) with T^[a, b] = i and T[S a, b] = p, the mirror T[a, S b]."""
+    d = len(t.mult) - 1
+    worst = 0.0
+    for product in (t.mult[t.antipode[:d], :d], t.mult[:d, t.antipode[:d]]):
+        keys = t.comult[:d, :d] * (d + 1) + product
+        counts = np.bincount(keys.reshape(-1), minlength=(d + 1) ** 2)
+        worst = max(worst, max_abs(counts.reshape(d + 1, d + 1)[:d, :d] - target))
+    return worst
 
 
 # haar_solve assembles the 2 d invariance rows of this many indices i at a time.
@@ -535,20 +617,25 @@ def automorphism_residuals(h: HopfData, mats: np.ndarray) -> np.ndarray:
     """For each matrix mats[r] of a stack, its residual as a unital
     *-algebra automorphism of h intertwining the comultiplication.
 
-    The identities of every r are joined together: the stacked nonzeros
-    carry the letter r, ranging over len(mats), which leads each output.
+    On _tables, permutation matrices are checked by _moved. Otherwise the
+    identities of every r are joined together: the stacked nonzeros carry
+    the letter r, ranging over len(mats), which leads each output.
     """
     d, n = h.dim, len(mats)
-    size, shape = defaultdict(lambda: d, r=n), (n, d, d, d)
-    a, mult, comult = _nonzeros(mats), h.mult, h.comult
     worst = np.maximum(max_abs_each(mats @ h.unit - h.unit),
                        max_abs_each(h.counit @ mats - h.counit))
+    # star compatibility: M @ star = star @ conj(M)
+    worst = np.maximum(worst, max_abs_each(mats @ h.star - h.star @ np.conj(mats)))
+    t = _tables(h)
+    p = None if t is None else _permutations(mats)
+    if p is not None:
+        return np.maximum(worst, _moved(p, t.mult) | _moved(p, t.comult))
+    size, shape = defaultdict(lambda: d, r=n), (n, d, d, d)
+    a, mult, comult = _nonzeros(mats), h.mult, h.comult
     # multiplicativity: alpha(e_i e_j) = alpha(e_i) alpha(e_j)
     worst = np.maximum(worst, _residual(
         _join("ijk,rpk->rijp", mult, a, size),
         _join("ribp,rbj->rijp", _contract("rai,abp->ribp", a, mult, size), a, size), shape))
-    # star compatibility: M @ star = star @ conj(M)
-    worst = np.maximum(worst, max_abs_each(mats @ h.star - h.star @ np.conj(mats)))
     # comultiplication: (M (x) M) Delta = Delta M
     return np.maximum(worst, _residual(
         _join("rikp,rqk->ripq", _contract("ijk,rpj->rikp", comult, a, size), a, size),

@@ -1,7 +1,7 @@
 """A call-logging spy, and small objects that only the tests build (trivial
 and direct-sum representations, the trivial action, the trivial subgroup, base
-coreps viewed over G x| {e}, conjugation instances C(K) x| lam, C(Heis3) x| Z3^2
-and the inner action of Z2^2 on Q8, a HopfData with empty caches), dense
+coreps viewed over G x| {e}, conjugation instances C(K) x| lam and the inner
+action of Z2^2 on Q8, a HopfData with empty caches), dense
 copies of a HopfData's tensors and the dense structure constants of its dual
 algebra, the float generating-set reference that the exact
 HopfData.generators() is checked against, raw_hopf documents, among them the
@@ -239,30 +239,6 @@ def conjugation_spec(n, base, lam, embed):
             "base": {"order": k.order, "table": k.group.mult.tolist()},
             "lambda": {"order": lam.order, "table": lam.mult.tolist()},
             "action": act}
-
-
-def heisenberg_spec():
-    """C(Heis3) x| Z3^2: (a, b, c)(a', b', c') = (a + a', b + b', c + c' + ab')
-    mod 3 on index 9a + 3b + c, and (i, j), index 3i + j, acts by
-    conjugation with (i, j, 0). Conjugation by a central element is trivial,
-    so (i, j) -> conjugation by (i, j, 0) is a homomorphism."""
-    triples = list(itertools.product(range(3), repeat=3))
-
-    def mul(x, y):
-        return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3, (x[2] + y[2] + x[0] * y[1]) % 3)
-
-    def inv(x):
-        return next(y for y in triples if mul(x, y) == (0, 0, 0))
-
-    pairs = list(itertools.product(range(3), repeat=2))
-    return {"name": "C(Heis3) x| Z3^2, by conjugation with (i, j, 0)",
-            "kind": "function_algebra",
-            "base": {"order": 27, "table": [[triples.index(mul(x, y)) for y in triples]
-                                            for x in triples]},
-            "lambda": {"order": 9, "table": [[pairs.index(((i + k) % 3, (j + m) % 3))
-                                              for k, m in pairs] for i, j in pairs]},
-            "action": [[triples.index(mul(mul((i, j, 0), g), inv((i, j, 0))))
-                        for g in triples] for i, j in pairs]}
 
 
 def q8_inner_action():

@@ -11,7 +11,8 @@ from semirep import cli, hopf, mackey
 from semirep.corpus import INSTANCES, instance_spec
 from semirep.groups import cyclic_group, symmetric_group
 
-from helpers import TENSORS, conjugation_spec, dense, spy
+from helpers import TENSORS, conjugation_spec, dense, rescaled_spec, spy
+from test_random_instances import BASES as SWEEP_BASES, z2_actions
 
 
 def run_cli(*args):
@@ -320,11 +321,20 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_no_command_imports_numpy_ma():
+def test_no_command_imports_numpy_ma(tmp_path):
     """Plain np.unique imports numpy.ma, about 22 ms of a job's start-up; no
-    command on A-H may leave it loaded."""
-    argvs = [[cmd, str(INSTANCES / f"instance_{name}.json"), *extra]
-             for name in "abcdefgh"
+    command may leave it loaded: on A-H, on A on a rescaled basis (no table,
+    a 'matrix' action) and on the sweep family's C[D4] x| Z2."""
+    paths = [INSTANCES / f"instance_{name}.json" for name in "abcdefgh"]
+    paths += [tmp_path / "rescaled_a.json", tmp_path / "d4.json"]
+    paths[-2].write_text(json.dumps(rescaled_spec("a")))
+    d4, z2 = SWEEP_BASES["D4"], cyclic_group(2)
+    paths[-1].write_text(json.dumps({
+        "kind": "group_algebra", "base": {"table": d4.mult.tolist()},
+        "lambda": {"table": z2.mult.tolist()},
+        "action": [perm.tolist() for perm in z2_actions(d4)[1]]}))
+    argvs = [[cmd, str(path), *extra]
+             for path in paths
              for cmd, extra in (("check", ()), ("irr", ()), ("conj", ()), ("fuse", ()),
                                 ("oracle", ()),
                                 ("induce", ("--subgroup", "0", "--param", "x:0,v:0")))]

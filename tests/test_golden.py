@@ -8,9 +8,10 @@ entries, E has nontrivial isotropy, and F has a cocycle of nontrivial class,
 which interning projective reps by content must keep apart), of induce
 (--subgroup 0 --param x:1,v:0) on A-C, and of irr, conj, oracle, fuse and
 induce on the two instances with a nonabelian Lambda: G (induce --subgroup
-0,2 --param x:0,v:0) and H (induce --subgroup 0,5 --param x:0,v:0), all with
---seed 7. A refactor that keeps the arithmetic must reproduce these files
-byte for byte.
+0,2 --param x:0,v:0) and H (induce --subgroup 0,5 --param x:0,v:0), and of
+check, irr and conj on I, whose two 9-dimensional irreducibles carry a
+cocycle of order 3, all with --seed 7. A refactor that keeps the arithmetic
+must reproduce these files byte for byte.
 """
 
 from pathlib import Path
@@ -25,7 +26,8 @@ INDUCE_ARGS = {"g": ("0,2", "x:0,v:0"), "h": ("0,5", "x:0,v:0")}
 CASES = [(cmd, x) for cmd in ("check", "irr", "conj", "oracle") for x in "abcd"] + \
     [("oracle", "e"), ("oracle", "f")] + \
     [(cmd, x) for cmd in ("fuse", "induce") for x in "abc"] + [("fuse", x) for x in "def"] + \
-    [(cmd, x) for cmd in ("irr", "conj", "oracle", "fuse", "induce") for x in "gh"]
+    [(cmd, x) for cmd in ("irr", "conj", "oracle", "fuse", "induce") for x in "gh"] + \
+    [(cmd, "i") for cmd in ("check", "irr", "conj")]
 
 
 def extra_args(cmd, name):

@@ -546,13 +546,15 @@ def test_residual_covers_disjoint_leading_indices(monkeypatch):
 def test_both_sides_of_every_identity_see_the_same_windows(inst_c, monkeypatch):
     """Every block of every join, _contract's included, holds at most
     JOIN_TERMS term pairs or one leading index, and the two sides of each
-    identity are evaluated on one sequence of windows. C's comult is a table,
-    so its coassociativity is certified on the table with no join; a dense
-    perturbation of comult is no table and joins for all seven identities."""
+    identity are evaluated on one sequence of windows. C's product has
+    tables, so only comult_multiplicative joins, and its action, a stack of
+    permutation matrices, joins nowhere; a dense perturbation of comult is no
+    table and joins for all seven identities."""
     monkeypatch.setattr(hopf, "JOIN_TERMS", 7)
-    join, residual, calls = hopf._join, hopf._residual, []
+    join, residual, calls, subscripts = hopf._join, hopf._residual, [], []
 
     def spy_join(*args):
+        subscripts.append(args[0])
         pairs, block = join(*args)
 
         def spy_block(lo, hi):
@@ -572,10 +574,11 @@ def test_both_sides_of_every_identity_see_the_same_windows(inst_c, monkeypatch):
     monkeypatch.setattr(hopf, "_residual", spy_residual)
     assert verify_axioms(inst_c.product)["pass"]
     assert max(automorphism_residuals(inst_c.base, inst_c.alpha)) < TOL_VERIFY
-    # six axiom identities besides coassociativity, two automorphism identities
-    assert len(calls) == 8
+    assert len(calls) == 1  # comult_multiplicative
+    assert subscripts == ["iab,acp->ibcp", "jcd,bdq->jcbq", "ibcp,jcbq->ijpq",
+                          "ijk,kpq->ijpq"]
     assert not verify_axioms(_corrupted(inst_c.product, "comult"))["pass"]
-    assert len(calls) == 15  # all seven axiom identities
+    assert len(calls) == 8  # all seven axiom identities
     for left, right, pairs in calls:
         assert left == right and len(left) > 1
         _check_windows(pairs, left)
@@ -674,6 +677,153 @@ def test_coassociativity_joins_unless_comult_is_a_table(flaw, inst_a, monkeypatc
     for key in rep:
         assert abs(rep[key] - ref[key]) <= 1e-12, (key, rep[key], ref[key])
     assert not rep["pass"]
+
+
+# -- the table certificates of the other identities -------------------------------
+
+def _with(h: HopfData, **tensors) -> HopfData:
+    """h with the given tensors replaced, and empty caches."""
+    return HopfData(**{name: tensors.get(name, getattr(h, name)) for name in TENSORS})
+
+
+@pytest.mark.parametrize("name", "ACGH")
+def test_moved_mult_entry_matches_dense_reference(name, request):
+    """Moving e_i e_j = e_k to another e_k' keeps mult a table, so the
+    associativity and star residuals are certified on it; they are the dense
+    ones."""
+    h = request.getfixturevalue(f"inst_{name.lower()}").product
+    d, keys = h.dim, h.mult[0]
+    rng = np.random.default_rng(19)
+    for at in rng.choice(len(keys), size=3, replace=False):
+        moved = keys.copy()
+        moved[at] += (keys[at] + rng.integers(1, d)) % d - keys[at] % d
+        bad = _with(h, mult=(np.sort(moved), h.mult[1]))
+        assert hopf._tables(bad) is not None
+        rep = verify_axioms(bad)
+        assert rep == _dense_verify_axioms(bad), at
+        assert rep["associativity"] == 1.0 and not rep["pass"]
+
+
+@pytest.mark.parametrize("name", "ACGH")
+def test_swapped_star_images_match_dense_reference(name, request):
+    """Swapping two columns of star keeps it a permutation matrix, so the
+    star identities are certified on the tables; they are the dense ones."""
+    h = request.getfixturevalue(f"inst_{name.lower()}").product
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        i, j = rng.choice(h.dim, size=2, replace=False)
+        star = h.star.copy()
+        star[:, [i, j]] = star[:, [j, i]]
+        bad = _with(h, star=star)
+        assert hopf._tables(bad).star is not None
+        rep = verify_axioms(bad)
+        assert rep == _dense_verify_axioms(bad), (i, j)
+        assert not rep["pass"]
+        # a column copied over another maps two basis elements to one: no
+        # permutation, so the star identities join
+        star[:, i] = star[:, j]
+        bad = _with(h, star=star)
+        assert hopf._tables(bad).star is None
+        assert verify_axioms(bad) == _dense_verify_axioms(bad), (i, j)
+
+
+@pytest.mark.parametrize("name", "ACGH")
+def test_moved_antipode_column_matches_dense_reference(name, request):
+    """Moving one column of the antipode to another place keeps it a
+    permutation matrix, so its identity counts integers on the tables; the
+    count is the dense residual."""
+    h = request.getfixturevalue(f"inst_{name.lower()}").product
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        a, b = (int(x) for x in rng.choice(h.dim, size=2, replace=False))
+        cols = list(range(h.dim))
+        cols.insert(b, cols.pop(a))
+        bad = _with(h, antipode=h.antipode[:, cols])
+        assert hopf._tables(bad).antipode is not None
+        rep = verify_axioms(bad)
+        assert rep == _dense_verify_axioms(bad), (a, b)
+        assert rep["antipode"] >= 1.0 and not rep["pass"]
+
+
+@pytest.mark.parametrize("name", "ACFGH")
+def test_non_automorphism_permutation_matches_join_route(name, request, monkeypatch):
+    """A basis permutation that is no automorphism of the base is checked on
+    its tables with no join; its residual is the dense one, and the
+    NotAutomorphism message is the join route's, byte for byte. The first
+    permutation is the antipode's, g -> g^-1: on C[S3] (C, H) only
+    multiplicativity fails, on C(D4) (F) only the comultiplication's
+    identity."""
+    h = request.getfixturevalue(f"inst_{name.lower()}").base
+    z2, eye, d = cyclic_group(2), np.eye(h.dim), h.dim
+    rng = np.random.default_rng(37)
+    perms = [np.argmax(h.antipode, axis=0), *(rng.permutation(d) for _ in range(8))]
+    joins = spy(monkeypatch, hopf, "_join")
+    got = [automorphism_residuals(h, np.stack([eye, eye[:, p]])).tolist() for p in perms]
+    assert joins == []
+    assert got == [[0.0, _dense_automorphism_residual(h, eye[:, p])] for p in perms]
+    failing = [p for p, res in zip(perms, got) if res[1] > 0]
+    assert failing
+    for perm in failing:
+        hom = [np.arange(d), perm]
+        with pytest.raises(NotAutomorphism) as on_tables:
+            action_from_group_hom(h, z2, hom, "permutation")
+        with monkeypatch.context() as patch:
+            patch.setattr(hopf, "_tables", lambda h: None)
+            with pytest.raises(NotAutomorphism) as joined:
+                action_from_group_hom(h, z2, hom, "permutation")
+        assert str(on_tables.value) == str(joined.value) == (
+            "alpha*_1 fails the automorphism check (1.00e+00)")
+
+
+def test_table_associativity_on_every_2x2_table(monkeypatch):
+    """Every mult table on two basis elements, 0 included; some fail only at
+    triples with e_i e_j = 0, which the mirror check meets. With JOIN_TERMS
+    below d, each slice holds one nonzero."""
+    d = 2
+    for join_terms in (1 << 14, 1):
+        monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
+        for entries in itertools.product(range(d + 1), repeat=d * d):
+            table = np.full((d + 1, d + 1), d)
+            table[:d, :d] = np.reshape(entries, (d, d))
+            mult = np.zeros((d, d, d))
+            i, j = np.nonzero(table[:d, :d] < d)
+            mult[i, j, table[i, j]] = 1
+            assoc = np.tensordot(mult, mult, axes=(2, 0)) \
+                - np.tensordot(mult, mult, axes=(2, 1)).transpose(2, 0, 1, 3)
+            assert hopf._table_associativity(table) == max_abs(assoc), entries
+
+
+def _random_table_algebra(d: int, rng) -> HopfData:
+    """Random tables, no Hopf algebra: e_i e_j = e_T[i, j] or 0 at random,
+    f_a f_b likewise except that f_0 is the dual unit (so the counit e_0^*
+    is exact), star and antipode random permutations, unit random 0/1 and
+    haar random integers, so that every residual is exact."""
+    every = np.arange(d)
+    tm = rng.integers(d + 1, size=(d, d))
+    tc = rng.integers(d + 1, size=(d, d))
+    tc[0], tc[:, 0] = every, every
+    i, j = np.nonzero(tm < d)
+    a, b = np.nonzero(tc < d)
+    eye = np.eye(d)
+    return HopfData(((i * d + j) * d + tm[i, j], np.ones(len(i))), rng.integers(2, size=d),
+                    (np.sort(tc[a, b] * d * d + a * d + b), np.ones(len(a))), eye[0],
+                    eye[:, rng.permutation(d)], eye[:, rng.permutation(d)],
+                    rng.integers(-2, 3, size=d))
+
+
+@pytest.mark.parametrize("join_terms", [1 << 14, 7])
+def test_random_tables_match_dense_reference(join_terms, monkeypatch):
+    """Random tables break most identities; every residual is the dense
+    one, and so is each automorphism residual of a random permutation."""
+    monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 4, 5) * 6:
+        h = _random_table_algebra(d, rng)
+        assert all(part is not None for part in hopf._tables(h))
+        assert verify_axioms(h) == _dense_verify_axioms(h)
+        mats = np.eye(d)[:, np.stack([rng.permutation(d) for _ in range(3)])].transpose(1, 0, 2)
+        assert automorphism_residuals(h, mats).tolist() == [
+            _dense_automorphism_residual(h, m) for m in mats]
 
 
 def _traced_peak(fn):

@@ -12,14 +12,14 @@ from semirep._linalg import as_int
 from semirep.cohomology import cocycle_inverse
 from semirep import cli
 from semirep.corep import irr_enumerate, mor_dim, tensor
-from semirep.corpus import instance
+from semirep.corpus import INSTANCES, instance
 from semirep.groups import full_subgroup
 from semirep.induction import mackey_irreducible
 from semirep.mackey import classify, conjugation_pairing, covariant_projective
 from semirep.oracle import module_hom_dim
 from semirep.projective import irreducible_projreps
 
-from helpers import heisenberg_spec, standalone_entry
+from helpers import standalone_entry
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +111,13 @@ def test_f_param_mor_dim_on_projective_branch(inst_f, classified_f):
         assert param_mor_dim(inst_f, w.parameter, big.parameter) == 0
 
 
-def test_heisenberg_irr_reaches_a_class_of_order_3(tmp_path, capsys):
-    """Z3^2 acts on C(Heis3) by inner automorphisms, so it fixes every class
-    of Irr(Heis3): 9 characters with 9 v each, and the two 3-dim irreps,
-    whose covariant V is projective with a class of order 3 in
+def test_heisenberg_irr_reaches_a_class_of_order_3(capsys):
+    """On I, Z3^2 acts on C(Heis3) by inner automorphisms, so it fixes every
+    class of Irr(Heis3): 9 characters with 9 v each, and the two 3-dim
+    irreps, whose covariant V is projective with a class of order 3 in
     H^2(Z3^2, T) = Z3, so each has one 3-dim v: 81 + 2 * 81 = 243."""
-    spec = tmp_path / "heis.json"
-    spec.write_text(json.dumps(heisenberg_spec()))
-    assert cli.main(["irr", str(spec), "--format", "structured"]) == 0
+    assert cli.main(["irr", str(INSTANCES / "instance_i.json"), "--format",
+                     "structured"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["count"] == 83 and doc["sum_dim_sq"] == 243
     shapes = Counter((w["dim"], w["dim_u"], w["dim_v"], w["cocycle_trivial"])

@@ -8,9 +8,11 @@ that of an unpacked parent commit (`git archive`). Each case runs
 check, irr, fuse, conj, oracle and induce (with the golden cases' arguments,
 tests/test_golden.py) on the shipped instances A-H and on the same instances
 on a rescaled basis (tests/helpers.rescaled_spec, whose comult is no table),
-in both formats and with seeds 7 and 3, two processes at a time. The
-rescaled files are written by this checkout's tests/helpers into a
-temporary directory.
+in both formats and with seeds 7 and 3, two processes at a time; and check
+alone on C(S5) x| Z2 (dim 240) and C(S5) x| S3 (dim 720), Lambda acting by
+conjugation (tests/helpers.conjugation_spec), where the table certificates
+of verify_axioms run at scale. The rescaled and conjugation files are
+written by this checkout's tests/helpers into a temporary directory.
 
 Prints every case whose stdout, stderr or exit code differ, then the counts
 of differing cases and of cases that exit nonzero on NEW_SRC; exits 1 if any
@@ -32,7 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from helpers import rescaled_spec  # noqa: E402
+from helpers import conjugation_spec, rescaled_spec  # noqa: E402
+from semirep.groups import cyclic_group, symmetric_group  # noqa: E402
 from test_golden import extra_args  # noqa: E402
 
 NAMES = "abcdefgh"
@@ -40,6 +43,10 @@ COMMANDS = ("check", "irr", "fuse", "conj", "oracle", "induce")
 FORMATS = ("human", "structured")
 SEEDS = (7, 3)
 JOBS = 2
+PERMS3 = sorted(itertools.permutations(range(3)))
+# C(S5) x| Lambda by conjugation: Lambda, and r -> the permutation r conjugates by
+LARGE = {"s5_z2": (cyclic_group(2), lambda r: (1, 0, 2, 3, 4) if r else (0, 1, 2, 3, 4)),
+         "s5_s3": (symmetric_group(3), lambda r: (*PERMS3[r], 3, 4))}
 
 
 def cases(tmp: Path):
@@ -54,6 +61,12 @@ def cases(tmp: Path):
         argv = [cmd, str(path), "--format", fmt, "--seed", str(seed),
                 *extra_args(cmd, label[-1])]
         yield f"{cmd} {label} --format {fmt} --seed {seed}", argv
+    for label, (lam, embed) in LARGE.items():
+        path = tmp / f"{label}.json"
+        path.write_text(json.dumps(conjugation_spec(5, range(120), lam, embed)))
+        for fmt, seed in itertools.product(FORMATS, SEEDS):
+            yield (f"check {label} --format {fmt} --seed {seed}",
+                   ["check", str(path), "--format", fmt, "--seed", str(seed)])
 
 
 def run(src: str, argv: list[str], cwd: str) -> tuple[str, str, int]:
