@@ -12,7 +12,7 @@ indexing of an axis by an array it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -143,54 +143,30 @@ def quaternion_group() -> FiniteGroup:
 
 
 def automorphisms(g: FiniteGroup) -> list[np.ndarray]:
-    """All automorphisms, as permutation arrays; brute force over generators."""
+    """All automorphisms, as permutation arrays, in the lexicographic order of
+    their images of full_subgroup(g).generators(). Each choice of images of
+    matching element orders is carried along a spanning tree x = y gen grown
+    from the identity, and kept if it is a bijection preserving g.mult. The
+    tree reaches each generator straight from the identity, so distinct
+    choices give distinct maps."""
     gens = full_subgroup(g).generators()
-    orders = [g.element_order(x) for x in g.elements()]
-    results: list[np.ndarray] = []
-
-    def close(mapping) -> np.ndarray | None:
-        perm = np.full(g.order, -1, dtype=int)
-        perm[g.identity] = g.identity
-        # generate words in the generators alongside their images
-        words = {g.identity: g.identity}
-        changed = True
-        while changed:
-            changed = False
-            for src, dst in list(words.items()):
-                for gen, img in mapping.items():
-                    s2, d2 = g.mul(src, gen), g.mul(dst, img)
-                    if s2 not in words:
-                        words[s2] = d2
-                        changed = True
-                    elif words[s2] != d2:
-                        return None
-        if len(words) != g.order:
-            return None
-        for src, dst in words.items():
-            perm[src] = dst
-        if len(set(perm.tolist())) != g.order:
-            return None
-        for a in g.elements():
-            for b in g.elements():
-                if perm[g.mul(a, b)] != g.mul(perm[a], perm[b]):
-                    return None
-        return perm
-
-    def search(idx, mapping):
-        if idx == len(gens):
-            perm = close(mapping)
-            if perm is not None and not any(np.array_equal(perm, p) for p in results):
-                results.append(perm)
-            return
-        gen = gens[idx]
-        for img in g.elements():
-            if orders[img] != orders[gen]:
-                continue
-            mapping[gen] = img
-            search(idx + 1, mapping)
-        del mapping[gen]
-
-    search(0, {})
+    orders = np.array([g.element_order(x) for x in g.elements()])
+    # (x, y, k) with x = y gens[k], breadth first: the loop visits what it appends
+    queue, tree = [g.identity], []
+    for y in queue:
+        for k, gen in enumerate(gens):
+            x = g.mul(y, gen)
+            if x not in queue:
+                queue.append(x)
+                tree.append((x, y, k))
+    results = []
+    for images in product(*(np.flatnonzero(orders == orders[gen]) for gen in gens)):
+        perm = np.full(g.order, g.identity)
+        for x, y, k in tree:
+            perm[x] = g.mult[perm[y], images[k]]
+        if (np.array_equal(np.sort(perm), np.arange(g.order))
+                and np.array_equal(perm[g.mult], g.mult[perm[:, None], perm])):
+            results.append(perm)
     return results
 
 

@@ -5,15 +5,17 @@ HopfData.from_dense keeps those of the dense arrays an instance file gives.
 
 Only this module reads mult, comult and star: other modules go through
 HopfData.product, coproduct and star_vec, which take stacks of coefficient
-vectors. Where mult and comult are tables (_tables), each side of an identity
-is one basis element or 0, and verify_axioms compares indices, the dense
-residual exactly; coassociativity only for y in HopfData.generators(), as the
-middle nucleus {y : (x y) z = x (y z) for all x, z} of the dual algebra is a
-unital subalgebra (Light's test). Other identities compare two joins of the
-nonzeros of two tensors (_join); _residual evaluates both sides on one split
-of the leading output indices into windows of at most JOIN_TERMS term pairs
-(_windows) and reduces each window by itself, so a check holds one window of
-each side at a time at every d.
+vectors. _tables is the one integer view of h: comult as the dual table and,
+beside it, mult, star and antipode, each only where exact. On tables each side
+of an identity is one basis element or 0, and verify_axioms compares indices,
+the dense residual exactly. One certificate, _table_associativity, checks
+(x y) z = x (y z) for y in a middle set: every index on mult, and only
+HopfData.generators() on the dual table, as the middle nucleus {y : (x y) z =
+x (y z) for all x, z} is a unital subalgebra (Light's test). Other identities
+compare two joins of the nonzeros of two tensors (_join); _residual evaluates
+both sides on one split of the leading output indices into windows of at most
+JOIN_TERMS term pairs (_windows) and reduces each window by itself, so a check
+holds one window of each side at a time at every d.
 An action of a finite group Lambda is one array: action_from_group_hom returns
 the read-only (|Lambda|, d, d) stack of the matrices of alpha*_r, indexed by
 Lambda's elements, and every layer indexes it. automorphism_residuals checks
@@ -83,15 +85,16 @@ class HopfData:
 
     def generators(self) -> np.ndarray:
         """Indices a, increasing and read-only, whose dual basis elements f_a
-        generate the dual algebra A^ as a unital algebra: where comult is a
-        table (_dual_table), _table_generators' exact closure, greedy by
-        index; otherwise every index, since the whole dual basis spans A^.
+        generate the dual algebra A^ as a unital algebra, the middle set of
+        coassociativity's certificate: on the dual table of _tables,
+        _table_generators' exact closure, greedy by index; otherwise every
+        index, since the whole dual basis spans A^.
 
         A linear map commutes with the image of A^ exactly when it commutes
         with the images of these f_a, so module homs need only their slices.
         """
         if "generators" not in self._cache:
-            table = _dual_table(self)
+            table = _tables(self).comult
             gens = np.arange(self.dim) if table is None else _table_generators(self, table)
             gens.flags.writeable = False
             self._cache["generators"] = gens
@@ -289,23 +292,21 @@ def verify_axioms(h: HopfData) -> dict:
     m, c, s = h.mult, h.comult, _nonzeros(h.star)
     size = defaultdict(lambda: d)
     t = _tables(h)
-    tm, sigma, tau = (None, None, None) if t is None else (t.mult, t.star, t.antipode)
 
     def worst(lhs, rhs, shape) -> float:
         return float(_residual(lhs, rhs, shape).max())
 
-    res["associativity"] = (_table_associativity(tm) if tm is not None else
+    res["associativity"] = (_table_associativity(t.mult, np.arange(d))
+                            if t.mult is not None else
                             worst(_join("ijm,mkl->ijkl", m, m, size),
                                   _join("jkm,iml->ijkl", m, m, size), (d,) * 4))
     res["unit"] = max(max_abs(_contract_vec(m, h.unit, 0, d) - eye),
                       max_abs(_contract_vec(m, h.unit, 1, d) - eye))
 
-    table = _dual_table(h)
-    if table is None:
-        res["coassociativity"] = worst(_join("iml,mjk->ijkl", c, c, size),
-                                       _join("ijm,mkl->ijkl", c, c, size), (d,) * 4)
-    else:
-        res["coassociativity"] = _table_associator(table, h.generators())
+    res["coassociativity"] = (_table_associativity(t.comult, h.generators())
+                              if t.comult is not None else
+                              worst(_join("iml,mjk->ijkl", c, c, size),
+                                    _join("ijm,mkl->ijkl", c, c, size), (d,) * 4))
     res["counit"] = _counit_residual(h)
 
     # Delta is a unital algebra morphism: Delta(e_i e_j) = Delta(e_i) Delta(e_j),
@@ -320,9 +321,9 @@ def verify_axioms(h: HopfData) -> dict:
 
     # star: antilinear involutive antiautomorphism, Delta a *-morphism
     res["star_involutive"] = max_abs(h.star @ np.conj(h.star) - eye)
-    if sigma is not None:  # sigma(T[i, j]) = T[sigma j, sigma i]; on T^ unswapped
-        res["star_antimultiplicative"] = float(_moved(sigma, tm, swap=True))
-        res["comult_star"] = float(_moved(sigma, t.comult))
+    if t.star is not None:  # star(T[i, j]) = T[star j, star i]; on T^ unswapped
+        res["star_antimultiplicative"] = float(_moved(t.star, t.mult, swap=True))
+        res["comult_star"] = float(_moved(t.star, t.comult))
     else:
         conj_m, conj_c = (m[0], np.conj(m[1])), (c[0], np.conj(c[1]))
         res["star_antimultiplicative"] = worst(
@@ -335,7 +336,7 @@ def verify_axioms(h: HopfData) -> dict:
             (d,) * 3)
 
     # antipode axiom m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
-    if tau is not None:
+    if t.antipode is not None:
         res["antipode"] = _table_antipode(t, np.outer(h.counit.real, h.unit.real))
     else:
         a, target = _nonzeros(h.antipode), _join("i,p->ip", _nonzeros(h.counit),
@@ -380,23 +381,10 @@ def _index_table(pair, out, vals, d: int):
     return None
 
 
-def _dual_table(h: HopfData):
-    """The product of the dual algebra A^ as an _index_table, f_a f_b =
-    f_T[a, b]; or None unless comult is such a table and the counit identity
-    is exact, so that the counit is the unit of A^. Cached on h.
-    """
-    if "dual_table" not in h._cache:
-        k, ab = np.divmod(h.comult[0], h.dim * h.dim)
-        table = _index_table(ab, k, h.comult[1], h.dim)
-        exact = table is not None and _counit_residual(h) == 0.0
-        h._cache["dual_table"] = table if exact else None
-    return h._cache["dual_table"]
-
-
 def _table_generators(h: HopfData, table: np.ndarray) -> np.ndarray:
-    """The indices a, increasing, of a greedy pass over the dual basis on a
-    _dual_table: f_a joins unless it lies in the subalgebra of A^ that the
-    kept ones generate. Exact: every step is on integer indices.
+    """The indices a, increasing, of a greedy pass over the dual basis on the
+    dual table of _tables: f_a joins unless it lies in the subalgebra of A^
+    that the kept ones generate. Exact: every step is on integer indices.
 
     The kept f_a's words of length >= 1 are basis elements f_s, their
     indices S closed semi-naively under T[g, s] for kept g; the subalgebra
@@ -428,31 +416,26 @@ def _table_generators(h: HopfData, table: np.ndarray) -> np.ndarray:
             fresh = table[np.array(gens)[:, None], np.flatnonzero(mark)].reshape(-1)
 
 
-def _table_associator(table: np.ndarray, gens) -> float:
-    """Coassociativity's residual on a _dual_table, y over the generators
-    gens of A^: 1.0 if (f_x f_y) f_z != f_x (f_y f_z) for some x, y, z, else
-    0.0. Each side is one f_k or 0, so this is the dense residual."""
-    d = len(table) - 1
-    every = np.arange(d)
-    left = table[table[:d, gens][:, :, None], every]
-    right = table[every[:, None, None], table[gens, :d]]
-    return float(not np.array_equal(left, right))
-
-
 _Tables = namedtuple("_Tables", "mult comult star antipode")
 
 
-def _tables(h: HopfData):
-    """Cached: None unless mult (e_i e_j = e_T[i, j]) and comult are tables;
-    else those, and star and antipode as _permutations (or None), the
-    antipode only with unit and counit exactly 0/1."""
+def _tables(h: HopfData) -> _Tables:
+    """Cached integer views of h, each None unless exact: comult as the dual
+    table (f_a f_b = f_T^[a, b]) where it is an _index_table and the counit
+    identity is exact, so that the counit is the unit of A^; beside it, mult
+    (e_i e_j = e_T[i, j]) where that is one; beside mult, star and antipode
+    as _permutations, the antipode only with unit and counit exactly 0/1."""
     if "tables" not in h._cache:
-        d, tc = h.dim, _dual_table(h)
+        d = h.dim
+        k, ab = np.divmod(h.comult[0], d * d)
+        tc = _index_table(ab, k, h.comult[1], d)
+        tc = tc if tc is not None and _counit_residual(h) == 0.0 else None
         ij, k = np.divmod(h.mult[0], d)
         tm = None if tc is None else _index_table(ij, k, h.mult[1], d)
         unital = all(np.all((v == 0) | (v == 1)) for v in (h.unit, h.counit))
-        h._cache["tables"] = None if tm is None else _Tables(
-            tm, tc, _permutations(h.star), _permutations(h.antipode) if unital else None)
+        perms = (None, None) if tm is None else (
+            _permutations(h.star), _permutations(h.antipode) if unital else None)
+        h._cache["tables"] = _Tables(tm, tc, *perms)
     return h._cache["tables"]
 
 
@@ -477,20 +460,23 @@ def _moved(p, table, swap: bool = False):
     return (p[..., table] != image).any(axis=(-2, -1))
 
 
-def _table_associativity(tm: np.ndarray) -> float:
-    """Associativity's residual on mult's table, 1.0 or 0.0: for each e_i e_j
-    = e_k (JOIN_TERMS // d at a time), e_k e_l against e_i (e_j e_l) and e_l
-    e_k against (e_l e_i) e_j for every l; with e_i e_j = 0 = e_j e_l both
-    sides are 0."""
-    d = len(tm) - 1
-    i, j = np.nonzero(tm[:d, :d] != d)
-    k = tm[i, j]
+def _table_associativity(table: np.ndarray, middle) -> float:
+    """The residual of (x y) z = x (y z) on an _index_table for y in middle,
+    1.0 or 0.0: for each x y = k with y in middle, row k against x (y .),
+    and the same on the opposite table T.T, which is for each y z = k column
+    k against (. y) z; JOIN_TERMS // d products at a time. With x y = 0 =
+    y z both sides are 0."""
+    d = len(table) - 1
+    inner = np.zeros(d, dtype=bool)
+    inner[middle] = True
     step = max(JOIN_TERMS // d, 1)
-    for lo in range(0, len(k), step):
-        a, b, c = i[lo:lo + step], j[lo:lo + step], k[lo:lo + step]
-        if not (np.array_equal(tm[c, :d], tm[a[:, None], tm[b, :d]])
-                and np.array_equal(tm[:d, c], tm[tm[:d, a], b])):
-            return 1.0
+    for t in (table, np.ascontiguousarray(table.T)):
+        x, y = np.nonzero((t[:d, :d] != d) & inner)
+        flat = t.reshape(-1)  # t[a, b] = flat[a (d + 1) + b], a faster gather
+        for lo in range(0, len(x), step):
+            a, b = x[lo:lo + step], y[lo:lo + step]
+            if not np.array_equal(t[t[a, b], :d], flat[a[:, None] * (d + 1) + t[b, :d]]):
+                return 1.0
     return 0.0
 
 
@@ -627,7 +613,7 @@ def automorphism_residuals(h: HopfData, mats: np.ndarray) -> np.ndarray:
     # star compatibility: M @ star = star @ conj(M)
     worst = np.maximum(worst, max_abs_each(mats @ h.star - h.star @ np.conj(mats)))
     t = _tables(h)
-    p = None if t is None else _permutations(mats)
+    p = None if t.mult is None else _permutations(mats)
     if p is not None:
         return np.maximum(worst, _moved(p, t.mult) | _moved(p, t.comult))
     size, shape = defaultdict(lambda: d, r=n), (n, d, d, d)

@@ -5,9 +5,9 @@ import pytest
 
 from semirep.errors import NotAGroup, ValidationError
 from semirep.groups import (FiniteGroup, GroupAction, Subgroup, all_subgroups,
-                            conjugate_intersection, conjugate_subgroup,
+                            automorphisms, conjugate_intersection, conjugate_subgroup,
                             cyclic_group, direct_product, full_subgroup, generated,
-                            left_cosets, orbit, orbits, stabilizer)
+                            left_cosets, orbit, orbits, stabilizer, symmetric_group)
 
 from helpers import trivial_subgroup
 from test_random_instances import BASES
@@ -267,3 +267,29 @@ def test_generated_is_the_closure_under_products_and_inverses(name):
     assert [s.elements for s in subgroups] == sorted(closed, key=lambda e: (len(e), e))
     for s in subgroups:
         assert generated(g, s.generators()) == set(s.elements)
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_automorphisms_are_every_table_preserving_permutation(name):
+    """Brute force over every permutation of the elements: those preserving
+    g.mult, ordered by their images of the generators, array for array."""
+    g = BASES[name]
+    perms = np.array(list(itertools.permutations(g.elements())))
+    kept = perms[(perms[:, g.mult] == g.mult[perms[:, :, None], perms[:, None, :]])
+                 .all(axis=(1, 2))]
+    gens = full_subgroup(g).generators()
+    brute = sorted(kept, key=lambda p: tuple(p[gens]))
+    got = automorphisms(g)
+    assert len(got) == len(brute)
+    for a, b in zip(got, brute):
+        assert np.array_equal(a, b)
+
+
+def test_automorphisms_of_s4_preserve_its_table():
+    g = symmetric_group(4)
+    got = automorphisms(g)
+    assert len(got) == 24
+    assert len({a.tobytes() for a in got}) == 24
+    for a in got:
+        assert np.array_equal(np.sort(a), np.arange(24))
+        assert np.array_equal(a[g.mult], g.mult[a[:, None], a])

@@ -590,7 +590,7 @@ def _table_generators_like_reference(h: HopfData) -> HopfData:
     """h with empty caches, after checking that its comult is a table and
     that its exact generators are generating_subset's float choice."""
     h = fresh(h)
-    assert hopf._dual_table(h) is not None
+    assert hopf._tables(h).comult is not None
     assert np.array_equal(h.generators(), generating_subset(h, range(h.dim)))
     return h
 
@@ -642,7 +642,7 @@ def test_moved_entry_outside_the_generator_rows_fails_coassociativity(name, requ
                                          (d, d, d))
         bad = HopfData(h.mult, h.unit, (np.sort(moved), h.comult[1]), h.counit,
                        h.antipode, h.star, h.haar)
-        assert hopf._dual_table(bad) is not None
+        assert hopf._tables(bad).comult is not None
         assert np.array_equal(bad.generators(), gens)
         rep, ref = verify_axioms(bad), _dense_verify_axioms(bad)
         assert rep["coassociativity"] == ref["coassociativity"] == 1.0
@@ -668,15 +668,40 @@ def test_coassociativity_joins_unless_comult_is_a_table(flaw, inst_a, monkeypatc
     else:
         tensors["counit"] = h.counit / 2
     bad = HopfData(**tensors)
-    certified = spy(monkeypatch, hopf, "_table_associator")
+    certified = spy(monkeypatch, hopf, "_table_associativity")
     joins = spy(monkeypatch, hopf, "_join")
     rep, ref = verify_axioms(bad), _dense_verify_axioms(bad)
-    assert hopf._dual_table(bad) is None and certified == []
+    assert hopf._tables(bad).comult is None and certified == []
     assert [args[0] for args, _ in joins if args[1] is args[2] is bad.comult] == [
         "iml,mjk->ijkl", "ijm,mkl->ijkl"]
     for key in rep:
         assert abs(rep[key] - ref[key]) <= 1e-12, (key, rep[key], ref[key])
     assert not rep["pass"]
+
+
+def test_half_table_certifies_coassociativity_alone(inst_c, monkeypatch):
+    """A dense perturbation of mult keeps comult a table: coassociativity is
+    certified on the dual table, y over the generators, and every other
+    identity joins."""
+    bad = _corrupted(inst_c.product, "mult")
+    ref = _dense_verify_axioms(bad)
+    certified = spy(monkeypatch, hopf, "_table_associativity")
+    joins = spy(monkeypatch, hopf, "_join")
+    rep = verify_axioms(bad)
+    tables = hopf._tables(bad)
+    assert tables.comult is not None and tables.mult is None
+    assert [(args[0], args[1]) for args, _ in certified] == [(tables.comult, bad.generators())]
+    assert [args[0] for args, _ in joins] == [
+        "ijm,mkl->ijkl", "jkm,iml->ijkl",  # associativity
+        "iab,acp->ibcp", "jcd,bdq->jcbq", "ibcp,jcbq->ijpq", "ijk,kpq->ijpq",
+        "ijk,pk->ijp", "bj,bap->jap", "jap,ai->ijp",  # star_antimultiplicative
+        "ki,kpq->ipq", "ijk,pj->ikp", "ikp,qk->ipq",  # comult_star
+        "i,p->ip", "ijk,lj->ikl", "ikl,lkp->ip", "ijk,lk->ijl", "ijl,jlp->ip"]  # antipode
+    assert rep["coassociativity"] == ref["coassociativity"] == 0.0
+    assert set(rep) == set(ref)
+    for key in rep:
+        assert abs(rep[key] - ref[key]) <= 1e-12, (key, rep[key], ref[key])
+    assert rep["associativity"] > 1e-3 and not rep["pass"]
 
 
 # -- the table certificates of the other identities -------------------------------
@@ -698,7 +723,7 @@ def test_moved_mult_entry_matches_dense_reference(name, request):
         moved = keys.copy()
         moved[at] += (keys[at] + rng.integers(1, d)) % d - keys[at] % d
         bad = _with(h, mult=(np.sort(moved), h.mult[1]))
-        assert hopf._tables(bad) is not None
+        assert hopf._tables(bad).mult is not None
         rep = verify_axioms(bad)
         assert rep == _dense_verify_axioms(bad), at
         assert rep["associativity"] == 1.0 and not rep["pass"]
@@ -768,7 +793,7 @@ def test_non_automorphism_permutation_matches_join_route(name, request, monkeypa
         with pytest.raises(NotAutomorphism) as on_tables:
             action_from_group_hom(h, z2, hom, "permutation")
         with monkeypatch.context() as patch:
-            patch.setattr(hopf, "_tables", lambda h: None)
+            patch.setattr(hopf, "_tables", lambda h: hopf._Tables(*[None] * 4))
             with pytest.raises(NotAutomorphism) as joined:
                 action_from_group_hom(h, z2, hom, "permutation")
         assert str(on_tables.value) == str(joined.value) == (
@@ -790,7 +815,50 @@ def test_table_associativity_on_every_2x2_table(monkeypatch):
             mult[i, j, table[i, j]] = 1
             assoc = np.tensordot(mult, mult, axes=(2, 0)) \
                 - np.tensordot(mult, mult, axes=(2, 1)).transpose(2, 0, 1, 3)
-            assert hopf._table_associativity(table) == max_abs(assoc), entries
+            assert hopf._table_associativity(table, np.arange(d)) == max_abs(assoc), entries
+
+
+def _closure(table: np.ndarray, middle) -> set:
+    """The indices of the words of length >= 1 in middle, 0 (index d) left out."""
+    d = len(table) - 1
+    words = set(middle)
+    while True:
+        more = {int(table[a, b]) for a in words for b in words} - {d}
+        if more <= words:
+            return words
+        words |= more
+
+
+@pytest.mark.parametrize("join_terms", [1 << 14, 1])
+def test_table_associativity_on_generating_middles_of_every_unital_3x3_table(
+        join_terms, monkeypatch):
+    """Light's test on the sparse scan: for every table on three basis
+    elements with e_0 the unit, and every middle set that generates it with
+    e_0, the certificate is the dense residual. Some tables fail only at
+    triples with x y = 0; with JOIN_TERMS below d each slice holds one
+    product, and the two halves of the scan have unequal lengths."""
+    monkeypatch.setattr(hopf, "JOIN_TERMS", join_terms)
+    d = 3
+    tested, zero_only = 0, 0
+    for entries in itertools.product(range(d + 1), repeat=(d - 1) ** 2):
+        table = np.full((d + 1, d + 1), d)
+        table[0, :d] = table[:d, 0] = np.arange(d)
+        table[1:d, 1:d] = np.reshape(entries, (d - 1, d - 1))
+        mult = np.zeros((d, d, d))
+        i, j = np.nonzero(table[:d, :d] < d)
+        mult[i, j, table[i, j]] = 1
+        assoc = np.tensordot(mult, mult, axes=(2, 0)) \
+            - np.tensordot(mult, mult, axes=(2, 1)).transpose(2, 0, 1, 3)
+        x, y, _ = np.nonzero(np.abs(assoc).max(axis=3))
+        zero_only += len(x) > 0 and np.all(table[x, y] == d)
+        for size in range(1, d + 1):
+            for middle in itertools.combinations(range(d), size):
+                if _closure(table, middle) | {0} != set(range(d)):
+                    continue
+                tested += 1
+                assert hopf._table_associativity(table, np.array(middle)) \
+                    == max_abs(assoc), (entries, middle)
+    assert tested > 4 ** 4 and zero_only > 0
 
 
 def _random_table_algebra(d: int, rng) -> HopfData:

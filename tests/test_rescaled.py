@@ -41,7 +41,7 @@ def structured(capsys, *argv) -> dict:
 def test_rescaled_comult_is_no_table_and_every_index_generates(name):
     inst = build_instance(rescaled_spec(name))
     for h in (inst.base, inst.product):
-        assert hopf._dual_table(h) is None
+        assert hopf._tables(h).comult is None
         assert np.array_equal(h.generators(), np.arange(h.dim))
         assert not h.generators().flags.writeable
 

@@ -8,11 +8,13 @@ that of an unpacked parent commit (`git archive`). Each case runs
 check, irr, fuse, conj, oracle and induce (with the golden cases' arguments,
 tests/test_golden.py) on the shipped instances A-H and on the same instances
 on a rescaled basis (tests/helpers.rescaled_spec, whose comult is no table),
-in both formats and with seeds 7 and 3, two processes at a time; and check
-alone on C(S5) x| Z2 (dim 240) and C(S5) x| S3 (dim 720), Lambda acting by
-conjugation (tests/helpers.conjugation_spec), where the table certificates
-of verify_axioms run at scale. The rescaled and conjugation files are
-written by this checkout's tests/helpers into a temporary directory.
+in both formats and with seeds 7 and 3, two processes at a time; check, irr
+and conj, I's golden commands, on the shipped instance I (dim 243), whose
+fuse takes the longest; and check alone on C(S5) x| Z2 (dim 240) and
+C(S5) x| S3 (dim 720), Lambda acting by conjugation
+(tests/helpers.conjugation_spec), where the table certificates of
+verify_axioms run at scale. The rescaled and conjugation files are written
+by this checkout's tests/helpers into a temporary directory.
 
 Prints every case whose stdout, stderr or exit code differ, then the counts
 of differing cases and of cases that exit nonzero on NEW_SRC; exits 1 if any
@@ -40,6 +42,7 @@ from test_golden import extra_args  # noqa: E402
 
 NAMES = "abcdefgh"
 COMMANDS = ("check", "irr", "fuse", "conj", "oracle", "induce")
+I_COMMANDS = ("check", "irr", "conj")
 FORMATS = ("human", "structured")
 SEEDS = (7, 3)
 JOBS = 2
@@ -61,12 +64,14 @@ def cases(tmp: Path):
         argv = [cmd, str(path), "--format", fmt, "--seed", str(seed),
                 *extra_args(cmd, label[-1])]
         yield f"{cmd} {label} --format {fmt} --seed {seed}", argv
+    large = [(cmd, "i", ROOT / "instances" / "instance_i.json") for cmd in I_COMMANDS]
     for label, (lam, embed) in LARGE.items():
         path = tmp / f"{label}.json"
         path.write_text(json.dumps(conjugation_spec(5, range(120), lam, embed)))
-        for fmt, seed in itertools.product(FORMATS, SEEDS):
-            yield (f"check {label} --format {fmt} --seed {seed}",
-                   ["check", str(path), "--format", fmt, "--seed", str(seed)])
+        large.append(("check", label, path))
+    for (cmd, label, path), fmt, seed in itertools.product(large, FORMATS, SEEDS):
+        yield (f"{cmd} {label} --format {fmt} --seed {seed}",
+               [cmd, str(path), "--format", fmt, "--seed", str(seed)])
 
 
 def run(src: str, argv: list[str], cwd: str) -> tuple[str, str, int]:
