@@ -22,6 +22,7 @@ for.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 
 import numpy as np
@@ -228,38 +229,47 @@ def split_invariant_subspaces(commutant: list[np.ndarray],
     return [vecs[:, g] for g in cluster_eigvals(vals)]
 
 
-def decompose(x, comm, commutant, compress, equivalent, seed: int):
+def decompose(x, comm, slices, compress, hom_dims, seed: int):
     """Pairwise-inequivalent irreducible pieces of x, with multiplicities.
 
     The block-diagonalisation of a matrix *-algebra (Murota, Kanno, Kojima and
     Kojima, Japan J. Indust. Appl. Math. 27, 2010): `comm` is a basis of the
-    commutant of x, `commutant(piece)` one of a piece's commutant and
-    `compress(x, q)` the piece on the range of an isometry q. Pieces are split
-    by a random self-adjoint commutant element until the commutant is
-    trivial, then grouped by `equivalent(a, b)`. The random elements are
-    drawn from the standard library's generator seeded with `seed`. Returns a
-    list of (piece, multiplicity).
+    commutant of x, `slices(piece)` the (s, n, n) stack of matrices whose
+    commutant is the piece's, and `compress(x, q)` the piece on the range of
+    an isometry q. A piece is split by a random self-adjoint commutant element
+    (drawn from the standard library's generator seeded with `seed`) until
+    its commutant is trivial. The commutants of one split's pieces are
+    counted in one hom_space_dims batch, and a basis is solved for only where
+    the count is above 1. Each factor then joins the first group whose first
+    factor it is equivalent to, read off one boolean matrix filled by
+    `hom_dims(factors, pairs)`, which gives dim Hom(factors[i], factors[j])
+    for every pair i < j whose slices have the same shape in one batch.
+    Returns a list of (piece, multiplicity).
     """
     rng = random.Random(seed)
     factors = []
-    stack = [(x, comm)]
+    stack = [(x, comm if len(comm) > 1 else None)]
     while stack:
         cur, comm = stack.pop()
-        if len(comm) == 1:
+        if comm is None:  # irreducible
             factors.append(cur)
             continue
-        for q in split_invariant_subspaces(comm, rng):
-            piece = compress(cur, q)
-            stack.append((piece, commutant(piece)))
-    grouped = []
-    for f in factors:
-        for i, (g0, mult) in enumerate(grouped):
-            if equivalent(g0, f):
-                grouped[i] = (g0, mult + 1)
-                break
-        else:
-            grouped.append((f, 1))
-    return grouped
+        pieces = [compress(cur, q) for q in split_invariant_subspaces(comm, rng)]
+        counts = hom_space_dims([(slices(p), slices(p)) for p in pieces])
+        stack += [(p, module_hom_basis(slices(p), slices(p)) if n > 1 else None)
+                  for p, n in zip(pieces, counts)]
+    shapes = [slices(f).shape[1:] for f in factors]
+    pairs = [(i, j) for j in range(len(factors)) for i in range(j)
+             if shapes[i] == shapes[j]]
+    equivalent = np.zeros((len(factors),) * 2, dtype=bool)
+    if pairs:
+        counts = np.fromiter(hom_dims(factors, pairs), dtype=int, count=len(pairs))
+        equivalent[tuple(np.transpose(pairs))] = counts >= 1
+    firsts: dict[int, int] = {}  # first factor of each group -> multiplicity
+    for j in range(len(factors)):
+        i = next((i for i in firsts if equivalent[i, j]), j)
+        firsts[i] = firsts.get(i, 0) + 1
+    return [(factors[i], mult) for i, mult in firsts.items()]
 
 
 def char_sort_key(dim: int, chi: np.ndarray):
@@ -282,8 +292,12 @@ def nan_as_inf(worst):
 
 
 def max_abs(arr) -> float:
+    """The largest entry modulus, NaN read as inf (see nan_as_inf); 0.0 when empty."""
     arr = np.asarray(arr)
-    return float(nan_as_inf(np.max(np.abs(arr)))) if arr.size else 0.0
+    if not arr.size:
+        return 0.0
+    worst = float(np.abs(arr).max())
+    return math.inf if math.isnan(worst) else worst
 
 
 def max_abs_each(arr: np.ndarray) -> np.ndarray:

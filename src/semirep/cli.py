@@ -11,14 +11,21 @@ TOL_VERIFY (1e-9), so a file that fails them exits 1 on every command.
 `conj` checks that the pairing is an involution. Only induce takes --subgroup
 and --param.
 
-Exit codes: 0 ok, 1 validation failure, 2 internal oracle disagreement.
+parse_args reads `COMMAND FILE` and the options in any order, as `--opt value`
+or `--opt=value`, the last repeat winning, as argparse reads them, but without
+importing argparse, whose message lookups import gettext and locale (about
+2 ms a job). Abbreviated options are rejected; -h/--help prints the usage.
+
+Exit codes: 0 ok, 1 validation failure or usage error, 2 internal oracle
+disagreement.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -246,27 +253,74 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="semirep",
-        description="Representation theory of semidirect products of finite "
-                    "quantum groups with finite groups.")
-    ap.add_argument("command", choices=sorted(COMMANDS))
-    ap.add_argument("file", help="instance JSON file")
-    ap.add_argument("--format", choices=("human", "structured"), default="human")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for the spectral splittings (default: file seed or 7)")
-    ap.add_argument("--subgroup", default=None,
-                    help="comma-separated Lambda element indices (induce)")
-    ap.add_argument("--param", default=None,
-                    help="parameter spec 'x:IDX,v:IDX' (induce)")
-    return ap
+USAGE = """\
+usage: semirep COMMAND FILE [--format {human,structured}] [--seed N]
+                            [--subgroup S] [--param P]
+COMMAND: check, conj, fuse, induce, irr or oracle; FILE: an instance JSON file.
+--seed defaults to the file's seed or 7; --subgroup (Lambda element indices,
+comma-separated) and --param ('x:IDX,v:IDX') belong to induce."""
+FORMATS = ("human", "structured")
+OPTIONS = ("--format", "--seed", "--subgroup", "--param")
+# argparse's reading: a token that starts with '-' is an option, unless it
+# is '-' alone or a negative number
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _is_option(token: str) -> bool:
+    return token.startswith("-") and token != "-" and not _NEGATIVE_NUMBER.fullmatch(token)
+
+
+def _option_value(name: str, value: str):
+    if name == "--format" and value not in FORMATS:
+        raise ParseError(f"--format {value!r}: choose from {', '.join(FORMATS)}")
+    if name == "--seed":
+        try:
+            return int(value)
+        except ValueError as exc:
+            raise ParseError(f"--seed {value!r}: not an integer") from exc
+    return value
+
+
+def parse_args(argv) -> SimpleNamespace | None:
+    """The command line's command, file, format, seed, subgroup and param, or
+    None where -h or --help asks for the usage. Raises ParseError on a
+    malformed argument list. Tokens after a bare `--` are positional."""
+    args = SimpleNamespace(format="human", seed=None, subgroup=None, param=None)
+    positionals = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            positionals += tokens
+        elif not _is_option(token):
+            positionals.append(token)
+        else:
+            name, eq, value = token.partition("=")
+            if name in ("-h", "--help") and not eq:
+                return None
+            if name not in OPTIONS:
+                raise ParseError(f"unknown option {token!r}")
+            if not eq:
+                value = next(tokens, "--")
+                if value == "--" or _is_option(value):
+                    raise ParseError(f"{name} expects a value")
+            setattr(args, name[2:], _option_value(name, value))
+    if len(positionals) != 2:
+        raise ParseError("expected COMMAND FILE, got "
+                         f"{len(positionals)} positional argument(s) {positionals}")
+    if positionals[0] not in COMMANDS:
+        raise ParseError(f"unknown command {positionals[0]!r}; "
+                         f"choose from {', '.join(sorted(COMMANDS))}")
+    args.command, args.file = positionals
+    return args
 
 
 @np.errstate(all="ignore")  # no warnings: every non-finite residual fails its check
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(USAGE)
+            return 0
         if args.command != "induce" and (args.subgroup, args.param) != (None, None):
             raise ParseError("--subgroup and --param apply only to induce")
         inst, spec = load_instance(args.file)

@@ -122,6 +122,19 @@ def mor_dim(u: Corep, w: Corep) -> int:
     return _agreed(via_char, hom_space_dim(u.coeff_slices, w.coeff_slices))
 
 
+def mor_dims(us: list[Corep], ws: list[Corep], pairs):
+    """mor_dim(us[i], ws[j]) for every (i, j) in pairs, by both routes at
+    once: the characters are paired through one Gram product and the hom
+    spaces counted in one hom_space_dims batch. An iterator: the two counts
+    of a pair are compared as it is read, so a caller that stops at its own
+    check raises what pair-by-pair mor_dim calls would. All coreps share one
+    parent algebra; pairs is not empty."""
+    pairings = us[0].parent.pair_forms(np.array([u.char_vec() for u in us])) \
+        @ np.array([w.char_vec() for w in ws]).T
+    counts = hom_space_dims([(us[i].coeff_slices, ws[j].coeff_slices) for i, j in pairs])
+    return (_agreed(as_int(pairings[i, j]), n) for (i, j), n in zip(pairs, counts))
+
+
 # -- conjugates ----------------------------------------------------------------
 
 def contragredient(u: Corep) -> Corep:
@@ -159,8 +172,8 @@ def compress(u: Corep, q: np.ndarray) -> Corep:
 def irr_decompose(u: Corep, comm, seed: int = DEFAULT_SEED) -> list[tuple[Corep, int]]:
     """Pairwise-inequivalent irreducible factors with multiplicities; comm is
     a basis of u's self-intertwiners, e.g. intertwiner_basis(u, u)."""
-    return decompose(u, comm, lambda x: intertwiner_basis(x, x), compress,
-                     lambda a, b: a.dim == b.dim and mor_dim(a, b) >= 1, seed)
+    return decompose(u, comm, lambda x: x.coeff_slices, compress,
+                     lambda fs, pairs: mor_dims(fs, fs, pairs), seed)
 
 
 def regular_corep(h: HopfData) -> tuple[Corep, np.ndarray]:
@@ -220,24 +233,20 @@ def irr_action(h: HopfData, lam: FiniteGroup, alpha: np.ndarray,
     """The permutation action of Lambda on the canonical list irr_enumerate(h).
 
     Each moved irrep r . x_i is matched against every irrep y_j of its
-    dimension by both routes of mor_dim, all candidates at once: the
-    characters are paired through one Gram product and the hom spaces counted
-    in one batch. The checks then run in (r, i, j) order, so the first failure
-    is the one pair-by-pair mor_dim calls would raise.
+    dimension by both routes of mor_dim, all candidates at once (mor_dims).
+    The checks run in (r, i, j) order, so the first failure is the one
+    pair-by-pair mor_dim calls would raise.
     """
     irreps = irr_enumerate(h, seed)
     n = len(irreps)
     rows = [(r, i) for r in lam.elements() for i in range(n)]
     moved = [act(r, irreps[i], alpha, lam) for r, i in rows]
     same_dim = [[j for j, y in enumerate(irreps) if y.dim == m.dim] for m in moved]
-    pairings = h.pair_forms(np.array([m.char_vec() for m in moved])) \
-        @ np.array([y.char_vec() for y in irreps]).T
-    counts = iter(hom_space_dims([(m.coeff_slices, irreps[j].coeff_slices)
-                                  for m, js in zip(moved, same_dim) for j in js]))
+    counts = mor_dims(moved, irreps, [(row, j) for row, js in enumerate(same_dim)
+                                      for j in js])
     perm = np.zeros((lam.order, n), dtype=int)
     for row, (r, i) in enumerate(rows):
-        matches = [j for j in same_dim[row]
-                   if _agreed(as_int(pairings[row, j]), next(counts)) >= 1]
+        matches = [j for j in same_dim[row] if next(counts) >= 1]
         if len(matches) != 1:
             raise OrbitResolutionFailure(
                 f"r={r} moves irrep {i} to {len(matches)} candidates")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import (DEFAULT_SEED, compress_stack, decompose, hom_space_dim,
-                      hom_space_dims, module_hom_basis)
+                      hom_space_dims)
 from .corep import Corep, regular_corep, tensor
 from .errors import PeterWeylMismatch
 from .hopf import HopfData
@@ -48,12 +48,12 @@ def module_decompose(u: Corep, comm, seed: int = DEFAULT_SEED):
     is a basis of the module's commutant.
 
     Returns a list of (slices, multiplicity). Equivalence is decided by
-    module-hom dimension, never by characters.
+    module-hom dimension, never by characters, all pairs in one
+    hom_space_dims batch.
     """
-    return decompose(u.coeff_slices, comm, lambda s: module_hom_basis(s, s),
-                     compress_stack,
-                     lambda a, b: (a.shape[1:] == b.shape[1:]
-                                   and hom_space_dim(a, b) >= 1), seed)
+    return decompose(u.coeff_slices, comm, lambda s: s, compress_stack,
+                     lambda fs, pairs: hom_space_dims([(fs[i], fs[j]) for i, j in pairs]),
+                     seed)
 
 
 def oracle_irr_dims(h: HopfData, seed: int = DEFAULT_SEED) -> list[int]:

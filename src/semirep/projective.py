@@ -167,13 +167,24 @@ def regular_twisted_rep(group: FiniteGroup, omega: Cochain2) -> ProjectiveRep:
 
 def decompose_projective(v: ProjectiveRep,
                          seed: int = DEFAULT_SEED) -> list[tuple[ProjectiveRep, int]]:
-    """Split into pairwise-inequivalent irreducibles with multiplicities."""
-    def commutant(x):
-        return module_hom_basis(x.mats, x.mats)
-    return decompose(v, commutant(v), commutant,
+    """Split into pairwise-inequivalent irreducibles with multiplicities.
+
+    Factors are compared as proj_mor_dim compares them, every pair at once:
+    their cocycles must agree, and the characters are paired through one Gram
+    product."""
+    def hom_dims(factors, pairs):
+        first, second = np.transpose(pairs)
+        cocycles = np.array([f.cocycle.values for f in factors])
+        if max_abs(cocycles[first] - cocycles[second]) > TOL_ACCEPT:
+            raise CocycleMismatch("projective representations have different cocycles")
+        chars = np.array([f.character() for f in factors])
+        gram = np.conj(chars) @ chars.T / v.group.order
+        return [as_int(gram[i, j]) for i, j in pairs]
+
+    return decompose(v, module_hom_basis(v.mats, v.mats), lambda x: x.mats,
                      lambda x, q: ProjectiveRep(x.group, compress_stack(x.mats, q),
                                                 x.cocycle),
-                     lambda a, b: a.dim == b.dim and proj_mor_dim(a, b) >= 1, seed)
+                     hom_dims, seed)
 
 
 def irreducible_projreps(group: FiniteGroup, omega: Cochain2, seed: int = DEFAULT_SEED,
@@ -182,7 +193,12 @@ def irreducible_projreps(group: FiniteGroup, omega: Cochain2, seed: int = DEFAUL
 
     Obtained by decomposing the left regular representation of the twisted
     group algebra C_omega[G]; completeness is certified by sum(dim^2) = |G|.
+    The list is built once per group, cocycle values and seed, and cached on
+    the group with its matrices read-only.
     """
+    key = ("irreducible_projreps", omega.values.tobytes(), seed)
+    if key in group._cache:
+        return group._cache[key]
     ok, res, triple = is_cocycle(omega)
     if not ok:
         raise ValidationError(f"not a cocycle (residual {res} at {triple})")
@@ -194,4 +210,7 @@ def irreducible_projreps(group: FiniteGroup, omega: Cochain2, seed: int = DEFAUL
     if total != group.order:
         raise ValidationError(
             f"twisted Peter-Weyl failure: sum dim^2 = {total} != |G| = {group.order}")
+    for f in irreps:
+        f.mats.flags.writeable = False
+    group._cache[key] = irreps
     return irreps

@@ -13,16 +13,18 @@ against, element-by-element and einsum references of the batched
 group-relation checks and corep contractions, the two-step
 translate-then-restrict reference of a moved parameter, the module-hom
 systems over all d coefficient slices that the generator-slice systems are
-checked against, fusion entries and incidence numbers over fresh tables, and
-the algebraic identities every fusion cube satisfies."""
+checked against, fusion entries and incidence numbers over fresh tables, the
+algebraic identities every fusion cube satisfies, and the argparse parser
+that cli.parse_args is checked against."""
 
+import argparse
 import itertools
 
 import numpy as np
 
 from semirep._linalg import (RANK_RTOL, TOL_ACCEPT, TOL_VERIFY, check_commutant,
                              compress_stack, decompose, hom_space_dim, max_abs,
-                             max_abs_each, module_hom_basis)
+                             max_abs_each)
 from semirep.cohomology import Cochain1, Cochain2, trivial_cochain2
 from semirep.corep import (Corep, compress, intertwiner_basis, regular_corep, tensor,
                            verify_corep)
@@ -592,9 +594,9 @@ def all_slice_oracle_irr_dims(h: HopfData, seed: int) -> list[int]:
     reg, comm = regular_corep(h)
     slices = all_slices(reg)
     check_commutant(slices, comm)
-    pieces = decompose(slices, comm, lambda s: module_hom_basis(s, s), compress_stack,
-                       lambda a, b: (a.shape[1:] == b.shape[1:]
-                                     and hom_space_dim(a, b) >= 1), seed)
+    pieces = decompose(slices, comm, lambda s: s, compress_stack,
+                       lambda fs, pairs: [hom_space_dim(fs[i], fs[j]) for i, j in pairs],
+                       seed)
     return sorted(f.shape[1] for f, _ in pieces)
 
 
@@ -632,3 +634,25 @@ def check_fusion_identities(n: np.ndarray, dims: np.ndarray, bar: np.ndarray) ->
     t = units[0]
     assert dims[t] == 1 and bar[t] == t
     assert all(n[t, i, bar[i]] == 1 for i in range(k))
+
+
+# -- the argparse reading of the command line ------------------------------------
+
+def argparse_reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line was once read with; cli.parse_args
+    must give the same fields wherever it accepts an argument list and raise
+    ParseError wherever it exits."""
+    ap = argparse.ArgumentParser(
+        prog="semirep",
+        description="Representation theory of semidirect products of finite "
+                    "quantum groups with finite groups.")
+    ap.add_argument("command", choices=("check", "conj", "fuse", "induce", "irr", "oracle"))
+    ap.add_argument("file", help="instance JSON file")
+    ap.add_argument("--format", choices=("human", "structured"), default="human")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="seed for the spectral splittings (default: file seed or 7)")
+    ap.add_argument("--subgroup", default=None,
+                    help="comma-separated Lambda element indices (induce)")
+    ap.add_argument("--param", default=None,
+                    help="parameter spec 'x:IDX,v:IDX' (induce)")
+    return ap

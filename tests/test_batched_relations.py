@@ -313,7 +313,7 @@ def test_grp_factor_failure_matches_reference(inst_f, scale, message):
 # the checks dropped and added none; fusion runs each once per input that is
 # distinct by content (see test_fusion_tables):
 # - classify: cocycle_of 6 (covariant_projective), check_covariant 42,
-#   intertwiner_basis 12, verify_corep 12, and 24 joins (12 CSRs, 12
+#   intertwiner_basis 6, verify_corep 12, and 24 joins (12 CSRs, 12
 #   induced coreps), each certifying its Lambda part: verify +24.
 # - 12 distinct GRPs (6 characters u2 (x) u3 times 2 v's) build one CSR
 #   each: verify +12, check_covariant +12.
@@ -327,9 +327,13 @@ def test_grp_factor_failure_matches_reference(inst_f, scale, message):
 # bases and 864 reductions (330, 474, 144, 228, 12, in the order below, with
 # the joins extracting cocycles); before the reduction was shared, every one
 # of the 1,728 (entry, coset triple) pairs reduced once (474, 762, 288,
-# 1740, 12).
+# 1740, 12). While irr_decompose solved a commutant basis for every piece of
+# the base's regular corep, classify's intertwiner_basis ran 12 times; the
+# pieces are now counted in one batch per split (_linalg.decompose) and a
+# basis is solved, outside intertwiner_basis, only for a piece that splits
+# further.
 FUSE_D_CALLS = {"cocycle_of": 6, "check_covariant": 78, "ProjectiveRep.verify": 60,
-                "intertwiner_basis": 48, "verify_corep": 12}
+                "intertwiner_basis": 42, "verify_corep": 12}
 
 
 def test_fuse_d_runs_every_check_and_one_transversal_per_subgroup(monkeypatch):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -6,12 +8,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semirep import cli, hopf, mackey
 from semirep.corpus import INSTANCES, instance_spec
+from semirep.errors import ParseError
 from semirep.groups import cyclic_group, symmetric_group
 
-from helpers import TENSORS, conjugation_spec, dense, rescaled_spec, spy
+from helpers import (TENSORS, argparse_reference_parser, conjugation_spec, dense,
+                     rescaled_spec, spy)
 from test_random_instances import BASES as SWEEP_BASES, z2_actions
 
 
@@ -322,9 +327,10 @@ def test_import_loads_no_scipy():
 
 
 def test_no_command_imports_numpy_ma(tmp_path):
-    """Plain np.unique imports numpy.ma, about 22 ms of a job's start-up; no
-    command may leave it loaded: on A-H, on A on a rescaled basis (no table,
-    a 'matrix' action) and on the sweep family's C[D4] x| Z2."""
+    """Plain np.unique imports numpy.ma, about 22 ms of a job's start-up, and
+    argparse imports gettext and locale, about 2 ms; no command may leave any
+    of them loaded: on A-H, on A on a rescaled basis (no table, a 'matrix'
+    action) and on the sweep family's C[D4] x| Z2."""
     paths = [INSTANCES / f"instance_{name}.json" for name in "abcdefgh"]
     paths += [tmp_path / "rescaled_a.json", tmp_path / "d4.json"]
     paths[-2].write_text(json.dumps(rescaled_spec("a")))
@@ -341,11 +347,12 @@ def test_no_command_imports_numpy_ma(tmp_path):
     probe = ("import contextlib, io, json, sys, semirep.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    rcs = [semirep.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-             "print(rcs, 'numpy.ma' in sys.modules)")
+             "print(rcs, [m for m in ('numpy.ma', 'argparse', 'gettext', 'locale')\n"
+             "            if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"{[0] * len(argvs)} False"
+    assert proc.stdout.strip() == f"{[0] * len(argvs)} []"
 
 
 def test_check_at_dim_720_is_exact(tmp_path, capsys):
@@ -384,3 +391,87 @@ def test_jsonable_hands_int_and_bool_arrays_to_tolist():
                    "floats": [0.0, round(1 / 3, 12)], "phases": [[0.0, 1.0], [-1.0, 0.0]]}
     assert {type(x) for plane in doc["cube"] for row in plane for x in row} == {int}
     assert {type(x) for x in doc["flags"]} == {bool}
+
+
+# -- the argument list -------------------------------------------------------------
+
+# Tokens an argument list is drawn from: every command and option, valid and
+# invalid values, negative numbers (values, not options), '-' and '' (plain
+# positionals) and unknown options. Left out by name are the documented
+# differences from argparse: abbreviated options such as --form, which
+# argparse expands and parse_args rejects; -h/--help, tested on its own; and
+# the '--' separator, whose argparse reading depends on what precedes it
+# (`irr a.json --` is accepted, `irr a.json --seed=5 --` rejected, and
+# `irr -- --` reads the file as []), while parse_args reads every later token
+# as a positional. Exit codes and message texts are not compared.
+ARG_TOKENS = ("check", "irr", "fuse", "conj", "oracle", "induce", "xml", "a.json", "-",
+              "", "--format", "--seed", "--subgroup", "--param", "human", "structured",
+              "7", "-3", "-.5", "-1.", "abc", "0,1", "x:0,v:0", "--format=structured",
+              "--format=xml", "--format=", "--seed=5", "--seed=-3", "--seed=", "--seed=x",
+              "--subgroup=", "--param=x:0", "-x", "--bogus", "--bogus=1")
+
+
+def _argparse_fields(argv):
+    """vars() of the reference parser's reading, or None where it exits."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(argparse_reference_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ARG_TOKENS), max_size=7))
+def test_parse_args_reads_what_argparse_reads(argv):
+    want = _argparse_fields(argv)
+    if want is None:
+        with pytest.raises(ParseError):
+            cli.parse_args(argv)
+    else:
+        assert vars(cli.parse_args(argv)) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["irr", "a.json", "--format", "structured", "--seed", "3"],
+    ["--seed=-3", "--format=structured", "irr", "a.json"],
+    ["--seed", "-3", "irr", "--seed", "4", "a.json", "--subgroup", "-1"],
+    ["induce", "--param", "x:0,v:1", "a.json", "--subgroup=0,1"],
+    ["irr", "--", "-3"], ["--", "irr", "a.json"], ["irr", "a.json", "--"]])
+def test_parse_args_on_listed_argument_lists(argv):
+    assert vars(cli.parse_args(argv)) == _argparse_fields(argv)
+
+
+@pytest.mark.parametrize("token", ["--form", "--s", "--se", "--sub", "--par"])
+def test_abbreviated_options_are_rejected(token):
+    """argparse expands an unambiguous prefix of an option; parse_args
+    rejects every prefix."""
+    with pytest.raises(ParseError, match="unknown option"):
+        cli.parse_args(["irr", "a.json", token, "structured"])
+
+
+USAGE_ERRORS = {
+    "unknown command": ["xml", "instances/instance_a.json"],
+    "unknown option": ["irr", "instances/instance_a.json", "--bogus", "1"],
+    "abbreviated option": ["irr", "instances/instance_a.json", "--form", "structured"],
+    "missing file argument": ["irr"],
+    "missing instance file": ["irr", "no_such_instance.json"],
+    "extra positional": ["irr", "instances/instance_a.json", "extra"],
+    "option without a value": ["irr", "instances/instance_a.json", "--seed"],
+    "--format xml": ["irr", "instances/instance_a.json", "--format", "xml"],
+    "--seed abc": ["irr", "instances/instance_a.json", "--seed", "abc"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_exit_1_with_one_error_line(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_and_exits_0(flag):
+    code, out, err = run_cli("irr", flag)
+    assert code == 0 and err == ""
+    assert out == cli.USAGE + "\n" and out.startswith("usage: semirep COMMAND FILE")

@@ -3,16 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from semirep import _linalg
+from semirep import _linalg, corep
 from semirep.corep import (Corep, act, conjugate, intertwiner_basis,
                            irr_action, irr_decompose, irr_enumerate, mor_dim,
                            regular_corep, tensor, verify_corep)
 from semirep.errors import (IntegerRecoveryError, OracleDisagreement,
                             OrbitResolutionFailure)
-from semirep.groups import GroupAction, cyclic_group, symmetric_group
+from semirep.groups import GroupAction, cyclic_group, quaternion_group, symmetric_group
 from semirep.hopf import (action_from_group_hom, function_algebra, group_algebra)
 
-from helpers import (_einsum_corep_tensor, _einsum_verify_corep, direct_sum,
+from helpers import (_einsum_corep_tensor, _einsum_verify_corep, direct_sum, spy,
                      trivial_corep)
 
 
@@ -120,6 +120,42 @@ def test_irr_decompose_irreducible_passthrough():
     h = function_algebra(cyclic_group(3))
     u = irr_enumerate(h)[1]
     assert [(f.dim, m) for f, m in irr_decompose(u, intertwiner_basis(u, u))] == [(1, 1)]
+
+
+# C[Q8]: its regular corep splits into 8 one-dimensional factors, 28 pairs
+Q8_PAIRS = 28
+
+
+def test_irr_enumerate_batches_its_tests(monkeypatch):
+    """irr_enumerate on C[Q8] counts the pieces of its one split in one
+    hom_space_dims batch and its 28 factor pairs in one more, and makes no
+    pairwise mor_dim or hom_space_dim call and solves no commutant basis."""
+    splits = spy(monkeypatch, _linalg, "hom_space_dims")
+    pairs = spy(monkeypatch, corep, "hom_space_dims")
+    pairwise = [spy(monkeypatch, corep, "mor_dim"), spy(monkeypatch, corep, "hom_space_dim"),
+                spy(monkeypatch, _linalg, "module_hom_basis")]
+    irreps = irr_enumerate(group_algebra(quaternion_group()))
+    assert [u.dim for u in irreps] == [1] * 8
+    assert len(pairs) == 1 and len(pairs[0][0][0]) == Q8_PAIRS
+    assert [counts for _, counts in splits] == [[1] * 8]
+    assert pairwise == [[], [], []]
+
+
+@pytest.mark.parametrize("route", ["nullspace", "characters"])
+def test_every_factor_pair_is_compared_by_both_routes(route, monkeypatch):
+    """A hom count, or a character pairing, off by one on any single one of
+    C[Q8]'s 28 factor pairs raises OracleDisagreement."""
+    count, pairing = corep.hom_space_dims, corep.as_int
+    for k in range(Q8_PAIRS):
+        with monkeypatch.context() as m:
+            if route == "nullspace":
+                m.setattr(corep, "hom_space_dims",
+                          lambda pairs: [n + (i == k) for i, n in enumerate(count(pairs))])
+            else:
+                calls = iter(range(Q8_PAIRS))
+                m.setattr(corep, "as_int", lambda x: pairing(x) + (next(calls) == k))
+            with pytest.raises(OracleDisagreement, match="mor_dim mismatch"):
+                irr_enumerate(group_algebra(quaternion_group()))
 
 
 def test_intertwiner_basis_vs_mor_dim():

@@ -161,6 +161,16 @@ def test_nan_residual_reads_as_inf():
     assert _linalg.max_abs(np.zeros(0)) == 0.0
 
 
+@pytest.mark.parametrize("arr", [
+    np.array([[1.0, -np.inf], [2.0, np.nan]]), np.array([3 - 4j, -1j, np.nan + 0j]),
+    np.array([-7, 2]), np.array([True, False]), np.array(-2.5), np.arange(12.0) - 11])
+def test_max_abs_equals_the_array_reduction(arr):
+    """The Python-level NaN test gives what nan_as_inf gives on the array."""
+    got = _linalg.max_abs(arr)
+    assert type(got) is float
+    assert got == float(_linalg.nan_as_inf(np.max(np.abs(arr))))
+
+
 # integers, near-integers on either side, values just inside and just outside
 # the tolerance, halves, complex values with a small and a large imaginary
 # part, NaN and inf

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from semirep._linalg import module_hom_basis
-from semirep.cohomology import (Cochain1, coboundary, cocycle_inverse, is_cocycle,
+from semirep import projective
+from semirep.cohomology import (Cochain1, Cochain2, coboundary, cocycle_inverse, is_cocycle,
                                 trivial_cochain2)
 from semirep.errors import CocycleMismatch, NotScalarRelated
 from semirep.groups import (Subgroup, all_subgroups, conjugate_subgroup, cyclic_group,
@@ -13,7 +14,7 @@ from semirep.projective import (ProjectiveRep, cocycle_of, contragredient,
                                 regular_twisted_rep, rescale, tensor,
                                 transitional_map)
 
-from helpers import trivial_rep
+from helpers import spy, trivial_rep
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -116,11 +117,30 @@ def test_irreducible_projreps_s3():
 
 
 def test_irreducible_projreps_deterministic():
-    v = pauli_rep()
+    """Two separate groups (no shared cache) give the same matrices."""
+    v, w = pauli_rep(), pauli_rep()
     a = irreducible_projreps(v.group, v.cocycle, seed=9)
-    b = irreducible_projreps(v.group, v.cocycle, seed=9)
+    b = irreducible_projreps(w.group, w.cocycle, seed=9)
+    assert v.group is not w.group
     for x, y in zip(a, b):
         assert np.array_equal(x.mats, y.mats)
+
+
+def test_irreducible_projreps_is_built_once_per_cocycle_and_seed(monkeypatch):
+    """The list is cached on the group, keyed by the cocycle's values and the
+    seed, with read-only matrices; another seed or cocycle builds anew."""
+    v = pauli_rep()
+    g = v.group
+    built = spy(monkeypatch, projective, "decompose_projective")
+    first = irreducible_projreps(g, v.cocycle)
+    assert irreducible_projreps(g, Cochain2(g, v.cocycle.values.copy())) is first
+    assert len(built) == 1
+    assert not any(w.mats.flags.writeable for w in first)
+    with pytest.raises(ValueError):
+        first[0].mats[0, 0, 0] = 0
+    irreducible_projreps(g, v.cocycle, seed=3)
+    assert [w.dim for w in irreducible_projreps(g, trivial_cochain2(g))] == [1] * 4
+    assert len(built) == 3
 
 
 def test_tensor_contragredient_restrict():

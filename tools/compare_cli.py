@@ -14,7 +14,10 @@ fuse takes the longest; and check alone on C(S5) x| Z2 (dim 240) and
 C(S5) x| S3 (dim 720), Lambda acting by conjugation
 (tests/helpers.conjugation_spec), where the table certificates of
 verify_axioms run at scale. The rescaled and conjugation files are written
-by this checkout's tests/helpers into a temporary directory.
+by this checkout's tests/helpers into a temporary directory. Each child
+runs with OPENBLAS_NUM_THREADS=1 unless the variable is already set: with
+one BLAS thread per core in each of two processes, LAPACK calls thrash on a
+small machine.
 
 Prints every case whose stdout, stderr or exit code differ, then the counts
 of differing cases and of cases that exit nonzero on NEW_SRC; exits 1 if any
@@ -76,6 +79,7 @@ def cases(tmp: Path):
 
 def run(src: str, argv: list[str], cwd: str) -> tuple[str, str, int]:
     env = dict(os.environ, PYTHONPATH=src)
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     proc = subprocess.run([sys.executable, "-m", "semirep.cli", *argv], env=env, cwd=cwd,
                           capture_output=True, text=True)
     return proc.stdout, proc.stderr, proc.returncode
