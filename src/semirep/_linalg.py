@@ -2,12 +2,13 @@
 
 Module homs come from one dense solve, the nullspace of the stacked Sylvester
 system; where only their number is needed, it comes from the singular values
-alone (hom_space_dims). A family of such counts is batched: the systems of
-equal shape are stacked along leading axes, at most SYSTEM_CELLS entries per
-stack, and each stack's singular values come from one np.linalg.svd call,
-which runs the same LAPACK routine on every matrix of the stack (batched
-BLAS/LAPACK: Dongarra et al., Procedia Comput. Sci. 108, 2017). Every count
-reads the same system, singular values and cutoff as a one-by-one count.
+alone. hom_space_dims is the one such count: it takes a family of pairs, and
+a single count is its one-pair case. The systems of equal shape are stacked
+along leading axes, at most SYSTEM_CELLS entries per stack, and each stack's
+singular values come from one np.linalg.svd call, which runs the same LAPACK
+routine on every matrix of the stack (batched BLAS/LAPACK: Dongarra et al.,
+Procedia Comput. Sci. 108, 2017). Every count reads the same system,
+singular values and cutoff whatever the batch it is counted in.
 Callers stack only the slices of a corep's generators
 (corep.Corep.coeff_slices): the slices are the images of the dual basis
 elements f_a under an algebra map, and a matrix commutes with every image
@@ -174,11 +175,6 @@ def hom_space_dims(pairs) -> list[int]:
             for i, n in zip(part, found.tolist()):
                 counts[i] = n
     return counts
-
-
-def hom_space_dim(mats1, mats2) -> int:
-    """hom_space_dims for the one pair (mats1, mats2)."""
-    return hom_space_dims([(mats1, mats2)])[0]
 
 
 def check_commutant(mats, comm) -> None:

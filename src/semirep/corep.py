@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import (DEFAULT_SEED, TOL_DEGENERATE, TOL_VERIFY, as_int,
                       char_sort_key, check_commutant, compress_stack, decompose,
-                      hom_space_dim, hom_space_dims, max_abs, module_hom_basis)
+                      hom_space_dims, max_abs, module_hom_basis)
 from .errors import (OracleDisagreement, OrbitResolutionFailure,
                      PeterWeylMismatch, ValidationError)
 from .groups import FiniteGroup, GroupAction
@@ -93,10 +93,6 @@ def tensor(u: Corep, w: Corep) -> Corep:
 
 # -- morphism spaces -----------------------------------------------------------
 
-def _char_mor_dim(u: Corep, w: Corep) -> int:
-    return as_int(u.parent.pair(u.char_vec(), w.char_vec()))
-
-
 def _common_parent(u: Corep, w: Corep) -> None:
     if u.parent is not w.parent:
         raise ValidationError("intertwiners require a common parent algebra")
@@ -116,19 +112,21 @@ def _agreed(via_char: int, via_null: int) -> int:
 
 
 def mor_dim(u: Corep, w: Corep) -> int:
-    """dim Mor(u, w), computed twice (characters and nullspace), must agree."""
-    via_char = _char_mor_dim(u, w)
-    _common_parent(u, w)
-    return _agreed(via_char, hom_space_dim(u.coeff_slices, w.coeff_slices))
+    """dim Mor(u, w), computed twice (characters and nullspace), must agree:
+    the one-pair mor_dims batch."""
+    return next(mor_dims([u], [w], [(0, 0)]))
 
 
 def mor_dims(us: list[Corep], ws: list[Corep], pairs):
-    """mor_dim(us[i], ws[j]) for every (i, j) in pairs, by both routes at
-    once: the characters are paired through one Gram product and the hom
-    spaces counted in one hom_space_dims batch. An iterator: the two counts
-    of a pair are compared as it is read, so a caller that stops at its own
-    check raises what pair-by-pair mor_dim calls would. All coreps share one
-    parent algebra; pairs is not empty."""
+    """dim Mor(us[i], ws[j]) for every (i, j) in pairs, each computed twice:
+    the characters are paired through one Gram product and the hom spaces
+    counted in one hom_space_dims batch. Every pair must share a parent
+    algebra, checked before anything is computed. An iterator: the two
+    counts of a pair are compared as it is read, so a caller that stops at
+    its own check raises nothing for the pairs it did not read. pairs is not
+    empty."""
+    for i, j in pairs:
+        _common_parent(us[i], ws[j])
     pairings = us[0].parent.pair_forms(np.array([u.char_vec() for u in us])) \
         @ np.array([w.char_vec() for w in ws]).T
     counts = hom_space_dims([(us[i].coeff_slices, ws[j].coeff_slices) for i, j in pairs])

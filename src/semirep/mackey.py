@@ -29,7 +29,7 @@ from .groups import (Subgroup, conjugate_intersection, left_cosets, orbits,
 from .induction import induce
 from .oracle import module_fusion_cube
 from .projective import (ProjectiveRep, contragredient, irreducible_projreps,
-                         proj_mor_dim, projective_rep, pullback, rescale,
+                         proj_mor_dim, proj_mor_dims, projective_rep, pullback, rescale,
                          tensor as proj_tensor, transitional_map)
 from .semidirect import (SemidirectInstance, act_corep, check_covariant,
                          join_covariant, restrict_corep)
@@ -351,8 +351,8 @@ class _FusionTables:
       grps         (p2, r2, p3, r3, meet) -> the GRP and chi2 . chi3
       isotypic     (moved u1, GRP u) -> intertwiner_basis(u1, GRP u)
       reductions   (GRP, moved u1, moved V1) -> reduce_grp's result
-      counts       (GRP, p1s, r, meet) -> proj_mor_dim(v1, reduced v), or 0,
-                   for each moved p1
+      counts       (GRP, p1s, r, meet) -> dim Mor(v1, reduced v), or 0, for
+                   each moved p1, from one proj_mor_dims batch
       columns      group -> ((p2, p3), N_{p2,p3}^{p1} for each p1 of the group)
                    of the last column asked for
     p1s is a tuple of parameters over one Lambda_1, in the caller's order. The
@@ -463,15 +463,18 @@ class _FusionTables:
     def reduction_counts(self, g: GRParameter, p1s: tuple, r: int,
                          meet: Subgroup) -> np.ndarray:
         """The reduction route's incidence of g with each q1 = r . p1 on meet,
-        p1 in p1s: proj_mor_dim(q1.v, reduced v), or 0 when reduction(g, q1)
-        is empty."""
+        p1 in p1s: dim Mor(q1.v, reduced v), or 0 when reduction(g, q1) is
+        empty; the non-empty ones are counted in one proj_mor_dims call."""
         def build():
-            counts = []
-            for p1 in p1s:
-                q1 = self.moved_param(p1, r, meet)[0]
-                red = self.reduction(g, q1)
-                counts.append(0 if red is None else proj_mor_dim(q1.v, red.v))
-            return np.array(counts)
+            qs = [self.moved_param(p1, r, meet)[0] for p1 in p1s]
+            reds = [self.reduction(g, q1) for q1 in qs]
+            live = [i for i, red in enumerate(reds) if red is not None]
+            counts = np.zeros(len(p1s), dtype=int)
+            if live:
+                counts[live] = proj_mor_dims([qs[i].v for i in live],
+                                             [reds[i].v for i in live],
+                                             [(k, k) for k in range(len(live))])
+            return counts
         return self._once(self.counts, (g, p1s, r, meet.elements), build)
 
 
@@ -485,8 +488,9 @@ def incidence(tables: _FusionTables, p1s: tuple, p2: RepParameter, p3: RepParame
     with meet cap r_i Lambda_i r_i^{-1}, for every p1 of p1s (one Lambda_1).
 
     The character route pairs every moved chi1 with chi2 . chi3 in one
-    product of Haar forms; the reduction route counts proj_mor_dim(v1,
-    reduced v) once per GRP and moved p1. Both must agree on every entry.
+    product of Haar forms; the reduction route counts dim Mor(v1, reduced v)
+    for every moved p1 with a non-empty reduction, in one proj_mor_dims call
+    per GRP. Both must agree on every entry.
     Artifacts come from, and go to, the fusion run's tables, whose labels
     name the entries.
     """

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import (DEFAULT_SEED, compress_stack, decompose, hom_space_dim,
-                      hom_space_dims)
+from ._linalg import DEFAULT_SEED, compress_stack, decompose, hom_space_dims
 from .corep import Corep, regular_corep, tensor
 from .errors import PeterWeylMismatch
 from .hopf import HopfData
 
 
 def module_hom_dim(u: Corep, w: Corep) -> int:
-    """dim of module homomorphisms between the slice modules of two coreps."""
-    return hom_space_dim(u.coeff_slices, w.coeff_slices)
+    """dim of module homomorphisms between the slice modules of two coreps,
+    as the one-pair hom_space_dims batch."""
+    return hom_space_dims([(u.coeff_slices, w.coeff_slices)])[0]
 
 
 def module_fusion_cube(coreps: list[Corep]) -> np.ndarray:

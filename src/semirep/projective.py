@@ -101,19 +101,25 @@ def rescale(b: Cochain1, v: ProjectiveRep) -> ProjectiveRep:
     return ProjectiveRep(v.group, mats, cocycle_product(coboundary(b), v.cocycle))
 
 
-def proj_char_pairing(v1: ProjectiveRep, v2: ProjectiveRep) -> complex:
-    chi1 = v1.character()
-    chi2 = v2.character()
-    return complex(np.vdot(chi1, chi2) / v1.group.order)
-
-
 def proj_mor_dim(v1: ProjectiveRep, v2: ProjectiveRep) -> int:
-    """dim Mor(v1, v2) by the character inner product (same cocycle required)."""
-    if v1.group != v2.group:
-        raise ValidationError("morphism spaces need a common group")
-    if max_abs(v1.cocycle.values - v2.cocycle.values) > TOL_ACCEPT:
-        raise CocycleMismatch("projective representations have different cocycles")
-    return as_int(proj_char_pairing(v1, v2))
+    """dim Mor(v1, v2) by the character inner product (same cocycle
+    required): the one-pair proj_mor_dims batch."""
+    return proj_mor_dims([v1], [v2], [(0, 0)])[0]
+
+
+def proj_mor_dims(vs: list[ProjectiveRep], ws: list[ProjectiveRep], pairs) -> list[int]:
+    """dim Mor(vs[i], ws[j]) for every (i, j) in pairs, by the character
+    inner product. Each pair, in pair order, must have a common group and
+    cocycles within TOL_ACCEPT; then every character is paired through one
+    Gram product, and each pairing recovered by as_int in pair order."""
+    for i, j in pairs:
+        if vs[i].group != ws[j].group:
+            raise ValidationError("morphism spaces need a common group")
+        if max_abs(vs[i].cocycle.values - ws[j].cocycle.values) > TOL_ACCEPT:
+            raise CocycleMismatch("projective representations have different cocycles")
+    gram = np.conj([v.character() for v in vs]) @ np.transpose(
+        [w.character() for w in ws]) / vs[0].group.order
+    return [as_int(gram[i, j]) for i, j in pairs]
 
 
 def tensor(v1: ProjectiveRep, v2: ProjectiveRep) -> ProjectiveRep:
@@ -169,22 +175,11 @@ def decompose_projective(v: ProjectiveRep,
                          seed: int = DEFAULT_SEED) -> list[tuple[ProjectiveRep, int]]:
     """Split into pairwise-inequivalent irreducibles with multiplicities.
 
-    Factors are compared as proj_mor_dim compares them, every pair at once:
-    their cocycles must agree, and the characters are paired through one Gram
-    product."""
-    def hom_dims(factors, pairs):
-        first, second = np.transpose(pairs)
-        cocycles = np.array([f.cocycle.values for f in factors])
-        if max_abs(cocycles[first] - cocycles[second]) > TOL_ACCEPT:
-            raise CocycleMismatch("projective representations have different cocycles")
-        chars = np.array([f.character() for f in factors])
-        gram = np.conj(chars) @ chars.T / v.group.order
-        return [as_int(gram[i, j]) for i, j in pairs]
-
+    Factors are compared every pair at once, by proj_mor_dims."""
     return decompose(v, module_hom_basis(v.mats, v.mats), lambda x: x.mats,
                      lambda x, q: ProjectiveRep(x.group, compress_stack(x.mats, q),
                                                 x.cocycle),
-                     hom_dims, seed)
+                     lambda fs, pairs: proj_mor_dims(fs, fs, pairs), seed)
 
 
 def irreducible_projreps(group: FiniteGroup, omega: Cochain2, seed: int = DEFAULT_SEED,

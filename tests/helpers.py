@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 from semirep._linalg import (RANK_RTOL, TOL_ACCEPT, TOL_VERIFY, check_commutant,
-                             compress_stack, decompose, hom_space_dim, max_abs,
+                             compress_stack, decompose, hom_space_dims, max_abs,
                              max_abs_each)
 from semirep.cohomology import Cochain1, Cochain2, trivial_cochain2
 from semirep.corep import (Corep, compress, intertwiner_basis, regular_corep, tensor,
@@ -573,6 +573,11 @@ def _einsum_verify_corep(u: Corep) -> dict:
 def all_slices(u: Corep) -> np.ndarray:
     """Every coefficient slice of u, stacked along the first axis."""
     return np.moveaxis(u.entries, 2, 0)
+
+
+def hom_space_dim(mats1, mats2) -> int:
+    """The one-pair hom_space_dims count."""
+    return hom_space_dims([(mats1, mats2)])[0]
 
 
 def all_slice_mor_dim(u: Corep, w: Corep) -> int:

@@ -8,7 +8,7 @@ from semirep.corep import (Corep, act, conjugate, intertwiner_basis,
                            irr_action, irr_decompose, irr_enumerate, mor_dim,
                            regular_corep, tensor, verify_corep)
 from semirep.errors import (IntegerRecoveryError, OracleDisagreement,
-                            OrbitResolutionFailure)
+                            OrbitResolutionFailure, ValidationError)
 from semirep.groups import GroupAction, cyclic_group, quaternion_group, symmetric_group
 from semirep.hopf import (action_from_group_hom, function_algebra, group_algebra)
 
@@ -129,16 +129,16 @@ Q8_PAIRS = 28
 def test_irr_enumerate_batches_its_tests(monkeypatch):
     """irr_enumerate on C[Q8] counts the pieces of its one split in one
     hom_space_dims batch and its 28 factor pairs in one more, and makes no
-    pairwise mor_dim or hom_space_dim call and solves no commutant basis."""
+    pairwise mor_dim call and solves no commutant basis."""
     splits = spy(monkeypatch, _linalg, "hom_space_dims")
     pairs = spy(monkeypatch, corep, "hom_space_dims")
-    pairwise = [spy(monkeypatch, corep, "mor_dim"), spy(monkeypatch, corep, "hom_space_dim"),
+    pairwise = [spy(monkeypatch, corep, "mor_dim"),
                 spy(monkeypatch, _linalg, "module_hom_basis")]
     irreps = irr_enumerate(group_algebra(quaternion_group()))
     assert [u.dim for u in irreps] == [1] * 8
     assert len(pairs) == 1 and len(pairs[0][0][0]) == Q8_PAIRS
     assert [counts for _, counts in splits] == [[1] * 8]
-    assert pairwise == [[], [], []]
+    assert pairwise == [[], []]
 
 
 @pytest.mark.parametrize("route", ["nullspace", "characters"])
@@ -156,6 +156,22 @@ def test_every_factor_pair_is_compared_by_both_routes(route, monkeypatch):
                 m.setattr(corep, "as_int", lambda x: pairing(x) + (next(calls) == k))
             with pytest.raises(OracleDisagreement, match="mor_dim mismatch"):
                 irr_enumerate(group_algebra(quaternion_group()))
+
+
+def test_mor_dim_and_mor_dims_reject_a_mixed_pair():
+    """On two separately built C(Z3), the one-pair count and a batch whose
+    second pair is mixed raise the same ValidationError when called, before
+    any count is read."""
+    u, w = (irr_enumerate(function_algebra(cyclic_group(3)))[0] for _ in range(2))
+    assert u.parent is not w.parent
+    assert mor_dim(u, u) == mor_dim(w, w) == 1
+    raised = []
+    for call in (lambda: mor_dim(u, w),
+                 lambda: corep.mor_dims([u, w], [u, w], [(0, 0), (1, 0), (1, 1)])):
+        with pytest.raises(ValidationError) as err:
+            call()
+        raised.append((type(err.value), str(err.value)))
+    assert raised == [(ValidationError, "intertwiners require a common parent algebra")] * 2
 
 
 def test_intertwiner_basis_vs_mor_dim():

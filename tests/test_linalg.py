@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from semirep import _linalg
-from semirep._linalg import (INT_ROUND_TOL, as_int, as_ints, hom_space_dim, hom_space_dims,
-                             module_hom_basis, nullity, nullspace, sylvester_system)
+from semirep._linalg import (INT_ROUND_TOL, as_int, as_ints, hom_space_dims, module_hom_basis,
+                             nullity, nullspace, sylvester_system)
 from semirep.errors import IntegerRecoveryError
 
 
@@ -90,7 +90,7 @@ def test_nullity_on_the_module_cube_of_e(inst_e):
                 system = sylvester_system(w1.coeff_slices, t)
                 count = len(nullspace(system))
                 assert nullity(system) == count
-                assert hom_space_dim(w1.coeff_slices, t) == count
+                assert hom_space_dims([(w1.coeff_slices, t)])[0] == count
                 pairs.append((w1.coeff_slices, t))
                 counts.append(count)
     assert hom_space_dims(pairs) == counts
@@ -127,7 +127,7 @@ def test_batched_counts_equal_one_by_one(cells, monkeypatch):
     monkeypatch.setattr(_linalg, "SYSTEM_CELLS", cells)
     monkeypatch.setattr(_linalg, "nullity", lambda m: calls.append(m.shape) or nullity(m))
     assert hom_space_dims(pairs) == want
-    assert [hom_space_dim(m1, m2) for m1, m2 in pairs] == want
+    assert [hom_space_dims([(m1, m2)])[0] for m1, m2 in pairs] == want
     for shape in calls[:-len(pairs)]:
         assert shape[0] == 1 or shape[0] * shape[1] * shape[2] <= cells
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,19 @@ from semirep._linalg import module_hom_basis
 from semirep import projective
 from semirep.cohomology import (Cochain1, Cochain2, coboundary, cocycle_inverse, is_cocycle,
                                 trivial_cochain2)
-from semirep.errors import CocycleMismatch, NotScalarRelated
+from semirep.corep import irr_enumerate
+from semirep.corpus import instance
+from semirep.errors import CocycleMismatch, NotScalarRelated, ValidationError
 from semirep.groups import (Subgroup, all_subgroups, conjugate_subgroup, cyclic_group,
-                            direct_product, symmetric_group)
+                            direct_product, full_subgroup, symmetric_group)
+from semirep.mackey import covariant_projective
 from semirep.projective import (ProjectiveRep, cocycle_of, contragredient,
                                 decompose_projective, irreducible_projreps,
-                                ordinary_rep, proj_mor_dim, projective_rep, pullback,
-                                regular_twisted_rep, rescale, tensor,
-                                transitional_map)
+                                ordinary_rep, proj_mor_dim, proj_mor_dims,
+                                projective_rep, pullback, regular_twisted_rep,
+                                rescale, tensor, transitional_map)
 
-from helpers import spy, trivial_rep
+from helpers import proj_direct_sum, spy, trivial_rep
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -85,11 +90,49 @@ def test_proj_mor_dim_schur_and_mismatch():
 
 
 def test_proj_mor_dim_matches_nullspace():
+    """One pair at a time and in one proj_mor_dims call."""
     v = pauli_rep()
     cases = [(v, v), (tensor(v, v), tensor(v, v)),
              (trivial_rep(v.group), tensor(v, contragredient(v)))]
-    for a, b in cases:
-        assert proj_mor_dim(a, b) == len(module_hom_basis(a.mats, b.mats))
+    want = [len(module_hom_basis(a.mats, b.mats)) for a, b in cases]
+    assert [proj_mor_dim(a, b) for a, b in cases] == want
+    firsts, seconds = zip(*cases)
+    assert proj_mor_dims(firsts, seconds, [(k, k) for k in range(len(cases))]) == want
+
+
+def nontrivial_class_reps(name):
+    """On instance F (I), the one irreducible projective rep v of the class of
+    order 2 (3) that the covariant V of a 2-dim (3-dim) base irrep carries,
+    its rescalings by every character of the stabilizer (each equivalent to
+    v), and the direct sum of v with one of them."""
+    inst = instance(name)
+    big = next(u for u in irr_enumerate(inst.base) if u.dim > 1)
+    v_cov = covariant_projective(inst, big, full_subgroup(inst.lam_full))
+    g = v_cov.group
+    (v,) = irreducible_projreps(g, cocycle_inverse(v_cov.cocycle))
+    chars = [Cochain1(g, c.mats[:, 0, 0])
+             for c in irreducible_projreps(g, trivial_cochain2(g))]
+    moved = [rescale(b, v) for b in chars]
+    return [v, *moved, proj_direct_sum(v, moved[-1])]
+
+
+@pytest.mark.parametrize("name,dim", [("F", 2), ("I", 3)])
+def test_proj_mor_dims_on_a_nontrivial_class(name, dim):
+    """Every pair of the class's reps in one proj_mor_dims call, against the
+    nullspace count; a foreign cocycle on only the last pair raises
+    CocycleMismatch, and a foreign group ValidationError."""
+    vs = nontrivial_class_reps(name)
+    assert [v.dim for v in vs] == [dim] * (len(vs) - 1) + [2 * dim]
+    pairs = list(itertools.product(range(len(vs)), repeat=2))
+    counts = proj_mor_dims(vs, vs, pairs)
+    assert counts == [len(module_hom_basis(vs[i].mats, vs[j].mats)) for i, j in pairs]
+    assert set(counts) == {1, 2, 4}
+    foreign = trivial_rep(vs[0].group, dim)
+    with pytest.raises(CocycleMismatch):
+        proj_mor_dims(vs, [*vs, foreign], [*pairs, (0, len(vs))])
+    other = nontrivial_class_reps("I" if name == "F" else "F")[0]
+    with pytest.raises(ValidationError, match="^morphism spaces need a common group$"):
+        proj_mor_dims(vs, [other], [(0, 0)])
 
 
 def test_irreducible_projreps_z3_trivial():

@@ -9,11 +9,12 @@ check, irr, fuse, conj, oracle and induce (with the golden cases' arguments,
 tests/test_golden.py) on the shipped instances A-H and on the same instances
 on a rescaled basis (tests/helpers.rescaled_spec, whose comult is no table),
 in both formats and with seeds 7 and 3, two processes at a time; check, irr
-and conj, I's golden commands, on the shipped instance I (dim 243), whose
-fuse takes the longest; and check alone on C(S5) x| Z2 (dim 240) and
-C(S5) x| S3 (dim 720), Lambda acting by conjugation
-(tests/helpers.conjugation_spec), where the table certificates of
-verify_axioms run at scale. The rescaled and conjugation files are written
+and conj, I's golden commands, and fuse on the shipped instance I (dim 243,
+k = 83 irreps), the longest case and the one whose reduction counts come in
+the largest batches, which no golden covers; and check alone on
+C(S5) x| Z2 (dim 240) and C(S5) x| S3 (dim 720), Lambda acting by
+conjugation (tests/helpers.conjugation_spec), where the table certificates
+of verify_axioms run at scale. The rescaled and conjugation files are written
 by this checkout's tests/helpers into a temporary directory. Each child
 runs with OPENBLAS_NUM_THREADS=1 unless the variable is already set: with
 one BLAS thread per core in each of two processes, LAPACK calls thrash on a
@@ -45,7 +46,7 @@ from test_golden import extra_args  # noqa: E402
 
 NAMES = "abcdefgh"
 COMMANDS = ("check", "irr", "fuse", "conj", "oracle", "induce")
-I_COMMANDS = ("check", "irr", "conj")
+I_COMMANDS = ("check", "irr", "conj", "fuse")
 FORMATS = ("human", "structured")
 SEEDS = (7, 3)
 JOBS = 2
